@@ -131,8 +131,6 @@ func (db *DB) exec(s sqlparser.Statement) error {
 			return err
 		}
 		rel := db.Store.MustGet(t.Table)
-		// ApplyBatch (not Load) so the store's mutation hook — the WAL,
-		// when attached — observes raw INSERTs too.
 		applyUncharged(rel, d)
 		rel.RefreshStats()
 		return nil

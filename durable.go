@@ -11,6 +11,12 @@ import (
 // initial checkpoint makes the current state the recovery base. The
 // directory must not already hold durable state — reopen one with
 // Recover instead.
+//
+// The log is handed the deltas of the windows the system maintains
+// (Execute, ExecuteTxn, M.ApplyBatch); it does not watch storage. DML
+// run through DB.Exec after Build bypasses durability exactly as it
+// already bypasses view maintenance: the rows change, but neither the
+// views nor the log hear of it.
 func (s *System) AttachDurability(fsys wal.FS, dir string, opts wal.Options) (*wal.Manager, error) {
 	return wal.Attach(s.M, s.DB.Catalog, fsys, dir, opts)
 }

@@ -92,9 +92,14 @@ type Coalescer struct {
 // is spent on it. Relations whose net delta is empty are omitted
 // entirely, so a fully self-cancelling window costs nothing.
 //
-// The result contains only insertions and deletions: modification
-// pairing does not survive tuple-wise netting (the old and new halves
-// may cancel against other transactions independently).
+// A window of several transactions contains only insertions and
+// deletions: modification pairing does not survive tuple-wise netting
+// (the old and new halves may cancel against other transactions
+// independently). A window of ONE transaction keeps a modification
+// paired when both halves survive: nothing can cancel across
+// transactions, so the window is that transaction, and storage charges
+// an in-place modify less than a delete plus an insert (§3.6's 16/32 at
+// {N4} depends on it). An applied-then-undone pair still annihilates.
 func (co *Coalescer) Coalesce(windows []map[string]*Delta) Coalesced {
 	obsCoalesceWindows.Inc()
 	if co.concat == nil {
@@ -123,6 +128,7 @@ func (co *Coalescer) Coalesce(windows []map[string]*Delta) Coalesced {
 		co.norm = map[string]*Delta{}
 	}
 	out := co.out[:0]
+	pair := len(windows) == 1
 	var changesOut int64
 	for rel, acc := range co.concat {
 		if len(acc.Changes) == 0 {
@@ -133,12 +139,14 @@ func (co *Coalescer) Coalesce(windows []map[string]*Delta) Coalesced {
 			dst = New(acc.Schema)
 			co.norm[rel] = dst
 		}
-		if net := co.nz.NormalizeInto(acc, dst); !net.Empty() {
+		if net := co.nz.normalize(acc, dst, pair); !net.Empty() {
 			out = append(out, RelDelta{Rel: rel, Delta: net})
 			changesOut += signedUnits(net)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rel < out[j].Rel })
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Rel < out[j].Rel })
+	}
 	co.out = out
 	obsCoalesceChangesIn.Add(changesIn)
 	obsCoalesceChangesOut.Add(changesOut)

@@ -153,6 +153,7 @@ type Normalizer struct {
 	net  bytemap.Map[int32]
 	rows []signedRow
 	sbuf []signedRow
+	slot []int32 // per sbuf entry, its index in rows (pairing only)
 	enc  value.KeyEncoder
 }
 
@@ -168,12 +169,25 @@ func (nz *Normalizer) Normalize(d *Delta) *Delta {
 // the same output delta back every window normalizes with no steady-
 // state allocation. Returns out.
 func (nz *Normalizer) NormalizeInto(d, out *Delta) *Delta {
+	return nz.normalize(d, out, false)
+}
+
+// normalize nets d into out. With pair set, a modification of d whose
+// two halves both survive netting in full is emitted as a modification
+// (ahead of the remaining net insertions and deletions) instead of
+// being torn into a delete and an insert; a half that cancelled against
+// another change leaves the other half as a plain insert or delete.
+func (nz *Normalizer) normalize(d, out *Delta, pair bool) *Delta {
 	nz.net.Reset()
 	nz.rows = nz.rows[:0]
+	nz.slot = nz.slot[:0]
 	nz.sbuf = d.appendSigned(nz.sbuf[:0])
 	for _, sr := range nz.sbuf {
 		kb := nz.enc.Key(sr.tuple)
 		p, _, existed := nz.net.GetOrPut(kb, int32(len(nz.rows)))
+		if pair {
+			nz.slot = append(nz.slot, *p)
+		}
 		if existed {
 			nz.rows[*p].count += sr.count
 		} else {
@@ -182,6 +196,25 @@ func (nz *Normalizer) NormalizeInto(d, out *Delta) *Delta {
 	}
 	out.Schema = d.Schema
 	out.Changes = out.Changes[:0]
+	if pair {
+		// sbuf holds one signed row per insert or delete and two (−old,
+		// +new) per modification, in change order; j walks it in step.
+		j := 0
+		for _, c := range d.Changes {
+			if !c.IsModify() {
+				j++
+				continue
+			}
+			o, n := &nz.rows[nz.slot[j]], &nz.rows[nz.slot[j+1]]
+			j += 2
+			k := max(c.Count, 1)
+			if o.count <= -k && n.count >= k {
+				out.Changes = append(out.Changes, Change{Old: c.Old, New: c.New, Count: k})
+				o.count += k
+				n.count -= k
+			}
+		}
+	}
 	for i := range nz.rows {
 		e := &nz.rows[i]
 		switch {

@@ -81,21 +81,3 @@ func SplitUpdates(updates map[string]*Delta, n int, route RouteFunc) []map[strin
 	}
 	return out
 }
-
-// SplitCoalesced partitions a coalesced window across n shards,
-// preserving the sorted-by-relation ordering contract of Coalesced in
-// every shard's slice. A coalesced window holds only inserts and
-// deletes (Normalize split the modifications), so no change tears.
-func SplitCoalesced(w Coalesced, n int, route RouteFunc) []Coalesced {
-	out := make([]Coalesced, n)
-	for _, rd := range w {
-		parts := SplitDelta(rd.Delta, n, func(t value.Tuple) int { return route(rd.Rel, t) })
-		for i, p := range parts {
-			if p.Empty() {
-				continue
-			}
-			out[i] = append(out[i], RelDelta{Rel: rd.Rel, Delta: p})
-		}
-	}
-	return out
-}

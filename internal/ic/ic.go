@@ -84,11 +84,10 @@ func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 // materialized and its emptiness is known from its cardinality — this is
 // precisely why assertion checking reduces to view maintenance.
 func (c *Checker) Execute(t *txn.Type, updates map[string]*delta.Delta) (*Outcome, error) {
-	// In Reject mode the apply is tentative until the verdict: suspend
-	// the group committer so a violating transaction is never logged.
-	// The mutation hook still stages its deltas, but the rollback's
-	// inverse mutations are staged too, and the deferred commit below
-	// coalesces both to nothing — no logged-but-rejected deltas.
+	// In Reject mode the apply is tentative until the verdict: detach the
+	// committer for the window, and hand it the window's deltas below
+	// only once the transaction is accepted — a violating transaction is
+	// never logged.
 	com := c.M.Committer
 	deferred := com != nil && c.Mode == Reject
 	if deferred {
@@ -115,13 +114,20 @@ func (c *Checker) Execute(t *txn.Type, updates map[string]*delta.Delta) (*Outcom
 		}
 	}
 	if c.Mode == Reject && !out.OK() {
-		if err := c.M.Rollback(rep, updates); err != nil {
+		if err := c.M.Rollback(rep); err != nil {
 			return nil, fmt.Errorf("ic: rollback failed: %w", err)
 		}
 		out.RolledBack = true
 	}
 	if deferred {
-		lsn, err := com.Commit(1)
+		// Accepted: log the window and wait out its fence. Rejected:
+		// nothing to log, report the durability point covering it.
+		var lsn uint64
+		if out.RolledBack {
+			lsn, err = com.Commit(1)
+		} else {
+			lsn, err = com.BeginWindow(rep.Merged, 1)()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("ic: commit: %w", err)
 		}

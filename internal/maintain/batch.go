@@ -25,19 +25,30 @@ func workerHist(w int) *obs.Histogram {
 	return obs.H(fmt.Sprintf("maintain.apply.worker%02d.ns", w))
 }
 
-// BatchReport describes one maintained window of transactions, with the
-// same I/O split as Report. QueryIO covers the single propagation pass
-// over the coalesced delta — this is where batching wins: track-prefix
-// queries are posed once for the whole window instead of once per
-// transaction, and changes that annihilate within the window are never
-// propagated at all.
+// serialWorkerHist is slot 0's histogram, resolved once: the serial
+// path runs every window, and formatting the name there is measurable
+// at window sizes of one.
+var serialWorkerHist = workerHist(0)
+
+// BatchReport describes one maintained window of transactions, with
+// page I/O split the way the paper accounts it: queries posed during
+// delta computation, updates to the additional materialized views,
+// updates to the top-level view(s), and updates to the base relations
+// (the last two are excluded from the paper's §3.6 totals). QueryIO
+// covers the single propagation pass over the coalesced delta — this is
+// where batching wins: track-prefix queries are posed once for the
+// whole window instead of once per transaction, and changes that
+// annihilate within the window are never propagated at all.
 //
 // Lifetime: ApplyBatch returns a recycled report — the same object,
 // reset in place, every window — so the report and everything it points
-// at are valid only until the next Apply/ApplyBatch on the maintainer.
+// at are valid only until the next ApplyBatch on the maintainer.
 type BatchReport struct {
 	// Size is the number of transactions in the window.
-	Size  int
+	Size int
+	// Type is the transaction type the update track was chosen for: the
+	// declared type of a one-transaction window, a synthesized merged
+	// type otherwise.
 	Type  *txn.Type
 	Track *tracks.Track
 
@@ -62,25 +73,33 @@ type BatchReport struct {
 func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.Total() }
 
 // ApplyBatch maintains the view set under a window of transactions as
-// one unit:
+// one unit — the engine's only maintenance body; Apply is a window of
+// one:
 //
 //  1. the window's per-relation deltas are coalesced into a single net
-//     delta per base relation (annihilating +1/−1 pairs up front);
+//     delta per base relation (annihilating +1/−1 pairs up front), and
+//     handed to the Committer, whose fsync then runs under the rest;
 //  2. the merged delta is propagated once along the update track chosen
-//     for the window's synthesized transaction type, sharing the
-//     per-window probe cache across everything the window touches;
-//  3. the per-view deltas are applied to independent materialized views
+//     for the window's transaction type, sharing the per-window probe
+//     cache across everything the window touches;
+//  3. the base relations are updated, one storage batch per relation;
+//  4. the per-view deltas are applied to independent materialized views
 //     concurrently (up to m.Workers goroutines), each worker charging a
 //     private I/O counter so the hot path takes no locks; sidecar
 //     live/stale bookkeeping stays per-view and runs on whichever
-//     worker owns the view;
-//  4. the base relations are updated, one storage batch per relation.
+//     worker owns the view.
 //
-// Queries still see the pre-batch state, exactly as Apply's queries see
-// the pre-transaction state: composition of the window's deltas is
-// valid against the database as of the window's start. The final view
+// Queries see the pre-batch state, as in the paper's differential
+// formalism (R_old, V_old): composition of the window's deltas is valid
+// against the database as of the window's start. The final view
 // contents are identical to applying the window transaction by
 // transaction; only the I/O spent getting there differs.
+//
+// A window of one transaction is that transaction, not a summary of it:
+// Coalesce keeps its modifications paired, and the track is the one its
+// declared type was costed for, so the window reproduces §3.6's
+// per-transaction page I/O exactly. Larger windows net to insertions
+// and deletions under a synthesized type (txn.MergedType).
 func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	t0 := time.Now()
 	wt := obs.StartWindow("maintain.batch", m.spanParent)
@@ -102,10 +121,16 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		m.winBuf = append(m.winBuf, t.Updates)
 	}
 	merged := m.coalescer.Coalesce(m.winBuf)
-	bt := txn.MergedType(txns, merged)
+	var bt *txn.Type
+	if len(txns) == 1 {
+		bt = txns[0].Type
+	}
+	if bt == nil {
+		bt = txn.MergedType(txns, merged)
+	}
 	// Recycled report: the maintainer hands back the same BatchReport
 	// every window, reset in place — callers may use it only until the
-	// next Apply/ApplyBatch (the same lifetime its Deltas already had).
+	// next ApplyBatch (the same lifetime its Deltas already had).
 	rep := &m.batchRep
 	*rep = BatchReport{
 		Size:   len(txns),
@@ -120,30 +145,30 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	}
 	if len(merged) == 0 {
 		rep.Track = &tracks.Track{}
-		// Still drain the committer: transactions that net to nothing
-		// (e.g. an applied-then-rolled-back rejection) must clear their
-		// staged deltas, and the returned LSN is the durability point
+		// Nothing to log; the reported LSN is the durability point
 		// covering the window.
 		if m.Committer != nil {
 			lsn, err := m.Committer.Commit(len(txns))
-			if err != nil {
-				obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-				return nil, fmt.Errorf("maintain: commit: %w", err)
+			if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
+				return nil, err
 			}
-			rep.LSN = lsn
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
 		}
 		m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
 		return rep, nil
 	}
-	// Pipelined group commit: a WindowCommitter gets the window's net
-	// base deltas now — before propagation — so its encode/write/fsync
-	// runs under the entire window instead of only under view
-	// application. The wait call below is the commit fence; on every
-	// exit path it must run so the committer's staging is re-armed.
+	// Pipelined group commit: the committer gets the window's net base
+	// deltas now — before propagation — so its encode/write/fsync runs
+	// under the entire window. wait is the commit fence, joined below —
+	// or by the deferred call on an early error return (whose error is
+	// the one reported), because merged dies with the window.
 	var wait func() (uint64, error)
-	if wc, ok := m.Committer.(WindowCommitter); ok {
-		wait = wc.BeginWindow(merged, len(txns))
+	if m.Committer != nil {
+		wait = m.Committer.BeginWindow(merged, len(txns))
+		defer func() {
+			if wait != nil {
+				wait()
+			}
+		}()
 		// Yield so the committer goroutine runs now, reaching its fsync
 		// before propagation starts: on GOMAXPROCS=1 a CPU-bound window
 		// never otherwise cedes the processor, and the "background"
@@ -151,17 +176,6 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		// committer blocks in fsync the scheduler hands back the CPU,
 		// and the disk flush proceeds under the window's compute.
 		runtime.Gosched()
-		waited := false
-		origWait := wait
-		wait = func() (uint64, error) {
-			waited = true
-			return origWait()
-		}
-		defer func() {
-			if !waited {
-				origWait()
-			}
-		}()
 	}
 
 	plan, err := m.planFor(bt)
@@ -200,12 +214,9 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
 	prop.Finish()
 
-	// Apply the base relation updates, one batch per relation, BEFORE
-	// the views: the mutation hook stages base deltas for the group
-	// commit, and applying them first lets the commit fsync run
-	// concurrently with view application below. Queries are all done
-	// (propagation finished), so no reader observes the new base state
-	// early. Coalesce sorts by relation name, so the order is
+	// Apply the base relation updates, one batch per relation. Queries
+	// are all done (propagation finished), so no reader observes the new
+	// base state early. Coalesce sorts by relation name, so the order is
 	// deterministic.
 	ab := wt.Child("maintain.apply_base")
 	before := m.Store.IO.Snapshot()
@@ -221,25 +232,6 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	rep.BaseIO = m.Store.IO.Snapshot().Sub(before)
 	ab.Finish()
 
-	// Legacy group commit (a Committer without BeginWindow): one record,
-	// one fsync for the whole window, overlapped with view application
-	// only (the log reads the base deltas staged by the hook, which are
-	// fully staged by now). A WindowCommitter has been running since
-	// before propagation instead.
-	type commitResult struct {
-		lsn uint64
-		err error
-	}
-	var commit chan commitResult
-	if m.Committer != nil && wait == nil {
-		commit = make(chan commitResult, 1)
-		n := len(txns)
-		go func() {
-			lsn, err := m.Committer.Commit(n)
-			commit <- commitResult{lsn: lsn, err: err}
-		}()
-	}
-
 	// Apply deltas to the materialized views. Sidecar updates ride with
 	// the owning view's worker: they only read the (now fully computed)
 	// delta map and write that view's private live/stale/pending state.
@@ -249,27 +241,28 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	if wait != nil {
 		// Commit fence: ack implies durable.
 		lsn, err := wait()
-		if err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", err)
+		wait = nil
+		if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
+			return nil, err
 		}
-		rep.LSN = lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
-	}
-	if commit != nil {
-		cr := <-commit
-		if cr.err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), cr.lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", cr.err)
-		}
-		rep.LSN = cr.lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), cr.lsn, 0)
 	}
 	if verr != nil {
 		return nil, verr
 	}
 	m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
 	return rep, nil
+}
+
+// fenced records a window's commit fence in the flight recorder and
+// folds the committer's answer into the report.
+func fenced(rep *BatchReport, seq, lsn uint64, err error) error {
+	if err != nil {
+		obs.Flight().Record(obs.EvWindowFence, 0, seq, lsn, 1)
+		return fmt.Errorf("maintain: commit: %w", err)
+	}
+	rep.LSN = lsn
+	obs.Flight().Record(obs.EvWindowFence, 0, seq, lsn, 0)
+	return nil
 }
 
 // viewWork is one view-apply job; the maintainer keeps a recycled
@@ -311,18 +304,14 @@ func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track, parent uint6
 		for _, w := range work {
 			total += rep.Deltas[w.v.Eq.ID].Size()
 		}
-		thr := m.SerialThreshold
-		if thr == 0 {
-			thr = defaultSerialThreshold
-		}
-		if total < thr {
+		if total < serialThreshold {
 			workers = 1
 			obsSerialDegrade.Inc()
 		}
 	}
 
 	if workers <= 1 {
-		hist := workerHist(0)
+		hist := serialWorkerHist
 		for _, w := range work {
 			t0 := time.Now()
 			if d := rep.Deltas[w.v.Eq.ID]; !d.Empty() {

@@ -124,6 +124,9 @@ func TestApplyBatchEquivalence(t *testing.T) {
 					if ty == nil {
 						continue
 					}
+					// Per-transaction reference. Apply is a one-transaction ApplyBatch
+					// window, so it shares the body under test; the independent check
+					// is the recompute oracle (Drift) below.
 					if _, err := serial.m.Apply(ty, updates); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}
@@ -180,6 +183,8 @@ func TestApplyBatchWorkerIOIndependence(t *testing.T) {
 			if ty == nil {
 				continue
 			}
+			// Apply (a one-transaction window) only advances the generator's
+			// database here; nothing is compared against it.
 			if _, err := gen.m.Apply(ty, updates); err != nil {
 				t.Fatal(err)
 			}

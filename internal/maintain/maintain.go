@@ -8,7 +8,6 @@ package maintain
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -30,8 +29,8 @@ import (
 // update charges are proportional to.
 var obsDeltaChanges = obs.H("maintain.delta.changes")
 
-// obsApplyNs records end-to-end apply latency per window (Apply and
-// ApplyBatch), in nanoseconds — the histogram the benchmark rows report
+// obsApplyNs records end-to-end apply latency per ApplyBatch window,
+// in nanoseconds — the histogram the benchmark rows report
 // p50/p99 from.
 var obsApplyNs = obs.H("maintain.apply.ns")
 
@@ -77,37 +76,37 @@ type View struct {
 	pending map[string]int64
 }
 
-// Committer makes a maintenance window durable. The WAL's group commit
-// implements it: Commit drains the deltas staged by the store's
-// mutation hook, frames them as one record covering txns transactions,
-// and fsyncs once, returning the window's LSN. A nil Committer means
-// the engine runs in-memory, exactly as before.
+// Committer reports a durability point. Commit covers a window that
+// logs nothing — it coalesced to nothing, or the assertion checker
+// rolled it back — and returns the LSN as of which everything handed to
+// the log so far is durable, draining any commits still in flight. The
+// sharded coordinator is a bare Committer: its shards log their own
+// sub-windows and it commits the vector of their LSNs.
 type Committer interface {
 	Commit(txns int) (uint64, error)
 }
 
-// WindowCommitter is an optional Committer upgrade for pipelined group
-// commit. ApplyBatch knows a window's net base deltas as soon as it has
-// coalesced them — before any propagation work — so a WindowCommitter
-// starts encoding, writing and fsyncing the window record from that
-// merged delta on a background goroutine while propagation, base apply
-// and view apply proceed. The returned wait is the commit fence:
-// ApplyBatch blocks on it before acknowledging, so ack still implies
-// durable. A crash after the early fsync but before the ack recovers to
-// one window past the last acknowledged state (lastAcked+1), which the
-// recovery contract allows.
+// WindowCommitter makes maintenance windows durable; the WAL's group
+// commit implements it. ApplyBatch knows a window's net base deltas as
+// soon as it has coalesced them — before any propagation work — so it
+// hands them to BeginWindow, which starts encoding, writing and
+// fsyncing the window record on a background goroutine while
+// propagation, base apply and view apply proceed. The log learns a
+// window's deltas this way and no other. The returned wait is the
+// commit fence: ApplyBatch blocks on it before acknowledging, so ack
+// still implies durable. A crash after the early fsync but before the
+// ack recovers to one window past the last acknowledged state
+// (lastAcked+1), which the recovery contract allows.
 type WindowCommitter interface {
 	Committer
 	// BeginWindow starts making the window durable from its coalesced
-	// net deltas. The implementation must suppress its mutation-hook
-	// staging until wait is called (the window's base applies would
-	// otherwise be logged twice).
+	// net deltas, which stay valid until wait returns.
 	BeginWindow(w delta.Coalesced, txns int) (wait func() (uint64, error))
 }
 
 // WindowUpdate describes one successfully applied maintenance window
-// (an ApplyBatch window, a single Apply transaction, or a rollback's
-// compensation) as seen by a window hook.
+// (an ApplyBatch window or a rollback's compensation) as seen by a
+// window hook.
 //
 // Ownership: Deltas is the window report's delta map — arena-backed and
 // recycled, valid ONLY for the duration of the hook call. A hook that
@@ -145,22 +144,16 @@ type Maintainer struct {
 	Cost  *tracks.Costing
 	VS    tracks.ViewSet
 
-	// Committer, when set, is invoked once per applied window (after the
-	// base relations are updated) to make the window durable. ApplyBatch
-	// overlaps the commit fsync with view application.
-	Committer Committer
+	// Committer, when set, makes every applied window durable: ApplyBatch
+	// hands it the coalesced window up front and joins its fence before
+	// acknowledging. Nil means the engine runs in memory.
+	Committer WindowCommitter
 
 	// Workers bounds the goroutines ApplyBatch uses to apply per-view
 	// deltas to independent materialized views. Zero or one means
 	// sequential; a store with an attached page buffer always runs
 	// sequentially (buffered charging mutates shared LRU state).
 	Workers int
-
-	// SerialThreshold is the window view-delta cardinality (summed
-	// changes across all views on the track) below which the worker pool
-	// degrades to serial: tiny windows lose more to goroutine handoff
-	// than they gain from overlap. Zero means the default (256).
-	SerialThreshold int
 
 	// DisableMQO turns off the per-window shared subplan memo (every
 	// query goes back to storage). Test knob: the equivalence suite
@@ -174,18 +167,17 @@ type Maintainer struct {
 	// Per-window scratch, reset (not freed) between windows. The arena
 	// backs every tuple propagation derives, which is why a report's
 	// Deltas (and Merged) are documented valid only until the next
-	// Apply/ApplyBatch on this maintainer.
+	// ApplyBatch on this maintainer.
 	arena     value.Arena
 	coalescer delta.Coalescer
 	winBuf    []map[string]*delta.Delta
 	mutBuf    []storage.Mutation
 
-	// Cross-window recycled report scratch (DESIGN.md §14): Apply and
-	// ApplyBatch each return the same report object every window, reset
-	// in place — the whole report (not just its Deltas) is valid only
-	// until the next Apply/ApplyBatch on this maintainer.
+	// Cross-window recycled report scratch (DESIGN.md §14): ApplyBatch
+	// returns the same report object every window, reset in place — the
+	// whole report (not just its Deltas) is valid only until the next
+	// ApplyBatch on this maintainer.
 	batchRep BatchReport
-	txnRep   Report
 	workBuf  []viewWork
 	winMemo  windowMemo
 
@@ -207,7 +199,7 @@ type Maintainer struct {
 	// onWindow, when set, observes every applied window at its fence —
 	// after the commit wait and view application, while the report's
 	// deltas are still alive. winSeq numbers those windows; rollbackDel
-	// is the compensation hook's recycled delta map.
+	// is Rollback's recycled map of inverse deltas.
 	onWindow    WindowHook
 	winSeq      uint64
 	rollbackDel map[int]*delta.Delta
@@ -215,9 +207,11 @@ type Maintainer struct {
 	pubArenaReused, pubArenaGrown uint64
 }
 
-// defaultSerialThreshold is the summed view-delta cardinality below
-// which parallel view application degrades to serial.
-const defaultSerialThreshold = 256
+// serialThreshold is the window view-delta cardinality (summed changes
+// across all views on the track) below which the view-apply worker pool
+// degrades to serial: tiny windows lose more to goroutine handoff than
+// they gain from overlap.
+const serialThreshold = 256
 
 // obsTxns counts maintained transactions — the numerator of every
 // txns/sec readout (mvtop polls it).
@@ -284,8 +278,8 @@ func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64) {
 func (m *Maintainer) SetSpanParent(id uint64) { m.spanParent = id }
 
 // SetWindowHook installs (or, with nil, removes) the window hook: fn is
-// called once per applied window — ApplyBatch window, single Apply
-// transaction, or rollback compensation — at the window fence, after
+// called once per applied window — ApplyBatch window or rollback
+// compensation — at the window fence, after
 // the commit wait and view application succeed. The WindowUpdate's
 // delta map is valid only for the duration of the call; see the
 // WindowUpdate ownership contract.
@@ -405,147 +399,14 @@ func (m *Maintainer) Contents(e *dag.EqNode) []storage.Row {
 	return v.Rel.ScanFree()
 }
 
-// Report describes one maintained transaction, with page I/O split the
-// way the paper accounts it: queries posed during delta computation,
-// updates to the additional materialized views, updates to the top-level
-// view(s), and updates to the base relations (the last two are excluded
-// from the paper's §3.6 totals).
-//
-// Lifetime: Apply returns a recycled report — the same object, reset in
-// place, every call — so the report and everything it points at are
-// valid only until the next Apply/ApplyBatch on the maintainer.
-type Report struct {
-	Txn     string
-	Track   *tracks.Track
-	QueryIO storage.IOCounter
-	ViewIO  storage.IOCounter
-	RootIO  storage.IOCounter
-	BaseIO  storage.IOCounter
-	// Deltas holds the computed change at every affected node.
-	Deltas map[int]*delta.Delta
-	// LSN is the log sequence number as of which the transaction is
-	// durable when a Committer is attached (0 otherwise).
-	LSN uint64
-}
+// Report is the report of a one-transaction window; see BatchReport.
+type Report = BatchReport
 
-// PaperTotal is the quantity §3.6 reports: query I/O plus additional-view
-// maintenance I/O.
-func (r *Report) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.Total() }
-
-// Apply maintains the view set under one transaction: updates maps base
-// relation names to their deltas. The deltas are computed against the
-// pre-update state (queries see old contents), then applied to the views
-// and finally to the base relations, as in the paper's differential
-// formalism (R_old, V_old).
+// Apply maintains the view set under one transaction — a window of one:
+// updates maps base relation names to their deltas, t (which may be
+// nil) is the declared type the update track is chosen for.
 func (m *Maintainer) Apply(t *txn.Type, updates map[string]*delta.Delta) (*Report, error) {
-	t0 := time.Now()
-	wt := obs.StartWindow("maintain.apply", m.spanParent)
-	m.windowSpan = wt.RootID()
-	obs.Flight().Record(obs.EvWindowOpen, 0, wt.Seq(), 1, wt.RootID())
-	defer func() {
-		wt.Finish()
-		elapsed := time.Since(t0).Nanoseconds()
-		obsApplyNs.Observe(elapsed)
-		if t != nil {
-			m.typeStatFor(t.Name).count.Inc()
-			m.typeStatFor(t.Name).ns.Add(elapsed)
-		}
-		obsTxns.Inc()
-		m.publishArenaStats()
-	}()
-	// Rewind the window arena: tuples from the previous window (held by
-	// its report) are invalidated here, per the window ownership rule.
-	m.arena.Reset()
-	plan, err := m.planFor(t)
-	if err != nil {
-		return nil, err
-	}
-	tr := plan.track
-	rep := &m.txnRep
-	*rep = Report{Txn: t.Name, Track: tr, Deltas: rep.Deltas}
-	if rep.Deltas == nil {
-		rep.Deltas = map[int]*delta.Delta{}
-	} else {
-		clear(rep.Deltas)
-	}
-
-	// Seed leaf deltas.
-	for _, e := range m.D.Eqs() {
-		if e.IsLeaf() {
-			if du, ok := updates[e.BaseRel]; ok && !du.Empty() {
-				rep.Deltas[e.ID] = du
-			}
-		}
-	}
-
-	// Compute deltas bottom-up along the track, charging queries. The
-	// window memo shares answered queries (and repeated subtree
-	// evaluations) across every step of this pass.
-	prop := wt.Child("maintain.propagate")
-	w := m.newWindowMemo()
-	io0 := m.Store.IO.Snapshot()
-	for _, e := range tr.Order {
-		op := tr.Choice[e.ID]
-		d, err := m.opDelta(e, op, rep.Deltas, tr, w, plan.steps[e.ID])
-		if err != nil {
-			prop.Finish()
-			return nil, fmt.Errorf("maintain: %s at %s: %w", t.Name, e, err)
-		}
-		rep.Deltas[e.ID] = d
-		obsDeltaChanges.Observe(int64(len(d.Changes)))
-	}
-	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
-	prop.Finish()
-
-	// Apply deltas to materialized views (sidecars first need the child
-	// deltas, which are all computed by now).
-	for _, e := range tr.Order {
-		v, ok := m.views[e.ID]
-		if !ok {
-			continue
-		}
-		if d := rep.Deltas[e.ID]; !d.Empty() {
-			before := m.Store.IO.Snapshot()
-			m.mutBuf = d.AppendMutations(m.mutBuf[:0])
-			v.Rel.ApplyBatch(m.mutBuf)
-			used := m.Store.IO.Snapshot().Sub(before)
-			if m.D.IsRoot(e) {
-				rep.RootIO = addIO(rep.RootIO, used)
-			} else {
-				rep.ViewIO = addIO(rep.ViewIO, used)
-			}
-		}
-		// The sidecar tracks the CHILD's multiplicities, which can change
-		// even when the view's own delta is empty (a duplicate's count
-		// dropping from 2 to 1 leaves a distinct view untouched but must
-		// still be recorded, or the eventual drop to 0 is missed).
-		if err := m.updateSidecar(v, rep.Deltas, tr); err != nil {
-			return nil, err
-		}
-	}
-
-	// Finally apply the base relation updates.
-	before := m.Store.IO.Snapshot()
-	for rel, du := range updates {
-		r, ok := m.Store.Get(rel)
-		if !ok {
-			return nil, fmt.Errorf("maintain: unknown relation %q", rel)
-		}
-		m.mutBuf = du.AppendMutations(m.mutBuf[:0])
-		r.ApplyBatch(m.mutBuf)
-	}
-	rep.BaseIO = m.Store.IO.Snapshot().Sub(before)
-	if m.Committer != nil {
-		lsn, err := m.Committer.Commit(1)
-		if err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
-			return nil, fmt.Errorf("maintain: commit: %w", err)
-		}
-		rep.LSN = lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
-	}
-	m.fireWindowHook(rep.LSN, 1, rep.Deltas)
-	return rep, nil
+	return m.ApplyBatch([]txn.Transaction{{Type: t, Updates: updates}})
 }
 
 func addIO(a, b storage.IOCounter) storage.IOCounter {
@@ -637,36 +498,47 @@ func markStaleGroups(v *View, own *delta.Delta, nGroupCols int) {
 	}
 }
 
-// Rollback applies the inverse of a report's deltas (views, sidecars and
-// base relations), uncharged; used by assertion checking to reject a
-// violating transaction.
-func (m *Maintainer) Rollback(rep *Report, updates map[string]*delta.Delta) error {
-	unchargedBatch := func(rel *storage.Relation, d *delta.Delta) {
+// Rollback applies the inverse of a report's deltas (base relations from
+// rep.Merged, then views and sidecars), uncharged; used by assertion
+// checking to reject a violating transaction.
+func (m *Maintainer) Rollback(rep *BatchReport) error {
+	uncharged := func(rel *storage.Relation, inv *delta.Delta) {
 		was := rel.Resident
 		rel.Resident = true
-		rel.ApplyBatch(inverse(d).ToMutations())
+		m.mutBuf = inv.AppendMutations(m.mutBuf[:0])
+		rel.ApplyBatch(m.mutBuf)
 		rel.Resident = was
 	}
-	for rel, du := range updates {
-		r, ok := m.Store.Get(rel)
+	for _, rd := range rep.Merged {
+		r, ok := m.Store.Get(rd.Rel)
 		if !ok {
-			return fmt.Errorf("maintain: unknown relation %q", rel)
+			return fmt.Errorf("maintain: unknown relation %q", rd.Rel)
 		}
-		unchargedBatch(r, du)
+		uncharged(r, inverse(rd.Delta))
+	}
+	// One inverse per node, shared by the view's storage, the sidecars
+	// of the views above it, and the compensation hook below.
+	if m.rollbackDel == nil {
+		m.rollbackDel = map[int]*delta.Delta{}
+	} else {
+		clear(m.rollbackDel)
 	}
 	for id, d := range rep.Deltas {
+		if !d.Empty() {
+			m.rollbackDel[id] = inverse(d)
+		}
+	}
+	for id, inv := range m.rollbackDel {
 		v, ok := m.views[id]
-		if !ok || d.Empty() {
+		if !ok {
 			continue
 		}
-		unchargedBatch(v.Rel, d)
-		inv := inverse(d)
+		uncharged(v.Rel, inv)
 		switch {
 		case v.aggOp != nil:
 			agg := v.aggOp.Template.(*algebra.Aggregate)
-			child := v.aggOp.Children[0]
-			if cd := rep.Deltas[child.ID]; !cd.Empty() {
-				gc, err := inverse(cd).GroupCounts(agg.GroupBy)
+			if cd := m.rollbackDel[v.aggOp.Children[0].ID]; cd != nil {
+				gc, err := cd.GroupCounts(agg.GroupBy)
 				if err != nil {
 					return err
 				}
@@ -675,33 +547,19 @@ func (m *Maintainer) Rollback(rep *Report, updates map[string]*delta.Delta) erro
 				}
 			}
 		case v.distinctOp != nil:
-			child := v.distinctOp.Children[0]
-			if cd := rep.Deltas[child.ID]; !cd.Empty() {
-				for k, n := range inverse(cd).TupleCounts() {
+			if cd := m.rollbackDel[v.distinctOp.Children[0].ID]; cd != nil {
+				for k, n := range cd.TupleCounts() {
 					v.live[k] += n
 				}
 			}
 		}
-		_ = inv
 	}
 	// Announce the compensation as its own window: a hook that mirrored
 	// the rejected transaction's deltas must mirror their inverse too,
 	// or downstream state (server snapshots, changefeeds) keeps the
-	// rolled-back change. The inverse deltas are freshly built above the
-	// arena, so the usual call-scoped ownership applies unchanged.
-	if m.onWindow != nil {
-		if m.rollbackDel == nil {
-			m.rollbackDel = map[int]*delta.Delta{}
-		} else {
-			clear(m.rollbackDel)
-		}
-		for id, d := range rep.Deltas {
-			if !d.Empty() {
-				m.rollbackDel[id] = inverse(d)
-			}
-		}
-		m.fireWindowHook(0, 0, m.rollbackDel)
-	}
+	// rolled-back change. The inverse deltas are built above the arena,
+	// so the usual call-scoped ownership applies unchanged.
+	m.fireWindowHook(0, 0, m.rollbackDel)
 	return nil
 }
 

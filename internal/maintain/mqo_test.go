@@ -24,7 +24,7 @@ import (
 //   - shared:   the default pipeline, window memo on;
 //   - unshared: DisableMQO, so every probe is answered per-node from
 //     storage (the per-query oracle the memo claims to equal);
-//   - serial:   per-transaction Apply (no window at all);
+//   - serial:   per-transaction Apply (windows of one);
 //
 // and all three must match full recomputation (Drift).
 
@@ -81,6 +81,9 @@ func TestMQOEquivalenceRandom(t *testing.T) {
 					if ty == nil {
 						continue
 					}
+					// Per-transaction reference. Apply is a one-transaction ApplyBatch
+					// window, so it shares the body under test; assertMirrorsAgree's
+					// Drift check against recomputation is the independent one.
 					if _, err := serial.m.Apply(ty, updates); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}
@@ -282,6 +285,8 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 			if ty == nil {
 				continue
 			}
+			// Apply (a one-transaction window) only advances the generator's
+			// database; assertMirrorsAgree checks both engines against Drift.
 			if _, err := serialM.Apply(ty, updates); err != nil {
 				t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 			}

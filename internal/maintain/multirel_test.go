@@ -29,6 +29,8 @@ func TestMultiRelationTransaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Apply is a one-transaction ApplyBatch window; checkDrift compares
+	// against the recompute oracle after each call in this file.
 	if _, err := m.Apply(both, map[string]*delta.Delta{"Emp": de, "Dept": dd}); err != nil {
 		t.Fatal(err)
 	}

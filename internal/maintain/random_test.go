@@ -57,6 +57,8 @@ func TestRandomizedEndToEnd(t *testing.T) {
 				if ty == nil {
 					continue
 				}
+				// Apply is a one-transaction ApplyBatch window; Drift below checks
+				// it against the recompute oracle after every step.
 				if _, err := m.Apply(ty, updates); err != nil {
 					t.Fatalf("step %d (%s) on view %s: %v", step, ty.Name, view.Label(), err)
 				}

@@ -157,6 +157,9 @@ func TestRecycledVsFreshDifferential(t *testing.T) {
 					if ty == nil {
 						continue
 					}
+					// Per-transaction reference. Apply is a one-transaction ApplyBatch
+					// window, so it shares the body under test; the independent check
+					// is the recompute oracle (Drift) below.
 					if _, err := ref.m.Apply(ty, updates); err != nil {
 						t.Fatalf("window %d: reference %s: %v", w, ty.Name, err)
 					}

@@ -100,6 +100,8 @@ func TestDiffDistinctThroughEngine(t *testing.T) {
 			}},
 		}
 		for i, s := range steps {
+			// Apply is a one-transaction ApplyBatch window; Drift below (here and
+			// in the union test) compares against the recompute oracle.
 			if _, err := m.Apply(s.ty, map[string]*delta.Delta{s.rel: s.d()}); err != nil {
 				t.Fatalf("markAll=%v step %d: %v", markAll, i, err)
 			}

@@ -147,6 +147,9 @@ func TestShardInvariance(t *testing.T) {
 					if ty == nil {
 						continue
 					}
+					// Per-transaction reference. Apply is a one-transaction ApplyBatch
+					// window, so it shares the body under test; the independent check
+					// is the recompute oracle (Drift) below.
 					if _, err := serial.m.Apply(ty, updates); err != nil {
 						t.Fatalf("window %d: serial %s: %v", w, ty.Name, err)
 					}

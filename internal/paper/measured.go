@@ -24,9 +24,10 @@ type MeasuredRow struct {
 }
 
 // MeasuredParity re-runs the §3.6 scenario on the live engine: for each
-// view set and transaction type it executes a real transaction and counts
-// actual page I/Os, then reports them beside the cost model's estimates.
-// On the paper's instance the two agree exactly.
+// view set and transaction type it executes a real transaction — as a
+// one-transaction ApplyBatch window, the engine's only maintenance body
+// — and counts actual page I/Os, then reports them beside the cost
+// model's estimates. On the paper's instance the two agree exactly.
 func MeasuredParity(cfg corpus.Config) ([]MeasuredRow, string, error) {
 	var rows []MeasuredRow
 	strategies := []struct {
@@ -69,7 +70,7 @@ func MeasuredParity(cfg corpus.Config) ([]MeasuredRow, string, error) {
 				}
 				updates = map[string]*delta.Delta{"Dept": d}
 			}
-			rep, err := m.Apply(ty, updates)
+			rep, err := m.ApplyBatch([]txn.Transaction{{Type: ty, Updates: updates}})
 			if err != nil {
 				return nil, "", err
 			}

@@ -230,8 +230,8 @@ func appendSaleID(b []byte, seq int) []byte {
 }
 
 // Run executes n transactions of the workload in windows of size batch
-// (batch <= 1 takes the per-transaction Apply path — the baseline the
-// pipeline is measured against) and returns the page I/Os charged.
+// (batch <= 1 is per-transaction Apply, a window of one — the baseline
+// the pipeline is measured against) and returns the page I/Os charged.
 func (th *Throughput) Run(n, batch int) (storage.IOCounter, error) {
 	io0 := th.db.Store.IO.Snapshot()
 	if batch <= 1 {

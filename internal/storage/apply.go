@@ -48,11 +48,6 @@ func (r *Relation) ApplyBatch(batch []Mutation) {
 	// Advance the batch fence: slots freed slotGrace fences ago become
 	// harvestable for this batch's inserts (see allocTuple).
 	r.batchSeq++
-	if r.store != nil {
-		if h := r.store.onMutation; h != nil {
-			h(r, batch)
-		}
-	}
 	if len(batch) == 1 {
 		// Fast path: a single mutation touches at most two buckets per
 		// index, so the charges are computed directly, skipping the

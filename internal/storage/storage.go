@@ -333,12 +333,6 @@ type Relation struct {
 	pubOps    uint64
 }
 
-// MutationHook observes every ApplyBatch against a relation of the
-// store, before the mutations take effect. The write-ahead log installs
-// one to stage deltas for the next group commit; hooks must not mutate
-// the batch.
-type MutationHook func(r *Relation, batch []Mutation)
-
 // Store is a collection of named relations sharing one I/O counter and,
 // optionally, an LRU page buffer (nil reproduces the paper's cold-cache
 // assumption).
@@ -354,13 +348,7 @@ type Store struct {
 	// through a recycled and a fresh store and asserts byte-identical
 	// results; nothing in production sets this.
 	FreshAlloc bool
-
-	onMutation MutationHook
 }
-
-// SetMutationHook installs (or, with nil, removes) the store-wide
-// mutation hook.
-func (s *Store) SetMutationHook(h MutationHook) { s.onMutation = h }
 
 // NewStore returns an empty store.
 func NewStore() *Store {

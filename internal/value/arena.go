@@ -179,8 +179,8 @@ func (a *Arena) Reset() {
 // next Reset) — is normally enforced by review and the differential
 // recycling tests. With checks enabled, every Reset retires its tuple
 // blocks into a process-wide set of dead address ranges, and long-lived
-// sinks (relation storage, the WAL collector) call CheckEpoch on each
-// tuple they are handed: a tuple whose backing array lies in a retired
+// sinks (relation storage) call CheckEpoch on each tuple they are
+// handed: a tuple whose backing array lies in a retired
 // range escaped an earlier window, and the check panics with both
 // epochs. The gate is one atomic load, but retiring blocks defeats
 // block reuse, so this stays off outside tests.

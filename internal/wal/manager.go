@@ -30,11 +30,12 @@ var (
 	obsCommitOverlap   = obs.G("wal.commit.overlap")
 )
 
-// Manager wires the log into a running maintainer: it is the store's
-// mutation hook (via a Collector) and the maintainer's Committer, and
-// it writes checkpoints. One Manager per maintainer; commits are
-// serialized by the maintenance pipeline's window barrier, so Manager
-// itself takes no locks beyond the Collector's.
+// Manager wires the log into a running maintainer: it is the
+// maintainer's Committer — handed each window's coalesced base deltas
+// by ApplyBatch (or, under a Reject-mode assertion checker, by the
+// checker once the verdict is in) — and it writes checkpoints. One
+// Manager per maintainer; commits are serialized by the maintenance
+// pipeline's window barrier, so Manager itself takes no locks.
 type Manager struct {
 	fsys  FS
 	dir   string
@@ -54,11 +55,6 @@ type Manager struct {
 	lastJob *commitJob
 	defSeq  uint64
 
-	// coalescer is Commit's recycled window-netting scratch; Commit runs
-	// under the window barrier (one window at a time per manager), and
-	// its output is consumed synchronously by CommitWindow's encode.
-	coalescer delta.Coalescer
-
 	// Recovery statistics, populated by Resume.
 	RecoveredLSN    uint64
 	ReplayedWindows int
@@ -69,9 +65,11 @@ type Manager struct {
 // Attach starts durability for a running, freshly built maintainer: it
 // opens the log directory (which must not already hold durable state —
 // use Recover for that), writes an initial checkpoint of the current
-// base relations and views, and installs the mutation hook and group
+// base relations and views, and installs itself as the maintainer's
 // committer. cat must hold exactly the base relations; views are
-// derived and never logged.
+// derived and never logged. Only windows maintained through m are
+// logged: a mutation applied to the store behind the maintainer's back
+// is not durable (and not maintained either).
 func Attach(m *maintain.Maintainer, cat *catalog.Catalog, fsys FS, dir string, opts Options) (*Manager, error) {
 	if ok, err := HasState(fsys, dir); err != nil {
 		return nil, err
@@ -97,28 +95,9 @@ func Attach(m *maintain.Maintainer, cat *catalog.Catalog, fsys FS, dir string, o
 	if err := mgr.Checkpoint(nil); err != nil {
 		return nil, err
 	}
-	mgr.install()
+	m.Committer = mgr
 	return mgr, nil
 }
-
-func (g *Manager) install() {
-	g.store.SetMutationHook(g.col.Hook)
-	g.m.Committer = g
-}
-
-func (g *Manager) uninstall() {
-	g.store.SetMutationHook(nil)
-	if g.m.Committer == Committer(g) {
-		g.m.Committer = nil
-	}
-}
-
-// Committer is the maintain.Committer identity of a Manager.
-type Committer = maintain.Committer
-
-// Manager commits both ways: legacy drain-and-fsync (Commit) and
-// pipelined (BeginWindow).
-var _ maintain.WindowCommitter = (*Manager)(nil)
 
 // LastLSN returns the LSN of the last committed window.
 func (g *Manager) LastLSN() uint64 { return g.log.LastLSN() }
@@ -149,38 +128,17 @@ func (g *Manager) Sync() (uint64, error) {
 	return lsn, err
 }
 
-// Commit implements maintain.Committer: it drains the deltas the
-// mutation hook staged since the previous commit, coalesces them (an
-// applied-then-rolled-back transaction annihilates and is never
-// logged), and makes the window durable with one fsync. Empty windows
-// write nothing and return the current durability point. In deferred-
-// fence mode the in-flight chain is drained first, so an explicit
-// Commit is always a full durability point.
-func (g *Manager) Commit(txns int) (uint64, error) {
-	// Parent the commit span to the window that staged the deltas:
-	// Commit is called either on the window's goroutine or on a commit
-	// goroutine the window spawned and joins before returning, so the
-	// read is ordered with the window-start write.
-	sp := obs.Trace.Start("wal.commit", g.m.WindowSpanID())
-	defer sp.Finish()
-	if lsn, err := g.Sync(); err != nil {
-		return lsn, err
-	}
-	staged := g.col.Drain()
-	w := g.coalescer.Coalesce([]map[string]*delta.Delta{staged})
-	if len(w) == 0 {
-		return g.log.LastLSN(), nil
-	}
-	return g.log.CommitWindow(w, txns)
-}
+// Commit implements maintain.Committer for a window that logs nothing
+// (it coalesced to nothing, or the assertion checker rolled it back):
+// it writes nothing and returns the current durability point. In
+// deferred-fence mode the in-flight chain is drained first, so an
+// explicit Commit is always a full durability point.
+func (g *Manager) Commit(int) (uint64, error) { return g.Sync() }
 
 // BeginWindow implements maintain.WindowCommitter: it starts making the
 // window durable from its already-coalesced net base deltas on a
 // background goroutine, so the encode/write/fsync runs under the
 // window's propagation and view application instead of extending it.
-// The collector is suspended for the duration — the window's base
-// applies must not be staged again, or the next commit would log them
-// twice — and re-armed when the returned wait fires.
 //
 // Durability contract: wait is the commit fence; the caller must block
 // on it before acknowledging the window, so ack still implies durable.
@@ -198,7 +156,6 @@ func (g *Manager) BeginWindow(w delta.Coalesced, txns int) func() (uint64, error
 		return g.beginWindowDeferred(w, txns)
 	}
 	sp := obs.Trace.Start("wal.commit", g.m.WindowSpanID())
-	g.col.Suspend()
 	type result struct {
 		lsn uint64
 		err error
@@ -218,7 +175,6 @@ func (g *Manager) BeginWindow(w delta.Coalesced, txns int) func() (uint64, error
 		tw := time.Now()
 		r := <-done
 		end := time.Now()
-		g.col.Resume()
 		sp.Finish()
 		total := end.Sub(t0).Nanoseconds()
 		exposed := end.Sub(tw).Nanoseconds()
@@ -246,7 +202,6 @@ func (g *Manager) beginWindowDeferred(w delta.Coalesced, txns int) func() (uint6
 	// not whatever window is current when it finally runs.
 	parent := g.m.WindowSpanID()
 	sp := obs.Trace.Start("wal.commit", parent)
-	g.col.Suspend()
 	prev := g.lastJob
 	var durable uint64
 	if prev == nil {
@@ -284,7 +239,6 @@ func (g *Manager) beginWindowDeferred(w delta.Coalesced, txns int) func() (uint6
 		g.lastJob = job
 	}
 	return func() (uint64, error) {
-		g.col.Resume()
 		sp.Finish()
 		if prev == nil {
 			return durable, nil
@@ -350,10 +304,12 @@ func sortViews(vs []ViewSnapshot) {
 	}
 }
 
-// Close uninstalls the hook and committer and releases the log handle.
-// The directory remains recoverable.
+// Close detaches from the maintainer and releases the log handle. The
+// directory remains recoverable.
 func (g *Manager) Close() error {
-	g.uninstall()
+	if g.m.Committer == maintain.WindowCommitter(g) {
+		g.m.Committer = nil
+	}
 	_, syncErr := g.Sync()
 	if err := g.log.Close(); err != nil {
 		return err
@@ -474,8 +430,8 @@ func (r *Recovery) RestoreOptions() maintain.RestoreOptions {
 // Resume replays the committed log tail (records after the checkpoint
 // LSN) through m.ApplyBatch — recovery IS incremental maintenance: each
 // window's deltas propagate along the normal update tracks instead of
-// views being recomputed — then installs the hook and committer and
-// returns the re-armed Manager.
+// views being recomputed — then installs itself as the maintainer's
+// committer and returns the re-armed Manager.
 func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error) {
 	sp := obs.Trace.Start("recovery.replay", 0)
 	defer sp.Finish()
@@ -525,6 +481,6 @@ func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error
 	replayTxns.Add(int64(mgr.ReplayedTxns))
 	mgr.RecoveredLSN = log.LastLSN()
 	obs.Flight().Record(obs.EvRecovery, 0, mgr.RecoveredLSN, uint64(mgr.ReplayedWindows), 0)
-	mgr.install()
+	m.Committer = mgr
 	return mgr, nil
 }

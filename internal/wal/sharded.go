@@ -174,7 +174,7 @@ func (sm *ShardedManager) Close() error {
 			first = err
 		}
 	}
-	if sm.s != nil && sm.s.Coordinator == Committer(sm) {
+	if sm.s != nil && sm.s.Coordinator == maintain.Committer(sm) {
 		sm.s.Coordinator = nil
 	}
 	if err := sm.coord.Close(); err != nil && first == nil {

@@ -202,7 +202,9 @@ func (db *DB) Build(names []string, cfg Config) (*System, error) {
 }
 
 // Execute runs one DML statement under maintenance and assertion
-// checking.
+// checking, as a one-transaction maintenance window: with durability
+// attached the window is logged once it is accepted, and a rejected one
+// never is.
 func (s *System) Execute(sql string) (*ic.Outcome, error) {
 	ty, updates, err := s.DB.TxnFromSQL(sql)
 	if err != nil {
