@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
-	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -57,16 +55,46 @@ func AggregateIncremental(a *algebra.Aggregate, d *Delta, oldAgg OldAgg) (*Delta
 	return p.Incremental(d, oldAgg)
 }
 
-// acc accumulates one group's signed contributions within a window.
-// Entries live in the plan's reusable scratch slice; their inner slices
-// are retained (truncated, not freed) across windows.
+// acc is one group's running aggregate state: the bag cardinality and,
+// per aggregate, the sum, count and extremes of its non-NULL arguments.
+// Incremental folds a delta's signed rows into one acc per affected
+// group (live is then the signed change in cardinality, and the extremes
+// cover inserted rows only); Full lists each group's delta rows instead
+// and folds whole bags into the plan's state. Entries live in the plan's
+// reusable scratch; their inner slices are retained (truncated, not
+// freed) across windows.
 type acc struct {
 	key    value.Tuple
-	sums   []value.Value // signed sum contribution per agg (SUM)
-	counts []int64       // signed count contribution per agg (COUNT)
-	mins   []value.Value // inserts-only MIN/MAX candidates
-	maxs   []value.Value
-	live   int64 // signed bag-count change
+	sums   []value.Value // per agg: signed sum of non-NULL arguments (SUM, AVG)
+	counts []int64       // per agg: signed count of non-NULL arguments (all rows for COUNT(*))
+	mins   []value.Value // per agg: least and greatest non-NULL argument
+	maxs   []value.Value // among rows folded with a positive count
+	live   int64         // signed bag cardinality
+	rows   []int32       // the group's rows in the plan's sbuf (Full only)
+}
+
+// reset empties g for a group with the given key and n aggregates.
+func (g *acc) reset(key value.Tuple, n int) {
+	g.key = key
+	g.live = 0
+	g.rows = g.rows[:0]
+	if cap(g.sums) < n {
+		g.sums = make([]value.Value, n)
+		g.counts = make([]int64, n)
+		g.mins = make([]value.Value, n)
+		g.maxs = make([]value.Value, n)
+	} else {
+		g.sums = g.sums[:n]
+		g.counts = g.counts[:n]
+		g.mins = g.mins[:n]
+		g.maxs = g.maxs[:n]
+	}
+	for i := 0; i < n; i++ {
+		g.sums[i] = value.NewInt(0)
+		g.counts[i] = 0
+		g.mins[i] = value.NewNull()
+		g.maxs[i] = value.NewNull()
+	}
 }
 
 // getAcc returns the accumulator for t's group, creating (or reusing a
@@ -88,89 +116,75 @@ func (p *AggregatePlan) getAcc(t value.Tuple) *acc {
 	for i, j := range p.gpos {
 		k[i] = t[j]
 	}
-	g.key = k
-	g.live = 0
-	n := len(p.a.Aggs)
-	if cap(g.sums) < n {
-		g.sums = make([]value.Value, n)
-		g.counts = make([]int64, n)
-		g.mins = make([]value.Value, n)
-		g.maxs = make([]value.Value, n)
-	} else {
-		g.sums = g.sums[:n]
-		g.counts = g.counts[:n]
-		g.mins = g.mins[:n]
-		g.maxs = g.maxs[:n]
-	}
-	for i := 0; i < n; i++ {
-		g.sums[i] = value.NewInt(0)
-		g.counts[i] = 0
-		g.mins[i] = value.NewNull()
-		g.maxs[i] = value.NewNull()
-	}
+	g.reset(k, len(p.a.Aggs))
 	return g
+}
+
+// fold adds n copies of t (n signed) to g.
+func (p *AggregatePlan) fold(g *acc, t value.Tuple, n int64) {
+	g.live += n
+	for i, ag := range p.a.Aggs {
+		if ag.Arg == nil { // COUNT(*)
+			g.counts[i] += n
+			continue
+		}
+		v := p.argFns[i](t)
+		if v.IsNull() {
+			continue
+		}
+		g.counts[i] += n
+		switch ag.Func {
+		case algebra.Sum, algebra.Avg:
+			for j := n; j > 0; j-- {
+				g.sums[i] = value.Add(g.sums[i], v)
+			}
+			for j := n; j < 0; j++ {
+				g.sums[i] = value.Sub(g.sums[i], v)
+			}
+		case algebra.Min:
+			if n > 0 && (g.mins[i].IsNull() || value.Compare(v, g.mins[i]) < 0) {
+				g.mins[i] = v
+			}
+		case algebra.Max:
+			if n > 0 && (g.maxs[i].IsNull() || value.Compare(v, g.maxs[i]) > 0) {
+				g.maxs[i] = v
+			}
+		}
+	}
+}
+
+// bucket groups d's signed rows by group key in one pass (p.accs,
+// first-seen group order). With fold set each row is folded into its
+// group's accumulator; otherwise the accumulator lists the row's position
+// in p.sbuf.
+func (p *AggregatePlan) bucket(d *Delta, fold bool) {
+	p.groups.Reset()
+	p.accs = p.accs[:0]
+	p.sbuf = d.appendSigned(p.sbuf[:0])
+	for i := range p.sbuf {
+		sr := &p.sbuf[i]
+		g := p.getAcc(sr.tuple)
+		if fold {
+			p.fold(g, sr.tuple, sr.count)
+		} else {
+			g.rows = append(g.rows, int32(i))
+		}
+	}
 }
 
 // Incremental is the compiled form of AggregateIncremental: the group-by
 // positions and argument accessors come from the plan instead of being
 // re-resolved per call, and the per-group accumulators live in plan
 // scratch reused across windows. It requires Decomposable for this
-// delta. The output delta is valid until the next Incremental on this
-// plan (or arena reset); newLive is freshly allocated (it is persisted
-// by the caller into the view's sidecar).
+// delta. The output delta is valid until the next Incremental or Full on
+// this plan (or arena reset); newLive is freshly allocated (it is
+// persisted by the caller into the view's sidecar).
 func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string]int64, error) {
-	a, gpos, argFns := p.a, p.gpos, p.argFns
+	a, gpos := p.a, p.gpos
 	if !Decomposable(a.Aggs, d) {
 		return nil, nil, fmt.Errorf("delta: aggregate %s is not decomposable for this delta", a.OpLabel())
 	}
-	p.groups.Reset()
-	p.accs = p.accs[:0]
-	contribute := func(t value.Tuple, n int64) {
-		g := p.getAcc(t)
-		g.live += n
-		for i, ag := range a.Aggs {
-			switch ag.Func {
-			case algebra.Count:
-				if ag.Arg == nil {
-					g.counts[i] += n
-				} else if !argFns[i](t).IsNull() {
-					g.counts[i] += n
-				}
-			case algebra.Sum:
-				v := argFns[i](t)
-				if v.IsNull() {
-					continue
-				}
-				for j := int64(0); j < abs64(n); j++ {
-					if n > 0 {
-						g.sums[i] = value.Add(g.sums[i], v)
-					} else {
-						g.sums[i] = value.Sub(g.sums[i], v)
-					}
-				}
-			case algebra.Min:
-				v := argFns[i](t)
-				if v.IsNull() {
-					continue
-				}
-				if g.mins[i].IsNull() || value.Compare(v, g.mins[i]) < 0 {
-					g.mins[i] = v
-				}
-			case algebra.Max:
-				v := argFns[i](t)
-				if v.IsNull() {
-					continue
-				}
-				if g.maxs[i].IsNull() || value.Compare(v, g.maxs[i]) > 0 {
-					g.maxs[i] = v
-				}
-			}
-		}
-	}
-	p.sbuf = d.appendSigned(p.sbuf[:0])
-	for _, sr := range p.sbuf {
-		contribute(sr.tuple, sr.count)
-	}
+	p.bucket(d, true)
 	out := resetOut(&p.outD, p.out)
 	newLive := map[string]int64{}
 	nAggStart := len(gpos)
@@ -237,50 +251,59 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 
 // AggregateFull recomputes each affected group from its pre-update rows
 // (supplied by oldGroup — a query on the child, or GroupRowsFromDelta
-// when the delta covers whole groups) plus the delta.
-func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, error) {
-	in := d.Schema
-	gpos := make([]int, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		j, err := in.Resolve(g)
-		if err != nil {
-			return nil, err
-		}
-		gpos[i] = j
-	}
-	keys, err := d.AffectedKeys(a.GroupBy)
+// when the delta covers whole groups) plus the delta. Like
+// AggregateIncremental it returns the output delta and the new live
+// count of every affected group.
+func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, map[string]int64, error) {
+	p, err := CompileAggregate(a, d.Schema)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := New(a.Schema())
-	for _, gk := range keys {
-		oldRows, err := oldGroup(gk)
+	return p.Full(d, oldGroup)
+}
+
+// Full is the compiled form of AggregateFull, at a cost of one pass over
+// the delta plus, per affected group, one pass over its pre-update rows
+// and one over its post-update bag: bucket groups the delta once,
+// oldGroup is posed once per group, and the group's bag is netted per
+// tuple in plan scratch (first-seen order: the surviving pre-update rows,
+// then the rows the delta adds). Both bags are aggregated by the same
+// left-to-right fold, so a float SUM written this window is bit-equal to
+// the one the next window recomputes from the same rows in that order.
+//
+// A deletion of more copies than the group holds is clamped at none, as
+// storage does: the output is right for the rows that are really there
+// even when one window deletes, or deletes and then modifies, a row
+// twice.
+//
+// The output delta is valid until the next Incremental or Full on this
+// plan (or arena reset); newLive, keyed like Incremental's, holds every
+// affected group's post-update bag cardinality and is freshly allocated.
+func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, map[string]int64, error) {
+	p.bucket(d, false)
+	out := resetOut(&p.outD, p.out)
+	newLive := make(map[string]int64, len(p.accs))
+	s := &p.state
+	for gi := range p.accs {
+		g := &p.accs[gi]
+		oldRows, err := oldGroup(g.key)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		// Restrict the delta to this group.
-		sub := New(in)
-		for _, c := range d.Changes {
-			oldIn := c.Old != nil && c.Old.Project(gpos).Equal(gk)
-			newIn := c.New != nil && c.New.Project(gpos).Equal(gk)
-			switch {
-			case oldIn && newIn:
-				sub.Changes = append(sub.Changes, c)
-			case oldIn:
-				sub.Delete(c.Old, c.Count)
-			case newIn:
-				sub.Insert(c.New, c.Count)
+		s.reset(g.key, len(p.a.Aggs))
+		for _, r := range oldRows {
+			p.fold(s, r.Tuple, r.Count)
+		}
+		oldTuple, oldOK := p.groupTuple(s)
+
+		s.reset(g.key, len(p.a.Aggs))
+		for _, r := range p.netGroup(oldRows, g.rows) {
+			if r.count > 0 {
+				p.fold(s, r.tuple, r.count)
 			}
 		}
-		newRows := ApplyTo(oldRows, sub)
-		oldTuple, oldOK, err := aggregateGroup(a, in, gk, oldRows)
-		if err != nil {
-			return nil, err
-		}
-		newTuple, newOK, err := aggregateGroup(a, in, gk, newRows)
-		if err != nil {
-			return nil, err
-		}
+		newTuple, newOK := p.groupTuple(s)
+		newLive[string(p.enc.Key(g.key))] = s.live
 		switch {
 		case oldOK && newOK:
 			out.Modify(oldTuple, newTuple, 1)
@@ -290,78 +313,57 @@ func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([
 			out.Insert(newTuple, 1)
 		}
 	}
-	return out, nil
+	return out, newLive, nil
 }
 
-// aggregateGroup computes the output tuple for one group over the given
-// child rows; ok is false when the group is empty.
-func aggregateGroup(a *algebra.Aggregate, in *catalog.Schema, gk value.Tuple, rows []storage.Row) (value.Tuple, bool, error) {
-	var total int64
-	for _, r := range rows {
-		total += r.Count
+// netGroup nets a group's pre-update rows and its signed delta rows
+// (positions in p.sbuf) per tuple, in first-seen order. The result is
+// plan scratch, valid until the next call; entries netted to zero or
+// below are not part of the post-update bag.
+func (p *AggregatePlan) netGroup(oldRows []storage.Row, rows []int32) []signedRow {
+	p.netIdx.Reset()
+	p.net = p.net[:0]
+	for _, r := range oldRows {
+		p.netAdd(r.Tuple, r.Count)
 	}
-	if total <= 0 {
-		return nil, false, nil
+	for _, i := range rows {
+		p.netAdd(p.sbuf[i].tuple, p.sbuf[i].count)
 	}
-	out := make(value.Tuple, 0, len(gk)+len(a.Aggs))
-	out = append(out, gk...)
-	for _, ag := range a.Aggs {
-		if ag.Arg == nil { // COUNT(*)
-			out = append(out, value.NewInt(total))
-			continue
-		}
-		f, err := expr.CompileFast(ag.Arg, in)
-		if err != nil {
-			return nil, false, err
-		}
-		sum := value.NewInt(0)
-		var count int64
-		var minV, maxV value.Value
-		for _, r := range rows {
-			v := f(r.Tuple)
-			if v.IsNull() {
-				continue
-			}
-			for j := int64(0); j < r.Count; j++ {
-				sum = value.Add(sum, v)
-			}
-			count += r.Count
-			if minV.IsNull() || value.Compare(v, minV) < 0 {
-				minV = v
-			}
-			if maxV.IsNull() || value.Compare(v, maxV) > 0 {
-				maxV = v
-			}
-		}
-		switch ag.Func {
-		case algebra.Sum:
-			if count == 0 {
-				out = append(out, value.NewNull())
-			} else {
-				out = append(out, sum)
-			}
-		case algebra.Count:
-			out = append(out, value.NewInt(count))
-		case algebra.Avg:
-			if count == 0 {
-				out = append(out, value.NewNull())
-			} else {
-				out = append(out, value.NewFloat(sum.AsFloat()/float64(count)))
-			}
-		case algebra.Min:
-			out = append(out, minV)
-		case algebra.Max:
-			out = append(out, maxV)
-		default:
-			return nil, false, fmt.Errorf("delta: unsupported aggregate %s", ag.Func)
-		}
-	}
-	return out, true, nil
+	return p.net
 }
 
-func abs64(n int64) int64 {
-	if n < 0 {
-		return -n
+func (p *AggregatePlan) netAdd(t value.Tuple, n int64) {
+	idx, _, existed := p.netIdx.GetOrPut(p.enc.Key(t), int32(len(p.net)))
+	if existed {
+		p.net[*idx].count += n
+	} else {
+		p.net = append(p.net, signedRow{tuple: t, count: n})
 	}
-	return n
+}
+
+// groupTuple renders a group's state as its output tuple; ok is false
+// when the group is empty.
+func (p *AggregatePlan) groupTuple(g *acc) (value.Tuple, bool) {
+	if g.live <= 0 {
+		return nil, false
+	}
+	ng := len(p.gpos)
+	out := p.arena.NewTuple(ng + len(p.a.Aggs))
+	copy(out, g.key)
+	for i, ag := range p.a.Aggs {
+		switch {
+		case ag.Func == algebra.Count || ag.Arg == nil:
+			out[ng+i] = value.NewInt(g.counts[i])
+		case g.counts[i] == 0: // no non-NULL argument: every other aggregate is NULL
+		case ag.Func == algebra.Sum:
+			out[ng+i] = g.sums[i]
+		case ag.Func == algebra.Avg:
+			out[ng+i] = value.NewFloat(g.sums[i].AsFloat() / float64(g.counts[i]))
+		case ag.Func == algebra.Min:
+			out[ng+i] = g.mins[i]
+		case ag.Func == algebra.Max:
+			out[ng+i] = g.maxs[i]
+		}
+	}
+	return out, true
 }

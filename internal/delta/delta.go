@@ -236,38 +236,6 @@ func (d *Delta) Normalize() *Delta {
 	return nz.Normalize(d)
 }
 
-// AffectedKeys returns the distinct projections of all changed tuples
-// (old and new sides) onto the given columns, in first-seen order. These
-// are the probe keys for the queries posed during propagation.
-func (d *Delta) AffectedKeys(cols []string) ([]value.Tuple, error) {
-	pos := make([]int, len(cols))
-	for i, c := range cols {
-		j, err := d.Schema.Resolve(c)
-		if err != nil {
-			return nil, err
-		}
-		pos[i] = j
-	}
-	seen := map[string]bool{}
-	var out []value.Tuple
-	var enc value.KeyEncoder
-	add := func(t value.Tuple) {
-		if t == nil {
-			return
-		}
-		kb := enc.ProjectedKey(t, pos)
-		if !seen[string(kb)] {
-			seen[string(kb)] = true
-			out = append(out, t.Project(pos))
-		}
-	}
-	for _, c := range d.Changes {
-		add(c.Old)
-		add(c.New)
-	}
-	return out, nil
-}
-
 // GroupCounts returns the signed change in bag cardinality per group key
 // (value.Tuple.Key() form) that the delta causes, grouping by the given
 // columns. Used to maintain the live-count sidecars of materialized
@@ -296,38 +264,6 @@ func (d *Delta) TupleCounts() map[string]int64 {
 	var enc value.KeyEncoder
 	for _, sr := range d.signedRows() {
 		out[string(enc.Key(sr.tuple))] += sr.count
-	}
-	return out
-}
-
-// ApplyTo applies the delta to a bag of rows (pre-update), returning the
-// post-update bag. Used by the full-group aggregate path and as a test
-// oracle.
-func ApplyTo(rows []storage.Row, d *Delta) []storage.Row {
-	net := map[string]*storage.Row{}
-	var order []string
-	var enc value.KeyEncoder
-	add := func(t value.Tuple, n int64) {
-		kb := enc.Key(t)
-		if e, ok := net[string(kb)]; ok {
-			e.Count += n
-		} else {
-			k := string(kb)
-			net[k] = &storage.Row{Tuple: t, Count: n}
-			order = append(order, k)
-		}
-	}
-	for _, r := range rows {
-		add(r.Tuple, r.Count)
-	}
-	for _, sr := range d.signedRows() {
-		add(sr.tuple, sr.count)
-	}
-	var out []storage.Row
-	for _, k := range order {
-		if e := net[k]; e.Count > 0 {
-			out = append(out, *e)
-		}
 	}
 	return out
 }

@@ -366,7 +366,7 @@ func TestAggregateFullMatchesOracle(t *testing.T) {
 		rel.Resident = was
 		return rows, nil
 	}
-	got, err := delta.AggregateFull(agg, d, oldGroup)
+	got, _, err := delta.AggregateFull(agg, d, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestAggregateFullFromCoveredDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+	got, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestDiffPropagation(t *testing.T) {
 	}
 
 	// Oracle: recompute over updated left side.
-	afterRows := delta.ApplyTo(lRes.Rows, d)
+	afterRows := applyTo(lRes.Rows, d)
 	afterL := &exec.Result{Schema: lRes.Schema, Rows: afterRows}
 	after := diffOracle(afterL, rRes)
 	want := resultDiff(diff.Schema(), before, after)
@@ -536,27 +536,6 @@ func TestNormalizeCancels(t *testing.T) {
 	d2.Modify(tup, tup.Clone(), 1)
 	if len(d2.Changes) != 0 {
 		t.Error("no-op modify should be dropped at construction")
-	}
-}
-
-func TestAffectedKeys(t *testing.T) {
-	db := smallDB()
-	s := algebra.Scan(db.Catalog.MustGet("Emp")).Schema()
-	d := delta.New(s)
-	d.Modify(empTuple(0, 0, 100), empTuple(0, 0, 200), 1)
-	d.Insert(empTuple(1, 9, 100), 1)
-	moved := empTuple(2, 0, 100)
-	movedNew := moved.Clone()
-	movedNew[1] = value.NewString(corpus.DeptName(3))
-	d.Modify(moved, movedNew, 1)
-
-	keys, err := d.AffectedKeys([]string{"Emp.DName"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d0, d1, d2 (old side), d3 (new side)
-	if len(keys) != 4 {
-		t.Errorf("AffectedKeys = %v, want 4 distinct departments", keys)
 	}
 }
 
@@ -615,7 +594,7 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		aggDelta, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -630,7 +609,7 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 	}
 }
 
-// TestNormalizeProperties: Normalize is idempotent and ApplyTo is
+// TestNormalizeProperties: Normalize is idempotent and applyTo is
 // invariant under it (quick-check over random deltas).
 func TestNormalizeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -655,7 +634,7 @@ func TestNormalizeProperties(t *testing.T) {
 		if !sameDelta(n1, n2) {
 			t.Fatalf("Normalize not idempotent: %v vs %v", n1.Changes, n2.Changes)
 		}
-		// ApplyTo agrees on the raw and normalized forms for a random
+		// applyTo agrees on the raw and normalized forms for a random
 		// starting bag.
 		var rows []storage.Row
 		for i := 0; i < 3; i++ {
@@ -663,10 +642,10 @@ func TestNormalizeProperties(t *testing.T) {
 				Tuple: empTuple(i, 0, 100), Count: int64(1 + rng.Intn(3)),
 			})
 		}
-		after1 := delta.ApplyTo(rows, d)
-		after2 := delta.ApplyTo(rows, n1)
+		after1 := applyTo(rows, d)
+		after2 := applyTo(rows, n1)
 		if !bagsEqual(after1, after2) {
-			t.Fatalf("ApplyTo not invariant under Normalize:\nraw %v\nnorm %v", after1, after2)
+			t.Fatalf("applyTo not invariant under Normalize:\nraw %v\nnorm %v", after1, after2)
 		}
 	}
 }

@@ -177,7 +177,11 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		aggDelta, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDelta, _, err := referenceAggregateFull(agg, joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,9 +199,12 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Fatalf("join stage diverges from full recomputation\nscript: %v\ngot  %v\nwant %v",
 				d.Changes, joinDelta.Normalize().Changes, want.Changes)
 		}
-		if want := resultDiff(agg.Schema(), beforeAgg, afterAgg); !sameDelta(aggDelta, want) {
-			t.Fatalf("aggregate stage diverges from full recomputation\nscript: %v\ngot  %v\nwant %v",
-				d.Changes, aggDelta.Normalize().Changes, want.Changes)
+		want := resultDiff(agg.Schema(), beforeAgg, afterAgg)
+		for name, got := range map[string]*delta.Delta{"compiled": aggDelta, "reference": refDelta} {
+			if !sameDelta(got, want) {
+				t.Fatalf("%s aggregate stage diverges from full recomputation\nscript: %v\ngot  %v\nwant %v",
+					name, d.Changes, got.Normalize().Changes, want.Changes)
+			}
 		}
 	})
 }

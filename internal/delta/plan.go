@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"fmt"
+
 	"repro/internal/algebra"
 	"repro/internal/bytemap"
 	"repro/internal/catalog"
@@ -14,8 +16,8 @@ import (
 // positions and compile predicates against the child schema every call;
 // along a cached update track those are the same schema and the same
 // expressions window after window, so the maintenance runtime compiles
-// each step once per (view set, transaction type) and replays it with
-// zero per-window schema resolution or predicate compilation. Plans own
+// each step once per operation node and replays it with zero per-window
+// schema resolution or predicate compilation. Plans own
 // their scratch buffers (KeyEncoder, probe cache, output delta), so one
 // plan must not be applied concurrently — matching the single-threaded
 // propagation pass that uses them.
@@ -419,6 +421,11 @@ type AggregatePlan struct {
 	sbuf   []signedRow
 	outD   Delta
 	enc    value.KeyEncoder
+	// Full only: the fold of the bag being aggregated, and the group's
+	// bag netted per tuple.
+	state  acc
+	netIdx bytemap.Map[int32]
+	net    []signedRow
 }
 
 // CompileAggregate resolves a's group-by columns and compiles its
@@ -432,18 +439,24 @@ func CompileAggregate(a *algebra.Aggregate, in *catalog.Schema) (*AggregatePlan,
 		}
 		gpos[i] = j
 	}
-	argFns := make([]func(value.Tuple) value.Value, len(a.Aggs))
+	p := &AggregatePlan{a: a, gpos: gpos, out: a.Schema()}
+	p.argFns = make([]func(value.Tuple) value.Value, len(a.Aggs))
 	for i, ag := range a.Aggs {
-		if ag.Arg == nil {
+		if ag.Arg == nil { // COUNT(*)
 			continue
+		}
+		switch ag.Func {
+		case algebra.Sum, algebra.Count, algebra.Avg, algebra.Min, algebra.Max:
+		default:
+			return nil, fmt.Errorf("delta: unsupported aggregate %s", ag.Func)
 		}
 		f, err := expr.CompileFast(ag.Arg, in)
 		if err != nil {
 			return nil, err
 		}
-		argFns[i] = f
+		p.argFns[i] = f
 	}
-	return &AggregatePlan{a: a, gpos: gpos, argFns: argFns, out: a.Schema()}, nil
+	return p, nil
 }
 
 // SetArena attaches a per-window arena for group-key and output tuples.

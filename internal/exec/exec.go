@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"repro/internal/algebra"
+	"repro/internal/bytemap"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -69,6 +70,40 @@ type Evaluator struct {
 	// only until the arena's next Reset. Leave nil for oracle /
 	// materialization evaluators whose results must outlive a window.
 	Win *value.Arena
+
+	rows *[]storage.Row // see WithRows
+	join joinScratch
+}
+
+// WithRows makes index lookups and joins append their rows to the
+// caller's slab instead of to fresh slices: each such Result holds a
+// capacity-clipped sub-slice of *slab, valid until the caller truncates
+// it. The maintenance runtime passes the window memo's slab, which is
+// truncated when the memo is. Chainable; nil restores fresh slices.
+func (ev *Evaluator) WithRows(slab *[]storage.Row) *Evaluator {
+	ev.rows = slab
+	return ev
+}
+
+// openRows returns the slice an operator appends its output to — the
+// slab, or a fresh slice with room for n rows — and where its output
+// starts; closeRows returns that output. Nothing else may be evaluated
+// between the two.
+func (ev *Evaluator) openRows(n int) ([]storage.Row, int) {
+	switch {
+	case ev.rows != nil:
+		return *ev.rows, len(*ev.rows)
+	case n == 0:
+		return nil, 0
+	}
+	return make([]storage.Row, 0, n), 0
+}
+
+func (ev *Evaluator) closeRows(rows []storage.Row, start int) []storage.Row {
+	if ev.rows != nil {
+		*ev.rows = rows
+	}
+	return rows[start:len(rows):len(rows)]
 }
 
 // New returns a charging evaluator over the store.
@@ -213,10 +248,26 @@ func projectResult(in *Result, p *algebra.Project) (*Result, error) {
 	return out, nil
 }
 
+// joinScratch is the hash join's build table. It lives on the evaluator
+// so that an evaluator posed many queries (the maintainer's: one per
+// affected group per window) builds every table in the same memory. The
+// build rows of one join key form a list threaded through next in build
+// order; heads remembers each probe row's list, so the output is sized
+// before it is filled.
+type joinScratch struct {
+	enc        value.KeyEncoder
+	lpos, rpos []int
+	idx        bytemap.Map[joinList] // join key → its build rows
+	next       []int32               // per build row: the next row with its key, -1 at the end
+	heads      []int32               // per probe row: first matching build row, -1 for none
+}
+
+type joinList struct{ head, tail, n int32 }
+
 func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
-	lpos := make([]int, len(j.On))
-	rpos := make([]int, len(j.On))
-	for i, c := range j.On {
+	s := &ev.join
+	s.lpos, s.rpos = s.lpos[:0], s.rpos[:0]
+	for _, c := range j.On {
 		li, err := l.Schema.Resolve(c.Left)
 		if err != nil {
 			return nil, err
@@ -225,13 +276,29 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lpos[i], rpos[i] = li, ri
+		s.lpos, s.rpos = append(s.lpos, li), append(s.rpos, ri)
 	}
-	build := make(map[string][]storage.Row, len(r.Rows))
-	var enc value.KeyEncoder
-	for _, row := range r.Rows {
-		kb := enc.ProjectedKey(row.Tuple, rpos)
-		build[string(kb)] = append(build[string(kb)], row)
+	s.idx.Reset()
+	s.next = s.next[:0]
+	for i, row := range r.Rows {
+		at := int32(i)
+		list, _, existed := s.idx.GetOrPut(s.enc.ProjectedKey(row.Tuple, s.rpos), joinList{head: at, tail: at, n: 1})
+		s.next = append(s.next, -1)
+		if existed {
+			s.next[list.tail] = at
+			list.tail = at
+			list.n++
+		}
+	}
+	matches := 0
+	s.heads = s.heads[:0]
+	for _, lrow := range l.Rows {
+		head := int32(-1)
+		if list := s.idx.Ptr(s.enc.ProjectedKey(lrow.Tuple, s.lpos)); list != nil {
+			head = list.head
+			matches += int(list.n)
+		}
+		s.heads = append(s.heads, head)
 	}
 	outSchema := j.Schema()
 	var residual func(value.Tuple) value.Value
@@ -242,18 +309,18 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 		}
 		residual = f
 	}
-	out := &Result{Schema: outSchema, Rows: make([]storage.Row, 0, len(l.Rows))}
-	for _, lrow := range l.Rows {
-		kb := enc.ProjectedKey(lrow.Tuple, lpos)
-		for _, rrow := range build[string(kb)] {
+	rows, start := ev.openRows(matches)
+	for li, lrow := range l.Rows {
+		for i := s.heads[li]; i >= 0; i = s.next[i] {
+			rrow := r.Rows[i]
 			t := ev.Win.ConcatTuples(lrow.Tuple, rrow.Tuple)
 			if residual != nil && !residual(t).Truth() {
 				continue
 			}
-			out.Rows = append(out.Rows, storage.Row{Tuple: t, Count: lrow.Count * rrow.Count})
+			rows = append(rows, storage.Row{Tuple: t, Count: lrow.Count * rrow.Count})
 		}
 	}
-	return out, nil
+	return &Result{Schema: outSchema, Rows: ev.closeRows(rows, start)}, nil
 }
 
 func distinctResult(in *Result) *Result {

@@ -117,15 +117,17 @@ func (ev *Evaluator) EvalFiltered(n algebra.Node, cols []string, key value.Tuple
 
 // lookup probes rel by cols=key, honoring Free mode.
 func (ev *Evaluator) lookup(rel *storage.Relation, cols []string, key value.Tuple) []storage.Row {
+	rows, start := ev.openRows(0)
 	if ev.Free {
 		// Uncharged: find matches without touching the counter.
 		wasResident := rel.Resident
 		rel.Resident = true
-		rows := rel.Lookup(cols, key)
+		rows = rel.LookupAppend(cols, key, rows)
 		rel.Resident = wasResident
-		return rows
+	} else {
+		rows = rel.LookupAppend(cols, key, rows)
 	}
-	return rel.Lookup(cols, key)
+	return ev.closeRows(rows, start)
 }
 
 // mapThroughProject translates output column names to input column names
@@ -252,7 +254,7 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 		}
 		residual = f
 	}
-	out := &Result{Schema: outSchema}
+	rows, start := ev.openRows(0)
 	for _, drow := range drive.Rows {
 		jk := drow.Tuple.Project(dpos)
 		matches := probed[jk.Key()]
@@ -269,10 +271,10 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 			if residual != nil && !residual(t).Truth() {
 				continue
 			}
-			out.Rows = append(out.Rows, storage.Row{Tuple: t, Count: drow.Count * orow.Count})
+			rows = append(rows, storage.Row{Tuple: t, Count: drow.Count * orow.Count})
 		}
 	}
-	return out, nil
+	return &Result{Schema: outSchema, Rows: ev.closeRows(rows, start)}, nil
 }
 
 func (ev *Evaluator) evalThenFilter(n algebra.Node, cols []string, key value.Tuple) (*Result, error) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/corpus"
 	"repro/internal/expr"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -148,3 +149,60 @@ func TestEvalErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestRowSlabKeepsEarlierAnswers: one evaluator answering every query
+// into one growing row slab (as the maintainer's does within a window)
+// must give, row for row and in the same order, what a fresh evaluator
+// gives — and an answer must still read the same after later queries
+// have reused the join scratch and grown the slab past it.
+func TestRowSlabKeepsEarlierAnswers(t *testing.T) {
+	db := corpus.NewDatabase(corpus.Config{Departments: 6, EmpsPerDept: 5, ADeptsEveryN: 2})
+	var slab []storage.Row
+	shared := NewFree(db.Store).WithRows(&slab)
+	type answer struct {
+		tree algebra.Node
+		key  value.Tuple
+		got  *Result
+	}
+	var kept []answer
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewSource(int64(11000 + trial)))
+		tree := randomTree(rng, db)
+		if !tree.Schema().Has("Emp.DName") {
+			continue
+		}
+		key := value.Tuple{value.NewString(corpus.DeptName(rng.Intn(7)))}
+		got, err := shared.EvalFiltered(tree, []string{"Emp.DName"}, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, answer{tree, key, got})
+		full, err := shared.Eval(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, answer{tree, nil, full})
+	}
+	if len(slab) == 0 {
+		t.Fatal("no query went through the slab")
+	}
+	for i, a := range kept {
+		var want *Result
+		var err error
+		if a.key == nil {
+			want, err = NewFree(db.Store).Eval(a.tree)
+		} else {
+			want, err = NewFree(db.Store).EvalFiltered(a.tree, []string{"Emp.DName"}, a.key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.got.Rows) != len(want.Rows) {
+			t.Fatalf("answer %d: %d rows, want %d\n%s", i, len(a.got.Rows), len(want.Rows), algebra.Render(a.tree))
+		}
+		for j := range want.Rows {
+			if !a.got.Rows[j].Tuple.Equal(want.Rows[j].Tuple) || a.got.Rows[j].Count != want.Rows[j].Count {
+				t.Fatalf("answer %d row %d: %v, want %v\n%s", i, j, a.got.Rows[j], want.Rows[j], algebra.Render(a.tree))
+			}
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/dag"
 	"repro/internal/delta"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/tracks"
@@ -30,53 +29,38 @@ var (
 // group query when the parent is materialized with decomposable
 // aggregates, or when the delta covers whole groups.
 //
-// st is the node's compiled plan step (may be nil); when present, the
-// precompiled propagation plans replace per-call schema resolution and
-// expression compilation.
-func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, st *planStep) (*delta.Delta, error) {
+// The operation's compiled step (stepFor) replaces per-call schema
+// resolution and expression compilation, and owns the scratch.
+func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo) (*delta.Delta, error) {
+	st, err := m.stepFor(op)
+	if err != nil {
+		return nil, err
+	}
 	childDelta := func(i int) *delta.Delta { return deltas[op.Children[i].ID] }
 	switch t := op.Template.(type) {
 	case *algebra.Select:
-		if st != nil && st.sel != nil {
-			return st.sel.Apply(childDelta(0))
-		}
-		return delta.Select(t, childDelta(0))
+		return st.sel.Apply(childDelta(0))
 
 	case *algebra.Project:
-		if st != nil && st.proj != nil {
-			return st.proj.Apply(childDelta(0))
-		}
-		return delta.Project(t, childDelta(0))
+		return st.proj.Apply(childDelta(0))
 
 	case *algebra.Join:
 		dl, dr := childDelta(0), childDelta(1)
 		probeL := m.probe(op.Children[0], t.LeftCols(), w)
 		probeR := m.probe(op.Children[1], t.RightCols(), w)
-		if st != nil && st.join != nil {
-			switch {
-			case !dl.Empty() && !dr.Empty():
-				return st.join.ApplyBoth(dl, dr, probeL, probeR)
-			case !dl.Empty():
-				return st.join.Left.Apply(dl, probeR)
-			case !dr.Empty():
-				return st.join.Right.Apply(dr, probeL)
-			default:
-				return delta.New(t.Schema()), nil
-			}
-		}
 		switch {
 		case !dl.Empty() && !dr.Empty():
-			return delta.JoinBoth(t, dl, dr, probeL, probeR)
+			return st.join.ApplyBoth(dl, dr, probeL, probeR)
 		case !dl.Empty():
-			return delta.JoinSide(t, dl, 0, probeR)
+			return st.join.Left.Apply(dl, probeR)
 		case !dr.Empty():
-			return delta.JoinSide(t, dr, 1, probeL)
+			return st.join.Right.Apply(dr, probeL)
 		default:
 			return delta.New(t.Schema()), nil
 		}
 
 	case *algebra.Aggregate:
-		return m.aggregateDelta(e, op, t, deltas, tr, w, st)
+		return m.aggregateDelta(e, op, t, deltas, tr, w, st.agg)
 
 	case *algebra.Distinct:
 		cd := childDelta(0)
@@ -127,7 +111,7 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 // decomposable), covered (key-based, query-free) and full-group (queried)
 // aggregate maintenance strategies — the same three-way decision the cost
 // estimator prices.
-func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.Aggregate, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, st *planStep) (*delta.Delta, error) {
+func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.Aggregate, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, plan *delta.AggregatePlan) (*delta.Delta, error) {
 	child := op.Children[0]
 	cd := deltas[child.ID]
 	if cd.Empty() {
@@ -153,16 +137,7 @@ func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.
 		}
 	}
 	if tracked && !staleTouched && delta.Decomposable(agg.Aggs, cd) {
-		var (
-			out  *delta.Delta
-			live map[string]int64
-			err  error
-		)
-		if st != nil && st.agg != nil {
-			out, live, err = st.agg.Incremental(cd, m.oldAggProbe(v, agg))
-		} else {
-			out, live, err = delta.AggregateIncremental(agg, cd, m.oldAggProbe(v, agg))
-		}
+		out, live, err := plan.Incremental(cd, m.oldAggProbe(v))
 		if err != nil {
 			return nil, err
 		}
@@ -196,36 +171,14 @@ func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.
 			return m.answerQuery(child, agg.GroupBy, gk, w)
 		}
 	}
-	out, err := delta.AggregateFull(agg, cd, oldGroup)
+	out, live, err := plan.Full(cd, oldGroup)
 	if err != nil {
 		return nil, err
 	}
-	// Resync the sidecar for the groups this path recomputed: the
-	// pre-update group rows are known, so the post-update live counts
-	// are too — this also heals staleness.
+	// Resync the sidecar for the groups this path recomputed: their
+	// post-update live counts are known — this also heals staleness.
 	if tracked {
-		gc, err := cd.GroupCounts(agg.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		keys, err := cd.AffectedKeys(agg.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		pending := map[string]int64{}
-		for _, gk := range keys {
-			rows, err := oldGroup(gk)
-			if err != nil {
-				return nil, err
-			}
-			var oldLive int64
-			for _, r := range rows {
-				oldLive += r.Count
-			}
-			k := gk.Key()
-			pending[k] = oldLive + gc[k]
-		}
-		v.pending = pending
+		v.pending = live
 	}
 	return out, nil
 }
@@ -233,20 +186,16 @@ func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.
 // oldAggProbe reads a group's stored output tuple and live count without
 // charging I/O: the paper folds the old-value read into the view's update
 // cost (read old + write new), which ApplyBatch charges.
-func (m *Maintainer) oldAggProbe(v *View, agg *algebra.Aggregate) delta.OldAgg {
-	nGroup := len(agg.GroupBy)
-	cols := make([]string, nGroup)
-	copy(cols, v.Eq.Schema().ColumnNames()[:nGroup])
-	var enc value.KeyEncoder
+func (m *Maintainer) oldAggProbe(v *View) delta.OldAgg {
 	return func(gk value.Tuple) (value.Tuple, int64, bool, error) {
 		was := v.Rel.Resident
 		v.Rel.Resident = true
-		rows := v.Rel.Lookup(cols, gk)
+		rows := v.Rel.Lookup(v.groupCols, gk)
 		v.Rel.Resident = was
 		if len(rows) == 0 {
 			return nil, 0, false, nil
 		}
-		return rows[0].Tuple, v.live[string(enc.Key(gk))], true, nil
+		return rows[0].Tuple, v.live[string(v.enc.Key(gk))], true, nil
 	}
 }
 
@@ -323,11 +272,12 @@ func (m *Maintainer) answerQuery(target *dag.EqNode, cols []string, key value.Tu
 		rows = w.lookup(v.Rel, cols, key)
 	} else {
 		tree := m.queryTree(target)
-		ev := exec.New(m.Store)
-		ev.Memo = w.eval
-		// Join outputs come from the window arena: the rows land in the
-		// window memo and in deltas, both of which die at the next Reset.
-		ev.Win = &m.arena
+		// One evaluator answers every query (its join build table is
+		// reused from one to the next). Join output tuples come from the
+		// window arena and rows go to the memo's slab: they land in the
+		// window memo and in deltas, which die with both.
+		ev := m.queryEv.WithRows(&w.buf)
+		ev.Store, ev.Memo, ev.Win = m.Store, w.eval, &m.arena
 		res, err := ev.EvalFiltered(tree, cols, key)
 		if err != nil {
 			return nil, err

@@ -178,11 +178,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		runtime.Gosched()
 	}
 
-	plan, err := m.planFor(bt)
-	if err != nil {
-		return nil, err
-	}
-	tr := plan.track
+	tr := m.planFor(bt).track
 	rep.Track = tr
 
 	// Seed leaf deltas from the merged window. Coalesce emits only
@@ -203,7 +199,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	io0 := m.Store.IO.Snapshot()
 	for _, e := range tr.Order {
 		op := tr.Choice[e.ID]
-		d, err := m.opDelta(e, op, rep.Deltas, tr, w, plan.steps[e.ID])
+		d, err := m.opDelta(e, op, rep.Deltas, tr, w)
 		if err != nil {
 			prop.Finish()
 			return nil, fmt.Errorf("maintain: %s at %s: %w", bt.Name, e, err)

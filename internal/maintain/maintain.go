@@ -74,6 +74,10 @@ type View struct {
 	// aggregateDelta (incremental or full-group), applied by
 	// updateSidecar; it also clears staleness for those keys.
 	pending map[string]int64
+	// groupCols (the view's leading, group-by columns when aggOp is set)
+	// and enc are oldAggProbe's, kept here so a window allocates neither.
+	groupCols []string
+	enc       value.KeyEncoder
 }
 
 // Committer reports a durability point. Commit covers a window that
@@ -161,8 +165,14 @@ type Maintainer struct {
 	DisableMQO bool
 
 	views map[int]*View
-	plans map[string]*trackPlan
 	trees map[int]algebra.Node // memoized query trees per eq node
+
+	// The plan cache (plan.go): the cost-chosen track per transaction-type
+	// name, and the compiled step — with all propagation scratch — per
+	// operation node. Both were built under view set planVS.
+	plans  map[string]*trackPlan
+	steps  map[*dag.OpNode]*planStep
+	planVS string
 
 	// Per-window scratch, reset (not freed) between windows. The arena
 	// backs every tuple propagation derives, which is why a report's
@@ -180,6 +190,10 @@ type Maintainer struct {
 	batchRep BatchReport
 	workBuf  []viewWork
 	winMemo  windowMemo
+
+	// queryEv answers every query propagation poses; it outlives the
+	// window only for its hash-join build table.
+	queryEv exec.Evaluator
 
 	// Window-causal tracing state. Both fields follow the single-writer
 	// rule: spanParent is set by the dispatching goroutine (a Sharded

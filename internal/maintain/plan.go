@@ -7,24 +7,20 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/dag"
 	"repro/internal/delta"
+	"repro/internal/obs"
 	"repro/internal/tracks"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
 
-// trackPlan is a compiled update track for one (view set, transaction
-// type) pair: the cost-chosen track plus, per affected node, the
-// precompiled delta-propagation step (resolved column positions,
-// compiled predicates and residuals, plan-owned probe-cache and key
-// encoder buffers). The hot path replays steps with no schema
-// resolution, no expression compilation and no per-window map churn.
-//
-// Plans live in Maintainer.plans keyed by the transaction type's
-// canonical name (txn.MergedType gives batches a canonical name too, so
-// a recurring window shape compiles once). Each plan records the view-set
-// key it was compiled under; planFor recompiles when the view set has
-// changed since. Plan-owned scratch buffers make a plan single-threaded,
-// matching the propagation pass that uses it.
+// trackPlan is what the cost model chose for one transaction type: the
+// update track and its query list. Plans live in Maintainer.plans keyed
+// by the type's canonical name. txn.MergedType names a window by its net
+// delta size per relation as well as by relation and kind, because the
+// cheapest track depends on those sizes — so a long run sees many names,
+// and a trackPlan must stay this small. Everything compiled, and every
+// scratch buffer, belongs to the operation nodes the track crosses
+// (Maintainer.steps), not to the plan.
 type trackPlan struct {
 	track *tracks.Track
 	// queries is the costed track's query list (tracks.TrackCost.Queries):
@@ -33,14 +29,23 @@ type trackPlan struct {
 	// shared counts the queries MQO merges away — posed by more than one
 	// consumer along the track, answered once per window by the memo.
 	shared int
-	vsKey  string
-	steps  map[int]*planStep
 }
 
-// planStep is the compiled propagation step of one equivalence node;
-// exactly one field is set, matching the chosen operation's kind.
-// Operators with no compile-time state (Distinct, Union, Diff) leave all
-// fields nil and take the generic path.
+// The plan cache on /metrics: track plans and compiled steps held by
+// the maintainer that last changed either (shards hold alike), and steps
+// compiled in total. A healthy steady state shows tracks growing with
+// the window shapes seen, steps bounded by the operation nodes those
+// tracks cross, and compiles flat after warm-up.
+var (
+	obsPlanTracks   = obs.G("maintain.plan_cache.tracks")
+	obsPlanSteps    = obs.G("maintain.plan_cache.steps")
+	obsPlanCompiles = obs.C("maintain.plan_cache.compiles")
+)
+
+// planStep is the compiled propagation step of one operation node: the
+// field matching the operation's kind is set. Operators with no
+// compile-time state (Distinct, Union, Diff) leave all fields nil and
+// take the generic path.
 type planStep struct {
 	sel  *delta.SelectPlan
 	proj *delta.ProjectPlan
@@ -63,7 +68,7 @@ func (st *planStep) setArena(a *value.Arena) {
 	}
 }
 
-// viewSetKey canonicalizes a view set for plan invalidation.
+// viewSetKey canonicalizes a view set for plan-cache invalidation.
 func viewSetKey(vs tracks.ViewSet) string {
 	ids := vs.IDs()
 	sort.Ints(ids)
@@ -75,35 +80,51 @@ func viewSetKey(vs tracks.ViewSet) string {
 	return string(b)
 }
 
-// planFor returns the compiled plan for t, compiling (or recompiling,
-// when the view set changed) on first use.
-func (m *Maintainer) planFor(t *txn.Type) (*trackPlan, error) {
-	vsk := viewSetKey(m.VS)
-	if p := m.plans[t.Name]; p != nil && p.vsKey == vsk {
-		return p, nil
+// planFor returns the plan for t, costing the view set's tracks for it
+// on first use. A changed view set first drops every cached plan and
+// compiled step: tracks are costed against the view set, and the steps
+// of operations no track crosses any more would only hold scratch.
+func (m *Maintainer) planFor(t *txn.Type) *trackPlan {
+	if vsk := viewSetKey(m.VS); vsk != m.planVS {
+		clear(m.plans)
+		clear(m.steps)
+		m.planVS = vsk
+	}
+	if p := m.plans[t.Name]; p != nil {
+		return p
 	}
 	best, _ := m.Cost.CostViewSet(m.VS, t)
 	tr := best.Track
 	if tr == nil {
 		tr = &tracks.Track{Choice: map[int]*dag.OpNode{}}
 	}
-	p := &trackPlan{
-		track:   tr,
-		queries: best.Queries,
-		shared:  best.SharedQueries(),
-		vsKey:   vsk,
-		steps:   make(map[int]*planStep, len(tr.Order)),
-	}
-	for _, e := range tr.Order {
-		st, err := compileStep(tr.Choice[e.ID])
-		if err != nil {
-			return nil, err
-		}
-		st.setArena(&m.arena)
-		p.steps[e.ID] = st
-	}
+	p := &trackPlan{track: tr, queries: best.Queries, shared: best.SharedQueries()}
 	m.plans[t.Name] = p
-	return p, nil
+	obsPlanTracks.Set(float64(len(m.plans)))
+	return p
+}
+
+// stepFor returns op's compiled propagation step, compiling it on first
+// use. A step is a function of the operation node alone, so every track
+// that crosses op shares the one step and its scratch (probe cache, key
+// encoder, normalizer tables, output delta). That is safe because a
+// maintainer runs one window at a time and a track visits each
+// equivalence node once: a step is applied at most once per window, and
+// its output stays valid until its next application — the same contract
+// a recurring window shape already had with itself.
+func (m *Maintainer) stepFor(op *dag.OpNode) (*planStep, error) {
+	if st := m.steps[op]; st != nil {
+		return st, nil
+	}
+	st, err := compileStep(op)
+	if err != nil {
+		return nil, err
+	}
+	st.setArena(&m.arena)
+	m.steps[op] = st
+	obsPlanCompiles.Inc()
+	obsPlanSteps.Set(float64(len(m.steps)))
+	return st, nil
 }
 
 // compileStep precompiles the delta propagation of one operation node

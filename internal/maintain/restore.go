@@ -50,8 +50,11 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 		Cost:  tracks.NewCosting(d, model),
 		VS:    vs,
 		views: map[int]*View{},
-		plans: map[string]*trackPlan{},
 		trees: map[int]algebra.Node{},
+
+		plans:  map[string]*trackPlan{},
+		steps:  map[*dag.OpNode]*planStep{},
+		planVS: viewSetKey(vs),
 	}
 	free := exec.NewFree(st)
 	for _, e := range d.NonLeafEqs() {
@@ -73,6 +76,7 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 			case algebra.KindAggregate:
 				if v.aggOp == nil {
 					v.aggOp = op
+					v.groupCols = schema.ColumnNames()[:len(op.Template.(*algebra.Aggregate).GroupBy)]
 				}
 			case algebra.KindDistinct:
 				if v.distinctOp == nil {
