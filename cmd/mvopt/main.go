@@ -125,20 +125,30 @@ func main() {
 			select {}
 		}
 	}()
-	sql, err := os.ReadFile(*schema)
+	sys, err := optimize(*schema, *view, *method, txns, workers, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Print(sys.Explain())
+}
+
+// optimize loads the schema file, parses the workload and runs the
+// chosen optimizer over the named views.
+func optimize(schema, view, method string, txns []string, workers int, seed int64) (*mvmaint.System, error) {
+	sql, err := os.ReadFile(schema)
+	if err != nil {
+		return nil, err
+	}
 	db := mvmaint.Open()
 	if err := db.Exec(string(sql)); err != nil {
-		log.Fatalf("schema: %v", err)
+		return nil, fmt.Errorf("schema: %v", err)
 	}
 
 	var workload []*txn.Type
 	for _, spec := range txns {
 		t, err := parseTxn(spec)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		workload = append(workload, t)
 	}
@@ -152,19 +162,15 @@ func main() {
 		"heuristic-marking": mvmaint.HeuristicMarking,
 		"no-additional":     mvmaint.NoAdditional,
 	}
-	m, ok := methods[*method]
+	m, ok := methods[method]
 	if !ok {
-		log.Fatalf("unknown method %q", *method)
+		return nil, fmt.Errorf("unknown method %q", method)
 	}
 
-	sys, err := db.Build(strings.Split(*view, ","), mvmaint.Config{
+	return db.Build(strings.Split(view, ","), mvmaint.Config{
 		Workload:    workload,
 		Method:      m,
 		Parallelism: workers,
-		Seed:        *seed,
+		Seed:        seed,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(sys.Explain())
 }

@@ -1,10 +1,45 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/txn"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestSkewDecisionGolden pins the whole decision on the skewed Figure 5
+// corpus (the command in testdata/fig5_skew.sql's header, which CI also
+// runs): the chosen set must hold the SUM(Quantity*Price) BY Item
+// aggregate, and the estimates, fan-outs and ranking are compared with
+// the committed report. Run with -update after an intended change.
+func TestSkewDecisionGolden(t *testing.T) {
+	sys, err := optimize("../../testdata/fig5_skew.sql", "Revenue", "exhaustive",
+		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"}, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sys.Explain()
+	if !strings.Contains(got, "additional: N5 = Aggregate[SUM((Quantity * Price)) AS sum BY T.Item]") {
+		t.Errorf("the chosen view set lacks the SUM(Quantity*Price) BY Item aggregate:\n%s", got)
+	}
+	const golden = "testdata/fig5_skew.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("decision differs from %s (rerun with -update if intended):\n%s", golden, got)
+	}
+}
 
 func TestParseTxn(t *testing.T) {
 	ty, err := parseTxn("modify:Emp:Salary:1:2")

@@ -103,7 +103,6 @@ func (db *DB) exec(s sqlparser.Statement) error {
 			return err
 		}
 		nrel.Load(rows)
-		nrel.RefreshStats()
 		return nil
 	case *sqlparser.CreateView:
 		tree, err := db.translator.TranslateView(t)
@@ -132,7 +131,6 @@ func (db *DB) exec(s sqlparser.Statement) error {
 		}
 		rel := db.Store.MustGet(t.Table)
 		applyUncharged(rel, d)
-		rel.RefreshStats()
 		return nil
 	case *sqlparser.Delete:
 		rel, ok := db.Store.Get(t.Table)
@@ -144,7 +142,6 @@ func (db *DB) exec(s sqlparser.Statement) error {
 			return err
 		}
 		applyUncharged(rel, d)
-		rel.RefreshStats()
 		return nil
 	case *sqlparser.Update:
 		rel, ok := db.Store.Get(t.Table)
@@ -156,7 +153,6 @@ func (db *DB) exec(s sqlparser.Statement) error {
 			return err
 		}
 		applyUncharged(rel, d)
-		rel.RefreshStats()
 		return nil
 	case *sqlparser.SelectStmt:
 		return fmt.Errorf("mvmaint: use DB.Query for SELECT")
@@ -212,7 +208,11 @@ func (db *DB) ViewNames() []string {
 	return out
 }
 
-// RefreshStats recomputes statistics for every base relation.
+// RefreshStats brings the statistics of every stored relation up to
+// date: a relation that has not changed since its last refresh is not
+// rescanned. Exec does not refresh per statement; Build, Reoptimize and
+// BuildSharded call this before costing, which is the only time the
+// statistics are read.
 func (db *DB) RefreshStats() {
 	for _, name := range db.Store.Names() {
 		db.Store.MustGet(name).RefreshStats()

@@ -7,13 +7,22 @@ import (
 
 // Stats carries the statistics the cost model and delta-size estimator
 // need about a stored relation or view. All figures are estimates; the
-// storage engine refreshes them after bulk loads.
+// storage engine recomputes them when an optimizer is about to read them
+// (Build, Reoptimize, Recover), not per statement.
 type Stats struct {
 	// Card is the number of tuples.
 	Card float64
 	// Distinct maps a bare column name to its number of distinct values.
 	// Missing entries default to Card (i.e., assume unique).
 	Distinct map[string]float64
+	// Fanout maps a bare column name to the number of tuples sharing a
+	// value of that column as a random tuple sees it: Σ n_k² / Σ n_k over
+	// the column's value counts n_k. A delete, modify or join probe lands
+	// on an existing tuple, so its value is drawn in proportion to how
+	// many tuples carry it; on a column whose values all occur equally
+	// often this is exactly Card/Distinct, and skew only raises it.
+	// Missing entries mean "no better figure than Card/Distinct".
+	Fanout map[string]float64
 }
 
 // DistinctOf returns the distinct-value count for a column, defaulting to
@@ -28,20 +37,6 @@ func (s Stats) DistinctOf(col string) float64 {
 		return 1
 	}
 	return s.Card
-}
-
-// Fanout returns the expected number of tuples sharing one value of col:
-// Card / Distinct(col), at least 1 when the relation is non-empty.
-func (s Stats) Fanout(col string) float64 {
-	d := s.DistinctOf(col)
-	if d <= 0 {
-		return 0
-	}
-	f := s.Card / d
-	if f < 1 && s.Card >= 1 {
-		return 1
-	}
-	return f
 }
 
 // IndexDef declares a hash index on one or more columns of a relation.

@@ -96,8 +96,8 @@ func TestIndexOn(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := Stats{Card: 10000, Distinct: map[string]float64{"DName": 1000}}
-	if got := s.Fanout("DName"); got != 10 {
-		t.Errorf("Fanout(DName) = %g, want 10", got)
+	if got := s.DistinctOf("DName"); got != 1000 {
+		t.Errorf("DistinctOf(DName) = %g, want 1000", got)
 	}
 	if got := s.DistinctOf("EName"); got != 10000 {
 		t.Errorf("DistinctOf(unknown) = %g, want Card", got)

@@ -19,8 +19,8 @@ func TestPaperConfigStatistics(t *testing.T) {
 	}
 	// "a uniform distribution of employees to departments": fan-out 10.
 	st := emp.Def.Stats
-	if got := st.Fanout("DName"); got != 10 {
-		t.Errorf("Fanout(DName) = %g, want 10", got)
+	if got := st.Fanout["DName"]; got != 10 {
+		t.Errorf("Fanout[DName] = %g, want 10", got)
 	}
 	if dept.Def.Stats.DistinctOf("DName") != 1000 {
 		t.Error("DName should be unique in Dept")

@@ -100,7 +100,7 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 // declared type was costed for, so the window reproduces §3.6's
 // per-transaction page I/O exactly. Larger windows net to insertions
 // and deletions under a synthesized type (txn.MergedType).
-func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
+func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err error) {
 	t0 := time.Now()
 	wt := obs.StartWindow("maintain.batch", m.spanParent)
 	m.windowSpan = wt.RootID()
@@ -109,7 +109,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 		wt.Finish()
 		elapsed := time.Since(t0).Nanoseconds()
 		obsApplyNs.Observe(elapsed)
-		m.observeTxnTypes(txns, elapsed)
+		m.observeTxnTypes(txns, elapsed, rep)
 		m.publishArenaStats()
 	}()
 	obsBatchWindow.Observe(int64(len(txns)))
@@ -131,7 +131,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (*BatchReport, error) {
 	// Recycled report: the maintainer hands back the same BatchReport
 	// every window, reset in place — callers may use it only until the
 	// next ApplyBatch (the same lifetime its Deltas already had).
-	rep := &m.batchRep
+	rep = &m.batchRep
 	*rep = BatchReport{
 		Size:   len(txns),
 		Type:   bt,

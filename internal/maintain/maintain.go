@@ -8,6 +8,7 @@ package maintain
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -239,6 +240,34 @@ var obsTxns = obs.C("maintain.txns")
 type typeStat struct {
 	count *obs.Counter
 	ns    *obs.Counter
+	io    TypeIO
+}
+
+// TypeIO is the page I/O measured for one transaction type, split the
+// way BatchReport splits it: the sums over the type's transactions, each
+// carrying an equal share of its window's I/O (exact for windows of one;
+// inside a coalesced window per-transaction I/O is not observable).
+type TypeIO struct {
+	Name                    string
+	Txns                    int64
+	Query, View, Root, Base float64
+}
+
+// Total is the type's measured page I/O across all four parts.
+func (t TypeIO) Total() float64 { return t.Query + t.View + t.Root + t.Base }
+
+// MeasuredIO returns the per-type page I/O of every window this
+// maintainer applied successfully, sorted by type name: the measurement
+// System.Explain prints beside the optimizer's estimate.
+func (m *Maintainer) MeasuredIO() []TypeIO {
+	out := make([]TypeIO, 0, len(m.typeStats))
+	for _, st := range m.typeStats {
+		if st.io.Txns > 0 {
+			out = append(out, st.io)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // typeStatFor returns (registering on first use) the counters for one
@@ -252,6 +281,7 @@ func (m *Maintainer) typeStatFor(name string) *typeStat {
 		st = &typeStat{
 			count: obs.C("maintain.txn_type." + name + ".count"),
 			ns:    obs.C("maintain.txn_type." + name + ".ns"),
+			io:    TypeIO{Name: name},
 		}
 		m.typeStats[name] = st
 	}
@@ -262,13 +292,21 @@ func (m *Maintainer) typeStatFor(name string) *typeStat {
 // transactions by type: each transaction counts once and carries an
 // equal share of the window's wall time (per-txn attribution inside a
 // coalesced window is not observable — the window is maintained as one
-// unit). Zero allocations after the first window of each type.
-func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64) {
+// unit), and of the page I/O rep reports for it (nil for a window that
+// failed). Zero allocations after the first window of each type.
+func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64, rep *BatchReport) {
 	if len(txns) == 0 {
 		return
 	}
 	obsTxns.Add(int64(len(txns)))
 	share := elapsed / int64(len(txns))
+	var io TypeIO
+	if rep != nil {
+		n := float64(len(txns))
+		io = TypeIO{Txns: 1,
+			Query: float64(rep.QueryIO.Total()) / n, View: float64(rep.ViewIO.Total()) / n,
+			Root: float64(rep.RootIO.Total()) / n, Base: float64(rep.BaseIO.Total()) / n}
+	}
 	var lastName string
 	var st *typeStat
 	for i := range txns {
@@ -282,6 +320,11 @@ func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64) {
 		}
 		st.count.Inc()
 		st.ns.Add(share)
+		st.io.Txns += io.Txns
+		st.io.Query += io.Query
+		st.io.View += io.View
+		st.io.Root += io.Root
+		st.io.Base += io.Base
 	}
 }
 
@@ -359,12 +402,13 @@ func qualifyIndexCols(s *catalog.Schema, bare []string) []string {
 	return out
 }
 
-// initSidecar seeds live counts from the current child contents.
-func (m *Maintainer) initSidecar(v *View, free *exec.Evaluator) error {
+// initSidecar seeds live counts from the current child contents,
+// evaluating the child's tree as rep builds it.
+func (m *Maintainer) initSidecar(v *View, free *exec.Evaluator, rep func(*dag.EqNode) algebra.Node) error {
 	if v.aggOp != nil {
 		agg := v.aggOp.Template.(*algebra.Aggregate)
 		child := v.aggOp.Children[0]
-		res, err := free.Eval(m.D.RepTree(child))
+		res, err := free.Eval(rep(child))
 		if err != nil {
 			return err
 		}
@@ -383,7 +427,7 @@ func (m *Maintainer) initSidecar(v *View, free *exec.Evaluator) error {
 	}
 	if v.distinctOp != nil {
 		child := v.distinctOp.Children[0]
-		res, err := free.Eval(m.D.RepTree(child))
+		res, err := free.Eval(rep(child))
 		if err != nil {
 			return err
 		}

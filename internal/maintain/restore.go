@@ -56,7 +56,29 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 		steps:  map[*dag.OpNode]*planStep{},
 		planVS: viewSetKey(vs),
 	}
-	free := exec.NewFree(st)
+	// Representative trees are built once per equivalence node, so the
+	// trees of different views share subtrees by pointer and one memo over
+	// them evaluates each subexpression once: a view set holding an
+	// aggregate and the selection above it joins once, not three times
+	// (view, sidecar, root). Base relations do not change in this loop.
+	free := exec.NewFree(st).WithMemo(exec.Memo{})
+	reps := map[int]algebra.Node{}
+	var rep func(e *dag.EqNode) algebra.Node
+	rep = func(e *dag.EqNode) algebra.Node {
+		if e.IsLeaf() {
+			return e.Expr
+		}
+		if t, ok := reps[e.ID]; ok {
+			return t
+		}
+		op := e.Ops[0]
+		children := make([]algebra.Node, len(op.Children))
+		for i, c := range op.Children {
+			children[i] = rep(c)
+		}
+		reps[e.ID] = op.Template.WithChildren(children)
+		return reps[e.ID]
+	}
 	for _, e := range d.NonLeafEqs() {
 		if !vs[e.ID] {
 			continue
@@ -102,13 +124,13 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 			if opts.Source != nil && opts.OnRecompute != nil {
 				opts.OnRecompute(def.Name)
 			}
-			res, err := free.Eval(d.RepTree(e))
+			res, err := free.Eval(rep(e))
 			if err != nil {
 				return nil, fmt.Errorf("maintain: materializing %s: %w", e, err)
 			}
 			rel.Load(res.Rows)
 			rel.RefreshStats()
-			if err := m.initSidecar(v, free); err != nil {
+			if err := m.initSidecar(v, free, rep); err != nil {
 				return nil, err
 			}
 		}

@@ -317,6 +317,10 @@ type Relation struct {
 	// liveTuples counts distinct live tuples so Card is O(1) and
 	// cardinality statistics stay fresh between full refreshes.
 	liveTuples int
+	// statsStale is set by every change to the stored bag (loads, batch
+	// applies, Restore) and cleared by RefreshStats, which is a no-op
+	// while it is clear.
+	statsStale bool
 
 	// Reused key-encoding scratch for the apply path; encNew/encOld are
 	// live simultaneously during a modify. encAux serves the read paths
@@ -755,6 +759,7 @@ func (r *Relation) insertRaw(t value.Tuple, count int64) {
 // threads it through charging, mutation and buffer bookkeeping. tk may
 // alias a reused encoder buffer; the row directory copies it.
 func (r *Relation) insertRawKeyed(t value.Tuple, tk []byte, count int64) {
+	r.statsStale = true
 	p, ref, existed := r.rows.GetOrPut(tk, int32(len(r.entries)))
 	if existed {
 		e := &r.entries[*p]
@@ -920,6 +925,7 @@ func (r *Relation) deleteRawKeyed(t value.Tuple, tk []byte, count int64) int64 {
 	if e.count == 0 {
 		return 0
 	}
+	r.statsStale = true
 	e.count -= count
 	if e.count <= 0 {
 		e.count = 0
@@ -1066,30 +1072,56 @@ func (r *Relation) LoadTuples(tuples []value.Tuple) {
 	}
 }
 
-// RefreshStats recomputes Card and per-column distinct counts into the
-// relation's table definition.
+// RefreshStats recomputes Card and, per column, the distinct count and
+// the size-biased fan-out (catalog.Stats.Fanout) into the relation's
+// table definition. A relation that has not changed since its statistics
+// were taken returns at once, so callers about to cost a view set
+// (Build, Reoptimize, Recover) refresh every relation and pay only for
+// the ones that moved.
+//
+// Counts are in stored entries — what a Lookup reads and is charged for —
+// so a tuple of multiplicity > 1 counts once, consistent with Card, and
+// dead entries awaiting compaction count for nothing.
 func (r *Relation) RefreshStats() {
-	distinct := make(map[string]float64, len(r.Def.Schema.Cols))
-	// One reused encoder + single-value tuple + seen-set across columns,
-	// walking the zero-copy iterator: the only per-row cost is an encode
-	// into the scratch buffer, and a string is allocated only once per
-	// distinct value.
+	if !r.statsStale {
+		return
+	}
+	r.statsStale = false
+	cols := r.Def.Schema.Cols
+	st := catalog.Stats{
+		Card:     float64(r.liveTuples),
+		Distinct: make(map[string]float64, len(cols)),
+		Fanout:   make(map[string]float64, len(cols)),
+	}
+	// One reused encoder, single-value tuple and byte-keyed count table
+	// across columns, walking the zero-copy iterator: the only per-row
+	// cost is an encode into the scratch buffer and one table probe.
 	var enc value.KeyEncoder
 	one := make(value.Tuple, 1)
-	seen := map[string]struct{}{}
-	for ci, col := range r.Def.Schema.Cols {
-		clear(seen)
+	var counts bytemap.Map[int64]
+	for ci, col := range cols {
+		counts.Reset()
 		r.Iterate(func(row Row) bool {
 			one[0] = row.Tuple[ci]
-			kb := enc.Key(one)
-			if _, ok := seen[string(kb)]; !ok {
-				seen[string(kb)] = struct{}{}
-			}
+			n, _, _ := counts.GetOrPut(enc.Key(one), 0)
+			*n++
 			return true
 		})
-		distinct[col.Name] = float64(len(seen))
+		// Σ n_k² / Σ n_k in integers, divided once: on a column whose
+		// values all occur n times this is exactly n, bit-equal to
+		// Card/Distinct.
+		var sum, sumSq int64
+		counts.Range(func(_ []byte, n *int64) bool {
+			sum += *n
+			sumSq += *n * *n
+			return true
+		})
+		st.Distinct[col.Name] = float64(counts.Len())
+		if sum > 0 {
+			st.Fanout[col.Name] = float64(sumSq) / float64(sum)
+		}
 	}
-	r.Def.Stats = catalog.Stats{Card: float64(r.liveTuples), Distinct: distinct}
+	r.Def.Stats = st
 }
 
 // Version returns the relation's batch-fence counter: it advances on
@@ -1141,6 +1173,7 @@ func (r *Relation) Restore(rows []Row) {
 	r.entries = r.entries[:0]
 	r.rows.Reset()
 	r.liveTuples = 0
+	r.statsStale = true
 	r.slab.release()
 	r.spare.release()
 	r.clearFreeSlots()

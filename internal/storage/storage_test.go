@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -269,7 +270,145 @@ func TestRefreshStats(t *testing.T) {
 	if st.Distinct["EName"] != 3 {
 		t.Errorf("Distinct[EName] = %g", st.Distinct["EName"])
 	}
-	if got := st.Fanout("DName"); got != 1.5 {
-		t.Errorf("Fanout(DName) = %g", got)
+	// d1 holds two of the three rows: a random row sees (2²+1²)/3.
+	if got, want := st.Fanout["DName"], 5.0/3; got != want {
+		t.Errorf("Fanout[DName] = %g, want %g", got, want)
+	}
+	if got := st.Fanout["EName"]; got != 1 {
+		t.Errorf("Fanout[EName] = %g, want 1", got)
+	}
+}
+
+// TestRefreshStatsUniformIsCardOverDistinct: where every value of a
+// column occurs equally often the size-biased fan-out is bit-equal to
+// Card/Distinct — equality, not a tolerance, is what leaves every
+// estimate on uniform data (the paper's tables) where it was.
+func TestRefreshStatsUniformIsCardOverDistinct(t *testing.T) {
+	for _, shape := range []struct{ depts, per int }{{1000, 10}, {7, 3}, {1, 13}, {97, 1}} {
+		_, rel := newEmpRel(t)
+		for d := 0; d < shape.depts; d++ {
+			for e := 0; e < shape.per; e++ {
+				rel.LoadTuples([]value.Tuple{emp(fmt.Sprintf("e%d_%d", d, e), fmt.Sprintf("d%d", d), 100)})
+			}
+		}
+		rel.RefreshStats()
+		st := rel.Def.Stats
+		for _, col := range []string{"EName", "DName", "Salary"} {
+			if got, want := st.Fanout[col], st.Card/st.Distinct[col]; got != want {
+				t.Errorf("%d x %d: Fanout[%s] = %v, Card/Distinct = %v", shape.depts, shape.per, col, got, want)
+			}
+		}
+	}
+}
+
+// TestRefreshStatsCountsLiveEntries: deletes and modifies leave dead
+// entries in the index lists until compaction, and a tuple of
+// multiplicity > 1 is one stored entry; the statistics must count
+// exactly what a Lookup would return, before and after compaction.
+func TestRefreshStatsCountsLiveEntries(t *testing.T) {
+	_, rel := newEmpRel(t)
+	// d0 holds 6 employees, d1..d3 two each; e0_0 is stored three times.
+	for d, n := range []int{6, 2, 2, 2} {
+		for e := 0; e < n; e++ {
+			rel.LoadTuples([]value.Tuple{emp(fmt.Sprintf("e%d_%d", d, e), fmt.Sprintf("d%d", d), 100)})
+		}
+	}
+	rel.Load([]Row{{Tuple: emp("e0_0", "d0", 100), Count: 2}})
+	check := func(when string, card float64, dnames, fanout float64) {
+		t.Helper()
+		rel.RefreshStats()
+		st := rel.Def.Stats
+		if st.Card != card || st.Distinct["DName"] != dnames || st.Fanout["DName"] != fanout {
+			t.Errorf("%s: Card %v Distinct[DName] %v Fanout[DName] %v, want %v %v %v",
+				when, st.Card, st.Distinct["DName"], st.Fanout["DName"], card, dnames, fanout)
+		}
+		if got := st.Fanout["EName"]; got != 1 {
+			t.Errorf("%s: Fanout[EName] = %v, want 1 (a key)", when, got)
+		}
+	}
+	check("loaded", 12, 4, (36.0+4+4+4)/12)
+
+	// Delete d3 entirely, move one d0 employee to d1: dead entries stay
+	// in d3's and d0's bucket lists.
+	rel.ApplyBatch([]Mutation{
+		{Old: emp("e3_0", "d3", 100)},
+		{Old: emp("e3_1", "d3", 100)},
+		{Old: emp("e0_5", "d0", 100), New: emp("e0_5", "d1", 100)},
+	})
+	check("after delete and modify", 10, 3, (25.0+9+4)/10)
+
+	// Churn until the relation compacts, then back to the same bag.
+	for i, last := 0, 0; len(rel.entries) >= last; i++ {
+		if i > 5000 {
+			t.Fatal("relation never compacted")
+		}
+		last = len(rel.entries)
+		tmp := emp(fmt.Sprintf("tmp%d", i), "d9", 1)
+		rel.ApplyBatch([]Mutation{{New: tmp}})
+		rel.ApplyBatch([]Mutation{{Old: tmp}})
+	}
+	check("after compaction", 10, 3, (25.0+9+4)/10)
+}
+
+// TestRefreshStatsOnlyWhenChanged: a relation whose bag has not changed
+// since its statistics were taken is not rescanned, and every way of
+// changing it (load, batch apply, restore) marks it.
+func TestRefreshStatsOnlyWhenChanged(t *testing.T) {
+	_, rel := newEmpRel(t)
+	rel.LoadTuples([]value.Tuple{emp("e1", "d1", 100), emp("e2", "d1", 200)})
+	rel.RefreshStats()
+	if allocs := testing.AllocsPerRun(10, rel.RefreshStats); allocs != 0 {
+		t.Errorf("RefreshStats on an unchanged relation allocated %v times: it rescanned", allocs)
+	}
+	// A sentinel survives a refresh that has nothing to do.
+	rel.Def.Stats.Card = -1
+	rel.RefreshStats()
+	if rel.Def.Stats.Card != -1 {
+		t.Error("RefreshStats recomputed an unchanged relation")
+	}
+	changes := []struct {
+		name   string
+		change func()
+	}{
+		{"LoadTuples", func() { rel.LoadTuples([]value.Tuple{emp("e3", "d2", 300)}) }},
+		{"ApplyBatch", func() { rel.ApplyBatch([]Mutation{{Old: emp("e1", "d1", 100)}}) }},
+		{"Restore", func() { rel.Restore(nil) }},
+	}
+	for _, c := range changes {
+		rel.Def.Stats.Card = -1
+		c.change()
+		rel.RefreshStats()
+		if got, want := rel.Def.Stats.Card, float64(rel.Card()); got != want {
+			t.Errorf("after %s: Card = %v, want %v", c.name, got, want)
+		}
+	}
+}
+
+// BenchmarkRefreshStats times one full statistics pass at the shape of
+// the fig5-batch64 benchmark's S relation: 6 024 rows of 3 columns, 16
+// of 1 000 items carrying 69 rows each.
+func BenchmarkRefreshStats(b *testing.B) {
+	st := NewStore()
+	rel, err := st.Create(empDef())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for item := 0; item < 1000; item++ {
+		n := 5
+		if item < 16 {
+			n = 69
+		}
+		for j := 0; j < n; j++ {
+			rel.LoadTuples([]value.Tuple{emp(fmt.Sprintf("s%04d_%d", item, j), fmt.Sprintf("item%04d", item), int64(1+j%5))})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel.statsStale = true
+		rel.RefreshStats()
+	}
+	if got := rel.Def.Stats.Card; got != 6024 {
+		b.Fatalf("Card = %v", got)
 	}
 }

@@ -132,14 +132,23 @@ func (c *Costing) costTrack(ctx *costCtx, tr *Track, t *txn.Type) TrackCost {
 		flows[e.ID] = f
 		queries = append(queries, qs...)
 	}
+	queries, qcost := c.priceQueries(ctx, queries)
+	ucost := c.trackUpdateCost(ctx, tr, flows)
+	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: ucost, Flows: flows}
+}
+
+// priceQueries merges a track's queries (MQO) and fills in each one's
+// cost and the fan-out it was priced at, returning them with their sum.
+func (c *Costing) priceQueries(ctx *costCtx, queries []QueryCharge) ([]QueryCharge, float64) {
 	queries = MQO(queries)
 	var qcost float64
 	for i := range queries {
-		queries[i].Cost = c.queryCostMemo(ctx, queries[i].Target, queries[i].Bind, queries[i].Keys)
-		qcost += queries[i].Cost
+		q := &queries[i]
+		q.Fanout = fanoutOf(c.Est.StatsOf(q.Target), q.Bind)
+		q.Cost = c.queryCostMemo(ctx, q.Target, q.Bind, q.Keys)
+		qcost += q.Cost
 	}
-	ucost := c.trackUpdateCost(ctx, tr, flows)
-	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: ucost, Flows: flows}
+	return queries, qcost
 }
 
 // trackUpdateCost sums the cost of applying the track's deltas to the
@@ -213,12 +222,7 @@ func (c *Costing) costTrackQueries(ctx *costCtx, b *trackBundle, i int, tr *Trac
 		_, qs := c.opFlow(ctx, e, tr.Choice[e.ID], flows)
 		queries = append(queries, qs...)
 	}
-	queries = MQO(queries)
-	var qcost float64
-	for j := range queries {
-		queries[j].Cost = c.queryCostMemo(ctx, queries[j].Target, queries[j].Bind, queries[j].Keys)
-		qcost += queries[j].Cost
-	}
+	queries, qcost := c.priceQueries(ctx, queries)
 	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: b.updateCost(c, i, ctx.vs), Flows: flows}
 }
 
@@ -318,8 +322,7 @@ func (c *Costing) lookupCost(e *dag.EqNode, bind []string, keys float64) float64
 	if ix == nil {
 		return keys * c.Model.Scan(st.Card)
 	}
-	rows := math.Max(1, st.Card/distinctOfCols(st, ix))
-	return keys * c.Model.Lookup(rows)
+	return keys * c.Model.Lookup(fanoutOf(st, ix))
 }
 
 func (c *Costing) opQueryCost(ctx *costCtx, op *dag.OpNode, bind []string, keys float64, visiting map[int]bool) float64 {
@@ -401,13 +404,11 @@ func (c *Costing) joinQueryCost(ctx *costCtx, j *algebra.Join, op *dag.OpNode, b
 			c.queryCost(ctx, r, rbind, keys, visiting)
 	case len(lbind) > 0:
 		drive := c.queryCost(ctx, l, lbind, keys, visiting)
-		lst := c.Est.StatsOf(l)
-		bound := math.Max(1, lst.Card/distinctOfCols(lst, lbind))
+		bound := fanoutOf(c.Est.StatsOf(l), lbind)
 		return drive + c.queryCost(ctx, r, j.RightCols(), keys*bound, visiting)
 	case len(rbind) > 0:
 		drive := c.queryCost(ctx, r, rbind, keys, visiting)
-		rst := c.Est.StatsOf(r)
-		bound := math.Max(1, rst.Card/distinctOfCols(rst, rbind))
+		bound := fanoutOf(c.Est.StatsOf(r), rbind)
 		return drive + c.queryCost(ctx, l, j.LeftCols(), keys*bound, visiting)
 	default:
 		return math.Inf(1)
@@ -582,8 +583,8 @@ func FormatQueries(qs []QueryCharge) string {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Origin < sorted[j].Origin })
 	var b strings.Builder
 	for _, q := range sorted {
-		fmt.Fprintf(&b, "  on %s bind(%s) keys=%g cost=%g  [%s]\n",
-			q.Target, strings.Join(q.Bind, ","), q.Keys, q.Cost, q.Origin)
+		fmt.Fprintf(&b, "  on %s bind(%s) keys=%g fanout=%.4g cost=%.4g  [%s]\n",
+			q.Target, strings.Join(q.Bind, ","), q.Keys, q.Fanout, q.Cost, q.Origin)
 	}
 	return b.String()
 }

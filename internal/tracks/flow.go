@@ -73,8 +73,10 @@ type QueryCharge struct {
 	// Origin identifies the operation node and input that generated the
 	// query (e.g. "E4.L").
 	Origin string
-	// Cost is the estimated cost, filled in by the coster.
-	Cost float64
+	// Cost is the estimated cost, filled in by the coster, and Fanout
+	// the number of the target's rows it expects one key to match.
+	Cost   float64
+	Fanout float64
 }
 
 // opFlow derives the output flow of an operation node from its children's
@@ -201,8 +203,7 @@ func (c *Costing) joinFlow(ctx *costCtx, j *algebra.Join, op *dag.OpNode, childF
 	var out Flow
 	var queries []QueryCharge
 	side := func(f Flow, mine, other *dag.EqNode, myCols, otherCols []string, label string) Flow {
-		ost := c.Est.StatsOf(other)
-		fanout := math.Max(1, ost.Card/distinctOfCols(ost, otherCols))
+		fanout := fanoutOf(c.Est.StatsOf(other), otherCols)
 		if !ctx.noQueries {
 			queries = append(queries, QueryCharge{
 				Target: other,

@@ -243,26 +243,41 @@ func (s *System) AdditionalViews() []string {
 	return out
 }
 
-// Explain renders the optimizer's decision: the DAG, the chosen view set
-// and the per-transaction costs of the best few candidates.
+// Explain renders the optimizer's decision beside what the engine has
+// measured since: the DAG, the chosen view set with, per declared
+// transaction type, the estimated query and update cost of its track
+// (each charged query with the fan-out it was priced at) and the
+// runner-up set's cost; the ranking with each set's margin over the
+// chosen one; and, once windows have run, the measured page I/O per
+// transaction of each type, split as BatchReport splits it.
 func (s *System) Explain() string {
 	var b strings.Builder
+	best := s.Decision.Best
 	fmt.Fprintf(&b, "method: %s (%d view sets costed)\n", s.Decision.Method, s.Decision.Explored)
 	fmt.Fprintf(&b, "expression DAG:\n%s", indent(s.DAG.Render(), "  "))
-	fmt.Fprintf(&b, "chosen view set: %s (weighted cost %.4g)\n",
-		s.Decision.Best.Set.Key(), s.Decision.Best.Weighted)
+	fmt.Fprintf(&b, "chosen view set: %s (weighted cost %.4g)\n", best.Set.Key(), best.Weighted)
 	for _, v := range s.AdditionalViews() {
 		fmt.Fprintf(&b, "  additional: %s\n", v)
 	}
-	txns := make([]string, 0, len(s.Decision.Best.PerTxn))
-	for name := range s.Decision.Best.PerTxn {
+	var runnerUp *core.Evaluated
+	for i := range s.Decision.All {
+		if ev := &s.Decision.All[i]; ev.Set.Key() != best.Set.Key() {
+			runnerUp = ev
+			break
+		}
+	}
+	txns := make([]string, 0, len(best.PerTxn))
+	for name := range best.PerTxn {
 		txns = append(txns, name)
 	}
 	sort.Strings(txns)
 	for _, name := range txns {
-		tc := s.Decision.Best.PerTxn[name]
-		fmt.Fprintf(&b, "  %s: query %.4g + update %.4g = %.4g\n",
-			name, tc.QueryCost, tc.UpdateCost, tc.Total())
+		tc := best.PerTxn[name]
+		fmt.Fprintf(&b, "  %s: query %.4g + update %.4g = %.4g", name, tc.QueryCost, tc.UpdateCost, tc.Total())
+		if runnerUp != nil {
+			fmt.Fprintf(&b, "  (runner-up %s: %.4g)", runnerUp.Set.Key(), runnerUp.PerTxn[name].Total())
+		}
+		b.WriteString("\n" + indent(tracks.FormatQueries(tc.Queries), "  "))
 	}
 	top := s.Decision.All
 	if len(top) > 5 {
@@ -270,7 +285,23 @@ func (s *System) Explain() string {
 	}
 	fmt.Fprintf(&b, "ranking (best %d):\n", len(top))
 	for i, ev := range top {
-		fmt.Fprintf(&b, "  %d. %s = %.4g\n", i+1, ev.Set.Key(), ev.Weighted)
+		fmt.Fprintf(&b, "  %d. %s = %.4g", i+1, ev.Set.Key(), ev.Weighted)
+		if best.Weighted > 0 {
+			fmt.Fprintf(&b, " (%+.1f%%)", 100*(ev.Weighted-best.Weighted)/best.Weighted)
+		}
+		b.WriteString("\n")
+	}
+	if measured := s.M.MeasuredIO(); len(measured) > 0 {
+		b.WriteString("measured page I/O per transaction (a window of several splits evenly; estimates count query + view):\n")
+		for _, io := range measured {
+			n := float64(io.Txns)
+			fmt.Fprintf(&b, "  %s: query %.4g + view %.4g + root %.4g + base %.4g = %.4g over %d txns",
+				io.Name, io.Query/n, io.View/n, io.Root/n, io.Base/n, io.Total()/n, io.Txns)
+			if tc, ok := best.PerTxn[io.Name]; ok {
+				fmt.Fprintf(&b, "  (query + view %.4g, estimated %.4g)", (io.Query+io.View)/n, tc.Total())
+			}
+			b.WriteString("\n")
+		}
 	}
 	return b.String()
 }
