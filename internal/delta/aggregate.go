@@ -13,11 +13,24 @@ import (
 // the child, and whether the group existed.
 type OldAgg func(groupKey value.Tuple) (out value.Tuple, live int64, ok bool, err error)
 
+// Linear reports whether every aggregate is SUM or COUNT: linear in
+// signed multiplicities, so a fold over un-netted rows is exact — a +t
+// and its −t cancel in the sums as they would have in the delta.
+func Linear(specs []algebra.AggSpec) bool {
+	for _, s := range specs {
+		if s.Func != algebra.Sum && s.Func != algebra.Count {
+			return false
+		}
+	}
+	return true
+}
+
 // Decomposable reports whether the aggregate view can be maintained
 // purely from its own stored values plus the child delta, with no query
 // on the child: true when every aggregate is SUM or COUNT, or when the
 // delta is insert-only and every aggregate is SUM/COUNT/MIN/MAX.
-// (AVG and deletion-exposed MIN/MAX need the full group.)
+// (AVG and deletion-exposed MIN/MAX need the full group.) Insert-only
+// is asked of a net delta: a +t/−t pair that cancels would deny it.
 func Decomposable(specs []algebra.AggSpec, d *Delta) bool {
 	insertOnly := true
 	for _, c := range d.Changes {
@@ -40,14 +53,20 @@ func Decomposable(specs []algebra.AggSpec, d *Delta) bool {
 	return true
 }
 
+// GroupLive is an affected group's key and post-update bag cardinality,
+// which the caller persists beside the view to detect group emptiness.
+type GroupLive struct {
+	Key  value.Tuple
+	Live int64
+}
+
 // AggregateIncremental maintains an aggregate from the materialized old
 // values alone (the paper's SumOfSals trick: "adding to or subtracting
 // from the previous aggregate values"). It requires Decomposable.
 //
-// It returns the output delta and the new live counts per group key
-// (value.Tuple.Key() form), which the caller persists alongside the view
-// to detect group emptiness.
-func AggregateIncremental(a *algebra.Aggregate, d *Delta, oldAgg OldAgg) (*Delta, map[string]int64, error) {
+// It returns the output delta and the new live count of every affected
+// group.
+func AggregateIncremental(a *algebra.Aggregate, d *Delta, oldAgg OldAgg) (*Delta, []GroupLive, error) {
 	p, err := CompileAggregate(a, d.Schema)
 	if err != nil {
 		return nil, nil, err
@@ -99,10 +118,22 @@ func (g *acc) reset(key value.Tuple, n int) {
 
 // getAcc returns the accumulator for t's group, creating (or reusing a
 // retained) one on first touch. Group keys are bump-allocated from the
-// plan's arena; append order of p.accs is first-seen group order.
+// plan's arena; append order of p.accs is first-seen group order. Rows
+// arrive in runs of one group (a join emits all of a key's matches
+// together), so the previous row's accumulator is tried before the table.
 func (p *AggregatePlan) getAcc(t value.Tuple) *acc {
+	if p.last < len(p.accs) {
+		g, i := &p.accs[p.last], 0
+		for i < len(p.gpos) && g.key[i] == t[p.gpos[i]] {
+			i++
+		}
+		if i == len(p.gpos) {
+			return g
+		}
+	}
 	kb := p.enc.ProjectedKey(t, p.gpos)
 	idx, _, existed := p.groups.GetOrPut(kb, int32(len(p.accs)))
+	p.last = int(*idx)
 	if existed {
 		return &p.accs[*idx]
 	}
@@ -135,6 +166,12 @@ func (p *AggregatePlan) fold(g *acc, t value.Tuple, n int64) {
 		g.counts[i] += n
 		switch ag.Func {
 		case algebra.Sum, algebra.Avg:
+			if v.Kind == value.Int && g.sums[i].Kind == value.Int {
+				g.sums[i].I += n * v.I // exact, so |n| additions are one
+				continue
+			}
+			// Floats round per addition: add one copy at a time, as a
+			// recomputation over the same rows does.
 			for j := n; j > 0; j-- {
 				g.sums[i] = value.Add(g.sums[i], v)
 			}
@@ -153,13 +190,19 @@ func (p *AggregatePlan) fold(g *acc, t value.Tuple, n int64) {
 	}
 }
 
+// StartFold empties the group accumulators for a new delta.
+func (p *AggregatePlan) StartFold() {
+	p.groups.Reset()
+	p.accs = p.accs[:0]
+	p.last = 0
+}
+
 // bucket groups d's signed rows by group key in one pass (p.accs,
 // first-seen group order). With fold set each row is folded into its
 // group's accumulator; otherwise the accumulator lists the row's position
 // in p.sbuf.
 func (p *AggregatePlan) bucket(d *Delta, fold bool) {
-	p.groups.Reset()
-	p.accs = p.accs[:0]
+	p.StartFold()
 	p.sbuf = d.appendSigned(p.sbuf[:0])
 	for i := range p.sbuf {
 		sr := &p.sbuf[i]
@@ -176,17 +219,23 @@ func (p *AggregatePlan) bucket(d *Delta, fold bool) {
 // positions and argument accessors come from the plan instead of being
 // re-resolved per call, and the per-group accumulators live in plan
 // scratch reused across windows. It requires Decomposable for this
-// delta. The output delta is valid until the next Incremental or Full on
-// this plan (or arena reset); newLive is freshly allocated (it is
-// persisted by the caller into the view's sidecar).
-func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string]int64, error) {
-	a, gpos := p.a, p.gpos
-	if !Decomposable(a.Aggs, d) {
-		return nil, nil, fmt.Errorf("delta: aggregate %s is not decomposable for this delta", a.OpLabel())
+// delta.
+func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, []GroupLive, error) {
+	if !Decomposable(p.a.Aggs, d) {
+		return nil, nil, fmt.Errorf("delta: aggregate %s is not decomposable for this delta", p.a.OpLabel())
 	}
 	p.bucket(d, true)
+	return p.FinishFold(oldAgg)
+}
+
+// FinishFold turns the fold since StartFold — Incremental's, or the one
+// JoinPlan.ApplyInto streamed — into the view's delta, from the stored
+// old values alone. The output delta and live counts are plan scratch,
+// valid until the next fold or Full on this plan (or arena reset).
+func (p *AggregatePlan) FinishFold(oldAgg OldAgg) (*Delta, []GroupLive, error) {
+	a, gpos := p.a, p.gpos
 	out := resetOut(&p.outD, p.out)
-	newLive := map[string]int64{}
+	p.lives = p.lives[:0]
 	nAggStart := len(gpos)
 	for gi := range p.accs {
 		g := &p.accs[gi]
@@ -201,7 +250,7 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 		if live < 0 {
 			return nil, nil, fmt.Errorf("delta: group %v driven to negative live count %d", g.key, live)
 		}
-		newLive[string(p.enc.Key(g.key))] = live
+		p.lives = append(p.lives, GroupLive{g.key, live})
 		// Build the new output tuple from old + contributions.
 		newTuple := p.arena.NewTuple(nAggStart + len(a.Aggs))
 		copy(newTuple, g.key)
@@ -246,7 +295,16 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 			out.Modify(oldTuple, newTuple, 1)
 		}
 	}
-	return out, newLive, nil
+	return out, p.lives, nil
+}
+
+// FoldCounts calls f with the key (value.Tuple.Key() form) and the signed
+// change in bag cardinality of every group of the last fold — what
+// Delta.GroupCounts reports of a delta, for one that was streamed.
+func (p *AggregatePlan) FoldCounts(f func(key []byte, n int64)) {
+	for i := range p.accs {
+		f(p.enc.Key(p.accs[i].key), p.accs[i].live)
+	}
 }
 
 // AggregateFull recomputes each affected group from its pre-update rows
@@ -254,7 +312,7 @@ func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, map[string
 // when the delta covers whole groups) plus the delta. Like
 // AggregateIncremental it returns the output delta and the new live
 // count of every affected group.
-func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, map[string]int64, error) {
+func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, []GroupLive, error) {
 	p, err := CompileAggregate(a, d.Schema)
 	if err != nil {
 		return nil, nil, err
@@ -276,13 +334,13 @@ func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([
 // even when one window deletes, or deletes and then modifies, a row
 // twice.
 //
-// The output delta is valid until the next Incremental or Full on this
-// plan (or arena reset); newLive, keyed like Incremental's, holds every
-// affected group's post-update bag cardinality and is freshly allocated.
-func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, map[string]int64, error) {
+// The output delta and live counts (every affected group's post-update
+// bag cardinality) are plan scratch, valid until the next fold or Full on
+// this plan (or arena reset).
+func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, []GroupLive, error) {
 	p.bucket(d, false)
 	out := resetOut(&p.outD, p.out)
-	newLive := make(map[string]int64, len(p.accs))
+	p.lives = p.lives[:0]
 	s := &p.state
 	for gi := range p.accs {
 		g := &p.accs[gi]
@@ -303,7 +361,7 @@ func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row
 			}
 		}
 		newTuple, newOK := p.groupTuple(s)
-		newLive[string(p.enc.Key(g.key))] = s.live
+		p.lives = append(p.lives, GroupLive{g.key, s.live})
 		switch {
 		case oldOK && newOK:
 			out.Modify(oldTuple, newTuple, 1)
@@ -313,7 +371,7 @@ func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row
 			out.Insert(newTuple, 1)
 		}
 	}
-	return out, newLive, nil
+	return out, p.lives, nil
 }
 
 // netGroup nets a group's pre-update rows and its signed delta rows

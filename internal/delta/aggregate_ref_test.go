@@ -13,6 +13,16 @@ import (
 	"repro/internal/value"
 )
 
+// liveMap keys the plan's live counts by group key (value.Tuple.Key()
+// form), as the references report them.
+func liveMap(lives []delta.GroupLive) map[string]int64 {
+	m := map[string]int64{}
+	for _, g := range lives {
+		m[g.Key.Key()] = g.Live
+	}
+	return m
+}
+
 // referenceAggregateFull is the full-group aggregate path in its
 // uncompiled form — per affected group, restrict the delta to the group,
 // build the post-update bag and aggregate both bags from scratch. It is
@@ -286,7 +296,8 @@ func checkFull(t *testing.T, label string, agg *algebra.Aggregate, plan *delta.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotLive, err := plan.Full(d, oldGroup)
+	got, lives, err := plan.Full(d, oldGroup)
+	gotLive := liveMap(lives)
 	if err != nil {
 		t.Fatalf("%s: %v\ndelta %v", label, err, d.Changes)
 	}

@@ -90,3 +90,129 @@ func BenchmarkAggregateFull(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/rows, "allocs/row")
 }
+
+// BenchmarkJoinAggregateWindow times the join → aggregate path of a
+// fig5-batch64 window: 16 price changes on T (netted by the coalescer to
+// a deletion and an insertion each) against a 276-row fan-out in R ⋈ S,
+// beside the R ⋈ S rows of 13 sales inserted or deleted (4 each) — both
+// inputs of R ⋈ S ⋈ T changed — into SUM(Quantity*Price) by item.
+// "streamed" is what the maintainer runs when the join is not
+// materialized (ApplyInto, FinishFold: no join delta); "netted" is what it
+// runs when something needs the join's delta (Apply, NormalizeInto, then
+// Incremental over it). Plans, normalizer and arena are reused across
+// iterations, as the maintainer reuses them across windows.
+func BenchmarkJoinAggregateWindow(b *testing.B) {
+	const items, rPerItem, sPerItem, sales = 16, 4, 69, 13
+	col := func(q, n string, k value.Kind) catalog.Column {
+		return catalog.Column{Qualifier: q, Name: n, Type: k}
+	}
+	rs := catalog.NewSchema(
+		col("R", "RName", value.String), col("R", "Item", value.String),
+		col("S", "SName", value.String), col("S", "Item", value.String), col("S", "Quantity", value.Int),
+	)
+	ts := catalog.NewSchema(col("T", "Item", value.String), col("T", "Price", value.Int))
+	join := algebra.NewJoin([]algebra.JoinCond{{Left: "S.Item", Right: "T.Item"}},
+		algebra.Scan(&catalog.TableDef{Name: "RS", Schema: rs}), algebra.Scan(&catalog.TableDef{Name: "T", Schema: ts}))
+	agg := algebra.NewAggregate(
+		[]string{"T.Item"},
+		[]algebra.AggSpec{{
+			Func: algebra.Sum,
+			Arg:  expr.Arith{Op: expr.Times, L: expr.C("S.Quantity"), R: expr.C("T.Price")},
+			As:   "Revenue",
+		}},
+		join,
+	)
+	rsRow := func(g, r int, sale string, qty int64) value.Tuple {
+		item := value.NewString(fmt.Sprintf("item%04d", g))
+		return value.Tuple{value.NewString(fmt.Sprintf("r%04d_%d", g, r)), item, value.NewString(sale), item, value.NewInt(qty)}
+	}
+	rsOld, tOld := map[string][]storage.Row{}, map[string][]storage.Row{}
+	stored := map[string]value.Tuple{}
+	dl, dr := delta.New(rs), delta.New(ts)
+	for g := 0; g < items; g++ {
+		item := value.NewString(fmt.Sprintf("item%04d", g))
+		k := value.Tuple{item}.Key()
+		price, sum := int64(10+g%7), int64(0)
+		for r := 0; r < rPerItem; r++ {
+			for s := 0; s < sPerItem; s++ {
+				row := rsRow(g, r, fmt.Sprintf("s%04d_%d", g, s), int64(1+s%5))
+				rsOld[k] = append(rsOld[k], storage.Row{Tuple: row, Count: 1})
+				sum += row[4].I * price
+				if s == 0 && g < sales && g%2 == 0 {
+					dl.Delete(row, 1) // this item's first sale is deleted
+				}
+			}
+			if g < sales && g%2 == 1 {
+				dl.Insert(rsRow(g, r, fmt.Sprintf("new%04d", g), 3), 1) // a new sale of this item
+			}
+		}
+		tOld[k] = []storage.Row{{Tuple: value.Tuple{item, value.NewInt(price)}, Count: 1}}
+		stored[k] = value.Tuple{item, value.NewInt(sum)}
+		dr.Delete(tOld[k][0].Tuple, 1)
+		dr.Insert(value.Tuple{item, value.NewInt(int64(50 + g))}, 1)
+	}
+	var enc value.KeyEncoder
+	probeL := func(jk value.Tuple) ([]storage.Row, error) { return rsOld[string(enc.Key(jk))], nil }
+	probeR := func(jk value.Tuple) ([]storage.Row, error) { return tOld[string(enc.Key(jk))], nil }
+	oldAgg := func(gk value.Tuple) (value.Tuple, int64, bool, error) {
+		return stored[string(enc.Key(gk))], rPerItem * sPerItem, true, nil
+	}
+
+	jp, err := delta.CompileJoin(join, rs, ts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ap, err := delta.CompileAggregate(agg, join.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var arena value.Arena
+	jp.SetArena(&arena)
+	ap.SetArena(&arena)
+	var nz delta.Normalizer
+	var net delta.Delta
+	finish := func(out *delta.Delta, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out.Changes) != items {
+			b.Fatalf("%d output changes, want %d", len(out.Changes), items)
+		}
+	}
+	for _, mode := range []struct {
+		name string
+		run  func()
+	}{
+		{"streamed", func() {
+			if _, err := jp.ApplyInto(ap, dl, dr, probeL, probeR); err != nil {
+				b.Fatal(err)
+			}
+			out, _, err := ap.FinishFold(oldAgg)
+			finish(out, err)
+		}},
+		{"netted", func() {
+			d, err := jp.Apply(dl, dr, probeL, probeR)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, _, err := ap.Incremental(nz.NormalizeInto(d, &net), oldAgg)
+			finish(out, err)
+		}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			arena.Reset()
+			mode.run() // grow the scratch once, as the benchmark's warm-up windows do
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arena.Reset()
+				mode.run()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/window")
+		})
+	}
+}

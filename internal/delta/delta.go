@@ -228,9 +228,9 @@ func (nz *Normalizer) normalize(d, out *Delta, pair bool) *Delta {
 }
 
 // Normalize merges changes tuple-wise into net insertions and deletions,
-// re-pairing nothing: the result contains no modifications. Useful for
-// comparing deltas in tests and for signed composition. Hot paths hold
-// a Normalizer instead; this one-shot form allocates its scratch.
+// re-pairing nothing: the result contains no modifications. For
+// comparing deltas in tests; the engine nets with the Normalizer its
+// maintainer holds, and this one-shot form allocates its scratch.
 func (d *Delta) Normalize() *Delta {
 	var nz Normalizer
 	return nz.Normalize(d)

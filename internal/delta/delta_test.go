@@ -263,7 +263,8 @@ func TestAggregateIncrementalSumTrick(t *testing.T) {
 	d.Insert(empTuple(1, 9, 70), 1)                       // +70 to d1
 	d.Delete(empTuple(2, 0, 100), 1)                      // -100 to d2
 
-	got, live, err := delta.AggregateIncremental(sum, d, oldAgg)
+	got, lives, err := delta.AggregateIncremental(sum, d, oldAgg)
+	live := liveMap(lives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,8 @@ func TestAggregateIncrementalGroupBirthAndDeath(t *testing.T) {
 		d.Delete(empTuple(3, j, 100), 1)
 	}
 
-	got, live, err := delta.AggregateIncremental(sum, d, oldAgg)
+	got, lives, err := delta.AggregateIncremental(sum, d, oldAgg)
+	live := liveMap(lives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +450,7 @@ func TestDistinctPropagation(t *testing.T) {
 	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1)      // 3-1=2 left -> no-op
 	d.Delete(value.Tuple{value.NewString(corpus.DeptName(2))}, 3)      // all gone -> delete
 
-	out, err := delta.Distinct(dis, d, countOf)
+	out, err := delta.Distinct(dis, d, countOf, &delta.Normalizer{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +482,7 @@ func TestDiffPropagation(t *testing.T) {
 	d.Insert(value.Tuple{value.NewString(corpus.DeptName(0))}, 2)
 	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1)
 
-	got, err := delta.DiffSide(diff, d, 0, countFrom(lRes), countFrom(rRes))
+	got, err := delta.DiffSide(diff, d, 0, countFrom(lRes), countFrom(rRes), &delta.Normalizer{})
 	if err != nil {
 		t.Fatal(err)
 	}

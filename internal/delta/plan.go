@@ -125,188 +125,154 @@ func (p *ProjectPlan) Apply(d *Delta) (*Delta, error) {
 	return out, nil
 }
 
-// JoinSidePlan is a compiled one-sided join propagation step: the join
-// key positions in the delta-side schema and the compiled residual, plus
-// a reusable per-window probe cache keyed by encoded join key.
-type JoinSidePlan struct {
-	j         *algebra.Join
-	side      int
-	pos       []int
-	outSchema *catalog.Schema
-	residual  func(value.Tuple) value.Value
-	cache     map[string][]storage.Row
-	enc       value.KeyEncoder
-	arena     *value.Arena
-	outD      Delta
+// joinOut is where a join step's output goes — the one thing that differs
+// between building a node's delta and streaming it into the aggregate
+// above. With agg nil each output tuple is concatenated in the window
+// arena and appended to d; with agg set it is assembled in a reused
+// scratch tuple (one per half of a modification) and folded at once, so
+// the join's delta never exists. Either way the output is the
+// differential's terms as derived, un-netted: a +t may be followed by
+// its −t. Whoever stores the delta, or poses queries by its rows, nets
+// it first (the maintainer does; DESIGN.md §7).
+type joinOut struct {
+	d       Delta
+	agg     *AggregatePlan
+	arena   *value.Arena
+	scratch [2]value.Tuple
+	n       int // changes emitted
 }
 
-// CompileJoinSide compiles the side-`side` propagation of j (0 = delta
-// arrives on j.L) against that side's child schema.
-func CompileJoinSide(j *algebra.Join, side int, in *catalog.Schema) (*JoinSidePlan, error) {
-	var myCols []string
-	if side == 0 {
-		myCols = j.LeftCols()
-	} else {
-		myCols = j.RightCols()
+// concat returns l++r; half is the scratch tuple a folded row may
+// overwrite (0: a deletion, or the old half of a modification).
+func (o *joinOut) concat(half int, l, r value.Tuple) value.Tuple {
+	if o.agg == nil {
+		return o.arena.ConcatTuples(l, r)
 	}
-	pos := make([]int, len(myCols))
-	for i, c := range myCols {
-		k, err := in.Resolve(c)
-		if err != nil {
-			return nil, err
-		}
-		pos[i] = k
-	}
-	outSchema := j.Schema()
-	p := &JoinSidePlan{j: j, side: side, pos: pos, outSchema: outSchema}
-	if j.Residual != nil {
-		f, err := expr.CompileFast(j.Residual, outSchema)
-		if err != nil {
-			return nil, err
-		}
-		p.residual = f
-	}
-	return p, nil
+	o.scratch[half] = append(append(o.scratch[half][:0], l...), r...)
+	return o.scratch[half]
 }
 
-// SetArena attaches a per-window arena for concatenated output tuples.
-func (p *JoinSidePlan) SetArena(a *value.Arena) { p.arena = a }
+// change emits one output change in Change's three shapes (nil old: an
+// insertion; nil new: a deletion; both nil: nothing).
+func (o *joinOut) change(old, new value.Tuple, n int64) {
+	switch {
+	case old == nil && new == nil:
+		return
+	case o.agg != nil:
+		if old != nil {
+			o.agg.fold(o.agg.getAcc(old), old, -n)
+		}
+		if new != nil {
+			o.agg.fold(o.agg.getAcc(new), new, n)
+		}
+	case old == nil:
+		o.d.Insert(new, n)
+	case new == nil:
+		o.d.Delete(old, n)
+	default:
+		o.d.Modify(old, new, n)
+	}
+	o.n++
+}
 
-// Apply propagates d (arriving on the plan's side) using probe for the
-// other side's pre-update rows. The plan-level probe cache mirrors the
-// one-query-per-key cost model within this call; it is cleared on entry,
-// so stale pre-states never leak across windows. The result is valid
-// until the next Apply on this plan (or arena reset).
-func (p *JoinSidePlan) Apply(d *Delta, probe Probe) (*Delta, error) {
-	if p.cache == nil {
-		p.cache = map[string][]storage.Row{}
-	} else {
-		clear(p.cache)
-	}
-	concat := func(mine, other value.Tuple) value.Tuple {
-		if p.side == 0 {
-			return p.arena.ConcatTuples(mine, other)
-		}
-		return p.arena.ConcatTuples(other, mine)
-	}
-	keep := func(t value.Tuple) bool {
-		return p.residual == nil || p.residual(t).Truth()
-	}
-	matches := func(t value.Tuple) ([]storage.Row, error) {
-		kb := p.enc.ProjectedKey(t, p.pos)
-		if rows, ok := p.cache[string(kb)]; ok {
-			return rows, nil
-		}
-		k := string(kb)
-		rows, err := probe(t.Project(p.pos))
-		if err != nil {
-			return nil, err
-		}
-		p.cache[k] = rows
-		return rows, nil
-	}
-	out := resetOut(&p.outD, p.outSchema)
+// joinSide is the compiled one-sided propagation of a join: the join key
+// positions in the delta-side schema, plus a reusable per-window probe
+// cache keyed by encoded join key.
+type joinSide struct {
+	p     *JoinPlan
+	side  int
+	pos   []int
+	cache bytemap.Map[[]storage.Row]
+	enc   value.KeyEncoder
+}
+
+// run emits the side's term of the differential (ΔL⋈R_old, or L_old⋈ΔR)
+// using probe for the other side's pre-update rows. The probe cache
+// mirrors the one-query-per-key cost model within this call; it is
+// cleared on entry, so stale pre-states never leak across windows.
+//
+// A modification that preserves the join key stays a modification,
+// paired with each matching row (either half may fail the residual);
+// one that moves the tuple across join keys becomes a deletion of the
+// old matches, then an insertion of the new.
+func (s *joinSide) run(d *Delta, probe Probe) error {
+	s.cache.Reset()
 	for _, c := range d.Changes {
-		switch {
-		case c.IsInsert():
-			rows, err := matches(c.New)
-			if err != nil {
-				return nil, err
+		old, new := c.Old, c.New
+		if old != nil && new != nil && !projEqual(old, new, s.pos) {
+			if err := s.emit(old, nil, c.Count, probe); err != nil {
+				return err
 			}
-			for _, r := range rows {
-				if t := concat(c.New, r.Tuple); keep(t) {
-					out.Insert(t, c.Count*r.Count)
-				}
-			}
-		case c.IsDelete():
-			rows, err := matches(c.Old)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rows {
-				if t := concat(c.Old, r.Tuple); keep(t) {
-					out.Delete(t, c.Count*r.Count)
-				}
-			}
-		default: // modify
-			if projEqual(c.Old, c.New, p.pos) {
-				rows, err := matches(c.Old)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range rows {
-					ot, nt := concat(c.Old, r.Tuple), concat(c.New, r.Tuple)
-					oin, nin := keep(ot), keep(nt)
-					switch {
-					case oin && nin:
-						out.Modify(ot, nt, c.Count*r.Count)
-					case oin:
-						out.Delete(ot, c.Count*r.Count)
-					case nin:
-						out.Insert(nt, c.Count*r.Count)
-					}
-				}
-			} else {
-				oldRows, err := matches(c.Old)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range oldRows {
-					if t := concat(c.Old, r.Tuple); keep(t) {
-						out.Delete(t, c.Count*r.Count)
-					}
-				}
-				newRows, err := matches(c.New)
-				if err != nil {
-					return nil, err
-				}
-				for _, r := range newRows {
-					if t := concat(c.New, r.Tuple); keep(t) {
-						out.Insert(t, c.Count*r.Count)
-					}
-				}
-			}
+			old = nil
+		}
+		if err := s.emit(old, new, c.Count, probe); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// JoinPlan bundles the compiled pieces a join step can need: both side
-// plans and the ΔL⋈ΔR positions for the both-sides-changed case.
+// emit joins one change of this side (old and new agree on the join key
+// when both are set) with the other side's matching rows.
+func (s *joinSide) emit(old, new value.Tuple, count int64, probe Probe) error {
+	mine := old
+	if mine == nil {
+		mine = new
+	}
+	kb := s.enc.ProjectedKey(mine, s.pos) // ours alone: still valid after probe
+	rows, ok := s.cache.Get(kb)
+	if !ok {
+		jk := s.p.out.arena.NewTuple(len(s.pos))
+		for i, j := range s.pos {
+			jk[i] = mine[j]
+		}
+		var err error
+		if rows, err = probe(jk); err != nil {
+			return err
+		}
+		s.cache.Put(kb, rows)
+	}
+	for _, r := range rows {
+		s.p.out.change(s.half(0, old, r.Tuple), s.half(1, new, r.Tuple), count*r.Count)
+	}
+	return nil
+}
+
+// half concatenates one half of a change with a row of the other side,
+// in the join's column order; nil when the half is absent or fails the
+// residual.
+func (s *joinSide) half(h int, mine, other value.Tuple) value.Tuple {
+	if mine == nil {
+		return nil
+	}
+	if s.side == 1 {
+		mine, other = other, mine
+	}
+	return s.p.keep(s.p.out.concat(h, mine, other))
+}
+
+// JoinPlan is a compiled join propagation step: both sides' key
+// positions and probe caches, the residual, and the scratch of the
+// ΔL⋈ΔR term for the both-sides-changed case.
 type JoinPlan struct {
-	j          *algebra.Join
-	Left       *JoinSidePlan
-	Right      *JoinSidePlan
-	lpos, rpos []int
-	outSchema  *catalog.Schema
-	residual   func(value.Tuple) value.Value
-	enc        value.KeyEncoder
-	arena      *value.Arena
-	nz         Normalizer
-	nzOut      Delta
-	cat        Delta
-	ddOut      Delta
-	sbufL      []signedRow
-	sbufR      []signedRow
-	build      bytemap.Map[int32]
-	buckets    [][]int32
-	nb         int
+	left, right joinSide
+	outSchema   *catalog.Schema
+	residual    func(value.Tuple) value.Value
+	enc         value.KeyEncoder
+	out         joinOut
+	sbufL       []signedRow
+	sbufR       []signedRow
+	build       bytemap.Map[int32]
+	buckets     [][]int32
+	nb          int
 }
 
 // CompileJoin compiles both propagation directions of j against the
 // children's schemas (lin for j.L, rin for j.R).
 func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
-	left, err := CompileJoinSide(j, 0, lin)
-	if err != nil {
-		return nil, err
-	}
-	right, err := CompileJoinSide(j, 1, rin)
-	if err != nil {
-		return nil, err
-	}
-	lpos := make([]int, len(j.On))
-	rpos := make([]int, len(j.On))
-	for i, c := range j.On {
+	p := &JoinPlan{outSchema: j.Schema()}
+	p.left, p.right = joinSide{p: p, side: 0}, joinSide{p: p, side: 1}
+	for _, c := range j.On {
 		li, err := lin.Resolve(c.Left)
 		if err != nil {
 			return nil, err
@@ -315,9 +281,8 @@ func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		lpos[i], rpos[i] = li, ri
+		p.left.pos, p.right.pos = append(p.left.pos, li), append(p.right.pos, ri)
 	}
-	p := &JoinPlan{j: j, Left: left, Right: right, lpos: lpos, rpos: rpos, outSchema: j.Schema()}
 	if j.Residual != nil {
 		f, err := expr.CompileFast(j.Residual, p.outSchema)
 		if err != nil {
@@ -328,41 +293,66 @@ func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
 	return p, nil
 }
 
-// SetArena attaches a per-window arena to the join and both side plans.
-func (p *JoinPlan) SetArena(a *value.Arena) {
-	p.arena = a
-	p.Left.SetArena(a)
-	p.Right.SetArena(a)
+// SetArena attaches a per-window arena for concatenated output tuples.
+func (p *JoinPlan) SetArena(a *value.Arena) { p.out.arena = a }
+
+// keep returns t if it passes the residual, nil otherwise.
+func (p *JoinPlan) keep(t value.Tuple) value.Tuple {
+	if p.residual != nil && !p.residual(t).Truth() {
+		return nil
+	}
+	return t
 }
 
-// ApplyBoth combines the three differential terms when both inputs
-// changed (the compiled form of JoinBoth). The result is valid until
-// the next ApplyBoth on this plan (or arena reset).
-func (p *JoinPlan) ApplyBoth(dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
-	a, err := p.Left.Apply(dl, probeR)
-	if err != nil {
-		return nil, err
-	}
-	b, err := p.Right.Apply(dr, probeL)
-	if err != nil {
-		return nil, err
-	}
-	c, err := p.applyDeltaDelta(dl, dr)
-	if err != nil {
-		return nil, err
-	}
-	cat := resetOut(&p.cat, p.outSchema)
-	cat.Changes = append(cat.Changes, a.Changes...)
-	cat.Changes = append(cat.Changes, b.Changes...)
-	cat.Changes = append(cat.Changes, c.Changes...)
-	return p.nz.NormalizeInto(cat, &p.nzOut), nil
+// Apply derives the join's delta from its children's (either may be
+// empty): the terms of the bag-join differential
+//
+//	Δ(L⋈R) = ΔL⋈R_old ∪ L_old⋈ΔR ∪ ΔL⋈ΔR
+//
+// one after the other, un-netted — with both inputs changed, the third
+// term cancels rows of the first two. probeR and probeL answer against
+// the pre-update states. The result is valid until the next Apply or
+// ApplyInto on this plan (or arena reset).
+func (p *JoinPlan) Apply(dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
+	p.out.agg = nil
+	return &p.out.d, p.run(dl, dr, probeL, probeR)
 }
 
-// applyDeltaDelta computes the signed join ΔL⋈ΔR with precompiled
-// positions. The build side is hashed into plan-owned scratch (an
-// open-addressed key table plus reusable bucket lists), so steady-state
-// windows index ΔR without per-call map allocation.
-func (p *JoinPlan) applyDeltaDelta(dl, dr *Delta) (*Delta, error) {
+// ApplyInto is Apply with every output row folded into agg as it is
+// derived instead of being kept: agg is left holding the fold, for
+// FinishFold. It requires Linear aggregates — nothing nets the rows. It
+// returns the number of changes Apply would have held.
+func (p *JoinPlan) ApplyInto(agg *AggregatePlan, dl, dr *Delta, probeL, probeR Probe) (int, error) {
+	agg.StartFold()
+	p.out.agg = agg
+	err := p.run(dl, dr, probeL, probeR)
+	return p.out.n, err
+}
+
+func (p *JoinPlan) run(dl, dr *Delta, probeL, probeR Probe) error {
+	p.out.n = 0
+	resetOut(&p.out.d, p.outSchema)
+	if !dl.Empty() {
+		if err := p.left.run(dl, probeR); err != nil {
+			return err
+		}
+	}
+	if !dr.Empty() {
+		if err := p.right.run(dr, probeL); err != nil {
+			return err
+		}
+		if !dl.Empty() {
+			p.deltaDelta(dl, dr)
+		}
+	}
+	return nil
+}
+
+// deltaDelta emits the signed join ΔL⋈ΔR with precompiled positions.
+// The build side is hashed into plan-owned scratch (an open-addressed
+// key table plus reusable bucket lists), so steady-state windows index
+// ΔR without per-call map allocation.
+func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 	p.sbufR = dr.appendSigned(p.sbufR[:0])
 	p.build.Reset()
 	for i := 0; i < p.nb; i++ {
@@ -370,7 +360,7 @@ func (p *JoinPlan) applyDeltaDelta(dl, dr *Delta) (*Delta, error) {
 	}
 	p.nb = 0
 	for i := range p.sbufR {
-		kb := p.enc.ProjectedKey(p.sbufR[i].tuple, p.rpos)
+		kb := p.enc.ProjectedKey(p.sbufR[i].tuple, p.right.pos)
 		bid, _, existed := p.build.GetOrPut(kb, int32(p.nb))
 		if !existed {
 			if p.nb == len(p.buckets) {
@@ -380,31 +370,24 @@ func (p *JoinPlan) applyDeltaDelta(dl, dr *Delta) (*Delta, error) {
 		}
 		p.buckets[*bid] = append(p.buckets[*bid], int32(i))
 	}
-	out := resetOut(&p.ddOut, p.outSchema)
 	p.sbufL = dl.appendSigned(p.sbufL[:0])
 	for li := range p.sbufL {
 		lsr := &p.sbufL[li]
-		kb := p.enc.ProjectedKey(lsr.tuple, p.lpos)
+		kb := p.enc.ProjectedKey(lsr.tuple, p.left.pos)
 		bid, ok := p.build.Get(kb)
 		if !ok {
 			continue
 		}
 		for _, ri := range p.buckets[bid] {
 			rsr := &p.sbufR[ri]
-			t := p.arena.ConcatTuples(lsr.tuple, rsr.tuple)
-			if p.residual != nil && !p.residual(t).Truth() {
-				continue
-			}
-			n := lsr.count * rsr.count
-			switch {
-			case n > 0:
-				out.Insert(t, n)
-			case n < 0:
-				out.Delete(t, -n)
+			t := p.keep(p.out.concat(0, lsr.tuple, rsr.tuple))
+			if n := lsr.count * rsr.count; n > 0 {
+				p.out.change(nil, t, n)
+			} else if n < 0 {
+				p.out.change(t, nil, -n)
 			}
 		}
 	}
-	return out, nil
 }
 
 // AggregatePlan is the compiled static part of aggregate maintenance:
@@ -418,8 +401,10 @@ type AggregatePlan struct {
 	arena  *value.Arena
 	groups bytemap.Map[int32]
 	accs   []acc
+	last   int // index in accs of the previous row's group
 	sbuf   []signedRow
 	outD   Delta
+	lives  []GroupLive
 	enc    value.KeyEncoder
 	// Full only: the fold of the bag being aggregated, and the group's
 	// bag netted per tuple.

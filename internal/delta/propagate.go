@@ -46,11 +46,10 @@ func Project(p *algebra.Project, d *Delta) (*Delta, error) {
 // with each matching row); one that moves the tuple across join keys
 // becomes a deletion of the old matches plus an insertion of the new.
 func JoinSide(j *algebra.Join, d *Delta, side int, probe Probe) (*Delta, error) {
-	p, err := CompileJoinSide(j, side, d.Schema)
-	if err != nil {
-		return nil, err
+	if side == 0 {
+		return JoinBoth(j, d, nil, nil, probe)
 	}
-	return p.Apply(d, probe)
+	return JoinBoth(j, nil, d, probe, nil)
 }
 
 // JoinBoth combines the three terms of the bag-join differential when
@@ -60,22 +59,23 @@ func JoinSide(j *algebra.Join, d *Delta, side int, probe Probe) (*Delta, error) 
 //
 // probeR and probeL answer against the pre-update states. The ΔL⋈ΔR term
 // is computed in memory over signed rows (modifications expand to
-// -old/+new), so re-pairing of modifications is not preserved across this
-// term — the result is returned normalized.
+// -old/+new) and cancels rows of the other two; the terms are returned
+// as derived, un-netted. One-shot form of CompileJoin + Apply.
 func JoinBoth(j *algebra.Join, dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
-	p, err := CompileJoin(j, dl.Schema, dr.Schema)
+	p, err := CompileJoin(j, j.L.Schema(), j.R.Schema())
 	if err != nil {
 		return nil, err
 	}
-	return p.ApplyBoth(dl, dr, probeL, probeR)
+	return p.Apply(dl, dr, probeL, probeR)
 }
 
 // Distinct propagates d through duplicate elimination. countOf reports
-// the pre-update bag multiplicity of a tuple in the child.
-func Distinct(dis *algebra.Distinct, d *Delta, countOf CountProbe) (*Delta, error) {
+// the pre-update bag multiplicity of a tuple in the child; nz is the
+// caller's netting scratch.
+func Distinct(dis *algebra.Distinct, d *Delta, countOf CountProbe, nz *Normalizer) (*Delta, error) {
 	// Work on the normalized (signed) form: distinct output changes only
 	// when a tuple's count crosses 0.
-	net := d.Normalize()
+	net := nz.Normalize(d)
 	out := New(d.Schema)
 	for _, c := range net.Changes {
 		switch {
@@ -111,9 +111,9 @@ func UnionSide(u *algebra.Union, d *Delta) *Delta {
 
 // DiffSide propagates a delta through bag difference L − R (counts floor
 // at zero). side 0 means d is against L. countL and countR report
-// pre-update multiplicities.
-func DiffSide(diff *algebra.Diff, d *Delta, side int, countL, countR CountProbe) (*Delta, error) {
-	net := d.Normalize()
+// pre-update multiplicities; nz is the caller's netting scratch.
+func DiffSide(diff *algebra.Diff, d *Delta, side int, countL, countR CountProbe, nz *Normalizer) (*Delta, error) {
+	net := nz.Normalize(d)
 	// Net signed change per tuple on the changed side.
 	type affected struct {
 		tuple value.Tuple

@@ -31,6 +31,12 @@ var (
 //
 // The operation's compiled step (stepFor) replaces per-call schema
 // resolution and expression compilation, and owns the scratch.
+//
+// A join whose output StreamsInto the aggregate above it has no delta:
+// opDelta returns nil, and the rows are already in that aggregate's fold.
+// Any other join with both inputs changed is netted here, once — its
+// terms cancel, and everyone downstream (storage, sidecars, the window
+// hook, charged probes keyed by its rows) is owed the net delta.
 func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo) (*delta.Delta, error) {
 	st, err := m.stepFor(op)
 	if err != nil {
@@ -48,16 +54,20 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 		dl, dr := childDelta(0), childDelta(1)
 		probeL := m.probe(op.Children[0], t.LeftCols(), w)
 		probeR := m.probe(op.Children[1], t.RightCols(), w)
-		switch {
-		case !dl.Empty() && !dr.Empty():
-			return st.join.ApplyBoth(dl, dr, probeL, probeR)
-		case !dl.Empty():
-			return st.join.Left.Apply(dl, probeR)
-		case !dr.Empty():
-			return st.join.Right.Apply(dr, probeL)
-		default:
-			return delta.New(t.Schema()), nil
+		if p := m.StreamsInto(tr, e); p != nil && !m.netAll && len(m.views[p.ID].stale) == 0 {
+			into, err := m.stepFor(tr.Choice[p.ID])
+			if err != nil {
+				return nil, err
+			}
+			n, err := st.join.ApplyInto(into.agg, dl, dr, probeL, probeR)
+			obsDeltaChanges.Observe(int64(n))
+			return nil, err
 		}
+		d, err := st.join.Apply(dl, dr, probeL, probeR)
+		if err == nil && !dl.Empty() && !dr.Empty() {
+			d = m.nz.NormalizeInto(d, &st.net)
+		}
+		return d, err
 
 	case *algebra.Aggregate:
 		return m.aggregateDelta(e, op, t, deltas, tr, w, st.agg)
@@ -68,7 +78,7 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 		if err != nil {
 			return nil, err
 		}
-		return delta.Distinct(t, cd, countOf)
+		return delta.Distinct(t, cd, countOf, &m.nz)
 
 	case *algebra.Union:
 		out := delta.New(t.Schema())
@@ -94,13 +104,13 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 			if cd.Empty() {
 				continue
 			}
-			part, err := delta.DiffSide(t, cd, i, countL, countR)
+			part, err := delta.DiffSide(t, cd, i, countL, countR, &m.nz)
 			if err != nil {
 				return nil, err
 			}
 			out.Changes = append(out.Changes, part.Changes...)
 		}
-		return out.Normalize(), nil
+		return m.nz.Normalize(out), nil
 
 	default:
 		return nil, fmt.Errorf("maintain: unsupported operator %s", op.OpLabel())
@@ -113,11 +123,16 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 // estimator prices.
 func (m *Maintainer) aggregateDelta(e *dag.EqNode, op *dag.OpNode, agg *algebra.Aggregate, deltas map[int]*delta.Delta, tr *tracks.Track, w *windowMemo, plan *delta.AggregatePlan) (*delta.Delta, error) {
 	child := op.Children[0]
-	cd := deltas[child.ID]
+	cd, held := deltas[child.ID]
+	v := m.views[e.ID]
+	if !held && m.StreamsInto(tr, child) == e {
+		out, live, err := plan.FinishFold(m.oldAggProbe(v))
+		v.pending = live
+		return out, err
+	}
 	if cd.Empty() {
 		return delta.New(agg.Schema()), nil
 	}
-	v := m.views[e.ID]
 	tracked := v != nil && v.aggOp == op
 	// The group-count map is only needed to detect stale groups (none in
 	// steady state — the incremental path never marks any) and to resync

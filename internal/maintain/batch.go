@@ -57,7 +57,8 @@ type BatchReport struct {
 	RootIO  storage.IOCounter
 	BaseIO  storage.IOCounter
 
-	// Deltas holds the computed change at every affected node.
+	// Deltas holds the computed change at every affected node, except a
+	// join that StreamsInto its aggregate: that one has no entry.
 	Deltas map[int]*delta.Delta
 	// Merged holds the coalesced per-base-relation deltas the window
 	// nets out to (what was actually propagated and applied), sorted by
@@ -169,13 +170,15 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 				wait()
 			}
 		}()
-		// Yield so the committer goroutine runs now, reaching its fsync
-		// before propagation starts: on GOMAXPROCS=1 a CPU-bound window
-		// never otherwise cedes the processor, and the "background"
-		// commit would execute entirely inside the fence wait. Once the
-		// committer blocks in fsync the scheduler hands back the CPU,
-		// and the disk flush proceeds under the window's compute.
-		runtime.Gosched()
+		// On one processor, yield so the committer reaches its fsync
+		// before propagation starts; a CPU-bound window never otherwise
+		// cedes the CPU and the commit would run inside the fence wait.
+		// With a second P the yield only hurts: an idle P steals the
+		// committer anyway, while the yielding window resumes on
+		// whichever P the host wakes first, cache-cold, every window.
+		if runtime.GOMAXPROCS(0) == 1 {
+			runtime.Gosched()
+		}
 	}
 
 	tr := m.planFor(bt).track
@@ -204,8 +207,10 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 			prop.Finish()
 			return nil, fmt.Errorf("maintain: %s at %s: %w", bt.Name, e, err)
 		}
-		rep.Deltas[e.ID] = d
-		obsDeltaChanges.Observe(int64(len(d.Changes)))
+		if d != nil { // nil: streamed into its consumer, and observed there
+			rep.Deltas[e.ID] = d
+			obsDeltaChanges.Observe(int64(len(d.Changes)))
+		}
 	}
 	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
 	prop.Finish()

@@ -4,3 +4,7 @@ package maintain
 func (m *Maintainer) PlanCacheSizes() (tracks, steps int) {
 	return len(m.plans), len(m.steps)
 }
+
+// NetAll makes m keep and net every join delta, as the engine did before
+// joins streamed into aggregates: the oracle of the differential tests.
+func (m *Maintainer) NetAll() { m.netAll = true }

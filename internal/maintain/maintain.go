@@ -74,7 +74,7 @@ type View struct {
 	// pending carries post-transaction live counts computed by
 	// aggregateDelta (incremental or full-group), applied by
 	// updateSidecar; it also clears staleness for those keys.
-	pending map[string]int64
+	pending []delta.GroupLive
 	// groupCols (the view's leading, group-by columns when aggOp is set)
 	// and enc are oldAggProbe's, kept here so a window allocates neither.
 	groupCols []string
@@ -181,8 +181,14 @@ type Maintainer struct {
 	// ApplyBatch on this maintainer.
 	arena     value.Arena
 	coalescer delta.Coalescer
-	winBuf    []map[string]*delta.Delta
-	mutBuf    []storage.Mutation
+	// nz is the one place propagation nets a delta: a join's whose inputs
+	// both changed, and the inputs of Distinct and Diff.
+	nz delta.Normalizer
+	// netAll keeps every join delta (nothing StreamsInto an aggregate):
+	// the oracle the differential tests compare streaming against.
+	netAll bool
+	winBuf []map[string]*delta.Delta
+	mutBuf []storage.Mutation
 
 	// Cross-window recycled report scratch (DESIGN.md §14): ApplyBatch
 	// returns the same report object every window, reset in place — the
@@ -492,9 +498,14 @@ func (m *Maintainer) updateSidecar(v *View, deltas map[int]*delta.Delta, tr *tra
 	case v.aggOp != nil:
 		agg := v.aggOp.Template.(*algebra.Aggregate)
 		if len(v.pending) > 0 {
-			for k, n := range v.pending {
-				v.live[k] = n
-				delete(v.stale, k)
+			for _, g := range v.pending {
+				k := v.enc.Key(g.Key)
+				if n, ok := v.live[string(k)]; !ok || n != g.Live {
+					v.live[string(k)] = g.Live
+				}
+				if len(v.stale) > 0 {
+					delete(v.stale, string(k))
+				}
 			}
 			v.pending = nil
 			return nil
@@ -595,7 +606,8 @@ func (m *Maintainer) Rollback(rep *BatchReport) error {
 		switch {
 		case v.aggOp != nil:
 			agg := v.aggOp.Template.(*algebra.Aggregate)
-			if cd := m.rollbackDel[v.aggOp.Children[0].ID]; cd != nil {
+			child := v.aggOp.Children[0]
+			if cd := m.rollbackDel[child.ID]; cd != nil {
 				gc, err := cd.GroupCounts(agg.GroupBy)
 				if err != nil {
 					return err
@@ -603,6 +615,10 @@ func (m *Maintainer) Rollback(rep *BatchReport) error {
 				for k, n := range gc {
 					v.live[k] += n
 				}
+			} else if st := m.steps[v.aggOp]; st != nil && m.StreamsInto(rep.Track, child) == v.Eq {
+				// The child's delta was folded, not kept; the fold that
+				// produced this view's (non-empty) delta holds its counts.
+				st.agg.FoldCounts(func(k []byte, n int64) { v.live[string(k)] -= n })
 			}
 		case v.distinctOp != nil:
 			if cd := m.rollbackDel[v.distinctOp.Children[0].ID]; cd != nil {

@@ -51,6 +51,8 @@ type planStep struct {
 	proj *delta.ProjectPlan
 	join *delta.JoinPlan
 	agg  *delta.AggregatePlan
+	// net holds a join's netted delta (both inputs changed) for the window.
+	net delta.Delta
 }
 
 // setArena threads the maintainer's per-window arena into the plans
@@ -66,6 +68,37 @@ func (st *planStep) setArena(a *value.Arena) {
 	if st.agg != nil {
 		st.agg.SetArena(a)
 	}
+}
+
+// StreamsInto reports the node whose aggregate step takes e's join output
+// row by row as the join derives it, nil when e's delta has to exist. It
+// need not when e is an un-materialized join (storage, sidecars and the
+// window hook never ask for its delta) whose only consumer on the track
+// is the tracked aggregate of a materialized node, all SUM or COUNT
+// (delta.Linear): that fold cancels un-netted rows and poses no query a
+// cancelled row could add. A function of the view set and the track; a
+// window also needs the consumer's live counts known (no stale groups).
+func (m *Maintainer) StreamsInto(tr *tracks.Track, e *dag.EqNode) *dag.EqNode {
+	if op := tr.Choice[e.ID]; op == nil || m.views[e.ID] != nil {
+		return nil
+	} else if _, ok := op.Template.(*algebra.Join); !ok {
+		return nil
+	}
+	var into *dag.EqNode
+	for _, p := range tr.Order {
+		op := tr.Choice[p.ID]
+		for _, ch := range op.Children {
+			if ch != e {
+				continue
+			}
+			agg, ok := op.Template.(*algebra.Aggregate)
+			if v := m.views[p.ID]; into != nil || !ok || v == nil || v.aggOp != op || !delta.Linear(agg.Aggs) {
+				return nil
+			}
+			into = p
+		}
+	}
+	return into
 }
 
 // viewSetKey canonicalizes a view set for plan-cache invalidation.

@@ -1,0 +1,377 @@
+package maintain_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/algebra"
+	"repro/internal/corpus"
+	"repro/internal/cost"
+	"repro/internal/dag"
+	"repro/internal/delta"
+	"repro/internal/expr"
+	"repro/internal/maintain"
+	"repro/internal/rules"
+	"repro/internal/storage"
+	"repro/internal/tracks"
+	"repro/internal/txn"
+	"repro/internal/value"
+)
+
+// The streaming property: a join that streams its output into the
+// aggregate above it, holding no delta and netting nothing, is invisible
+// everywhere it can be looked for. Two engines must agree after every
+// window —
+//
+//   - streamed: the default pipeline;
+//   - netted:   NetAll, which keeps every join delta and nets it when both
+//     inputs changed, as JoinPlan.ApplyBoth did before the join streamed;
+//
+// on the contents of every materialized node, on each of the four page
+// I/O parts of the window, and with full recomputation (Drift).
+
+// assertWindowsAgree compares the two engines after one window and
+// reports whether a join on the streamed engine's track held no delta.
+func assertWindowsAgree(t *testing.T, label string, streamed, netted *mirror, rs, rn *maintain.BatchReport) (streams bool) {
+	t.Helper()
+	assertMirrorsAgree(t, label, streamed, netted)
+	for _, io := range []struct {
+		part string
+		s, n storage.IOCounter
+	}{{"query", rs.QueryIO, rn.QueryIO}, {"view", rs.ViewIO, rn.ViewIO}, {"root", rs.RootIO, rn.RootIO}, {"base", rs.BaseIO, rn.BaseIO}} {
+		if io.s != io.n {
+			t.Fatalf("%s: %s I/O streamed %+v, netted %+v", label, io.part, io.s, io.n)
+		}
+	}
+	for _, e := range rs.Track.Order {
+		if _, held := rs.Deltas[e.ID]; !held {
+			streams = true
+		} else if _, ok := rn.Deltas[e.ID]; !ok {
+			t.Fatalf("%s: the netted engine holds no delta for %s", label, e)
+		}
+	}
+	return streams
+}
+
+// TestStreamedVsNettedRandom runs the property over random_test.go's
+// generator: random views (half of them SUM/COUNT aggregates over one or
+// two joins), random view sets — so the joins are materialized in some
+// trials and stream in others — and random windows that change Emp,
+// Dept and ADepts together. Every third window is one transaction that
+// updates two relations at once.
+func TestStreamedVsNettedRandom(t *testing.T) {
+	trials := 60
+	if testing.Short() {
+		trials = 10
+	}
+	streamedWindows, bothChanged := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		seed := int64(52000 + trial)
+		gen := buildMirror(t, seed) // advances txn by txn, so drawn windows compose
+		streamed := buildMirror(t, seed)
+		netted := buildMirror(t, seed)
+		netted.m.NetAll()
+		rng := rand.New(rand.NewSource(seed*17 + 3))
+		steps := 0
+		// draw returns the next transaction that is valid against the
+		// generator's database and passes accept, and applies it there.
+		draw := func(accept func(txn.Transaction) bool) txn.Transaction {
+			for {
+				ty, updates := corpus.RandomTxn(rng, gen.db, gen.cfg, trial*1000+steps)
+				steps++
+				tx := txn.Transaction{Type: ty, Updates: updates}
+				if ty == nil || !accept(tx) {
+					continue
+				}
+				if _, err := gen.m.Apply(ty, updates); err != nil {
+					t.Fatalf("trial %d: generator %s: %v", trial, ty.Name, err)
+				}
+				return tx
+			}
+		}
+		any := func(txn.Transaction) bool { return true }
+		for w, size := range []int{2, 16, 0, 5, 8, 0} {
+			var window []txn.Transaction
+			for len(window) < size {
+				window = append(window, draw(any))
+			}
+			if size == 0 { // one transaction over two relations
+				a := draw(any)
+				b := draw(func(b txn.Transaction) bool { return b.Type.Updates[0].Rel != a.Type.Updates[0].Rel })
+				ra, rb := a.Type.Updates[0], b.Type.Updates[0]
+				window = []txn.Transaction{{
+					Type:    &txn.Type{Name: a.Type.Name + b.Type.Name, Weight: 1, Updates: []txn.RelUpdate{ra, rb}},
+					Updates: map[string]*delta.Delta{ra.Rel: a.Updates[ra.Rel], rb.Rel: b.Updates[rb.Rel]},
+				}}
+			}
+			rs, err := streamed.m.ApplyBatch(window)
+			if err != nil {
+				t.Fatalf("trial %d window %d streamed: %v", trial, w, err)
+			}
+			rn, err := netted.m.ApplyBatch(window)
+			if err != nil {
+				t.Fatalf("trial %d window %d netted: %v", trial, w, err)
+			}
+			label := fmt.Sprintf("trial %d window %d (%d txns, %s)", trial, w, len(window), rs.Type.Name)
+			if assertWindowsAgree(t, label, streamed, netted, rs, rn) {
+				streamedWindows++
+				if len(rs.Merged) > 1 {
+					bothChanged++
+				}
+			}
+		}
+	}
+	if streamedWindows == 0 || bothChanged == 0 {
+		t.Fatalf("%d windows streamed, %d of them with more than one relation changed: the property was not exercised", streamedWindows, bothChanged)
+	}
+	t.Logf("%d windows streamed a join into its aggregate, %d of them with more than one relation changed", streamedWindows, bothChanged)
+}
+
+// fig5Nodes finds Figure 5's aggregate node, the three-way join under it
+// and the R ⋈ S join under that (N5, N4 and N2 of the rendered DAG).
+func fig5Nodes(t *testing.T, d *dag.DAG) (agg, rst, rs *dag.EqNode) {
+	t.Helper()
+	for _, e := range d.NonLeafEqs() {
+		for _, op := range e.Ops {
+			if _, ok := op.Template.(*algebra.Aggregate); ok {
+				agg, rst = e, op.Children[0]
+			}
+			if j, ok := op.Template.(*algebra.Join); ok && op.Children[0].BaseRel == "R" && op.Children[1].BaseRel == "S" && len(j.On) == 1 {
+				rs = e
+			}
+		}
+	}
+	if agg == nil || rst == nil || rs == nil {
+		t.Fatal("Figure 5 DAG lacks the aggregate, R⋈S⋈T or R⋈S node")
+	}
+	return agg, rst, rs
+}
+
+// TestStreamedVsNettedFigure5 runs the property on the benchmark's shape
+// — price changes on T beside sales inserted into and deleted from S, so
+// R⋈S⋈T sees both inputs change — under the optimizer's view set
+// {aggregate, root}, where the join streams, and under view sets that
+// materialize the three-way join or R ⋈ S, where it must not. The last
+// window is one transaction that reprices an item and sells it.
+func TestStreamedVsNettedFigure5(t *testing.T) {
+	cfg := corpus.Figure5Config{Items: 12, RPerItem: 3, SPerItem: 4}
+	sets := []struct {
+		name    string
+		extra   func(agg, rst, rs *dag.EqNode) []*dag.EqNode
+		streams bool
+	}{
+		{"{N5,N7}", func(agg, rst, rs *dag.EqNode) []*dag.EqNode { return []*dag.EqNode{agg} }, true},
+		{"{N4,N5,N7}", func(agg, rst, rs *dag.EqNode) []*dag.EqNode { return []*dag.EqNode{rst, agg} }, false},
+		{"{N2,N5,N7}", func(agg, rst, rs *dag.EqNode) []*dag.EqNode { return []*dag.EqNode{rs, agg} }, true},
+		{"{N2,N4,N7}", func(agg, rst, rs *dag.EqNode) []*dag.EqNode { return []*dag.EqNode{rs, rst} }, false},
+	}
+	for _, set := range sets {
+		set := set
+		t.Run(set.name, func(t *testing.T) {
+			build := func() *mirror {
+				db := corpus.Figure5Database(cfg)
+				d, err := dag.FromTree(db.Figure5View(150))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Expand(rules.Default(), 400); err != nil {
+					t.Fatal(err)
+				}
+				vs := tracks.RootSet(d)
+				checked := []*dag.EqNode{d.Root}
+				for _, e := range set.extra(fig5Nodes(t, d)) {
+					vs[e.ID] = true
+					checked = append(checked, e)
+				}
+				m, err := maintain.New(d, db.Store, cost.PageIO{}, vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &mirror{db: db, m: m, checked: checked}
+			}
+			streamed, netted := build(), build()
+			netted.m.NetAll()
+			stream := newFig5Stream(streamed.db, 4)
+			sSchema := streamed.db.Catalog.MustGet("S").Schema
+			// The stream only inserts sales; every other one becomes the
+			// deletion of the oldest sale inserted so far instead.
+			var sold []value.Tuple
+			churn := 0
+			delS := &txn.Type{Name: "-S", Weight: 1, Updates: []txn.RelUpdate{{Rel: "S", Kind: txn.Delete, Size: 1}}}
+			next := func() txn.Transaction {
+				tx := stream.next()
+				if d := tx.Updates["S"]; d != nil {
+					if churn++; churn%2 == 0 {
+						d = delta.New(sSchema)
+						d.Delete(sold[0], 1)
+						sold = sold[1:]
+						return txn.Transaction{Type: delS, Updates: map[string]*delta.Delta{"S": d}}
+					}
+					sold = append(sold, d.Changes[0].New)
+				}
+				return tx
+			}
+			anyStreamed := false
+			for w, size := range []int{16, 64, 1, 5, 16, 0} {
+				window := make([]txn.Transaction, size)
+				for i := range window {
+					window[i] = next()
+				}
+				if size == 0 {
+					// One transaction over two relations: five stream steps (four
+					// price changes on distinct items, one sale) as one unit.
+					one := txn.Transaction{Type: &txn.Type{Name: ">T±S", Weight: 1}, Updates: map[string]*delta.Delta{
+						"S": delta.New(sSchema), "T": delta.New(streamed.db.Catalog.MustGet("T").Schema)}}
+					for i := 0; i < 5; i++ {
+						tx := next()
+						u := tx.Type.Updates[0]
+						one.Updates[u.Rel].Changes = append(one.Updates[u.Rel].Changes, tx.Updates[u.Rel].Changes...)
+						if _, ok := one.Type.UpdateOf(u.Rel); !ok {
+							one.Type.Updates = append(one.Type.Updates, u)
+						}
+					}
+					window = []txn.Transaction{one}
+				}
+				rs, err := streamed.m.ApplyBatch(window)
+				if err != nil {
+					t.Fatalf("window %d streamed: %v", w, err)
+				}
+				rn, err := netted.m.ApplyBatch(window)
+				if err != nil {
+					t.Fatalf("window %d netted: %v", w, err)
+				}
+				label := fmt.Sprintf("window %d (%d txns, %s)", w, len(window), rs.Type.Name)
+				if assertWindowsAgree(t, label, streamed, netted, rs, rn) {
+					anyStreamed = true
+				}
+			}
+			if anyStreamed != set.streams {
+				t.Errorf("a join streamed into the aggregate: %v, want %v", anyStreamed, set.streams)
+			}
+		})
+	}
+}
+
+// TestMinMaxOverJoinDecidesOnNetDelta is the Decomposable flip: a window
+// hires into a department whose Dept row it also deletes, beside a hire
+// elsewhere. Inserts on one join input and a delete on the other: the
+// join's terms hold +t and −t for the doomed pair, the net delta is one
+// insertion. MIN/MAX may be maintained from stored values only for an
+// insert-only delta, so the decision must see the net one — deciding on
+// the terms would take the full-group path and charge a group query.
+func TestMinMaxOverJoinDecidesOnNetDelta(t *testing.T) {
+	build := func() (*mirror, *dag.EqNode) {
+		cfg := corpus.Config{Departments: 3, EmpsPerDept: 1}
+		db := corpus.NewDatabase(cfg)
+		join := algebra.NewJoin(
+			[]algebra.JoinCond{{Left: "Emp.DName", Right: "Dept.DName"}},
+			algebra.Scan(db.Catalog.MustGet("Emp")), algebra.Scan(db.Catalog.MustGet("Dept")))
+		view := algebra.NewAggregate([]string{"Dept.DName"}, []algebra.AggSpec{
+			{Func: algebra.Min, Arg: expr.C("Emp.Salary"), As: "Lo"},
+			{Func: algebra.Max, Arg: expr.C("Dept.Budget"), As: "Hi"},
+		}, join)
+		d, err := dag.FromTree(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := maintain.New(d, db.Store, cost.PageIO{}, tracks.RootSet(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &mirror{cfg: cfg, db: db, m: m, checked: []*dag.EqNode{d.Root}}, d.FindEq(join)
+	}
+	streamed, joinEq := build()
+	netted, _ := build()
+	netted.m.NetAll()
+
+	ins := &txn.Type{Name: "+Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 1}}}
+	del := &txn.Type{Name: "-Dept", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Dept", Kind: txn.Delete, Size: 1}}}
+	fire, err := streamed.db.EmpDeleteDelta(0, 0) // department 0 keeps its Dept row and no employee
+	if err != nil {
+		t.Fatal(err)
+	}
+	dept := streamed.db.Store.MustGet("Dept")
+	dept.Resident = true
+	rows := dept.Lookup([]string{"DName"}, value.Tuple{value.NewString(corpus.DeptName(0))})
+	dept.Resident = false
+	drop := delta.New(dept.Def.Schema)
+	drop.Delete(rows[0].Tuple.Clone(), 1)
+	windows := [][]txn.Transaction{
+		{{Type: &txn.Type{Name: "-Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Delete, Size: 1}}},
+			Updates: map[string]*delta.Delta{"Emp": fire}}},
+		{
+			{Type: ins, Updates: map[string]*delta.Delta{"Emp": streamed.db.EmpInsertDelta("doomed", corpus.DeptName(0), 70)}},
+			{Type: del, Updates: map[string]*delta.Delta{"Dept": drop}},
+			{Type: ins, Updates: map[string]*delta.Delta{"Emp": streamed.db.EmpInsertDelta("kept", corpus.DeptName(1), 80)}},
+		},
+	}
+	for w, window := range windows {
+		rs, err := streamed.m.ApplyBatch(window)
+		if err != nil {
+			t.Fatalf("window %d streamed: %v", w, err)
+		}
+		rn, err := netted.m.ApplyBatch(window)
+		if err != nil {
+			t.Fatalf("window %d netted: %v", w, err)
+		}
+		if assertWindowsAgree(t, fmt.Sprintf("window %d", w), streamed, netted, rs, rn) {
+			t.Fatalf("window %d: a join streamed into a MIN/MAX aggregate", w)
+		}
+		if w == 0 {
+			continue
+		}
+		jd := rs.Deltas[joinEq.ID]
+		if len(jd.Changes) != 1 || !jd.Changes[0].IsInsert() {
+			t.Errorf("the join's delta is %v, want the one net insertion", jd.Changes)
+		}
+		if rd := streamed.m.StreamsInto(rs.Track, joinEq); rd != nil {
+			t.Errorf("StreamsInto = %s for a MIN/MAX aggregate", rd)
+		}
+	}
+}
+
+// TestRollbackAfterStreamedWindow: the aggregate's live counts are
+// rolled back from the fold when the join under it kept no delta. A
+// rolled-back hire must not leave its group looking inhabited once the
+// group's real rows are gone.
+func TestRollbackAfterStreamedWindow(t *testing.T) {
+	cfg := corpus.Config{Departments: 3, EmpsPerDept: 1}
+	db := corpus.NewDatabase(cfg)
+	join := algebra.NewJoin(
+		[]algebra.JoinCond{{Left: "Emp.DName", Right: "Dept.DName"}},
+		algebra.Scan(db.Catalog.MustGet("Emp")), algebra.Scan(db.Catalog.MustGet("Dept")))
+	view := algebra.NewAggregate([]string{"Dept.DName"}, []algebra.AggSpec{
+		{Func: algebra.Sum, Arg: expr.C("Emp.Salary"), As: "S"},
+	}, join)
+	d, err := dag.FromTree(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := maintain.New(d, db.Store, cost.PageIO{}, tracks.RootSet(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hire := &txn.Type{Name: "+Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 1}}}
+	rep, err := m.Apply(hire, map[string]*delta.Delta{"Emp": db.EmpInsertDelta("temp", corpus.DeptName(0), 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, held := rep.Deltas[d.FindEq(join).ID]; held {
+		t.Fatal("the join kept its delta: this test needs it streamed")
+	}
+	if err := m.Rollback(rep); err != nil {
+		t.Fatal(err)
+	}
+	fire, err := db.EmpDeleteDelta(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply(&txn.Type{Name: "-Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Delete, Size: 1}}},
+		map[string]*delta.Delta{"Emp": fire}); err != nil {
+		t.Fatal(err)
+	}
+	if drift, err := m.Drift(d.Root); err != nil || drift != "" {
+		t.Fatalf("after rollback and the department's last firing: drift %q, err %v", drift, err)
+	}
+}

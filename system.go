@@ -278,6 +278,14 @@ func (s *System) Explain() string {
 			fmt.Fprintf(&b, "  (runner-up %s: %.4g)", runnerUp.Set.Key(), runnerUp.PerTxn[name].Total())
 		}
 		b.WriteString("\n" + indent(tracks.FormatQueries(tc.Queries), "  "))
+		if tc.Track == nil { // the type touches nothing the views read
+			continue
+		}
+		for _, e := range tc.Track.Order {
+			if into := s.M.StreamsInto(tc.Track, e); into != nil {
+				fmt.Fprintf(&b, "    %s streams into %s: E%d folds its rows as they are derived, no delta is held\n", e, into, tc.Track.Choice[into.ID].ID)
+			}
+		}
 	}
 	top := s.Decision.All
 	if len(top) > 5 {
