@@ -7,20 +7,16 @@
 package mvmaint_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	mvmaint "repro"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cost"
 	"repro/internal/paper"
-	"repro/internal/wal"
 )
 
 // printOnce gates artifact printing so -bench output stays readable
@@ -253,202 +249,6 @@ func BenchmarkMaintainedTransaction(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(total)/100, "pageIO/txn")
-}
-
-// BenchmarkMaintainThroughput measures the batched maintenance pipeline
-// on the Figure 5 hot-item workload: transactions per second and page
-// I/Os per transaction across batch sizes 1 (the per-transaction Apply
-// baseline), 16 and 64, with 1 and 4 view-application workers, plus
-// durable (write-ahead-logged) rows at batch 1 and 64 with their fsync
-// p99 and recovery replay rate. The grid is written to
-// BENCH_maintain.json so CI records the perf trajectory. Final view
-// contents are oracle-verified on every run.
-func BenchmarkMaintainThroughput(b *testing.B) {
-	cfg := corpus.DefaultFigure5Config()
-	const txnsPerOp = 256
-	var results []paper.ThroughputRow
-	// The framework may invoke a sub-benchmark several times while
-	// calibrating b.N; keep only the final (largest-N, least noisy)
-	// measurement per grid cell.
-	record := func(row paper.ThroughputRow) {
-		for i := range results {
-			if results[i].Batch == row.Batch && results[i].Workers == row.Workers &&
-				results[i].Txns == row.Txns &&
-				results[i].Durable == row.Durable && results[i].Shards == row.Shards &&
-				results[i].ReadClients == row.ReadClients &&
-				(results[i].ObsOverheadPct != 0) == (row.ObsOverheadPct != 0) {
-				results[i] = row
-				return
-			}
-		}
-		results = append(results, row)
-	}
-	for _, batch := range []int{1, 16, 64} {
-		for _, workers := range []int{1, 4} {
-			batch, workers := batch, workers
-			b.Run(fmt.Sprintf("batch%d/workers%d", batch, workers), func(b *testing.B) {
-				var last paper.ThroughputRow
-				for i := 0; i < b.N; i++ {
-					row, err := paper.MeasureThroughput(cfg, txnsPerOp, batch, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = row
-				}
-				b.ReportMetric(last.TxnsPerSec, "txns/sec")
-				b.ReportMetric(last.IOPerTxn, "pageIO/txn")
-				b.ReportMetric(last.AllocsPerTxn, "allocs/txn")
-				record(last)
-			})
-		}
-	}
-	// Long-stream steady-state row (schema v7): batch 64 over an
-	// 8192-txn stream (128 windows). The short grid rows above mostly
-	// measure warm-up — arenas, slabs and delta buffers growing toward
-	// the workload's joint fan-out — while this row is where cross-window
-	// recycling either holds bytes/txn and GC cycles flat or doesn't.
-	// cmd/benchdiff's -bytes-ceiling gate reads this cell.
-	b.Run("longstream/batch64/workers1", func(b *testing.B) {
-		var last paper.ThroughputRow
-		for i := 0; i < b.N; i++ {
-			row, err := paper.MeasureThroughput(cfg, 8192, 64, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = row
-		}
-		b.ReportMetric(last.TxnsPerSec, "txns/sec")
-		b.ReportMetric(last.BytesPerTxn, "bytes/txn")
-		b.ReportMetric(last.AllocsPerTxn, "allocs/txn")
-		b.ReportMetric(last.GCCyclesPer10kTxns, "gc/10k-txns")
-		record(last)
-	})
-	// Durable rows: the same workload with a WAL attached — deferred-
-	// fence group commit, one pipelined fsync per window — then a timed
-	// recovery. The batch-64 row runs a longer stream (32 windows) so
-	// the commit chain's fill and drain amortize away; each durable row
-	// carries its own same-run, same-n in-memory baseline (the workload
-	// is non-stationary, so the grid rows above are not comparable).
-	// Each iteration needs a fresh directory because Attach refuses to
-	// reuse existing durable state.
-	for _, batch := range []int{1, 64} {
-		batch := batch
-		n := txnsPerOp
-		if batch == 64 {
-			n = 2048
-		}
-		b.Run(fmt.Sprintf("durable/batch%d/workers1", batch), func(b *testing.B) {
-			var last paper.ThroughputRow
-			for i := 0; i < b.N; i++ {
-				dir, err := os.MkdirTemp(b.TempDir(), "wal-*")
-				if err != nil {
-					b.Fatal(err)
-				}
-				row, err := paper.MeasureThroughputDurable(cfg, n, batch, 1, wal.OSFS{}, dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = row
-			}
-			b.ReportMetric(last.TxnsPerSec, "txns/sec")
-			b.ReportMetric(float64(last.FsyncP99Ns), "fsyncP99-ns")
-			b.ReportMetric(last.RecoveryReplayTxnsSec, "replay-txns/sec")
-			if last.MemBaselineTxnsPerSec > 0 {
-				b.ReportMetric(100*last.TxnsPerSec/last.MemBaselineTxnsPerSec, "%of-mem")
-			}
-			record(last)
-		})
-	}
-	// Obs-overhead row (schema v6): batch 64 measured with the span
-	// tracer and flight recorder toggled off vs on, interleaved trials.
-	// The instrumentation is always on in production use, so this row is
-	// the evidence it stays within the 5% budget cmd/benchdiff enforces.
-	// A 2048-txn stream (32 windows) keeps per-run setup noise from
-	// swamping the few-percent signal; txnsPerOp would give only 4.
-	b.Run("obs-overhead/batch64", func(b *testing.B) {
-		var last paper.ThroughputRow
-		for i := 0; i < b.N; i++ {
-			row, err := paper.MeasureObsOverhead(cfg, 2048, 64, 1, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = row
-		}
-		b.ReportMetric(last.ObsOverheadPct, "obs-overhead-%")
-		b.ReportMetric(last.TxnsPerSec, "txns/sec")
-		record(last)
-	})
-	// Client-swarm serving row (schema v8): a paced batch-64 writer while
-	// 1000 readers poll epoch-pinned snapshots and 5% hold SSE
-	// changefeeds, over the in-memory listener. CI-scale — the 10k-client
-	// acceptance run is `mvbench -swarm`; this row keeps the serving
-	// gates in cmd/benchdiff armed (swarm floor within-file, read p99 vs
-	// committed) on every bench regeneration.
-	b.Run("swarm/batch64/clients1000", func(b *testing.B) {
-		var last paper.ThroughputRow
-		for i := 0; i < b.N; i++ {
-			row, err := paper.MeasureServing(cfg, paper.SwarmOptions{
-				Txns: 2048, Batch: 64, Workers: 1,
-				Clients: 1000, WindowRate: 40, PollInterval: time.Second,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = row
-		}
-		b.ReportMetric(last.TxnsPerSec, "txns/sec")
-		b.ReportMetric(float64(last.ReadP99Ns), "readP99-ns")
-		if last.NoReaderTxnsPerSec > 0 {
-			b.ReportMetric(100*last.TxnsPerSec/last.NoReaderTxnsPerSec, "%of-no-reader")
-		}
-		record(last)
-	})
-	// Sharded rows (schema v4): batch-64 windows split across N
-	// shard-local pipelines by the Item router. shards=1 is the sharded
-	// path minus parallelism — the overhead baseline the scaling floor
-	// in cmd/benchdiff divides against.
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("sharded/batch64/shards%d", shards), func(b *testing.B) {
-			var last paper.ThroughputRow
-			for i := 0; i < b.N; i++ {
-				row, err := paper.MeasureThroughputSharded(cfg, txnsPerOp, 64, shards, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = row
-			}
-			b.ReportMetric(last.TxnsPerSec, "txns/sec")
-			b.ReportMetric(last.IOPerTxn, "pageIO/txn")
-			record(last)
-		})
-	}
-	if data, err := json.MarshalIndent(struct {
-		Workload string                `json:"workload"`
-		Rows     []paper.ThroughputRow `json:"rows"`
-	}{Workload: "figure5 hot-item 80% >T / 20% +S", Rows: results}, "", "  "); err == nil {
-		if err := os.WriteFile("BENCH_maintain.json", append(data, '\n'), 0o644); err != nil {
-			b.Logf("BENCH_maintain.json: %v", err)
-		}
-	}
-	var base, top *paper.ThroughputRow
-	for i := range results {
-		r := &results[i]
-		if r.Durable {
-			continue
-		}
-		if r.Batch == 1 && r.Workers == 1 {
-			base = r
-		}
-		if r.Batch == 64 {
-			top = r
-		}
-	}
-	if base != nil && top != nil {
-		emitOnce(b, "thr", fmt.Sprintf(
-			"Maintain throughput: %.0f txns/sec per-transaction → %.0f txns/sec at batch 64 (%.1fx), pageIO/txn %.1f → %.1f\n",
-			base.TxnsPerSec, top.TxnsPerSec, top.TxnsPerSec/base.TxnsPerSec, base.IOPerTxn, top.IOPerTxn))
-	}
 }
 
 // BenchmarkSweepFanout is ablation A1: where the SumOfSals advantage goes

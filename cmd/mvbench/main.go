@@ -9,25 +9,8 @@
 //	mvbench -sweeps      # the ablation sweeps recorded in EXPERIMENTS.md
 //	mvbench -parallel    # parallel branch-and-bound vs exhaustive search
 //	                     # (tune with -j workers and -seed n)
-//	mvbench -throughput  # batched maintenance throughput grid, with
-//	                     # apply-latency p50/p99 from the maintain.apply.ns
-//	                     # histogram (-j pins the worker count; default
-//	                     # measures 1 and 4)
-//	mvbench -shards      # sharded maintenance scaling sweep at batch 64
-//	                     # (shard counts 1, 2, 4, 8; -j pins per-shard
-//	                     # workers)
-//	mvbench -durable     # durable (write-ahead-logged) throughput next to
-//	                     # the in-memory baseline, plus recovery timings;
-//	                     # -waldir picks the log directory (default: a
-//	                     # temporary directory, removed afterwards)
-//	mvbench -swarm       # client-swarm serving benchmark: a paced writer
-//	                     # (batch 64, -rate windows/s for -duration) while
-//	                     # -clients readers poll snapshots every -poll and
-//	                     # -sse of them hold SSE changefeeds; reports the
-//	                     # writer's throughput against its own no-reader
-//	                     # baseline and the client-side read p99
 //
-// -j sets worker counts everywhere (alias: -workers). -cpuprofile and
+// -j sets the -parallel worker count (alias: -workers). -cpuprofile and
 // -memprofile write pprof profiles of whatever modes were run.
 //
 // Observability: -metrics dumps the global metrics snapshot as JSON to
@@ -44,7 +27,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/obs"
@@ -58,18 +40,8 @@ func main() {
 	measured := flag.Bool("measured", false, "run the measured-parity experiment")
 	sweeps := flag.Bool("sweeps", false, "run the ablation sweeps")
 	parallel := flag.Bool("parallel", false, "compare parallel branch-and-bound vs exhaustive")
-	throughput := flag.Bool("throughput", false, "measure batched maintenance throughput")
-	shards := flag.Bool("shards", false, "measure sharded maintenance scaling (shard counts 1, 2, 4, 8)")
-	durable := flag.Bool("durable", false, "measure WAL-attached throughput and recovery")
-	waldir := flag.String("waldir", "", "directory for -durable WAL state; must not hold prior state (default: fresh temp dir)")
-	swarm := flag.Bool("swarm", false, "client-swarm serving benchmark: paced writer under concurrent snapshot readers and SSE subscribers")
-	clients := flag.Int("clients", 10000, "concurrent read clients for -swarm")
-	sseFrac := flag.Float64("sse", 0.05, "fraction of -swarm clients holding SSE changefeeds")
-	rate := flag.Float64("rate", 15, "offered writer load for -swarm, windows/second (the Figure 5 workload gets costlier per window as the stream grows — pick a rate the host sustains at end-of-stream, or the ratio measures saturation, not serving overhead)")
-	poll := flag.Duration("poll", 5*time.Second, "mean poll interval per -swarm read client (jittered)")
-	duration := flag.Duration("duration", 15*time.Second, "target writer runtime for -swarm (sets the transaction count)")
 	var workers int
-	flag.IntVar(&workers, "j", 0, "worker count for -parallel and -throughput (0 = default)")
+	flag.IntVar(&workers, "j", 0, "worker count for -parallel (0 = default)")
 	flag.IntVar(&workers, "workers", 0, "alias for -j")
 	seed := flag.Int64("seed", 0, "chunk-order seed for -parallel (result is seed-independent)")
 	dot := flag.Bool("dot", false, "emit the ProblemDept expression DAG as Graphviz DOT")
@@ -121,7 +93,7 @@ func main() {
 		}()
 	}
 
-	all := *table == 0 && *figure == 0 && !*measured && !*sweeps && !*parallel && !*throughput && !*shards && !*durable && !*swarm && !*dot
+	all := *table == 0 && *figure == 0 && !*measured && !*sweeps && !*parallel && !*dot
 
 	var f *paper.Fixture
 	needFixture := all || *table > 0 || *figure == 1 || *figure == 2 || *dot
@@ -192,65 +164,6 @@ func main() {
 		}
 		emit(out)
 	}
-	if all || *throughput {
-		ws := []int{1, 4}
-		if workers > 0 {
-			ws = []int{workers}
-		}
-		_, out, err := paper.ThroughputTable(corpus.DefaultFigure5Config(), 512, []int{1, 16, 64}, ws)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(out)
-	}
-	if all || *shards {
-		w := workers
-		if w <= 0 {
-			w = 1
-		}
-		_, out, err := paper.ShardedThroughputTable(corpus.DefaultFigure5Config(), 512, 64, w, []int{1, 2, 4, 8})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(out)
-	}
-	if all || *durable {
-		dir := *waldir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "mvbench-wal-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
-		}
-		w := workers
-		if w <= 0 {
-			w = 1
-		}
-		_, out, err := paper.DurableThroughputTable(corpus.DefaultFigure5Config(), 512, []int{1, 16, 64}, w, dir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(out)
-	}
-	if *swarm {
-		w := workers
-		if w <= 0 {
-			w = 1
-		}
-		batch := 64
-		txns := int(*rate*duration.Seconds()) * batch
-		_, out, err := paper.ServingTable(corpus.DefaultFigure5Config(), paper.SwarmOptions{
-			Txns: txns, Batch: batch, Workers: w,
-			Clients: *clients, SSEFraction: *sseFrac,
-			WindowRate: *rate, PollInterval: *poll,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(out)
-	}
 	if all || *sweeps {
 		_, out, err := paper.SweepFanout(1000, []int{1, 2, 5, 10, 20, 50, 100})
 		if err != nil {
@@ -277,10 +190,6 @@ func main() {
 			log.Fatal(err)
 		}
 		emit(out)
-	}
-	if !all && *table == 0 && *figure == 0 && !*measured && !*sweeps && !*parallel && !*throughput && !*shards && !*durable && !*swarm && !*dot {
-		flag.Usage()
-		os.Exit(2)
 	}
 }
 

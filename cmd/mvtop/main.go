@@ -104,8 +104,7 @@ func renderFrame(prev, cur obs.Snapshot, dt time.Duration) string {
 	fmt.Fprintf(&b, "%-22s %12s   (cycles=%d)\n", "GC pause p99",
 		nsStr(gc.Quantile(0.99)), gc.Count)
 	// The GC-ceiling panels (DESIGN.md §14): live bytes/txn and GC
-	// cycles/sec are the dashboard view of the schema-v7 long-stream
-	// bench columns, and the slab line shows recycling absorbing the
+	// cycles/sec, and the slab line shows recycling absorbing the
 	// rewrite churn that would otherwise grow them.
 	dg := func(name string) float64 { return cur.Gauges[name] - prev.Gauges[name] }
 	if alloc := dg("runtime.heap.allocs.bytes"); txns > 0 {

@@ -202,6 +202,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, f := range funcs {
 		s.Gauges[n] = f()
 	}
+	if r == Default {
+		pollGCNow() // feeds runtime.gc.pause.ns, read just below
+	}
 	for n, h := range hists {
 		s.Histograms[n] = h.Snapshot()
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -147,5 +148,17 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if s.Counters["a"] != 1 || s.Counters["b"] != 2 {
 		t.Fatalf("roundtrip mismatch: %+v", s)
+	}
+}
+
+// A server has no bench harness to poll for it: runtime.gc.pause.ns must
+// be current in whatever Default.Snapshot returns (/metrics, mvtop).
+func TestSnapshotPollsGCPauses(t *testing.T) {
+	const name = "runtime.gc.pause.ns"
+	before := Default.Snapshot().Histograms[name].Count
+	runtime.GC()
+	after := Default.Snapshot().Histograms[name].Count
+	if after <= before {
+		t.Fatalf("%s count %d -> %d across a forced GC; want it to rise", name, before, after)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Runtime bridge: pull-style gauges over runtime/metrics (heap bytes,
@@ -41,8 +39,7 @@ func init() {
 		return 0
 	})
 	// Cumulative heap bytes allocated: the dashboard divides interval
-	// deltas by transactions to show bytes/txn live (the quantity the
-	// schema-v7 long-stream bench row and -bytes-ceiling gate on).
+	// deltas by transactions to show bytes/txn live.
 	Default.GaugeFunc("runtime.heap.allocs.bytes", func() float64 {
 		s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 		metrics.Read(s)
@@ -53,23 +50,22 @@ func init() {
 	})
 }
 
-var gcWatch struct {
+var gcPoll struct {
 	mu        sync.Mutex
 	lastNumGC uint32
-	started   atomic.Bool
-	stop      chan struct{}
 }
 
-// PollGCNow collects GC pauses completed since the last poll into the
-// runtime.gc.pause.ns histogram and the flight recorder. Benchmarks
-// call it right before snapshotting so the tail of a run is not lost to
-// the watcher's cadence; it is also the body of the EnsureGCWatch loop.
-func PollGCNow() {
-	gcWatch.mu.Lock()
-	defer gcWatch.mu.Unlock()
+// pollGCNow collects GC pauses completed since the last poll into the
+// runtime.gc.pause.ns histogram and the flight recorder. Default's
+// Snapshot calls it beside the gauge functions above, so a /metrics
+// scrape or a dashboard refresh sees every pause up to that instant
+// and nothing polls in between.
+func pollGCNow() {
+	gcPoll.mu.Lock()
+	defer gcPoll.mu.Unlock()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	last := gcWatch.lastNumGC
+	last := gcPoll.lastNumGC
 	if ms.NumGC == last {
 		return
 	}
@@ -86,30 +82,5 @@ func PollGCNow() {
 		gcPauseHist.Observe(int64(p))
 		f.Record(EvGCPause, 0, p, uint64(i+1), 0)
 	}
-	gcWatch.lastNumGC = ms.NumGC
-}
-
-// EnsureGCWatch starts (once per process) a background goroutine that
-// polls for completed GC cycles every interval (<= 0 means 50ms).
-// Subsequent calls are no-ops regardless of interval.
-func EnsureGCWatch(interval time.Duration) {
-	if !gcWatch.started.CompareAndSwap(false, true) {
-		return
-	}
-	if interval <= 0 {
-		interval = 50 * time.Millisecond
-	}
-	gcWatch.stop = make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				PollGCNow()
-			case <-gcWatch.stop:
-				return
-			}
-		}
-	}()
+	gcPoll.lastNumGC = ms.NumGC
 }

@@ -7,13 +7,12 @@ import (
 	"sync"
 )
 
-// MemListener is an in-process net.Listener over synchronous pipes: the
-// client-swarm benchmark drives 10k+ concurrent HTTP/SSE clients
-// through it without consuming file descriptors or ports, which a
-// one-CPU CI container cannot spare. Dial returns the client half of a
-// fresh pipe whose server half Accept hands to the HTTP server.
+// MemListener is an in-process net.Listener over synchronous pipes, so
+// the server tests hold many HTTP/SSE clients open without consuming
+// file descriptors or ports. Dial returns the client half of a fresh
+// pipe whose server half Accept hands to the HTTP server. It sits in
+// package server so that server_test sees it as server.MemListener.
 type MemListener struct {
-	mu     sync.Mutex
 	ch     chan net.Conn
 	closed chan struct{}
 	once   sync.Once
@@ -60,9 +59,8 @@ func (l *MemListener) Dial(ctx context.Context) (net.Conn, error) {
 	}
 }
 
-// Client returns an http.Client that dials this listener. Connection
-// pooling is disabled per-client by generous idle limits; the swarm
-// relies on keep-alive so each simulated client holds exactly one pipe.
+// Client returns an http.Client that dials this listener; keep-alive
+// with one idle connection means each client holds exactly one pipe.
 func (l *MemListener) Client() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
