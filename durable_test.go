@@ -233,91 +233,84 @@ func viewBags(sys *mvmaint.System) map[string]map[string]int64 {
 // rejected transaction appends nothing (same LSN, same log length, and
 // its durability point is the covering LSN), the accepted transaction
 // after it does, and a fresh DB recovered from the directory holds the
-// live system's views — under the default and the deferred fence.
+// live system's views.
 func TestRejectedTransactionNeverLogged(t *testing.T) {
-	for _, deferred := range []bool{false, true} {
-		t.Run(fmt.Sprintf("deferred=%v", deferred), func(t *testing.T) {
-			db := mvmaint.Open()
-			db.MustExec(durableSchemaDDL)
-			db.MustExec(durableData(6, 4))
-			cfg := mvmaint.Config{Workload: paperWorkload(), Method: mvmaint.Exhaustive}
-			sys, err := db.Build([]string{"DeptConstraint"}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dir := t.TempDir()
-			opts := wal.Options{DeferredFence: deferred}
-			mgr, err := sys.AttachDurability(wal.OSFS{}, dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// settle drains the deferred chain so the log tip and the
-			// directory are comparable at every step in both modes.
-			settle := func() (uint64, int64) {
-				t.Helper()
-				lsn, err := mgr.Sync()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lsn != mgr.LastLSN() {
-					t.Fatalf("Sync reported %d, log tip is %d", lsn, mgr.LastLSN())
-				}
-				return lsn, dirBytes(t, dir)
-			}
+	// The subtest keeps the name it had when a deferred fence was run
+	// beside the default one; the default fence is the only one now.
+	t.Run("deferred=false", rejectedTransactionNeverLogged)
+}
 
-			if out, err := sys.Execute(`UPDATE Emp SET Salary = 150 WHERE EName = 'e002_01'`); err != nil || !out.OK() {
-				t.Fatalf("benign raise: %v %+v", err, out)
-			}
-			lsn0, bytes0 := settle()
-			if lsn0 != 1 {
-				t.Fatalf("accepted transaction landed at LSN %d, want 1", lsn0)
-			}
+func rejectedTransactionNeverLogged(t *testing.T) {
+	db := mvmaint.Open()
+	db.MustExec(durableSchemaDDL)
+	db.MustExec(durableData(6, 4))
+	cfg := mvmaint.Config{Workload: paperWorkload(), Method: mvmaint.Exhaustive}
+	sys, err := db.Build([]string{"DeptConstraint"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	mgr, err := sys.AttachDurability(wal.OSFS{}, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// settle reads the log tip and the directory size after each step.
+	settle := func() (uint64, int64) {
+		t.Helper()
+		return mgr.LastLSN(), dirBytes(t, dir)
+	}
 
-			out, err := sys.Execute(`UPDATE Emp SET Salary = 1000000 WHERE EName = 'e002_01'`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !out.RolledBack {
-				t.Fatalf("violation not rejected: %+v", out)
-			}
-			if out.Report.LSN != lsn0 {
-				t.Fatalf("rejected transaction's durability point = %d, want %d", out.Report.LSN, lsn0)
-			}
-			if lsn, n := settle(); lsn != lsn0 || n != bytes0 {
-				t.Fatalf("rejected transaction reached the log: LSN %d→%d, %d→%d bytes", lsn0, lsn, bytes0, n)
-			}
+	if out, err := sys.Execute(`UPDATE Emp SET Salary = 150 WHERE EName = 'e002_01'`); err != nil || !out.OK() {
+		t.Fatalf("benign raise: %v %+v", err, out)
+	}
+	lsn0, bytes0 := settle()
+	if lsn0 != 1 {
+		t.Fatalf("accepted transaction landed at LSN %d, want 1", lsn0)
+	}
 
-			// The accepted transaction after it hires into another
-			// department and moves the additional view.
-			if out, err := sys.Execute(`INSERT INTO Emp VALUES ('fresh', 'd004', 75)`); err != nil || !out.OK() {
-				t.Fatalf("hire: %v %+v", err, out)
-			}
-			if lsn, n := settle(); lsn != lsn0+1 || n <= bytes0 {
-				t.Fatalf("accepted transaction not logged: LSN %d→%d, %d→%d bytes", lsn0, lsn, bytes0, n)
-			}
-			live := viewBags(sys)
-			if err := mgr.Close(); err != nil {
-				t.Fatal(err)
-			}
+	out, err := sys.Execute(`UPDATE Emp SET Salary = 1000000 WHERE EName = 'e002_01'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.RolledBack {
+		t.Fatalf("violation not rejected: %+v", out)
+	}
+	if out.Report.LSN != lsn0 {
+		t.Fatalf("rejected transaction's durability point = %d, want %d", out.Report.LSN, lsn0)
+	}
+	if lsn, n := settle(); lsn != lsn0 || n != bytes0 {
+		t.Fatalf("rejected transaction reached the log: LSN %d→%d, %d→%d bytes", lsn0, lsn, bytes0, n)
+	}
 
-			db2 := mvmaint.Open()
-			db2.MustExec(durableSchemaDDL)
-			sys2, mgr2, err := mvmaint.Recover(db2, []string{"DeptConstraint"}, cfg, wal.OSFS{}, dir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mgr2.Close()
-			if mgr2.RecoveredLSN != lsn0+1 || mgr2.ReplayedWindows != 2 {
-				t.Fatalf("recovered to LSN %d over %d windows, want %d over 2",
-					mgr2.RecoveredLSN, mgr2.ReplayedWindows, lsn0+1)
-			}
-			if got := viewBags(sys2); !reflect.DeepEqual(got, live) {
-				t.Fatalf("recovered views differ from the live system:\n got %v\nwant %v", got, live)
-			}
-			res, err := db2.Query(`SELECT Salary FROM Emp WHERE EName = 'e002_01'`)
-			if err != nil || res.Card() != 1 || res.Rows[0].Tuple[0].AsInt() != 150 {
-				t.Fatalf("salary after recovery = %v (%v); the rejected raise must not replay", res, err)
-			}
-		})
+	// The accepted transaction after it hires into another
+	// department and moves the additional view.
+	if out, err := sys.Execute(`INSERT INTO Emp VALUES ('fresh', 'd004', 75)`); err != nil || !out.OK() {
+		t.Fatalf("hire: %v %+v", err, out)
+	}
+	if lsn, n := settle(); lsn != lsn0+1 || n <= bytes0 {
+		t.Fatalf("accepted transaction not logged: LSN %d→%d, %d→%d bytes", lsn0, lsn, bytes0, n)
+	}
+	live := viewBags(sys)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := mvmaint.Open()
+	db2.MustExec(durableSchemaDDL)
+	sys2, mgr2, err := mvmaint.Recover(db2, []string{"DeptConstraint"}, cfg, wal.OSFS{}, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if mgr2.RecoveredLSN != lsn0+1 || mgr2.ReplayedWindows != 2 {
+		t.Fatalf("recovered to LSN %d over %d windows, want %d over 2",
+			mgr2.RecoveredLSN, mgr2.ReplayedWindows, lsn0+1)
+	}
+	if got := viewBags(sys2); !reflect.DeepEqual(got, live) {
+		t.Fatalf("recovered views differ from the live system:\n got %v\nwant %v", got, live)
+	}
+	res, err := db2.Query(`SELECT Salary FROM Emp WHERE EName = 'e002_01'`)
+	if err != nil || res.Card() != 1 || res.Rows[0].Tuple[0].AsInt() != 150 {
+		t.Fatalf("salary after recovery = %v (%v); the rejected raise must not replay", res, err)
 	}
 }

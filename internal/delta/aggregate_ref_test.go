@@ -160,7 +160,7 @@ func aggregateGroup(a *algebra.Aggregate, in *catalog.Schema, gk value.Tuple, ro
 			out = append(out, value.NewInt(total))
 			continue
 		}
-		f, err := expr.CompileFast(ag.Arg, in)
+		f, err := expr.CompileProg(ag.Arg, in)
 		if err != nil {
 			return nil, false, err
 		}
@@ -168,7 +168,7 @@ func aggregateGroup(a *algebra.Aggregate, in *catalog.Schema, gk value.Tuple, ro
 		var count int64
 		var minV, maxV value.Value
 		for _, r := range rows {
-			v := f(r.Tuple)
+			v := f.Eval(r.Tuple)
 			if v.IsNull() {
 				continue
 			}

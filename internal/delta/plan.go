@@ -46,11 +46,11 @@ type SelectPlan struct {
 
 // CompileSelect compiles sel's predicate against the child schema.
 func CompileSelect(sel *algebra.Select, in *catalog.Schema) (*SelectPlan, error) {
-	f, err := expr.CompileFast(sel.Pred, in)
+	p, err := expr.CompileProg(sel.Pred, in)
 	if err != nil {
 		return nil, err
 	}
-	return &SelectPlan{sel: sel, pred: f}, nil
+	return &SelectPlan{sel: sel, pred: p.Eval}, nil
 }
 
 // Apply propagates d through the compiled selection. The result is
@@ -85,11 +85,11 @@ type ProjectPlan struct {
 func CompileProject(p *algebra.Project, in *catalog.Schema) (*ProjectPlan, error) {
 	fs := make([]func(value.Tuple) value.Value, len(p.Items))
 	for i, it := range p.Items {
-		f, err := expr.CompileFast(it.E, in)
+		f, err := expr.CompileProg(it.E, in)
 		if err != nil {
 			return nil, err
 		}
-		fs[i] = f
+		fs[i] = f.Eval
 	}
 	return &ProjectPlan{p: p, fs: fs, out: p.Schema()}, nil
 }
@@ -284,11 +284,11 @@ func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
 		p.left.pos, p.right.pos = append(p.left.pos, li), append(p.right.pos, ri)
 	}
 	if j.Residual != nil {
-		f, err := expr.CompileFast(j.Residual, p.outSchema)
+		f, err := expr.CompileProg(j.Residual, p.outSchema)
 		if err != nil {
 			return nil, err
 		}
-		p.residual = f
+		p.residual = f.Eval
 	}
 	return p, nil
 }
@@ -435,11 +435,11 @@ func CompileAggregate(a *algebra.Aggregate, in *catalog.Schema) (*AggregatePlan,
 		default:
 			return nil, fmt.Errorf("delta: unsupported aggregate %s", ag.Func)
 		}
-		f, err := expr.CompileFast(ag.Arg, in)
+		f, err := expr.CompileProg(ag.Arg, in)
 		if err != nil {
 			return nil, err
 		}
-		p.argFns[i] = f
+		p.argFns[i] = f.Eval
 	}
 	return p, nil
 }

@@ -42,9 +42,9 @@ type instr struct {
 	a  int32
 }
 
-// CompileProg compiles e against schema s. It returns an error when a
-// column fails to resolve or e contains a node kind it does not know;
-// callers fall back to Compile's closures in the latter case.
+// CompileProg compiles e against schema s. It compiles every node kind
+// in this package, so its only error is a column that fails to resolve
+// (exactly where Compile fails too).
 func CompileProg(e Expr, s *catalog.Schema) (*Prog, error) {
 	p := &Prog{}
 	if err := p.compile(e, s); err != nil {
@@ -179,15 +179,3 @@ func (p *Prog) Eval(t value.Tuple) value.Value {
 
 // Truth evaluates the program in predicate position.
 func (p *Prog) Truth(t value.Tuple) bool { return p.Eval(t).Truth() }
-
-// CompileFast resolves e to the fastest available evaluator: the flat
-// program when every node kind is supported, otherwise Compile's
-// closure chain. A CompileProg failure falls through to Compile, whose
-// error paths are authoritative (an unresolvable column fails both
-// ways, an unknown node kind only the former).
-func CompileFast(e Expr, s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	if p, err := CompileProg(e, s); err == nil {
-		return p.Eval, nil
-	}
-	return e.Compile(s)
-}

@@ -142,17 +142,23 @@ func TestProgShortCircuit(t *testing.T) {
 	}
 }
 
-func TestCompileFastResolutionError(t *testing.T) {
+// TestCompileProgResolutionError pins CompileProg's one failure: an
+// unresolvable column fails it exactly where it fails Compile.
+func TestCompileProgResolutionError(t *testing.T) {
 	s := progSchema()
-	if _, err := CompileFast(C("NoSuchCol"), s); err == nil {
-		t.Fatal("CompileFast resolved a nonexistent column")
+	bad := AndOf(Compare(GT, C("A"), IntLit(0)), Not{E: C("NoSuchCol")})
+	if _, err := CompileProg(bad, s); err == nil {
+		t.Fatal("CompileProg resolved a nonexistent column")
 	}
-	f, err := CompileFast(Compare(GT, C("A"), IntLit(0)), s)
+	if _, err := bad.Compile(s); err == nil {
+		t.Fatal("Compile resolved a nonexistent column")
+	}
+	p, err := CompileProg(Compare(GT, C("A"), IntLit(0)), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f(value.Tuple{value.NewInt(1)}).Truth() {
-		t.Fatal("CompileFast evaluator wrong")
+	if !p.Eval(value.Tuple{value.NewInt(1)}).Truth() {
+		t.Fatal("CompileProg evaluator wrong")
 	}
 }
 

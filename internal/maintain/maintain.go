@@ -160,11 +160,6 @@ type Maintainer struct {
 	// sequentially (buffered charging mutates shared LRU state).
 	Workers int
 
-	// DisableMQO turns off the per-window shared subplan memo (every
-	// query goes back to storage). Test knob: the equivalence suite
-	// compares memo-shared propagation against this per-query oracle.
-	DisableMQO bool
-
 	views map[int]*View
 	trees map[int]algebra.Node // memoized query trees per eq node
 
@@ -187,6 +182,11 @@ type Maintainer struct {
 	// netAll keeps every join delta (nothing StreamsInto an aggregate):
 	// the oracle the differential tests compare streaming against.
 	netAll bool
+	// disableMQO turns off the per-window shared subplan memo (every
+	// query goes back to storage): the per-query oracle the MQO
+	// equivalence tests compare memo-shared propagation against.
+	disableMQO bool
+
 	winBuf []map[string]*delta.Delta
 	mutBuf []storage.Mutation
 
@@ -360,8 +360,8 @@ func (m *Maintainer) fireWindowHook(lsn uint64, txns int, deltas map[int]*delta.
 // WindowSpanID returns the current window's root span ID. Committers
 // call this from BeginWindow/Commit — both happen-after the window
 // opened and happen-before the next one does — to parent their commit
-// spans (including deferred, cross-goroutine fsync chains) to the
-// window that staged the deltas.
+// spans (including the committer goroutine's fsync) to the window that
+// staged the deltas.
 func (m *Maintainer) WindowSpanID() uint64 { return m.windowSpan }
 
 // publishArenaStats pushes the arena's cumulative traffic into the obs

@@ -47,13 +47,13 @@ type windowMemo struct {
 // newWindowMemo returns the memo for one window. The memo struct and
 // its maps are owned by the maintainer and recycled across windows
 // (cleared, not reallocated); single-threaded use per the propagation
-// pass. With DisableMQO set (test knob) the memo is inert: every query
-// goes back to storage, which is the per-query oracle the equivalence
-// suite compares against.
+// pass. With disableMQO set the memo is inert: every query goes back to
+// storage, which is the per-query oracle the equivalence suite compares
+// against.
 func (m *Maintainer) newWindowMemo() *windowMemo {
 	w := &m.winMemo
 	w.buf = w.buf[:0]
-	if m.DisableMQO {
+	if m.disableMQO {
 		w.rows, w.eval = nil, nil
 		return w
 	}
@@ -67,7 +67,7 @@ func (m *Maintainer) newWindowMemo() *windowMemo {
 	return w
 }
 
-// get looks up an answered query; a nil rows map (DisableMQO) never hits.
+// get looks up an answered query; a nil rows map (disableMQO) never hits.
 func (w *windowMemo) get(key []byte) ([]storage.Row, bool) {
 	if w.rows == nil {
 		obsMemoMisses.Inc()

@@ -67,7 +67,7 @@ func TestMQOEquivalenceRandom(t *testing.T) {
 			serial := buildMirror(t, seed)
 			shared := buildMirror(t, seed)
 			unshared := buildMirror(t, seed)
-			unshared.m.DisableMQO = true
+			unshared.m.DisableMQO()
 			shared.m.Workers = 1 + trial%8
 			unshared.m.Workers = 1 + (trial+3)%8
 
@@ -209,7 +209,7 @@ func TestMQOEquivalenceFigure5(t *testing.T) {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			shared := buildFig5Mirror(t, cfg, workers)
 			unshared := buildFig5Mirror(t, cfg, 1)
-			unshared.m.DisableMQO = true
+			unshared.m.DisableMQO()
 			stream := newFig5Stream(shared.db, 6)
 
 			hits := obs.C("maintain.mqo.memo_hits")
@@ -273,7 +273,7 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 	serialDB, serialM, _ := build(1)
 	_, sharedM, checked := build(4)
 	_, unsharedM, _ := build(1)
-	unsharedM.DisableMQO = true
+	unsharedM.DisableMQO()
 
 	txnRng := rand.New(rand.NewSource(31337))
 	steps := 0

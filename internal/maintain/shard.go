@@ -49,8 +49,6 @@ type ShardedConfig struct {
 	VS tracks.ViewSet
 	// Workers is each shard pipeline's view-apply worker count.
 	Workers int
-	// DisableMQO disables the shared-subplan memo per shard.
-	DisableMQO bool
 	// Model is the cost model (default the paper's page-I/O model).
 	Model cost.Model
 }
@@ -195,7 +193,6 @@ func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharde
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
 		m.Workers = cfg.Workers
-		m.DisableMQO = cfg.DisableMQO
 		ms[i] = m
 	}
 	return AssembleSharded(setups, ms, part)

@@ -6,9 +6,9 @@ import "sync/atomic"
 // span plus a process-unique window sequence number. It is allocated
 // once per ApplyBatch window and threaded through every stage that does
 // work on the window's behalf — coalesce, track propagation, per-shard
-// apply, spanning-aggregate merge, and the (possibly deferred, possibly
-// cross-goroutine) commit chain — so spans finished on worker or
-// committer goroutines still link back to the window that caused them.
+// apply, spanning-aggregate merge, and the cross-goroutine WAL commit —
+// so spans finished on worker or committer goroutines still link back
+// to the window that caused them.
 //
 // The sequence number keys flight-recorder events (EvWindowOpen /
 // EvWindowFence / EvShardRoute) so a binary dump can be correlated with
@@ -61,9 +61,9 @@ func (w *WindowTrace) Child(name string) *Active {
 	return Trace.Start(name, w.root.ID())
 }
 
-// Finish closes the root span. Stages that outlive the window body (a
-// deferred-fence commit draining under the next window) hold the root's
-// ID, not the *Active, so finishing here is safe even while they run.
+// Finish closes the root span. Cross-goroutine stages (shard pipelines,
+// the WAL committer) hold the root's ID, not the *Active, so finishing
+// here never races them.
 func (w *WindowTrace) Finish() {
 	if w != nil {
 		w.root.Finish()

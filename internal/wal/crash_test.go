@@ -151,13 +151,7 @@ func (g *fig5Gen) next() txn.Transaction {
 // the LSNs of the windows whose commit was acknowledged before the first
 // error — the lower bound on what recovery must reproduce.
 func runDurable(db *corpus.Database, m *maintain.Maintainer, fsys wal.FS, dir string, windows [][]txn.Transaction, ckptEvery int) ([]uint64, error) {
-	return runDurableOpts(db, m, fsys, dir, windows, ckptEvery, wal.Options{SegmentBytes: crashSegBytes})
-}
-
-// runDurableOpts is runDurable with caller-chosen log options (the
-// deferred-fence matrix flips Options.DeferredFence).
-func runDurableOpts(db *corpus.Database, m *maintain.Maintainer, fsys wal.FS, dir string, windows [][]txn.Transaction, ckptEvery int, opts wal.Options) ([]uint64, error) {
-	mgr, err := wal.Attach(m, db.Catalog, fsys, dir, opts)
+	mgr, err := wal.Attach(m, db.Catalog, fsys, dir, wal.Options{SegmentBytes: crashSegBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -282,16 +276,6 @@ func dumpFlight(t *testing.T, sub string) {
 //     workload lands on identical state and zero drift.
 func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, workers, nWindows, batch int, acked []uint64, forceRecompute bool) {
 	t.Helper()
-	verifyRecoveryN(t, fsys, dir, cfg, workers, nWindows, batch, acked, forceRecompute, 1)
-}
-
-// verifyRecoveryN is verifyRecovery with a caller-chosen bound on how
-// far the recovered LSN may overshoot the last acknowledged commit: 1
-// for the default fence (one record in flight at crash time), 2 for the
-// deferred fence (the previous window's record may still be in flight
-// while the current window's is already spawned).
-func verifyRecoveryN(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, workers, nWindows, batch int, acked []uint64, forceRecompute bool, maxAhead int) {
-	t.Helper()
 	db2 := corpus.Figure5Database(cfg)
 	rec, err := wal.BeginRecovery(db2.Catalog, db2.Store, fsys, dir)
 	if err != nil {
@@ -327,8 +311,8 @@ func verifyRecoveryN(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Fig
 	if len(acked) > 0 {
 		lastAcked = int(acked[len(acked)-1])
 	}
-	if prefix < lastAcked || prefix > lastAcked+maxAhead {
-		t.Fatalf("recovered LSN %d outside [%d,%d]: durability regressed or invented a commit", prefix, lastAcked, lastAcked+maxAhead)
+	if prefix < lastAcked || prefix > lastAcked+1 {
+		t.Fatalf("recovered LSN %d outside [%d,%d]: durability regressed or invented a commit", prefix, lastAcked, lastAcked+1)
 	}
 	if prefix > nWindows {
 		t.Fatalf("recovered LSN %d beyond the %d-window workload", prefix, nWindows)

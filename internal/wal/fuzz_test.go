@@ -101,6 +101,65 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// FuzzFeedDecode opens arbitrary bytes as a changefeed's only segment,
+// the way every resume reads the feed from disk: OpenFeedLog and Replay
+// never panic, and Replay yields a contiguous prefix 1..k or an error.
+func FuzzFeedDecode(f *testing.F) {
+	schema := feedSchema()
+	// Seed: a healthy eight-record segment, as the feed writes it.
+	seg := func() []byte {
+		dir := f.TempDir()
+		fl, err := OpenFeedLog(OSFS{}, dir, Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 1; i <= 8; i++ {
+			if _, err := goldenAppend(fl, schema, i); err != nil {
+				f.Fatal(err)
+			}
+		}
+		fl.Close()
+		data, err := OSFS{}.ReadFile(join(dir, segName(1)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}()
+	f.Add(seg)
+	for _, cut := range []int{len(seg) - 1, len(seg) - 9, len(seg) / 2, segHeaderLen + 3, segHeaderLen, 0} {
+		f.Add(seg[:cut])
+	}
+	flip := append([]byte(nil), seg...)
+	flip[len(flip)/2] ^= 0x10
+	f.Add(flip)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fsys := NewFaultFS(1)
+		h, err := fsys.OpenAppend(join("feed", segName(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		fl, err := OpenFeedLog(fsys, "feed", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next uint64 = 1
+		err = fl.Replay(0, feedSchemas(schema), func(r FeedRecord) error {
+			if r.Seq != next || r.Txns < 0 {
+				t.Fatalf("replayed seq %d (txns %d), want %d", r.Seq, r.Txns, next)
+			}
+			next++
+			return nil
+		})
+		if err == nil && next-1 != fl.LastSeq() {
+			t.Fatalf("clean replay stopped at %d, LastSeq %d", next-1, fl.LastSeq())
+		}
+	})
+}
+
 // FuzzWALDecodeRaw feeds arbitrary bytes straight into the lower-level
 // decoders, which recovery trusts to fail cleanly on any input.
 func FuzzWALDecodeRaw(f *testing.F) {

@@ -17,7 +17,10 @@ import (
 //
 //	header  = magic "MVWALSG1" | u64 firstLSN (BigEndian)     (16 bytes)
 //	record  = u32 len (LE) | u32 crc32c (LE) | payload
-//	payload = uvarint LSN | uvarint txnCount | window bytes
+//	payload = uvarint LSN | uvarint txnCount | body
+//
+// The body is an encoded window in the WAL, a shard-LSN vector in the
+// sharded coordinator's log (AppendRaw) and a feed entry in FeedLog.
 //
 // LSNs are assigned per committed window (group commit: one record, one
 // fsync per ApplyBatch window) and increase by exactly one from the
@@ -27,8 +30,8 @@ import (
 // contiguous LSNs; everything after the first violation is the torn
 // tail of a crashed write and is truncated on open.
 const (
-	segMagic     = "MVWALSG1"
-	segHeaderLen = 16
+	segMagic      = "MVWALSG1"
+	segHeaderLen  = 16
 	frameOverhead = 8
 	// maxRecordLen bounds a frame's declared payload length so a corrupt
 	// length field cannot drive a huge allocation.
@@ -38,9 +41,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 var (
-	fsyncNs   = obs.H("wal.fsync.ns")
-	walBytes  = obs.C("wal.bytes")
-	walRecs   = obs.C("wal.records")
+	fsyncNs  = obs.H("wal.fsync.ns")
+	walBytes = obs.C("wal.bytes")
+	walRecs  = obs.C("wal.records")
 )
 
 // Options configures a log directory.
@@ -51,16 +54,6 @@ type Options struct {
 	// Meta is opaque application metadata stored in every checkpoint
 	// (the shell uses it to persist the DDL that rebuilds the catalog).
 	Meta map[string]string
-	// DeferredFence relaxes the Manager's commit fence by one window:
-	// BeginWindow's wait joins the PREVIOUS window's commit instead of
-	// its own, so window k's fsync overlaps window k+1's coalesce and
-	// propagation (the paper's group-commit pipelining taken across
-	// windows). Acknowledging window k then implies window k-1 is
-	// durable; a crash can lose at most the last acknowledged window.
-	// Commit, Checkpoint, Sync and Close drain the in-flight chain, so
-	// every explicit durability point is unchanged. Off by default:
-	// the default fence keeps ack ⇒ durable for the acked window.
-	DeferredFence bool
 }
 
 func (o Options) segBytes() int {
@@ -82,12 +75,13 @@ type segInfo struct {
 	firstLSN uint64
 }
 
-// Log is an open WAL directory. Not safe for concurrent use; the
-// Manager serializes commits behind the maintenance pipeline's window
-// barrier.
+// Log is an open segmented record log: the WAL, the sharded
+// coordinator's log and the changefeed (FeedLog) are all one. Not safe
+// for concurrent use; the Manager serializes commits behind the
+// maintenance pipeline's window barrier, FeedLog behind its mutex.
 type Log struct {
-	fsys    FS
-	dir     string
+	fsys     FS
+	dir      string
 	segBytes int
 
 	lastLSN uint64
@@ -96,7 +90,7 @@ type Log struct {
 	cur     File
 	curName string
 	curSize int
-	buf     []byte // payload scratch (uvarint header + encoded window)
+	buf     []byte // payload scratch (uvarint header + body)
 	fbuf    []byte // frame scratch (length | crc | payload)
 
 	// broken latches the first write error: a log that failed mid-frame
@@ -105,7 +99,7 @@ type Log struct {
 	broken error
 }
 
-// OpenLog opens (creating if needed) the WAL directory, scans every
+// OpenLog opens (creating if needed) a log directory, scans every
 // segment, truncates the torn tail of a crashed write, and removes any
 // segments after the first invalid point.
 func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
@@ -191,14 +185,7 @@ func (l *Log) LastLSN() uint64 { return l.lastLSN }
 // CommitWindow appends one coalesced window covering txns transactions
 // and makes it durable with a single fsync. It returns the window's LSN.
 func (l *Log) CommitWindow(w delta.Coalesced, txns int) (uint64, error) {
-	if l.broken != nil {
-		return 0, l.broken
-	}
-	lsn := l.lastLSN + 1
-	l.buf = l.buf[:0]
-	l.buf = binary.AppendUvarint(l.buf, lsn)
-	l.buf = binary.AppendUvarint(l.buf, uint64(txns))
-	l.buf = delta.AppendWindow(l.buf, w)
+	l.buf = delta.AppendWindow(l.header(uint64(txns)), w)
 	return l.commitPayload(l.buf)
 }
 
@@ -210,72 +197,29 @@ func (l *Log) CommitWindow(w delta.Coalesced, txns int) (uint64, error) {
 // other (Replay rejects raw bodies as trailing bytes, ReplayRaw never
 // decodes windows).
 func (l *Log) AppendRaw(body []byte, txns int) (uint64, error) {
-	if l.broken != nil {
-		return 0, l.broken
-	}
-	lsn := l.lastLSN + 1
-	l.buf = l.buf[:0]
-	l.buf = binary.AppendUvarint(l.buf, lsn)
-	l.buf = binary.AppendUvarint(l.buf, uint64(txns))
-	l.buf = append(l.buf, body...)
+	l.buf = append(l.header(uint64(txns)), body...)
 	return l.commitPayload(l.buf)
 }
 
-// encodeWindowPayload encodes one window record payload (uvarint LSN |
-// uvarint txns | encoded window) into a fresh buffer. The deferred-fence
-// Manager encodes synchronously at window close — the window's deltas
-// alias an arena that resets next window, so only these bytes survive —
-// and commits the buffer later via commitPreEncoded.
-func encodeWindowPayload(lsn uint64, txns int, w delta.Coalesced) []byte {
-	buf := binary.AppendUvarint(nil, lsn)
-	buf = binary.AppendUvarint(buf, uint64(txns))
-	return delta.AppendWindow(buf, w)
+// header starts the next record's payload in the log's scratch buffer —
+// uvarint LSN | uvarint txns — for the caller to append the body to.
+func (l *Log) header(txns uint64) []byte {
+	l.buf = binary.AppendUvarint(l.buf[:0], l.lastLSN+1)
+	return binary.AppendUvarint(l.buf, txns)
 }
 
-// commitPreEncoded frames, writes and fsyncs a payload produced by
-// encodeWindowPayload. The LSN was assigned when the payload was
-// encoded; the deferred commit chain is FIFO, so it must equal the next
-// LSN here — a mismatch means the chain was broken and the log cannot
-// accept the record.
-func (l *Log) commitPreEncoded(payload []byte, lsn uint64) (uint64, error) {
-	if l.broken != nil {
-		return 0, l.broken
-	}
-	if want := l.lastLSN + 1; lsn != want {
-		l.broken = fmt.Errorf("wal: deferred commit out of order: lsn %d, want %d", lsn, want)
-		return 0, l.broken
-	}
-	return l.commitPayload(payload)
-}
-
-// commitPayload frames, writes and fsyncs one already-encoded payload
-// (uvarint LSN | uvarint txns | body) as the next record.
+// commitPayload writes one already-encoded payload as the next record
+// and makes it durable with a single fsync.
 func (l *Log) commitPayload(payload []byte) (uint64, error) {
-	lsn := l.lastLSN + 1
-	if len(payload) > maxRecordLen {
-		return 0, fmt.Errorf("wal: window payload %d exceeds max record size", len(payload))
-	}
-	if cap(l.fbuf) < frameOverhead+len(payload) {
-		l.fbuf = make([]byte, frameOverhead+len(payload))
-	}
-	frame := l.fbuf[:frameOverhead+len(payload)]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameOverhead:], payload)
-
-	if err := l.ensureSegment(lsn, len(frame)); err != nil {
-		l.broken = err
-		return 0, err
-	}
+	lsn, n := l.lastLSN+1, frameOverhead+len(payload)
 	// Flight-recorder ordering contract: the start event lands BEFORE
 	// the record's bytes reach the filesystem and the done event only
 	// after fsync returns, so in any post-mortem image
 	// max(done LSNs) <= recovered LSN <= max(start LSNs) — the black box
 	// and the log can be cross-checked against each other.
-	obs.Flight().Record(obs.EvFsyncStart, 0, lsn, uint64(len(frame)), 0)
-	if _, err := l.cur.Write(frame); err != nil {
-		l.broken = fmt.Errorf("wal: write: %w", err)
-		return 0, l.broken
+	obs.Flight().Record(obs.EvFsyncStart, 0, lsn, uint64(n), 0)
+	if err := l.writeRecord(payload); err != nil {
+		return 0, err
 	}
 	start := time.Now()
 	if err := l.cur.Sync(); err != nil {
@@ -283,12 +227,43 @@ func (l *Log) commitPayload(payload []byte) (uint64, error) {
 		return 0, l.broken
 	}
 	fsyncNs.Observe(time.Since(start).Nanoseconds())
-	obs.Flight().Record(obs.EvFsyncDone, 0, lsn, uint64(len(frame)), 0)
-	walBytes.Add(int64(len(frame)))
+	obs.Flight().Record(obs.EvFsyncDone, 0, lsn, uint64(n), 0)
+	walBytes.Add(int64(n))
 	walRecs.Inc()
-	l.curSize += len(frame)
 	l.lastLSN = lsn
 	return lsn, nil
+}
+
+// writeRecord frames one payload (uvarint LSN | uvarint txns | body,
+// the LSN being lastLSN+1) with its length and CRC32C, rotates to a
+// fresh segment when the current one is full, and writes the frame. It
+// neither fsyncs nor advances lastLSN; the caller does both or, for the
+// changefeed, only the latter.
+func (l *Log) writeRecord(payload []byte) error {
+	if l.broken != nil {
+		return l.broken
+	}
+	if len(payload) > maxRecordLen {
+		return fmt.Errorf("wal: record payload %d exceeds max record size", len(payload))
+	}
+	n := frameOverhead + len(payload)
+	if cap(l.fbuf) < n {
+		l.fbuf = make([]byte, n)
+	}
+	frame := l.fbuf[:n]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	copy(frame[frameOverhead:], payload)
+	if err := l.ensureSegment(l.lastLSN+1, n); err != nil {
+		l.broken = err
+		return err
+	}
+	if _, err := l.cur.Write(frame); err != nil {
+		l.broken = fmt.Errorf("wal: write: %w", err)
+		return l.broken
+	}
+	l.curSize += n
+	return nil
 }
 
 // ensureSegment makes l.cur an open segment with room for a frame of
@@ -364,10 +339,17 @@ func (l *Log) Replay(after uint64, schemas delta.SchemaSource, fn func(Record) e
 // ReplayRaw streams every committed record with LSN > after to fn, in
 // LSN order, without decoding bodies — the reader for AppendRaw logs.
 func (l *Log) ReplayRaw(after uint64, fn func(lsn uint64, txns int, body []byte) error) error {
-	for _, seg := range l.segs {
-		if seg.name == l.curName && l.cur != nil {
-			return fmt.Errorf("wal: replay on a log with open writes")
-		}
+	if l.cur != nil {
+		return fmt.Errorf("wal: replay on a log with open writes")
+	}
+	return l.replaySegments(l.segs, after, fn)
+}
+
+// replaySegments streams the valid records of segs with LSN > after to
+// fn. It reads segment images as they are on disk, so a reader racing
+// an in-flight append stops at the first incomplete frame.
+func (l *Log) replaySegments(segs []segInfo, after uint64, fn func(lsn uint64, txns int, body []byte) error) error {
+	for _, seg := range segs {
 		data, err := l.fsys.ReadFile(join(l.dir, seg.name))
 		if err != nil {
 			return fmt.Errorf("wal: read %s: %w", seg.name, err)

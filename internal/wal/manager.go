@@ -46,15 +46,6 @@ type Manager struct {
 	cat   *catalog.Catalog
 	store *storage.Store
 
-	// Deferred-fence state (Options.DeferredFence). lastJob is the most
-	// recently spawned commit; each new commit goroutine chains on its
-	// predecessor's done channel, which serializes Log access and makes
-	// the pre-assigned LSNs land in order. defSeq is the LSN assigned to
-	// lastJob (the log's lastLSN once the chain drains). Both are only
-	// touched under the maintenance pipeline's window barrier.
-	lastJob *commitJob
-	defSeq  uint64
-
 	// Recovery statistics, populated by Resume.
 	RecoveredLSN    uint64
 	ReplayedWindows int
@@ -105,35 +96,10 @@ func (g *Manager) LastLSN() uint64 { return g.log.LastLSN() }
 // Log exposes the underlying log (tests and tools).
 func (g *Manager) Log() *Log { return g.log }
 
-// commitJob is one in-flight deferred commit. Goroutines chain on the
-// predecessor's done channel (FIFO), so the Log is only ever touched by
-// the head of the chain.
-type commitJob struct {
-	done chan struct{}
-	lsn  uint64
-	err  error
-}
-
-// Sync drains the deferred commit chain: when it returns, every window
-// handed to BeginWindow is durable. It reports the last durable LSN and
-// the first commit error, if any. A no-op (current LSN) outside
-// deferred-fence mode or with nothing in flight.
-func (g *Manager) Sync() (uint64, error) {
-	if g.lastJob == nil {
-		return g.log.LastLSN(), nil
-	}
-	<-g.lastJob.done
-	lsn, err := g.lastJob.lsn, g.lastJob.err
-	g.lastJob = nil
-	return lsn, err
-}
-
 // Commit implements maintain.Committer for a window that logs nothing
 // (it coalesced to nothing, or the assertion checker rolled it back):
-// it writes nothing and returns the current durability point. In
-// deferred-fence mode the in-flight chain is drained first, so an
-// explicit Commit is always a full durability point.
-func (g *Manager) Commit(int) (uint64, error) { return g.Sync() }
+// it writes nothing and returns the current durability point.
+func (g *Manager) Commit(int) (uint64, error) { return g.log.LastLSN(), nil }
 
 // BeginWindow implements maintain.WindowCommitter: it starts making the
 // window durable from its already-coalesced net base deltas on a
@@ -146,15 +112,7 @@ func (g *Manager) Commit(int) (uint64, error) { return g.Sync() }
 // one window ahead of the acknowledged state; recovery then lands on
 // lastAcked+1, which the recovery contract allows (the window was fully
 // intended and its record is self-consistent).
-//
-// In deferred-fence mode (Options.DeferredFence) the fence is relaxed
-// by one window: wait joins the PREVIOUS window's commit, so this
-// window's fsync runs under the NEXT window's coalesce and propagation.
-// See Options.DeferredFence for the weakened ack contract.
 func (g *Manager) BeginWindow(w delta.Coalesced, txns int) func() (uint64, error) {
-	if g.opts.DeferredFence {
-		return g.beginWindowDeferred(w, txns)
-	}
 	sp := obs.Trace.Start("wal.commit", g.m.WindowSpanID())
 	type result struct {
 		lsn uint64
@@ -187,67 +145,6 @@ func (g *Manager) BeginWindow(w delta.Coalesced, txns int) func() (uint64, error
 	}
 }
 
-// beginWindowDeferred is BeginWindow under Options.DeferredFence.
-// The window payload is encoded synchronously — its deltas alias the
-// maintainer's window arena, which resets when the next window opens,
-// so only the encoded bytes may outlive the call (~120 B/record on the
-// paper workload; trivial next to the fsync it frees). The commit
-// goroutine chains on its predecessor, keeping Log access serialized
-// and LSNs in order; the returned wait joins the PREVIOUS window's
-// commit and reports its LSN (0 before the first commit lands).
-func (g *Manager) beginWindowDeferred(w delta.Coalesced, txns int) func() (uint64, error) {
-	// The parent is captured NOW, under the window barrier: the chained
-	// goroutine below outlives this window's body (it drains under the
-	// next window), so it must carry its originating window's root span,
-	// not whatever window is current when it finally runs.
-	parent := g.m.WindowSpanID()
-	sp := obs.Trace.Start("wal.commit", parent)
-	prev := g.lastJob
-	var durable uint64
-	if prev == nil {
-		// Chain drained (first window, or a Commit/Checkpoint/Sync just
-		// ran): the log tip is the durability point the fence reports.
-		// Safe to read here — no commit goroutine is alive.
-		durable = g.log.LastLSN()
-		g.defSeq = durable
-	}
-	if len(w) > 0 {
-		g.defSeq++
-		job := &commitJob{done: make(chan struct{}), lsn: g.defSeq}
-		payload := encodeWindowPayload(job.lsn, txns, w)
-		go func() {
-			if prev != nil {
-				<-prev.done
-				if prev.err != nil {
-					// A broken chain stays broken: the log's tail shape is
-					// unknown after a failed write, so later windows must
-					// not land.
-					job.err = prev.err
-					close(job.done)
-					return
-				}
-			}
-			// The chained span covers only this window's own write+fsync
-			// (queueing behind the predecessor is the chain's pipelining,
-			// not this window's cost) and parents to the window that
-			// staged the payload.
-			csp := obs.Trace.Start("wal.commit.chained", parent)
-			_, job.err = g.log.commitPreEncoded(payload, job.lsn)
-			csp.Finish()
-			close(job.done)
-		}()
-		g.lastJob = job
-	}
-	return func() (uint64, error) {
-		sp.Finish()
-		if prev == nil {
-			return durable, nil
-		}
-		<-prev.done
-		return prev.lsn, prev.err
-	}
-}
-
 // Checkpoint durably snapshots the base relations and every
 // materialized view (with its sidecar and expression fingerprint) as of
 // the last committed LSN, then prunes log segments the snapshot covers.
@@ -255,11 +152,6 @@ func (g *Manager) beginWindowDeferred(w delta.Coalesced, txns int) func() (uint6
 func (g *Manager) Checkpoint(extra map[string]string) error {
 	sp := obs.Trace.Start("wal.checkpoint", 0)
 	defer sp.Finish()
-	// A checkpoint must cover every window handed to the committer, and
-	// the snapshot below reads the log tip: drain the deferred chain.
-	if _, err := g.Sync(); err != nil {
-		return err
-	}
 	meta := map[string]string{}
 	for k, v := range g.opts.Meta {
 		meta[k] = v
@@ -310,11 +202,7 @@ func (g *Manager) Close() error {
 	if g.m.Committer == maintain.WindowCommitter(g) {
 		g.m.Committer = nil
 	}
-	_, syncErr := g.Sync()
-	if err := g.log.Close(); err != nil {
-		return err
-	}
-	return syncErr
+	return g.log.Close()
 }
 
 // HasState reports whether dir holds any durable state (segments or

@@ -1,8 +1,8 @@
 // Window-causal trace connectivity: a sharded durable batch-64 run must
 // produce spans that all link back to their window's root — shard
-// pipelines run on their own goroutines, commit fsyncs run on committer
-// goroutines, and the deferred fence chains commits under later windows,
-// so any break in parent threading shows up here as an orphan.
+// pipelines run on their own goroutines and commit fsyncs run on
+// committer goroutines, so any break in parent threading shows up here
+// as an orphan.
 package wal_test
 
 import (
@@ -25,21 +25,18 @@ var windowFamily = map[string]bool{
 	"maintain.apply.worker":   true,
 	"maintain.merge_spanning": true,
 	"wal.commit":              true,
-	"wal.commit.chained":      true,
 	"wal.coord.commit":        true,
 }
 
 func TestWindowTraceConnected(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		for _, deferred := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d,deferred=%v", shards, deferred), func(t *testing.T) {
-				runWindowTraceConnected(t, shards, deferred)
-			})
-		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			runWindowTraceConnected(t, shards)
+		})
 	}
 }
 
-func runWindowTraceConnected(t *testing.T, shards int, deferred bool) {
+func runWindowTraceConnected(t *testing.T, shards int) {
 	// Spans with IDs above the marker belong to this run; everything
 	// older in the global ring is ignored.
 	marker := obs.Trace.Start("test.marker", 0)
@@ -52,8 +49,7 @@ func runWindowTraceConnected(t *testing.T, shards int, deferred bool) {
 	const nWindows, batch = 6, 64
 	windows := genWindows(db, cfg, nWindows, batch)
 	dir := t.TempDir()
-	sm, err := wal.AttachSharded(s, wal.OSFS{}, dir,
-		wal.Options{SegmentBytes: crashSegBytes, DeferredFence: deferred})
+	sm, err := wal.AttachSharded(s, wal.OSFS{}, dir, wal.Options{SegmentBytes: crashSegBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +58,6 @@ func runWindowTraceConnected(t *testing.T, shards int, deferred bool) {
 			t.Fatal(err)
 		}
 	}
-	// Close drains the deferred commit chain, so every chained span has
-	// finished before the ring is read.
 	if err := sm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +106,6 @@ func runWindowTraceConnected(t *testing.T, shards int, deferred bool) {
 	// The cross-goroutine paths must actually have been exercised.
 	if counts["maintain.batch"] == 0 || counts["wal.commit"] == 0 {
 		t.Fatalf("missing expected span families: %v", counts)
-	}
-	if deferred && counts["wal.commit.chained"] == 0 {
-		t.Fatalf("deferred fence recorded no chained commit spans: %v", counts)
 	}
 	if shards > 1 && counts["wal.coord.commit"] == 0 {
 		t.Fatalf("sharded run recorded no coordinator commit spans: %v", counts)
