@@ -35,8 +35,7 @@ func Recover(db *DB, names []string, cfg Config, fsys wal.FS, dir string, opts w
 		return nil, nil, err
 	}
 	ro := rec.RestoreOptions()
-	cfg.Restore = &ro
-	sys, err := db.Build(names, cfg)
+	sys, err := db.build(names, cfg, &ro)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mvmaint: recovery build: %w", err)
 	}

@@ -60,20 +60,6 @@ type GroupLive struct {
 	Live int64
 }
 
-// AggregateIncremental maintains an aggregate from the materialized old
-// values alone (the paper's SumOfSals trick: "adding to or subtracting
-// from the previous aggregate values"). It requires Decomposable.
-//
-// It returns the output delta and the new live count of every affected
-// group.
-func AggregateIncremental(a *algebra.Aggregate, d *Delta, oldAgg OldAgg) (*Delta, []GroupLive, error) {
-	p, err := CompileAggregate(a, d.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Incremental(d, oldAgg)
-}
-
 // acc is one group's running aggregate state: the bag cardinality and,
 // per aggregate, the sum, count and extremes of its non-NULL arguments.
 // Incremental folds a delta's signed rows into one acc per affected
@@ -215,11 +201,12 @@ func (p *AggregatePlan) bucket(d *Delta, fold bool) {
 	}
 }
 
-// Incremental is the compiled form of AggregateIncremental: the group-by
-// positions and argument accessors come from the plan instead of being
-// re-resolved per call, and the per-group accumulators live in plan
-// scratch reused across windows. It requires Decomposable for this
-// delta.
+// Incremental maintains the aggregate from the materialized old values
+// alone (the paper's SumOfSals trick: "adding to or subtracting from the
+// previous aggregate values"), folding d's signed rows into per-group
+// accumulators that live in plan scratch reused across windows. It
+// requires Decomposable for this delta, and returns the output delta and
+// the new live count of every affected group.
 func (p *AggregatePlan) Incremental(d *Delta, oldAgg OldAgg) (*Delta, []GroupLive, error) {
 	if !Decomposable(p.a.Aggs, d) {
 		return nil, nil, fmt.Errorf("delta: aggregate %s is not decomposable for this delta", p.a.OpLabel())
@@ -267,9 +254,12 @@ func (p *AggregatePlan) FinishFold(oldAgg OldAgg) (*Delta, []GroupLive, error) {
 				}
 				newTuple[nAggStart+i] = value.NewInt(base + g.counts[i])
 			case algebra.Sum:
-				if existed && !oldV.IsNull() {
+				switch {
+				case existed && !oldV.IsNull():
 					newTuple[nAggStart+i] = value.Add(oldV, g.sums[i])
-				} else {
+				case g.counts[i] == 0: // still no non-NULL argument
+					newTuple[nAggStart+i] = value.NewNull()
+				default:
 					newTuple[nAggStart+i] = g.sums[i]
 				}
 			case algebra.Min:
@@ -307,20 +297,9 @@ func (p *AggregatePlan) FoldCounts(f func(key []byte, n int64)) {
 	}
 }
 
-// AggregateFull recomputes each affected group from its pre-update rows
-// (supplied by oldGroup — a query on the child, or GroupRowsFromDelta
-// when the delta covers whole groups) plus the delta. Like
-// AggregateIncremental it returns the output delta and the new live
-// count of every affected group.
-func AggregateFull(a *algebra.Aggregate, d *Delta, oldGroup func(value.Tuple) ([]storage.Row, error)) (*Delta, []GroupLive, error) {
-	p, err := CompileAggregate(a, d.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Full(d, oldGroup)
-}
-
-// Full is the compiled form of AggregateFull, at a cost of one pass over
+// Full recomputes each affected group from its pre-update rows (supplied
+// by oldGroup — a query on the child, or GroupRowsFromDelta when the
+// delta covers whole groups) plus the delta, at a cost of one pass over
 // the delta plus, per affected group, one pass over its pre-update rows
 // and one over its post-update bag: bucket groups the delta once,
 // oldGroup is posed once per group, and the group's bag is netted per

@@ -153,10 +153,3 @@ func (co *Coalescer) Coalesce(windows []map[string]*Delta) Coalesced {
 	obsCoalesceAnnihilated.Add(changesIn - changesOut)
 	return out
 }
-
-// Coalesce is the one-shot form: a fresh Coalescer per call. Hot paths
-// hold a Coalescer to reuse its scratch across windows.
-func Coalesce(windows []map[string]*Delta) Coalesced {
-	var co Coalescer
-	return co.Coalesce(windows)
-}

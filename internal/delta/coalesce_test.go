@@ -19,6 +19,9 @@ func TestCoalesceSingleTransactionKeepsModifications(t *testing.T) {
 		build(d)
 		return map[string]*delta.Delta{"Emp": d}
 	}
+	// One coalescer for every window, as a maintainer holds one: each
+	// result is checked before the next call recycles its scratch.
+	var co delta.Coalescer
 	changes := func(w delta.Coalesced) []delta.Change {
 		if d := w.Get("Emp"); d != nil {
 			return d.Changes
@@ -28,7 +31,7 @@ func TestCoalesceSingleTransactionKeepsModifications(t *testing.T) {
 
 	// a→b alone, beside an unrelated insert: the pair survives, and
 	// multiplicities ride along.
-	got := changes(delta.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
+	got := changes(co.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
 		d.Insert(c, 1)
 		d.Modify(a, b, 2)
 	})}))
@@ -39,7 +42,7 @@ func TestCoalesceSingleTransactionKeepsModifications(t *testing.T) {
 
 	// a→b then −b in the same transaction: the new half cancels, the old
 	// half is a plain deletion.
-	got = changes(delta.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
+	got = changes(co.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
 		d.Modify(a, b, 1)
 		d.Delete(b, 1)
 	})}))
@@ -48,7 +51,7 @@ func TestCoalesceSingleTransactionKeepsModifications(t *testing.T) {
 	}
 
 	// a→b then b→a: applied then undone, nothing left.
-	if w := delta.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
+	if w := co.Coalesce([]map[string]*delta.Delta{one(func(d *delta.Delta) {
 		d.Modify(a, b, 1)
 		d.Modify(b, a, 1)
 	})}); len(w) != 0 {
@@ -56,7 +59,7 @@ func TestCoalesceSingleTransactionKeepsModifications(t *testing.T) {
 	}
 
 	// Two transactions: unchanged — no modification survives coalescing.
-	got = changes(delta.Coalesce([]map[string]*delta.Delta{
+	got = changes(co.Coalesce([]map[string]*delta.Delta{
 		one(func(d *delta.Delta) { d.Modify(a, b, 1) }),
 		one(func(d *delta.Delta) { d.Insert(c, 1) }),
 	}))

@@ -78,6 +78,26 @@ func storeProbe(rel *storage.Relation, cols []string) delta.Probe {
 	}
 }
 
+// joinPlan compiles j against its children's schemas.
+func joinPlan(t testing.TB, j *algebra.Join) *delta.JoinPlan {
+	t.Helper()
+	p, err := delta.CompileJoin(j, j.L.Schema(), j.R.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// aggPlan compiles a against its child's schema.
+func aggPlan(t testing.TB, a *algebra.Aggregate) *delta.AggregatePlan {
+	t.Helper()
+	p, err := delta.CompileAggregate(a, a.Input.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestSelectPropagation(t *testing.T) {
 	db := smallDB()
 	emp := algebra.Scan(db.Catalog.MustGet("Emp"))
@@ -85,14 +105,18 @@ func TestSelectPropagation(t *testing.T) {
 		expr.Compare(expr.GT, expr.C("Emp.Salary"), expr.IntLit(150)), emp)
 
 	d := delta.New(emp.Schema())
-	d.Insert(empTuple(0, 9, 200), 1)            // passes
-	d.Insert(empTuple(0, 8, 100), 1)            // fails
-	d.Delete(empTuple(1, 0, 100), 1)            // fails -> dropped
+	d.Insert(empTuple(0, 9, 200), 1)                      // passes
+	d.Insert(empTuple(0, 8, 100), 1)                      // fails
+	d.Delete(empTuple(1, 0, 100), 1)                      // fails -> dropped
 	d.Modify(empTuple(2, 0, 100), empTuple(2, 0, 300), 1) // crosses up -> insert
 	d.Modify(empTuple(2, 1, 300), empTuple(2, 1, 100), 1) // crosses down -> delete
 	d.Modify(empTuple(2, 2, 200), empTuple(2, 2, 300), 1) // stays in -> modify
 
-	out, err := delta.Select(sel, d)
+	plan, err := delta.CompileSelect(sel, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +144,11 @@ func TestProjectPropagationDropsNoOps(t *testing.T) {
 	d := delta.New(emp.Schema())
 	// Salary-only change: projection onto DName makes it a no-op.
 	d.Modify(empTuple(0, 0, 100), empTuple(0, 0, 999), 1)
-	out, err := delta.Project(proj, d)
+	plan, err := delta.CompileProject(proj, d.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Apply(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +176,7 @@ func TestJoinSidePropagation(t *testing.T) {
 	d.Modify(empTuple(2, 0, 100), empTuple(2, 0, 400), 1)
 
 	probe := storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"})
-	got, err := delta.JoinSide(join, d, 0, probe)
+	got, err := joinPlan(t, join).Apply(d, nil, nil, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +210,7 @@ func TestJoinSideKeyChange(t *testing.T) {
 	d := delta.New(join.L.Schema())
 	d.Modify(old, moved, 1)
 
-	got, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+	got, err := joinPlan(t, join).Apply(d, nil, nil, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +256,7 @@ func TestJoinBothSides(t *testing.T) {
 	dr := delta.New(deptSchema)
 	dr.Modify(oldDept, newDept, 1)
 
-	got, err := delta.JoinBoth(join, dl, dr,
+	got, err := joinPlan(t, join).Apply(dl, dr,
 		storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}),
 		storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 	if err != nil {
@@ -239,7 +267,7 @@ func TestJoinBothSides(t *testing.T) {
 	db.Store.MustGet("Dept").ApplyBatch(dr.ToMutations())
 	after, _ := ev.Eval(join)
 	if !sameDelta(got, resultDiff(join.Schema(), before, after)) {
-		t.Errorf("JoinBoth diverges from oracle:\ngot %v", got.Changes)
+		t.Errorf("both-sides join delta diverges from oracle:\ngot %v", got.Changes)
 	}
 }
 
@@ -263,7 +291,7 @@ func TestAggregateIncrementalSumTrick(t *testing.T) {
 	d.Insert(empTuple(1, 9, 70), 1)                       // +70 to d1
 	d.Delete(empTuple(2, 0, 100), 1)                      // -100 to d2
 
-	got, lives, err := delta.AggregateIncremental(sum, d, oldAgg)
+	got, lives, err := aggPlan(t, sum).Incremental(d, oldAgg)
 	live := liveMap(lives)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +330,7 @@ func TestAggregateIncrementalGroupBirthAndDeath(t *testing.T) {
 		d.Delete(empTuple(3, j, 100), 1)
 	}
 
-	got, lives, err := delta.AggregateIncremental(sum, d, oldAgg)
+	got, lives, err := aggPlan(t, sum).Incremental(d, oldAgg)
 	live := liveMap(lives)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +396,7 @@ func TestAggregateFullMatchesOracle(t *testing.T) {
 		rel.Resident = was
 		return rows, nil
 	}
-	got, _, err := delta.AggregateFull(agg, d, oldGroup)
+	got, _, err := aggPlan(t, agg).Full(d, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +438,7 @@ func TestAggregateFullFromCoveredDelta(t *testing.T) {
 	dDept := delta.New(join.R.Schema())
 	dDept.Modify(oldDept, newDept, 1)
 
-	joinDelta, err := delta.JoinSide(join, dDept, 1, storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}))
+	joinDelta, err := joinPlan(t, join).Apply(nil, dDept, storeProbe(db.Store.MustGet("Emp"), []string{"Emp.DName"}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +446,7 @@ func TestAggregateFullFromCoveredDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+	got, _, err := aggPlan(t, agg).Full(joinDelta, oldGroup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,10 +473,10 @@ func TestDistinctPropagation(t *testing.T) {
 	countOf := func(t value.Tuple) (int64, error) { return counts[t.Key()], nil }
 
 	d := delta.New(proj.Schema())
-	d.Insert(value.Tuple{value.NewString("d-new")}, 1)                 // fresh -> insert
-	d.Insert(value.Tuple{value.NewString(corpus.DeptName(0))}, 1)      // existing -> no-op
-	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1)      // 3-1=2 left -> no-op
-	d.Delete(value.Tuple{value.NewString(corpus.DeptName(2))}, 3)      // all gone -> delete
+	d.Insert(value.Tuple{value.NewString("d-new")}, 1)            // fresh -> insert
+	d.Insert(value.Tuple{value.NewString(corpus.DeptName(0))}, 1) // existing -> no-op
+	d.Delete(value.Tuple{value.NewString(corpus.DeptName(1))}, 1) // 3-1=2 left -> no-op
+	d.Delete(value.Tuple{value.NewString(corpus.DeptName(2))}, 3) // all gone -> delete
 
 	out, err := delta.Distinct(dis, d, countOf, &delta.Normalizer{})
 	if err != nil {
@@ -512,18 +540,6 @@ func diffOracle(l, r *exec.Result) *exec.Result {
 	return out
 }
 
-func TestUnionSidePassthrough(t *testing.T) {
-	db := smallDB()
-	emp := algebra.Scan(db.Catalog.MustGet("Emp"))
-	u := algebra.NewUnion(emp, emp)
-	d := delta.New(emp.Schema())
-	d.Insert(empTuple(0, 9, 1), 1)
-	out := delta.UnionSide(u, d)
-	if len(out.Changes) != 1 || !out.Changes[0].IsInsert() {
-		t.Errorf("union delta = %v", out.Changes)
-	}
-}
-
 func TestNormalizeCancels(t *testing.T) {
 	db := smallDB()
 	s := algebra.Scan(db.Catalog.MustGet("Emp")).Schema()
@@ -582,7 +598,7 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 			}
 		}
 
-		joinDelta, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+		joinDelta, err := joinPlan(t, join).Apply(d, nil, nil, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -596,7 +612,7 @@ func TestRandomizedJoinAggPipeline(t *testing.T) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		aggDelta, _, err := aggPlan(t, agg).Full(joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}

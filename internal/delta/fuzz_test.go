@@ -155,7 +155,8 @@ func FuzzDeltaApply(f *testing.F) {
 		// Coalescing the per-transaction windows must equal the composed
 		// script delta (signed bag addition — this is what licenses the
 		// batch pipeline to propagate once per window).
-		merged := delta.Coalesce(windows)
+		var co delta.Coalescer
+		merged := co.Coalesce(windows)
 		mergedEmp := merged.Get("Emp")
 		if mergedEmp == nil {
 			mergedEmp = delta.New(join.L.Schema())
@@ -165,7 +166,7 @@ func FuzzDeltaApply(f *testing.F) {
 				d.Changes, mergedEmp.Changes, d.Normalize().Changes)
 		}
 
-		joinDelta, err := delta.JoinSide(join, d, 0, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
+		joinDelta, err := joinPlan(t, join).Apply(d, nil, nil, storeProbe(db.Store.MustGet("Dept"), []string{"Dept.DName"}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 			return res.Rows, nil
 		}
-		aggDelta, _, err := delta.AggregateFull(agg, joinDelta, oldGroup)
+		aggDelta, _, err := aggPlan(t, agg).Full(joinDelta, oldGroup)
 		if err != nil {
 			t.Fatal(err)
 		}

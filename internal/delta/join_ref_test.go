@@ -15,20 +15,26 @@ import (
 
 // referenceApplyBoth is JoinPlan.ApplyBoth as it stood while the join
 // netted its own output: the three terms of the differential built as
-// three deltas (the third by nested loops over signed rows), copied into
-// one and normalized. It is the oracle JoinPlan.Apply (un-netted) and
-// ApplyInto (streamed) are compared against.
+// three deltas (the first two by one-sided applications of the plan, the
+// third by nested loops over signed rows), copied into one and
+// normalized. It is the oracle JoinPlan.Apply (un-netted) and ApplyInto
+// (streamed) are compared against.
 func referenceApplyBoth(j *algebra.Join, dl, dr *delta.Delta, probeL, probeR delta.Probe) (*delta.Delta, error) {
-	a, err := delta.JoinSide(j, dl, 0, probeR)
-	if err != nil {
-		return nil, err
-	}
-	b, err := delta.JoinSide(j, dr, 1, probeL)
+	p, err := delta.CompileJoin(j, j.L.Schema(), j.R.Schema())
 	if err != nil {
 		return nil, err
 	}
 	cat := delta.New(j.Schema())
-	cat.Changes = append(append(cat.Changes, a.Changes...), b.Changes...)
+	a, err := p.Apply(dl, nil, nil, probeR)
+	if err != nil {
+		return nil, err
+	}
+	cat.Changes = append(cat.Changes, a.Changes...)
+	b, err := p.Apply(nil, dr, probeL, nil)
+	if err != nil {
+		return nil, err
+	}
+	cat.Changes = append(cat.Changes, b.Changes...)
 	signed := func(d *delta.Delta) (rows []storage.Row) {
 		for _, c := range d.Changes {
 			if c.Old != nil {
@@ -54,6 +60,13 @@ func referenceApplyBoth(j *algebra.Join, dl, dr *delta.Delta, probeL, probeR del
 // so signed rows join to signed rows).
 func joinRows(j *algebra.Join, l, r []storage.Row) (out []storage.Row) {
 	ls, rs := j.L.Schema(), j.R.Schema()
+	var residual *expr.Prog
+	if j.Residual != nil {
+		var err error
+		if residual, err = expr.CompileProg(j.Residual, j.Schema()); err != nil {
+			panic(err)
+		}
+	}
 	for _, lr := range l {
 	next:
 		for _, rr := range r {
@@ -65,7 +78,7 @@ func joinRows(j *algebra.Join, l, r []storage.Row) (out []storage.Row) {
 				}
 			}
 			t := append(lr.Tuple.Clone(), rr.Tuple...)
-			if j.Residual != nil && !j.Residual.Eval(j.Schema(), t).Truth() {
+			if residual != nil && !residual.Truth(t) {
 				continue
 			}
 			out = append(out, storage.Row{Tuple: t, Count: lr.Count * rr.Count})
@@ -244,7 +257,7 @@ func TestFoldMultiplicityIsOneStep(t *testing.T) {
 	d.Insert(value.Tuple{value.NewInt(1), value.NewInt(3)}, n)
 	d.Delete(value.Tuple{value.NewInt(1), value.NewInt(2)}, n)
 	stored := value.Tuple{value.NewInt(1), value.NewInt(2 * n)}
-	out, lives, err := delta.AggregateIncremental(agg, d, func(value.Tuple) (value.Tuple, int64, bool, error) {
+	out, lives, err := aggPlan(t, agg).Incremental(d, func(value.Tuple) (value.Tuple, int64, bool, error) {
 		return stored, n, true, nil
 	})
 	if err != nil {

@@ -11,13 +11,13 @@ import (
 	"repro/internal/value"
 )
 
-// Compiled propagation plans: the compile-once/apply-many split of the
-// per-operator delta functions. Select/Project/JoinSide resolve column
-// positions and compile predicates against the child schema every call;
-// along a cached update track those are the same schema and the same
-// expressions window after window, so the maintenance runtime compiles
-// each step once per operation node and replays it with zero per-window
-// schema resolution or predicate compilation. Plans own
+// Compiled propagation plans: the only form of the select, project, join
+// and aggregate delta rules. Along a cached update track every window
+// sees the same child schemas and the same expressions, so the
+// maintenance runtime compiles each step once per operation node —
+// column positions resolved, expressions compiled to expr.Prog — and
+// replays it with zero per-window schema resolution or predicate
+// compilation. Plans own
 // their scratch buffers (KeyEncoder, probe cache, output delta), so one
 // plan must not be applied concurrently — matching the single-threaded
 // propagation pass that uses them.
@@ -27,8 +27,8 @@ import (
 // allocates derived tuples from the caller's per-window arena. The
 // returned *Delta and its tuples are therefore valid only until the
 // plan's next Apply / the arena's next Reset — the "no tuple escapes
-// its window" rule. Callers that need longer-lived results (one-shot
-// helpers, tests) use plans without an arena and copy what they keep.
+// its window" rule. Callers that need longer-lived results (tests) use
+// plans without an arena and copy what they keep.
 
 // reset prepares a plan-owned output delta for reuse.
 func resetOut(d *Delta, s *catalog.Schema) *Delta {

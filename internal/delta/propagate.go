@@ -15,60 +15,6 @@ type Probe func(jk value.Tuple) ([]storage.Row, error)
 // CountProbe answers "what is the pre-update multiplicity of t".
 type CountProbe func(t value.Tuple) (int64, error)
 
-// Select propagates d through a selection: changes whose tuples fail the
-// predicate are dropped or downgraded (a modification that crosses the
-// predicate boundary becomes an insertion or deletion). One-shot form of
-// CompileSelect + Apply.
-func Select(sel *algebra.Select, d *Delta) (*Delta, error) {
-	p, err := CompileSelect(sel, d.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return p.Apply(d)
-}
-
-// Project propagates d through a projection. Modifications whose old and
-// new tuples collapse to the same projected tuple are dropped. One-shot
-// form of CompileProject + Apply.
-func Project(p *algebra.Project, d *Delta) (*Delta, error) {
-	pl, err := CompileProject(p, d.Schema)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Apply(d)
-}
-
-// JoinSide propagates a delta arriving on one side of an equijoin.
-// side 0 means d is against j.L, side 1 against j.R. probe returns the
-// pre-update matching rows of the *other* side for a join-key value.
-//
-// A modification that preserves the join key stays a modification (paired
-// with each matching row); one that moves the tuple across join keys
-// becomes a deletion of the old matches plus an insertion of the new.
-func JoinSide(j *algebra.Join, d *Delta, side int, probe Probe) (*Delta, error) {
-	if side == 0 {
-		return JoinBoth(j, d, nil, nil, probe)
-	}
-	return JoinBoth(j, nil, d, probe, nil)
-}
-
-// JoinBoth combines the three terms of the bag-join differential when
-// both inputs changed in the same transaction:
-//
-//	Δ(L⋈R) = ΔL⋈R_old ∪ L_old⋈ΔR ∪ ΔL⋈ΔR
-//
-// probeR and probeL answer against the pre-update states. The ΔL⋈ΔR term
-// is computed in memory over signed rows (modifications expand to
-// -old/+new) and cancels rows of the other two; the terms are returned
-// as derived, un-netted. One-shot form of CompileJoin + Apply.
-func JoinBoth(j *algebra.Join, dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
-	p, err := CompileJoin(j, j.L.Schema(), j.R.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return p.Apply(dl, dr, probeL, probeR)
-}
-
 // Distinct propagates d through duplicate elimination. countOf reports
 // the pre-update bag multiplicity of a tuple in the child; nz is the
 // caller's netting scratch.
@@ -98,15 +44,6 @@ func Distinct(dis *algebra.Distinct, d *Delta, countOf CountProbe, nz *Normalize
 		}
 	}
 	return out, nil
-}
-
-// UnionSide propagates a delta through bag union: changes pass through
-// unchanged (counts add across sides, so any change on one side is a
-// change of the result).
-func UnionSide(u *algebra.Union, d *Delta) *Delta {
-	out := New(u.Schema())
-	out.Changes = append(out.Changes, d.Changes...)
-	return out
 }
 
 // DiffSide propagates a delta through bag difference L − R (counts floor

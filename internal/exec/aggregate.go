@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -27,8 +28,14 @@ func (st *aggState) add(v value.Value, count int64) {
 		st.max = v
 		st.started = true
 	}
-	for i := int64(0); i < count; i++ {
-		st.sum = value.Add(st.sum, v)
+	if v.Kind == value.Int && st.sum.Kind == value.Int {
+		st.sum.I += count * v.I // exact, so count additions are one
+	} else {
+		// Floats round per addition: add one copy at a time, as the
+		// incremental fold does, so the two stay bit-equal.
+		for i := int64(0); i < count; i++ {
+			st.sum = value.Add(st.sum, v)
+		}
 	}
 	st.count += count
 	if value.Compare(v, st.min) < 0 {
@@ -77,7 +84,7 @@ func aggregateResult(in *Result, a *algebra.Aggregate) (*Result, error) {
 		}
 		gpos[i] = j
 	}
-	argFns := make([]func(value.Tuple) value.Value, len(a.Aggs))
+	args := make([]*expr.Prog, len(a.Aggs))
 	for i, ag := range a.Aggs {
 		if ag.Arg == nil {
 			if ag.Func != algebra.Count {
@@ -85,11 +92,11 @@ func aggregateResult(in *Result, a *algebra.Aggregate) (*Result, error) {
 			}
 			continue
 		}
-		f, err := ag.Arg.Compile(in.Schema)
+		f, err := expr.CompileProg(ag.Arg, in.Schema)
 		if err != nil {
 			return nil, err
 		}
-		argFns[i] = f
+		args[i] = f
 	}
 	type group struct {
 		key    value.Tuple
@@ -113,7 +120,7 @@ func aggregateResult(in *Result, a *algebra.Aggregate) (*Result, error) {
 				g.states[i].started = true
 				continue
 			}
-			g.states[i].add(argFns[i](row.Tuple), row.Count)
+			g.states[i].add(args[i].Eval(row.Tuple), row.Count)
 		}
 	}
 	out := &Result{Schema: a.Schema()}

@@ -200,13 +200,13 @@ func (ev *Evaluator) evalNode(n algebra.Node) (*Result, error) {
 }
 
 func filterResult(in *Result, pred expr.Expr) (*Result, error) {
-	f, err := pred.Compile(in.Schema)
+	p, err := expr.CompileProg(pred, in.Schema)
 	if err != nil {
 		return nil, err
 	}
 	out := &Result{Schema: in.Schema}
 	for _, row := range in.Rows {
-		if f(row.Tuple).Truth() {
+		if p.Truth(row.Tuple) {
 			out.Rows = append(out.Rows, row)
 		}
 	}
@@ -214,13 +214,13 @@ func filterResult(in *Result, pred expr.Expr) (*Result, error) {
 }
 
 func projectResult(in *Result, p *algebra.Project) (*Result, error) {
-	fs := make([]func(value.Tuple) value.Value, len(p.Items))
+	items := make([]*expr.Prog, len(p.Items))
 	for i, it := range p.Items {
-		f, err := it.E.Compile(in.Schema)
+		f, err := expr.CompileProg(it.E, in.Schema)
 		if err != nil {
 			return nil, err
 		}
-		fs[i] = f
+		items[i] = f
 	}
 	// Bag projection merges rows that collapse onto the same tuple.
 	// Sized for the no-collapse case, the common one along update tracks.
@@ -228,9 +228,9 @@ func projectResult(in *Result, p *algebra.Project) (*Result, error) {
 	order := make([]string, 0, len(in.Rows))
 	var enc value.KeyEncoder
 	for _, row := range in.Rows {
-		t := make(value.Tuple, len(fs))
-		for i, f := range fs {
-			t[i] = f(row.Tuple)
+		t := make(value.Tuple, len(items))
+		for i, f := range items {
+			t[i] = f.Eval(row.Tuple)
 		}
 		kb := enc.Key(t)
 		if e, ok := merged[string(kb)]; ok {
@@ -300,27 +300,31 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 		}
 		s.heads = append(s.heads, head)
 	}
-	outSchema := j.Schema()
-	var residual func(value.Tuple) value.Value
-	if j.Residual != nil {
-		f, err := j.Residual.Compile(outSchema)
-		if err != nil {
-			return nil, err
-		}
-		residual = f
+	residual, err := joinResidual(j)
+	if err != nil {
+		return nil, err
 	}
 	rows, start := ev.openRows(matches)
 	for li, lrow := range l.Rows {
 		for i := s.heads[li]; i >= 0; i = s.next[i] {
 			rrow := r.Rows[i]
 			t := ev.Win.ConcatTuples(lrow.Tuple, rrow.Tuple)
-			if residual != nil && !residual(t).Truth() {
+			if residual != nil && !residual.Truth(t) {
 				continue
 			}
 			rows = append(rows, storage.Row{Tuple: t, Count: lrow.Count * rrow.Count})
 		}
 	}
-	return &Result{Schema: outSchema, Rows: ev.closeRows(rows, start)}, nil
+	return &Result{Schema: j.Schema(), Rows: ev.closeRows(rows, start)}, nil
+}
+
+// joinResidual compiles j's residual predicate against the join's output
+// schema, for hashJoin and probeJoin alike; nil when j has none.
+func joinResidual(j *algebra.Join) (*expr.Prog, error) {
+	if j.Residual == nil {
+		return nil, nil
+	}
+	return expr.CompileProg(j.Residual, j.Schema())
 }
 
 func distinctResult(in *Result) *Result {

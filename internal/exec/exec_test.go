@@ -2,8 +2,10 @@ package exec
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/catalog"
 	"repro/internal/corpus"
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -135,6 +137,46 @@ func TestEvalAggregateFunctions(t *testing.T) {
 	}
 	if row.Tuple[4].AsFloat() != corpus.BaseSalary {
 		t.Errorf("AVG = %v", row.Tuple[4])
+	}
+}
+
+// TestAggregateMultiplicityIsOneStep: the recompute oracle folds a row of
+// multiplicity n into an integer SUM as n·v, as the incremental fold
+// does, not as n additions — a row of 1<<40 copies aggregates at once.
+func TestAggregateMultiplicityIsOneStep(t *testing.T) {
+	def := &catalog.TableDef{Name: "T", Schema: catalog.NewSchema(
+		catalog.Column{Qualifier: "T", Name: "g", Type: value.Int},
+		catalog.Column{Qualifier: "T", Name: "v", Type: value.Int},
+	)}
+	st := storage.NewStore()
+	rel, err := st.Create(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = int64(1) << 40
+	rel.Load([]storage.Row{{Tuple: value.Tuple{value.NewInt(1), value.NewInt(3)}, Count: n}})
+	agg := algebra.NewAggregate([]string{"T.g"}, []algebra.AggSpec{
+		{Func: algebra.Sum, Arg: expr.C("T.v"), As: "s"},
+		{Func: algebra.Count, Arg: expr.C("T.v"), As: "n"},
+	}, algebra.Scan(def))
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := NewFree(st).Eval(agg)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res == nil {
+			return
+		}
+		if len(res.Rows) != 1 || res.Rows[0].Tuple[1].AsInt() != 3<<40 || res.Rows[0].Tuple[2].AsInt() != n {
+			t.Errorf("rows = %v, want one group with SUM %d and COUNT %d", res.Rows, int64(3)<<40, n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SUM over one row of multiplicity 1<<40 did not return within 10 s")
 	}
 }
 

@@ -245,14 +245,9 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 		}
 		probed[k] = res
 	}
-	outSchema := j.Schema()
-	var residual func(value.Tuple) value.Value
-	if j.Residual != nil {
-		f, err := j.Residual.Compile(outSchema)
-		if err != nil {
-			return nil, err
-		}
-		residual = f
+	residual, err := joinResidual(j)
+	if err != nil {
+		return nil, err
 	}
 	rows, start := ev.openRows(0)
 	for _, drow := range drive.Rows {
@@ -268,13 +263,13 @@ func (ev *Evaluator) probeJoin(j *algebra.Join, drive *Result, driveLeft bool) (
 			} else {
 				t = ev.Win.ConcatTuples(orow.Tuple, drow.Tuple)
 			}
-			if residual != nil && !residual(t).Truth() {
+			if residual != nil && !residual.Truth(t) {
 				continue
 			}
 			rows = append(rows, storage.Row{Tuple: t, Count: drow.Count * orow.Count})
 		}
 	}
-	return &Result{Schema: outSchema, Rows: ev.closeRows(rows, start)}, nil
+	return &Result{Schema: j.Schema(), Rows: ev.closeRows(rows, start)}, nil
 }
 
 func (ev *Evaluator) evalThenFilter(n algebra.Node, cols []string, key value.Tuple) (*Result, error) {

@@ -4,7 +4,9 @@
 // boolean connectives.
 //
 // Expressions are immutable trees. Canonical String() forms double as
-// identity for the expression-DAG memo.
+// identity for the expression-DAG memo. A tree is evaluated only after
+// CompileProg has resolved it against a schema: Prog is the package's
+// one evaluator.
 package expr
 
 import (
@@ -16,12 +18,9 @@ import (
 	"repro/internal/value"
 )
 
-// Expr is a scalar expression evaluable against a tuple under a schema.
+// Expr is a scalar expression tree; CompileProg makes it evaluable
+// against tuples of a schema.
 type Expr interface {
-	// Eval evaluates the expression against tuple t positioned by schema s.
-	Eval(s *catalog.Schema, t value.Tuple) value.Value
-	// Compile resolves column positions once and returns a fast evaluator.
-	Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error)
 	// Columns appends the qualified names of all referenced columns.
 	Columns(dst []string) []string
 	// String returns the canonical rendering.
@@ -33,24 +32,6 @@ type Col struct{ Name string }
 
 // C is shorthand for a column reference.
 func C(name string) Col { return Col{Name: name} }
-
-// Eval implements Expr.
-func (c Col) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	i, err := s.Resolve(c.Name)
-	if err != nil {
-		return value.NewNull()
-	}
-	return t[i]
-}
-
-// Compile implements Expr.
-func (c Col) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	i, err := s.Resolve(c.Name)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value { return t[i] }, nil
-}
 
 // Columns implements Expr.
 func (c Col) Columns(dst []string) []string { return append(dst, c.Name) }
@@ -69,15 +50,6 @@ func FloatLit(f float64) Lit { return Lit{V: value.NewFloat(f)} }
 
 // StrLit returns a string literal.
 func StrLit(s string) Lit { return Lit{V: value.NewString(s)} }
-
-// Eval implements Expr.
-func (l Lit) Eval(*catalog.Schema, value.Tuple) value.Value { return l.V }
-
-// Compile implements Expr.
-func (l Lit) Compile(*catalog.Schema) (func(value.Tuple) value.Value, error) {
-	v := l.V
-	return func(value.Tuple) value.Value { return v }, nil
-}
 
 // Columns implements Expr.
 func (l Lit) Columns(dst []string) []string { return dst }
@@ -98,7 +70,8 @@ const (
 	GE CmpOp = ">="
 )
 
-// Cmp is a binary comparison.
+// Cmp is a binary comparison. A comparison involving NULL yields NULL
+// (which is falsy in predicate position).
 type Cmp struct {
 	Op   CmpOp
 	L, R Expr
@@ -106,26 +79,6 @@ type Cmp struct {
 
 // Compare builds a comparison expression.
 func Compare(op CmpOp, l, r Expr) Cmp { return Cmp{Op: op, L: l, R: r} }
-
-// Eval implements Expr. Comparisons involving NULL yield NULL (which is
-// falsy in predicate position).
-func (c Cmp) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	return cmpValues(c.Op, c.L.Eval(s, t), c.R.Eval(s, t))
-}
-
-// Compile implements Expr.
-func (c Cmp) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := c.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := c.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	op := c.Op
-	return func(t value.Tuple) value.Value { return cmpValues(op, lf(t), rf(t)) }, nil
-}
 
 func cmpValues(op CmpOp, a, b value.Value) value.Value {
 	if a.IsNull() || b.IsNull() {
@@ -175,25 +128,6 @@ type Arith struct {
 	L, R Expr
 }
 
-// Eval implements Expr.
-func (a Arith) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	return arithValues(a.Op, a.L.Eval(s, t), a.R.Eval(s, t))
-}
-
-// Compile implements Expr.
-func (a Arith) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := a.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := a.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	op := a.Op
-	return func(t value.Tuple) value.Value { return arithValues(op, lf(t), rf(t)) }, nil
-}
-
 func arithValues(op ArithOp, l, r value.Value) value.Value {
 	switch op {
 	case Plus:
@@ -217,7 +151,8 @@ func (a Arith) String() string {
 	return fmt.Sprintf("(%s %c %s)", a.L, a.Op, a.R)
 }
 
-// And is an n-ary conjunction.
+// And is an n-ary conjunction; it stops at the first term that is not
+// true.
 type And struct{ Terms []Expr }
 
 // AndOf builds a conjunction, flattening nested Ands; 0 terms means TRUE,
@@ -241,36 +176,6 @@ func AndOf(terms ...Expr) Expr {
 	}
 }
 
-// Eval implements Expr.
-func (a And) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	for _, term := range a.Terms {
-		if !term.Eval(s, t).Truth() {
-			return value.NewBool(false)
-		}
-	}
-	return value.NewBool(true)
-}
-
-// Compile implements Expr.
-func (a And) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	fs := make([]func(value.Tuple) value.Value, len(a.Terms))
-	for i, term := range a.Terms {
-		f, err := term.Compile(s)
-		if err != nil {
-			return nil, err
-		}
-		fs[i] = f
-	}
-	return func(t value.Tuple) value.Value {
-		for _, f := range fs {
-			if !f(t).Truth() {
-				return value.NewBool(false)
-			}
-		}
-		return value.NewBool(true)
-	}, nil
-}
-
 // Columns implements Expr.
 func (a And) Columns(dst []string) []string {
 	for _, t := range a.Terms {
@@ -290,31 +195,8 @@ func (a And) String() string {
 	return "(" + strings.Join(parts, " AND ") + ")"
 }
 
-// Or is a binary disjunction.
+// Or is a binary disjunction; it stops at a true left side.
 type Or struct{ L, R Expr }
-
-// Eval implements Expr.
-func (o Or) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	if o.L.Eval(s, t).Truth() || o.R.Eval(s, t).Truth() {
-		return value.NewBool(true)
-	}
-	return value.NewBool(false)
-}
-
-// Compile implements Expr.
-func (o Or) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	lf, err := o.L.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := o.R.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value {
-		return value.NewBool(lf(t).Truth() || rf(t).Truth())
-	}, nil
-}
 
 // Columns implements Expr.
 func (o Or) Columns(dst []string) []string { return o.R.Columns(o.L.Columns(dst)) }
@@ -324,20 +206,6 @@ func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 
 // Not is logical negation.
 type Not struct{ E Expr }
-
-// Eval implements Expr.
-func (n Not) Eval(s *catalog.Schema, t value.Tuple) value.Value {
-	return value.NewBool(!n.E.Eval(s, t).Truth())
-}
-
-// Compile implements Expr.
-func (n Not) Compile(s *catalog.Schema) (func(value.Tuple) value.Value, error) {
-	f, err := n.E.Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) value.Value { return value.NewBool(!f(t).Truth()) }, nil
-}
 
 // Columns implements Expr.
 func (n Not) Columns(dst []string) []string { return n.E.Columns(dst) }

@@ -8,11 +8,12 @@ import (
 )
 
 // Prog is an expression compiled to a flat postfix program over resolved
-// column offsets. It replaces the closure chains produced by Compile on
-// the maintenance hot path: one instruction array walked with a reused
-// value stack, no per-node dynamic calls, no captured environments for
-// the GC to scan. Short-circuit AND/OR compile to conditional jumps, so
-// evaluation order and truthiness semantics match Eval/Compile exactly.
+// column offsets, and the only way an expression is evaluated: one
+// instruction array walked with a reused value stack, no per-node
+// dynamic calls, no captured environments for the GC to scan.
+// Short-circuit AND/OR compile to conditional jumps, so a term after the
+// one that decides a connective is never evaluated. The package's tests
+// hold it equal to a tree-walking reference evaluator.
 //
 // A Prog reuses its evaluation stack across calls and is therefore not
 // safe for concurrent use; compile one per goroutine (track plans are
@@ -43,8 +44,7 @@ type instr struct {
 }
 
 // CompileProg compiles e against schema s. It compiles every node kind
-// in this package, so its only error is a column that fails to resolve
-// (exactly where Compile fails too).
+// in this package, so its only error is a column that fails to resolve.
 func CompileProg(e Expr, s *catalog.Schema) (*Prog, error) {
 	p := &Prog{}
 	if err := p.compile(e, s); err != nil {

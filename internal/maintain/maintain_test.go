@@ -1,6 +1,7 @@
 package maintain_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/algebra"
@@ -319,6 +320,56 @@ func TestGroupBirthAndDeathThroughEngine(t *testing.T) {
 	s.checkDrift(t, m, s.n3)
 	if n3rel.Card() != 3 {
 		t.Errorf("N3 card = %d after death, want 3", n3rel.Card())
+	}
+}
+
+// TestNullSumGroupThroughEngine: a group born in a window whose SUM
+// arguments are all NULL has SUM NULL, as recomputation says, not 0; it
+// stays NULL through a window that gives it only another NULL argument,
+// and its first non-NULL argument sets it.
+func TestNullSumGroupThroughEngine(t *testing.T) {
+	s := newScenario(t, corpus.Config{Departments: 3, EmpsPerDept: 1})
+	m := s.maintainer(t, s.n3)
+	hire := &txn.Type{Name: "+Emp", Weight: 1,
+		Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 1}}}
+	empSchema := s.db.Catalog.MustGet("Emp").Schema
+	hired := 0
+	window := func(salaries ...value.Value) {
+		t.Helper()
+		var w []txn.Transaction
+		for _, sal := range salaries {
+			hired++
+			d := delta.New(empSchema)
+			d.Insert(value.Tuple{value.NewString(fmt.Sprintf("null%d", hired)), value.NewString("d-null"), sal}, 1)
+			w = append(w, txn.Transaction{Type: hire, Updates: map[string]*delta.Delta{"Emp": d}})
+		}
+		if _, err := m.ApplyBatch(w); err != nil {
+			t.Fatal(err)
+		}
+		s.checkDrift(t, m, s.n3)
+	}
+	sumOf := func() value.Value {
+		t.Helper()
+		for _, r := range m.Contents(s.n3) {
+			if r.Tuple[0].S == "d-null" {
+				return r.Tuple[1]
+			}
+		}
+		t.Fatal("no d-null group in N3")
+		return value.Value{}
+	}
+
+	window(value.NewNull(), value.NewNull())
+	if v := sumOf(); !v.IsNull() {
+		t.Fatalf("SUM of a group born with NULL salaries only = %v, want NULL", v)
+	}
+	window(value.NewNull())
+	if v := sumOf(); !v.IsNull() {
+		t.Fatalf("SUM after another NULL salary = %v, want NULL", v)
+	}
+	window(value.NewInt(70))
+	if v := sumOf(); v != value.NewInt(70) {
+		t.Fatalf("SUM after the first salary = %v, want 70", v)
 	}
 }
 

@@ -56,8 +56,9 @@ func TestMultiRelationTransaction(t *testing.T) {
 	s.checkDrift(t, m, s.n3)
 }
 
-// TestMultiRelationWithN4 exercises JoinBoth where the join view itself
-// is materialized (deltas must combine into one batch for N4).
+// TestMultiRelationWithN4 exercises a join whose inputs both changed,
+// where the join view itself is materialized (deltas must combine into
+// one batch for N4).
 func TestMultiRelationWithN4(t *testing.T) {
 	s := newScenario(t, corpus.Config{Departments: 4, EmpsPerDept: 2})
 	m := s.maintainer(t, s.n4)

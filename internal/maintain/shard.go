@@ -49,8 +49,6 @@ type ShardedConfig struct {
 	VS tracks.ViewSet
 	// Workers is each shard pipeline's view-apply worker count.
 	Workers int
-	// Model is the cost model (default the paper's page-I/O model).
-	Model cost.Model
 }
 
 // shard is one shard-local pipeline with its observability handles.
@@ -141,10 +139,6 @@ func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharde
 	if cfg.VS == nil {
 		return nil, fmt.Errorf("maintain: NewSharded requires a view set")
 	}
-	model := cfg.Model
-	if model == nil {
-		model = cost.PageIO{}
-	}
 	template, err := factory()
 	if err != nil {
 		return nil, fmt.Errorf("maintain: shard factory: %w", err)
@@ -188,7 +182,7 @@ func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharde
 
 	ms := make([]*Maintainer, eff)
 	for i, s := range setups {
-		m, err := New(s.D, s.Store, model, cfg.VS.Clone())
+		m, err := New(s.D, s.Store, cost.PageIO{}, cfg.VS.Clone())
 		if err != nil {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
@@ -510,20 +504,20 @@ func combineGroup(partials []map[string]storage.Row, key string, vp ViewPartitio
 	return out, found
 }
 
+// combineAgg merges two shards' partials of one aggregate. A NULL
+// partial (the shard's rows of the group all have a NULL argument)
+// contributes nothing, as a NULL argument contributes nothing to the
+// fold that made the partials.
 func combineAgg(f algebra.AggFunc, a, b value.Value) value.Value {
+	switch {
+	case b.IsNull():
+		return a
+	case a.IsNull():
+		return b
+	}
 	switch f {
 	case algebra.Sum, algebra.Count:
-		if a.Kind == value.Float || b.Kind == value.Float {
-			af, bf := a.F, b.F
-			if a.Kind == value.Int {
-				af = float64(a.I)
-			}
-			if b.Kind == value.Int {
-				bf = float64(b.I)
-			}
-			return value.NewFloat(af + bf)
-		}
-		return value.NewInt(a.I + b.I)
+		return value.Add(a, b)
 	case algebra.Min:
 		if value.Compare(b, a) < 0 {
 			return b

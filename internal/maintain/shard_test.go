@@ -340,7 +340,8 @@ func TestShardedAggregateMerge(t *testing.T) {
 // built and snapshotting the expected contents of every root after each.
 // Windows 2 and 3 are the annihilation pair: window 2 deletes every
 // employee of two departments (killing their groups on every shard),
-// window 3 rebirths one of them.
+// window 3 rebirths one of them. Windows 4 and 5 hire with NULL
+// salaries.
 func mergeWindows(t *testing.T, setup *maintain.ShardSetup, serial *maintain.Maintainer, roots []*dag.EqNode) ([][]txn.Transaction, [][][]storage.Row) {
 	t.Helper()
 	empDef := setup.Cat.MustGet("Emp")
@@ -419,6 +420,28 @@ func mergeWindows(t *testing.T, setup *maintain.ShardSetup, serial *maintain.Mai
 		}, 1)
 	}
 	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, reb)})
+
+	// Windows 4 and 5: NULL arguments. Window 4 hires into two new
+	// departments: every dxnull salary is NULL (its SUM, MIN and MAX are
+	// NULL on every shard), and dxmix has one salary among NULLs (a shard
+	// holding only NULL members of it has NULL partials, which the merge
+	// must skip). Window 5 hires one more NULL salary into dxnull: a
+	// NULL-SUM group that a window gives no non-NULL argument stays NULL.
+	hires := func(d *delta.Delta, prefix, dept string, salaries ...value.Value) *delta.Delta {
+		for i, sal := range salaries {
+			d.Insert(value.Tuple{
+				value.NewString(fmt.Sprintf("%s_%02d", prefix, i)),
+				value.NewString(dept),
+				sal,
+			}, 1)
+		}
+		return d
+	}
+	null := value.NewNull()
+	nulls := hires(delta.New(empDef.Schema), "zz_null", "dxnull", null, null, null, null)
+	hires(nulls, "zz_mix", "dxmix", null, null, null, value.NewInt(42), null)
+	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, nulls)})
+	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, hires(delta.New(empDef.Schema), "zz_null_late", "dxnull", null))})
 
 	return windows, expected
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/delta"
+	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -49,7 +50,7 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 	}
 	type setter struct {
 		pos int
-		f   func(value.Tuple) value.Value
+		p   *expr.Prog
 	}
 	setters := make([]setter, len(upd.Set))
 	for i, sc := range upd.Set {
@@ -61,11 +62,11 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 		if err != nil {
 			return nil, err
 		}
-		f, err := e.Compile(rel.Def.Schema)
+		p, err := expr.CompileProg(e, rel.Def.Schema)
 		if err != nil {
 			return nil, err
 		}
-		setters[i] = setter{pos: pos, f: f}
+		setters[i] = setter{pos: pos, p: p}
 	}
 	for _, row := range rel.ScanFree() {
 		if !match(row.Tuple) {
@@ -73,7 +74,7 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 		}
 		newT := row.Tuple.Clone()
 		for _, s := range setters {
-			newT[s.pos] = s.f(row.Tuple)
+			newT[s.pos] = s.p.Eval(row.Tuple)
 		}
 		d.Modify(row.Tuple.Clone(), newT, row.Count)
 	}
@@ -97,9 +98,9 @@ func compileWhere(tr *Translator, rel *storage.Relation, where Scalar) (func(val
 	if err != nil {
 		return nil, err
 	}
-	f, err := e.Compile(rel.Def.Schema)
+	p, err := expr.CompileProg(e, rel.Def.Schema)
 	if err != nil {
 		return nil, err
 	}
-	return func(t value.Tuple) bool { return f(t).Truth() }, nil
+	return p.Truth, nil
 }

@@ -3,13 +3,10 @@ package mvmaint
 import (
 	"fmt"
 
-	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dag"
 	"repro/internal/maintain"
-	"repro/internal/rules"
 	"repro/internal/storage"
 	"repro/internal/tracks"
 	"repro/internal/txn"
@@ -61,37 +58,15 @@ func BuildSharded(factory func() (*DB, error), names []string, cfg Config) (*Sha
 	if err != nil {
 		return nil, fmt.Errorf("mvmaint: shard factory: %w", err)
 	}
-	if len(cfg.Workload) == 0 {
-		return nil, fmt.Errorf("mvmaint: BuildSharded requires a workload")
-	}
-	model := cfg.Model
-	if model == nil {
-		model = cost.PageIO{}
-	}
-	rs := cfg.Rules
-	if rs == nil {
-		rs = rules.Default()
-	}
-	maxOps := cfg.MaxOps
-	if maxOps == 0 {
-		maxOps = 512
-	}
-	trees, err := resolveTrees(db, names)
+	d, trees, err := expand(db, names)
 	if err != nil {
 		return nil, err
 	}
-	d, err := dag.FromTrees(trees...)
+	res, err := optimize(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := d.Expand(rs, maxOps); err != nil {
-		return nil, err
-	}
-	db.RefreshStats()
-	opt := core.New(d, model, cfg.Workload)
-	opt.Parallelism = cfg.Parallelism
-	opt.Seed = cfg.Seed
-	res, err := runOptimizer(opt, cfg.Method)
+	rootNames, _, err := db.roots(d, names, trees)
 	if err != nil {
 		return nil, err
 	}
@@ -103,84 +78,29 @@ func BuildSharded(factory func() (*DB, error), names []string, cfg Config) (*Sha
 		if err != nil {
 			return nil, err
 		}
-		strees, err := resolveTrees(sdb, names)
+		sd, _, err := expand(sdb, names)
 		if err != nil {
 			return nil, err
 		}
-		sd, err := dag.FromTrees(strees...)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sd.Expand(rs, maxOps); err != nil {
-			return nil, err
-		}
-		sdb.RefreshStats()
 		return &maintain.ShardSetup{D: sd, Cat: sdb.Catalog, Store: sdb.Store}, nil
 	}
 	s, err := maintain.NewSharded(setupFactory, maintain.ShardedConfig{
 		Shards:      cfg.Shards,
 		PartitionBy: cfg.PartitionBy,
 		VS:          res.Best.Set,
-		Model:       model,
 		Workers:     cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	sys := &ShardedSystem{
+	return &ShardedSystem{
 		Catalog:  db.Catalog,
 		DAG:      s.D,
 		Decision: res,
 		ViewSet:  res.Best.Set,
 		S:        s,
-		names:    map[int]string{},
-	}
-	for i, n := range names {
-		eq := d.FindEq(trees[i])
-		if eq == nil {
-			return nil, fmt.Errorf("mvmaint: lost root for %q", n)
-		}
-		sys.names[eq.ID] = n
-	}
-	return sys, nil
-}
-
-// resolveTrees maps declared view/assertion names to their trees.
-func resolveTrees(db *DB, names []string) ([]algebra.Node, error) {
-	trees := make([]algebra.Node, len(names))
-	for i, n := range names {
-		tree, ok := db.View(n)
-		if !ok {
-			return nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
-		}
-		trees[i] = tree
-	}
-	return trees, nil
-}
-
-// runOptimizer dispatches one view-set optimization by method; the
-// single switch behind Build, Reoptimize and BuildSharded.
-func runOptimizer(opt *core.Optimizer, method Method) (*core.Result, error) {
-	switch method {
-	case Exhaustive:
-		return opt.Exhaustive()
-	case Parallel:
-		return opt.Parallel()
-	case Shielded:
-		return opt.Shielded()
-	case Greedy:
-		return opt.Greedy(), nil
-	case SingleTree:
-		return opt.SingleTree()
-	case HeuristicMarking:
-		return opt.HeuristicMarking(), nil
-	case NoAdditional:
-		ev := opt.Evaluate()
-		return &core.Result{Method: "no-additional", Best: ev, All: []core.Evaluated{ev}, Explored: 1}, nil
-	default:
-		return nil, fmt.Errorf("mvmaint: unknown method %v", method)
-	}
+		names:    rootNames,
+	}, nil
 }
 
 // ExecuteWindow maintains one window of transactions across all shards

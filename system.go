@@ -67,31 +67,22 @@ func (m Method) String() string {
 	}
 }
 
-// Config controls Build.
+// Config controls Build. Every build grows the DAG with rules.Default()
+// up to 512 operation nodes and costs view sets with the paper's page-I/O
+// model; the assertion checker rejects violating transactions iff an
+// assertion is among the built names.
 type Config struct {
 	// Workload is the set of weighted transaction types the view set is
 	// optimized for. Required.
 	Workload []*txn.Type
 	// Method picks the optimizer (default Exhaustive).
 	Method Method
-	// Model is the cost model (default the paper's page-I/O model).
-	Model cost.Model
-	// Rules is the equivalence rule set (default rules.Default()).
-	Rules []dag.Rule
-	// MaxOps caps DAG expansion (default 512 operation nodes).
-	MaxOps int
-	// RejectViolations rolls back transactions that violate assertions
-	// (default true when any assertion is included).
-	RejectViolations bool
 	// Parallelism is the worker count for the Parallel method
 	// (0 = GOMAXPROCS). The chosen view set is identical at any setting.
 	Parallelism int
 	// Seed shuffles the order parallel workers claim search chunks. It
 	// perturbs timing only; the result is the same for every seed.
 	Seed int64
-	// Restore, when set, seeds materialized views from checkpointed
-	// state instead of recomputing them (crash recovery).
-	Restore *maintain.RestoreOptions
 	// Shards is the shard count for BuildSharded (ignored by Build).
 	// The effective count can fall back to 1 when the chosen view set
 	// cannot be partitioned; the reason is recorded on the result.
@@ -101,6 +92,9 @@ type Config struct {
 	// shard-local).
 	PartitionBy string
 }
+
+// maxOps caps DAG expansion at every build.
+const maxOps = 512
 
 // System is a maintained configuration: an expression DAG over the chosen
 // views/assertions, the optimizer's decision, a live maintenance engine
@@ -120,85 +114,123 @@ type System struct {
 // set for the workload and materializes it. Names must have been declared
 // via CREATE VIEW / CREATE ASSERTION on the DB.
 func (db *DB) Build(names []string, cfg Config) (*System, error) {
+	return db.build(names, cfg, nil)
+}
+
+// build is Build with the views seeded from checkpointed state instead
+// of recomputed when restore is set (crash recovery).
+func (db *DB) build(names []string, cfg Config, restore *maintain.RestoreOptions) (*System, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("mvmaint: Build requires at least one view or assertion")
 	}
-	if len(cfg.Workload) == 0 {
-		return nil, fmt.Errorf("mvmaint: Build requires a workload")
+	d, trees, err := expand(db, names)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Model == nil {
-		cfg.Model = cost.PageIO{}
+	res, err := optimize(d, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Rules == nil {
-		cfg.Rules = rules.Default()
+	var m *maintain.Maintainer
+	if restore != nil {
+		m, err = maintain.NewRestored(d, db.Store, cost.PageIO{}, res.Best.Set, *restore)
+	} else {
+		m, err = maintain.New(d, db.Store, cost.PageIO{}, res.Best.Set)
 	}
-	if cfg.MaxOps == 0 {
-		cfg.MaxOps = 512
+	if err != nil {
+		return nil, err
 	}
+	rootNames, assertions, err := db.roots(d, names, trees)
+	if err != nil {
+		return nil, err
+	}
+	checker, err := newChecker(m, assertions)
+	if err != nil {
+		return nil, err
+	}
+	return &System{DB: db, DAG: d, Decision: res, ViewSet: res.Best.Set, M: m,
+		Checker: checker, names: rootNames}, nil
+}
+
+// expand resolves names to their declared trees and grows one DAG over
+// them with the default rules; it then refreshes db's statistics, which
+// the optimizer reads next.
+func expand(db *DB, names []string) (*dag.DAG, []algebra.Node, error) {
 	trees := make([]algebra.Node, len(names))
-	hasAssertion := false
 	for i, n := range names {
 		tree, ok := db.View(n)
 		if !ok {
-			return nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
+			return nil, nil, fmt.Errorf("mvmaint: unknown view or assertion %q", n)
 		}
 		trees[i] = tree
-		if db.IsAssertion(n) {
-			hasAssertion = true
-		}
 	}
 	d, err := dag.FromTrees(trees...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, err := d.Expand(cfg.Rules, cfg.MaxOps); err != nil {
-		return nil, err
+	if _, err := d.Expand(rules.Default(), maxOps); err != nil {
+		return nil, nil, err
 	}
 	db.RefreshStats()
+	return d, trees, nil
+}
 
-	opt := core.New(d, cfg.Model, cfg.Workload)
+// optimize runs cfg's view-set optimizer over d under the page-I/O
+// model; the one path behind Build, Reoptimize and BuildSharded.
+func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
+	if len(cfg.Workload) == 0 {
+		return nil, fmt.Errorf("mvmaint: a workload is required")
+	}
+	opt := core.New(d, cost.PageIO{}, cfg.Workload)
 	opt.Parallelism = cfg.Parallelism
 	opt.Seed = cfg.Seed
-	res, err := runOptimizer(opt, cfg.Method)
-	if err != nil {
-		return nil, err
+	switch cfg.Method {
+	case Exhaustive:
+		return opt.Exhaustive()
+	case Parallel:
+		return opt.Parallel()
+	case Shielded:
+		return opt.Shielded()
+	case Greedy:
+		return opt.Greedy(), nil
+	case SingleTree:
+		return opt.SingleTree()
+	case HeuristicMarking:
+		return opt.HeuristicMarking(), nil
+	case NoAdditional:
+		ev := opt.Evaluate()
+		return &core.Result{Method: "no-additional", Best: ev, All: []core.Evaluated{ev}, Explored: 1}, nil
+	default:
+		return nil, fmt.Errorf("mvmaint: unknown method %v", cfg.Method)
 	}
+}
 
-	var m *maintain.Maintainer
-	if cfg.Restore != nil {
-		m, err = maintain.NewRestored(d, db.Store, cfg.Model, res.Best.Set, *cfg.Restore)
-	} else {
-		m, err = maintain.New(d, db.Store, cfg.Model, res.Best.Set)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{DB: db, DAG: d, Decision: res, ViewSet: res.Best.Set, M: m,
-		names: map[int]string{}}
+// roots maps the root of each declared name's tree in d to the name, and
+// lists the names that are assertions with their roots.
+func (db *DB) roots(d *dag.DAG, names []string, trees []algebra.Node) (map[int]string, []ic.Assertion, error) {
+	byRoot := map[int]string{}
 	var assertions []ic.Assertion
 	for i, n := range names {
 		eq := d.FindEq(trees[i])
 		if eq == nil {
-			return nil, fmt.Errorf("mvmaint: lost root for %q", n)
+			return nil, nil, fmt.Errorf("mvmaint: lost root for %q", n)
 		}
-		sys.names[eq.ID] = n
+		byRoot[eq.ID] = n
 		if db.IsAssertion(n) {
 			assertions = append(assertions, ic.Assertion{Name: n, View: eq})
 		}
 	}
+	return byRoot, assertions, nil
+}
+
+// newChecker checks the assertions over m's views, rolling violating
+// transactions back iff there is an assertion to check.
+func newChecker(m *maintain.Maintainer, assertions []ic.Assertion) (*ic.Checker, error) {
 	mode := ic.Report
-	if cfg.RejectViolations || hasAssertion {
+	if len(assertions) > 0 {
 		mode = ic.Reject
 	}
-	if !cfg.RejectViolations && !hasAssertion {
-		mode = ic.Report
-	}
-	checker, err := ic.New(m, mode, assertions...)
-	if err != nil {
-		return nil, err
-	}
-	sys.Checker = checker
-	return sys, nil
+	return ic.New(m, mode, assertions...)
 }
 
 // Execute runs one DML statement under maintenance and assertion
@@ -332,17 +364,8 @@ func (s *System) IO() *storage.IOCounter { return s.DB.Store.IO }
 // hook for when data drift makes it worthwhile. It reports whether the
 // view set changed.
 func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
-	if cfg.Model == nil {
-		cfg.Model = cost.PageIO{}
-	}
-	if len(cfg.Workload) == 0 {
-		return false, fmt.Errorf("mvmaint: Reoptimize requires a workload")
-	}
 	s.DB.RefreshStats()
-	opt := core.New(s.DAG, cfg.Model, cfg.Workload)
-	opt.Parallelism = cfg.Parallelism
-	opt.Seed = cfg.Seed
-	res, err := runOptimizer(opt, cfg.Method)
+	res, err := optimize(s.DAG, cfg)
 	if err != nil {
 		return false, err
 	}
@@ -356,22 +379,11 @@ func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
 			s.DB.Store.Drop(maintain.ViewName(e))
 		}
 	}
-	m, err := maintain.New(s.DAG, s.DB.Store, cfg.Model, res.Best.Set)
+	m, err := maintain.New(s.DAG, s.DB.Store, cost.PageIO{}, res.Best.Set)
 	if err != nil {
 		return false, err
 	}
-	var assertions []ic.Assertion
-	for id, name := range s.names {
-		if !s.DB.IsAssertion(name) {
-			continue
-		}
-		for _, e := range s.DAG.Roots {
-			if e.ID == id {
-				assertions = append(assertions, ic.Assertion{Name: name, View: e})
-			}
-		}
-	}
-	checker, err := ic.New(m, s.Checker.Mode, assertions...)
+	checker, err := newChecker(m, s.Checker.Assertions)
 	if err != nil {
 		return false, err
 	}
