@@ -454,7 +454,7 @@ func (sh *shell) runSQL(sql string) {
 			fmt.Println(" ", v)
 		}
 		if out.RolledBack {
-			fmt.Println("  transaction ROLLED BACK")
+			fmt.Println("  transaction REJECTED (nothing written)")
 		}
 	default:
 		if err := sh.db.Exec(sql); err != nil {

@@ -3,8 +3,8 @@
 // The paper's DeptConstraint ("a department's expense should not exceed
 // its budget") is declared with CREATE ASSERTION ... CHECK (NOT EXISTS
 // ...). The system maintains the constraint's view incrementally — made
-// cheap by the auxiliary SumOfSals view the optimizer picks — and rolls
-// back any transaction that would violate it.
+// cheap by the auxiliary SumOfSals view the optimizer picks — and
+// rejects any transaction that would violate it before writing anything.
 //
 // Run: go run ./examples/assertions
 package main
@@ -76,7 +76,7 @@ CREATE ASSERTION DeptConstraint CHECK
 		if !out.OK() {
 			status = out.Violations[0].String()
 			if out.RolledBack {
-				status += " -> ROLLED BACK"
+				status += " -> REJECTED"
 			}
 		}
 		fmt.Printf("%-58s %s (%d page I/Os)\n", sql, status, out.Report.PaperTotal())
@@ -90,7 +90,7 @@ CREATE ASSERTION DeptConstraint CHECK
 	run(`UPDATE Dept SET Budget = 5000 WHERE DName = 'd11'`)   // generous raise: fine
 	run(`DELETE FROM Emp WHERE EName = 'e07_2'`)               // fine
 
-	// Because of rollbacks the database still satisfies the constraint.
+	// Because violators are rejected the database still satisfies the constraint.
 	res, err := db.Query(`SELECT Dept.DName FROM Emp, Dept
 WHERE Dept.DName = Emp.DName GROUP BY Dept.DName, Budget HAVING SUM(Salary) > Budget`)
 	if err != nil {

@@ -86,7 +86,7 @@ CREATE ASSERTION DeptConstraint CHECK
 	for _, sql := range []string{
 		`UPDATE Emp SET Salary = 400 WHERE EName = 'e05_0'`, // d05 reaches 75% of budget
 		`UPDATE Emp SET Salary = 200 WHERE EName = 'e05_1'`, // ... now 83%: a BigSpender
-		`UPDATE Emp SET Salary = 2000 WHERE EName = 'e09_0'`, // would violate: rolled back
+		`UPDATE Emp SET Salary = 2000 WHERE EName = 'e09_0'`, // would violate: rejected
 	} {
 		out, err := sys.Execute(sql)
 		if err != nil {
@@ -94,7 +94,7 @@ CREATE ASSERTION DeptConstraint CHECK
 		}
 		status := "OK"
 		if out.RolledBack {
-			status = "ROLLED BACK"
+			status = "REJECTED"
 		}
 		fmt.Printf("%-55s %s (%d page I/Os)\n", sql, status, out.Report.PaperTotal())
 	}

@@ -288,15 +288,6 @@ func (p *AggregatePlan) FinishFold(oldAgg OldAgg) (*Delta, []GroupLive, error) {
 	return out, p.lives, nil
 }
 
-// FoldCounts calls f with the key (value.Tuple.Key() form) and the signed
-// change in bag cardinality of every group of the last fold — what
-// Delta.GroupCounts reports of a delta, for one that was streamed.
-func (p *AggregatePlan) FoldCounts(f func(key []byte, n int64)) {
-	for i := range p.accs {
-		f(p.enc.Key(p.accs[i].key), p.accs[i].live)
-	}
-}
-
 // Full recomputes each affected group from its pre-update rows (supplied
 // by oldGroup — a query on the child, or GroupRowsFromDelta when the
 // delta covers whole groups) plus the delta, at a cost of one pass over

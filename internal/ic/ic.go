@@ -6,9 +6,9 @@
 // views are materialized".
 //
 // A Checker owns a maintenance engine whose roots are the assertion
-// views (plus any ordinary materialized views); after each transaction it
-// inspects the assertion views and, in Reject mode, rolls the transaction
-// back when any is non-empty.
+// views (plus any ordinary materialized views). In Reject mode they are
+// the maintainer's Guards, so a violating transaction is never applied;
+// in Report mode it is applied, and the non-empty views reported.
 package ic
 
 import (
@@ -35,8 +35,8 @@ const (
 	// Report applies the transaction and reports violations (deferred
 	// constraint style).
 	Report Mode = iota
-	// Reject rolls the violating transaction back (immediate constraint
-	// style).
+	// Reject refuses the violating transaction: nothing it would have
+	// changed is written (immediate constraint style).
 	Reject
 )
 
@@ -59,17 +59,24 @@ type Checker struct {
 }
 
 // New builds a checker over an existing maintainer. Every assertion view
-// must be materialized by the maintainer (it is a root of the DAG).
+// must be materialized by the maintainer (it is a root of the DAG). In
+// Reject mode the assertion views become the maintainer's Guards.
 func New(m *maintain.Maintainer, mode Mode, assertions ...Assertion) (*Checker, error) {
+	var guards []*dag.EqNode
 	for _, a := range assertions {
 		if _, ok := m.ViewRel(a.View); !ok {
 			return nil, fmt.Errorf("ic: assertion %s view %s is not materialized", a.Name, a.View)
 		}
+		guards = append(guards, a.View)
+	}
+	if mode == Reject {
+		m.Guards = guards
 	}
 	return &Checker{M: m, Assertions: assertions, Mode: mode}, nil
 }
 
-// Outcome reports one checked transaction.
+// Outcome reports one checked transaction. A rejected transaction's
+// Report charges the queries its propagation posed and nothing else.
 type Outcome struct {
 	Report     *maintain.Report
 	Violations []Violation
@@ -79,59 +86,46 @@ type Outcome struct {
 // OK reports whether the transaction satisfied every assertion.
 func (o *Outcome) OK() bool { return len(o.Violations) == 0 }
 
-// Execute maintains all views under the transaction, then checks each
-// assertion. The check itself is free: the assertion view is already
-// materialized and its emptiness is known from its cardinality — this is
-// precisely why assertion checking reduces to view maintenance.
+// Execute maintains all views under the transaction and checks each
+// assertion. The check itself is free: the assertion view's delta is
+// computed by maintenance anyway, and its emptiness afterwards is its
+// stored cardinality plus that delta's — this is precisely why assertion
+// checking reduces to view maintenance.
 func (c *Checker) Execute(t *txn.Type, updates map[string]*delta.Delta) (*Outcome, error) {
-	// In Reject mode the apply is tentative until the verdict: detach the
-	// committer for the window, and hand it the window's deltas below
-	// only once the transaction is accepted — a violating transaction is
-	// never logged.
-	com := c.M.Committer
-	deferred := com != nil && c.Mode == Reject
-	if deferred {
-		c.M.Committer = nil
-		defer func() { c.M.Committer = com }()
-	}
 	rep, err := c.M.Apply(t, updates)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Report: rep}
+	out := &Outcome{Report: rep, RolledBack: rep.Rejected}
+	if c.Mode == Reject && !rep.Rejected {
+		return out, nil // accepted: every guard is empty
+	}
 	for _, a := range c.Assertions {
 		rows := c.M.Contents(a.View)
-		if len(rows) > 0 {
-			// Contents rows alias view storage, which the rollback below
-			// mutates (and storage recycles freed tuple slots on insert),
-			// so the outcome keeps its own copies. Violations are the
-			// exceptional path; the clone never runs on a clean window.
-			owned := make([]storage.Row, len(rows))
-			for i, row := range rows {
-				owned[i] = storage.Row{Tuple: row.Tuple.Clone(), Count: row.Count}
+		if d := rep.Deltas[a.View.ID]; rep.Rejected && d != nil {
+			// Rejected: the view after the window is its stored rows ⊎
+			// the delta that was never applied.
+			all := delta.New(a.View.Schema())
+			for _, row := range rows {
+				all.Insert(row.Tuple, row.Count)
 			}
-			out.Violations = append(out.Violations, Violation{Assertion: a.Name, Rows: owned})
+			all.Changes = append(all.Changes, d.Changes...)
+			rows = nil
+			for _, ch := range all.Normalize().Changes {
+				if ch.IsInsert() {
+					rows = append(rows, storage.Row{Tuple: ch.New, Count: ch.Count})
+				}
+			}
 		}
-	}
-	if c.Mode == Reject && !out.OK() {
-		if err := c.M.Rollback(rep); err != nil {
-			return nil, fmt.Errorf("ic: rollback failed: %w", err)
+		// Tuples alias view storage or the window's scratch, both reused
+		// by the next window, so the outcome keeps copies. A clean
+		// assertion has no rows, and clones nothing.
+		for i := range rows {
+			rows[i].Tuple = rows[i].Tuple.Clone()
 		}
-		out.RolledBack = true
-	}
-	if deferred {
-		// Accepted: log the window and wait out its fence. Rejected:
-		// nothing to log, report the durability point covering it.
-		var lsn uint64
-		if out.RolledBack {
-			lsn, err = com.Commit(1)
-		} else {
-			lsn, err = com.BeginWindow(rep.Merged, 1)()
+		if len(rows) > 0 {
+			out.Violations = append(out.Violations, Violation{Assertion: a.Name, Rows: rows})
 		}
-		if err != nil {
-			return nil, fmt.Errorf("ic: commit: %w", err)
-		}
-		rep.LSN = lsn
 	}
 	return out, nil
 }

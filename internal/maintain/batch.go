@@ -67,6 +67,10 @@ type BatchReport struct {
 	// LSN is the log sequence number as of which the window is durable
 	// when a Committer is attached (0 otherwise).
 	LSN uint64
+	// Rejected is set when the window would have left one of the
+	// maintainer's Guards non-empty: it was propagated (QueryIO is
+	// charged, Deltas hold what it would have applied), not written.
+	Rejected bool
 }
 
 // PaperTotal is the quantity §3.6 reports: query I/O plus
@@ -83,8 +87,11 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 //  2. the merged delta is propagated once along the update track chosen
 //     for the window's transaction type, sharing the per-window probe
 //     cache across everything the window touches;
-//  3. the base relations are updated, one storage batch per relation;
-//  4. the per-view deltas are applied to independent materialized views
+//  3. a window under Guards is decided here, before anything is
+//     written: rejected, it returns with Rejected set; accepted, it is
+//     handed to the Committer now instead of in step 1;
+//  4. the base relations are updated, one storage batch per relation;
+//  5. the per-view deltas are applied to independent materialized views
 //     concurrently (up to m.Workers goroutines), each worker charging a
 //     private I/O counter so the hot path takes no locks; sidecar
 //     live/stale bookkeeping stays per-view and runs on whichever
@@ -144,32 +151,20 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 	} else {
 		clear(rep.Deltas)
 	}
-	if len(merged) == 0 {
-		rep.Track = &tracks.Track{}
-		// Nothing to log; the reported LSN is the durability point
-		// covering the window.
-		if m.Committer != nil {
-			lsn, err := m.Committer.Commit(len(txns))
-			if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
-				return nil, err
-			}
-		}
-		m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
-		return rep, nil
-	}
-	// Pipelined group commit: the committer gets the window's net base
-	// deltas now — before propagation — so its encode/write/fsync runs
-	// under the entire window. wait is the commit fence, joined below —
-	// or by the deferred call on an early error return (whose error is
-	// the one reported), because merged dies with the window.
+	// Pipelined group commit: an unguarded window's net base deltas go
+	// to the committer now — before propagation — so its
+	// encode/write/fsync runs under the entire window. wait is the
+	// commit fence, joined below — or by the deferred call on an early
+	// error return (whose error is the one reported), because merged dies
+	// with the window.
 	var wait func() (uint64, error)
-	if m.Committer != nil {
+	defer func() {
+		if wait != nil {
+			wait()
+		}
+	}()
+	if m.Committer != nil && len(merged) > 0 && len(m.Guards) == 0 {
 		wait = m.Committer.BeginWindow(merged, len(txns))
-		defer func() {
-			if wait != nil {
-				wait()
-			}
-		}()
 		// On one processor, yield so the committer reaches its fsync
 		// before propagation starts; a CPU-bound window never otherwise
 		// cedes the CPU and the commit would run inside the fence wait.
@@ -181,8 +176,12 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		}
 	}
 
-	tr := m.planFor(bt).track
-	rep.Track = tr
+	if len(merged) == 0 {
+		rep.Track = &tracks.Track{}
+	} else {
+		rep.Track = m.planFor(bt).track
+	}
+	tr := rep.Track
 
 	// Seed leaf deltas from the merged window. Coalesce emits only
 	// non-empty net deltas, so a Get hit is always worth seeding.
@@ -214,6 +213,28 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 	}
 	rep.QueryIO = m.Store.IO.Snapshot().Sub(io0)
 	prop.Finish()
+
+	if rep.Rejected = len(m.Guards) > 0 && m.violates(rep.Deltas); rep.Rejected || len(merged) == 0 {
+		// Nothing to log: report the covering durability point. A
+		// rejected window writes nothing, so the live counts propagation
+		// left for the sidecars go too, and no hook fires.
+		for _, v := range m.views {
+			v.pending = nil
+		}
+		if m.Committer != nil {
+			lsn, err := m.Committer.Commit(len(txns))
+			if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
+				return nil, err
+			}
+		}
+		if !rep.Rejected {
+			m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
+		}
+		return rep, nil
+	}
+	if m.Committer != nil && len(m.Guards) > 0 {
+		wait = m.Committer.BeginWindow(merged, len(txns)) // accepted: the log hears of it only now
+	}
 
 	// Apply the base relation updates, one batch per relation. Queries
 	// are all done (propagation finished), so no reader observes the new

@@ -82,9 +82,9 @@ type View struct {
 }
 
 // Committer reports a durability point. Commit covers a window that
-// logs nothing — it coalesced to nothing, or the assertion checker
-// rolled it back — and returns the LSN as of which everything handed to
-// the log so far is durable, draining any commits still in flight. The
+// logs nothing — it coalesced to nothing, or a guard rejected it — and
+// returns the LSN as of which everything handed to the log so far is
+// durable, draining any commits still in flight. The
 // sharded coordinator is a bare Committer: its shards log their own
 // sub-windows and it commits the vector of their LSNs.
 type Committer interface {
@@ -96,8 +96,9 @@ type Committer interface {
 // soon as it has coalesced them — before any propagation work — so it
 // hands them to BeginWindow, which starts encoding, writing and
 // fsyncing the window record on a background goroutine while
-// propagation, base apply and view apply proceed. The log learns a
-// window's deltas this way and no other. The returned wait is the
+// propagation, base apply and view apply proceed (a guarded window's
+// once it is accepted). The log learns a window's deltas this way and
+// no other. The returned wait is the
 // commit fence: ApplyBatch blocks on it before acknowledging, so ack
 // still implies durable. A crash after the early fsync but before the
 // ack recovers to one window past the last acknowledged state
@@ -109,9 +110,9 @@ type WindowCommitter interface {
 	BeginWindow(w delta.Coalesced, txns int) (wait func() (uint64, error))
 }
 
-// WindowUpdate describes one successfully applied maintenance window
-// (an ApplyBatch window or a rollback's compensation) as seen by a
-// window hook.
+// WindowUpdate describes one successfully applied ApplyBatch window as
+// seen by a window hook. A window a guard rejected is not applied and
+// reaches no hook.
 //
 // Ownership: Deltas is the window report's delta map — arena-backed and
 // recycled, valid ONLY for the duration of the hook call. A hook that
@@ -120,15 +121,12 @@ type WindowCommitter interface {
 // at. The hook runs on the window's goroutine, so heavy work belongs on
 // the consumer's side of a queue, after cloning.
 type WindowUpdate struct {
-	// Seq numbers applied windows on this maintainer, starting at 1.
-	// Rollback compensations get their own sequence number: the feed of
-	// updates is exactly the sequence of state transitions.
+	// Seq numbers applied windows on this maintainer, starting at 1: the
+	// feed of updates is exactly the sequence of state transitions.
 	Seq uint64
-	// LSN is the durability point covering the window (0 in-memory, and
-	// 0 on rollback compensations — the rollback's own commit is driven
-	// by the checker after the hook fires).
+	// LSN is the durability point covering the window (0 in-memory).
 	LSN uint64
-	// Txns is the window's transaction count (0 for a compensation).
+	// Txns is the window's transaction count.
 	Txns int
 	// Deltas maps equivalence-node IDs to the net change applied at
 	// that node this window. Empty (but non-nil) for windows that
@@ -153,6 +151,12 @@ type Maintainer struct {
 	// hands it the coalesced window up front and joins its fence before
 	// acknowledging. Nil means the engine runs in memory.
 	Committer WindowCommitter
+
+	// Guards are materialized views every window must leave empty
+	// (Reject-mode assertions, paper §6). A window that would leave one
+	// non-empty is decided after propagation and writes nothing; see
+	// BatchReport.Rejected.
+	Guards []*dag.EqNode
 
 	// Workers bounds the goroutines ApplyBatch uses to apply per-view
 	// deltas to independent materialized views. Zero or one means
@@ -219,11 +223,9 @@ type Maintainer struct {
 
 	// onWindow, when set, observes every applied window at its fence —
 	// after the commit wait and view application, while the report's
-	// deltas are still alive. winSeq numbers those windows; rollbackDel
-	// is Rollback's recycled map of inverse deltas.
-	onWindow    WindowHook
-	winSeq      uint64
-	rollbackDel map[int]*delta.Delta
+	// deltas are still alive. winSeq numbers those windows.
+	onWindow WindowHook
+	winSeq   uint64
 
 	pubArenaReused, pubArenaGrown uint64
 }
@@ -341,12 +343,40 @@ func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64, rep 
 func (m *Maintainer) SetSpanParent(id uint64) { m.spanParent = id }
 
 // SetWindowHook installs (or, with nil, removes) the window hook: fn is
-// called once per applied window — ApplyBatch window or rollback
-// compensation — at the window fence, after
-// the commit wait and view application succeed. The WindowUpdate's
-// delta map is valid only for the duration of the call; see the
-// WindowUpdate ownership contract.
+// called once per applied window at the window fence, after the commit
+// wait and view application succeed. The WindowUpdate's delta map is
+// valid only for the duration of the call; see the WindowUpdate
+// ownership contract.
 func (m *Maintainer) SetWindowHook(fn WindowHook) { m.onWindow = fn }
+
+// violates reports whether a window's propagated deltas leave a guard
+// non-empty: its stored bag cardinality plus its delta's signed count
+// is above zero.
+func (m *Maintainer) violates(deltas map[int]*delta.Delta) bool {
+	for _, e := range m.Guards {
+		var n int64
+		if v, ok := m.views[e.ID]; ok {
+			v.Rel.Iterate(func(row storage.Row) bool {
+				n += row.Count
+				return true
+			})
+		}
+		if d := deltas[e.ID]; d != nil {
+			for _, c := range d.Changes {
+				switch {
+				case c.IsInsert():
+					n += max(c.Count, 1)
+				case c.IsDelete():
+					n -= max(c.Count, 1)
+				}
+			}
+		}
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // fireWindowHook advances the window sequence and invokes the hook.
 func (m *Maintainer) fireWindowHook(lsn uint64, txns int, deltas map[int]*delta.Delta) {
@@ -565,85 +595,6 @@ func markStaleGroups(v *View, own *delta.Delta, nGroupCols int) {
 		mark(c.Old)
 		mark(c.New)
 	}
-}
-
-// Rollback applies the inverse of a report's deltas (base relations from
-// rep.Merged, then views and sidecars), uncharged; used by assertion
-// checking to reject a violating transaction.
-func (m *Maintainer) Rollback(rep *BatchReport) error {
-	uncharged := func(rel *storage.Relation, inv *delta.Delta) {
-		was := rel.Resident
-		rel.Resident = true
-		m.mutBuf = inv.AppendMutations(m.mutBuf[:0])
-		rel.ApplyBatch(m.mutBuf)
-		rel.Resident = was
-	}
-	for _, rd := range rep.Merged {
-		r, ok := m.Store.Get(rd.Rel)
-		if !ok {
-			return fmt.Errorf("maintain: unknown relation %q", rd.Rel)
-		}
-		uncharged(r, inverse(rd.Delta))
-	}
-	// One inverse per node, shared by the view's storage, the sidecars
-	// of the views above it, and the compensation hook below.
-	if m.rollbackDel == nil {
-		m.rollbackDel = map[int]*delta.Delta{}
-	} else {
-		clear(m.rollbackDel)
-	}
-	for id, d := range rep.Deltas {
-		if !d.Empty() {
-			m.rollbackDel[id] = inverse(d)
-		}
-	}
-	for id, inv := range m.rollbackDel {
-		v, ok := m.views[id]
-		if !ok {
-			continue
-		}
-		uncharged(v.Rel, inv)
-		switch {
-		case v.aggOp != nil:
-			agg := v.aggOp.Template.(*algebra.Aggregate)
-			child := v.aggOp.Children[0]
-			if cd := m.rollbackDel[child.ID]; cd != nil {
-				gc, err := cd.GroupCounts(agg.GroupBy)
-				if err != nil {
-					return err
-				}
-				for k, n := range gc {
-					v.live[k] += n
-				}
-			} else if st := m.steps[v.aggOp]; st != nil && m.StreamsInto(rep.Track, child) == v.Eq {
-				// The child's delta was folded, not kept; the fold that
-				// produced this view's (non-empty) delta holds its counts.
-				st.agg.FoldCounts(func(k []byte, n int64) { v.live[string(k)] -= n })
-			}
-		case v.distinctOp != nil:
-			if cd := m.rollbackDel[v.distinctOp.Children[0].ID]; cd != nil {
-				for k, n := range cd.TupleCounts() {
-					v.live[k] += n
-				}
-			}
-		}
-	}
-	// Announce the compensation as its own window: a hook that mirrored
-	// the rejected transaction's deltas must mirror their inverse too,
-	// or downstream state (server snapshots, changefeeds) keeps the
-	// rolled-back change. The inverse deltas are built above the arena,
-	// so the usual call-scoped ownership applies unchanged.
-	m.fireWindowHook(0, 0, m.rollbackDel)
-	return nil
-}
-
-// inverse swaps insertions and deletions and reverses modifications.
-func inverse(d *delta.Delta) *delta.Delta {
-	out := delta.New(d.Schema)
-	for _, c := range d.Changes {
-		out.Changes = append(out.Changes, delta.Change{Old: c.New, New: c.Old, Count: c.Count})
-	}
-	return out
 }
 
 // Oracle recomputes a materialized node from scratch (uncharged) — the

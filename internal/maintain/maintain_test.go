@@ -236,55 +236,6 @@ func TestViolationAppearsInRootView(t *testing.T) {
 	s.checkDrift(t, m, s.n3)
 }
 
-// TestRollbackRestoresState: applying a transaction then rolling it back
-// leaves views, sidecars and base relations as before.
-func TestRollbackRestoresState(t *testing.T) {
-	s := newScenario(t, corpus.Config{Departments: 5, EmpsPerDept: 3})
-	m := s.maintainer(t, s.n3)
-	empT := txn.PaperTypes()[0]
-
-	d, err := s.db.EmpSalaryDelta(1, 1, 999_999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := map[string]*delta.Delta{"Emp": d}
-	rep, err := m.Apply(empT, up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Contents(s.d.Root)) != 1 {
-		t.Fatal("expected a violation before rollback")
-	}
-	if err := m.Rollback(rep); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(m.Contents(s.d.Root)); got != 0 {
-		t.Fatalf("root view has %d rows after rollback", got)
-	}
-	s.checkDrift(t, m, s.n3)
-
-	// The rolled-back employee must have the original salary.
-	rel := s.db.Store.MustGet("Emp")
-	was := rel.Resident
-	rel.Resident = true
-	rows := rel.Lookup([]string{"EName"}, value.Tuple{value.NewString(corpus.EmpName(1, 1))})
-	rel.Resident = was
-	if len(rows) != 1 || rows[0].Tuple[2].AsInt() != corpus.BaseSalary {
-		t.Errorf("employee not restored: %v", rows)
-	}
-
-	// Applying again after rollback still works and still maintains
-	// consistency.
-	d, err = s.db.EmpSalaryDelta(1, 1, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Apply(empT, map[string]*delta.Delta{"Emp": d}); err != nil {
-		t.Fatal(err)
-	}
-	s.checkDrift(t, m, s.n3)
-}
-
 // TestGroupBirthAndDeathThroughEngine: hiring the first employee of a new
 // department and firing a department's last employee keep the N3 view and
 // sidecar correct.

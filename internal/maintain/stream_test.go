@@ -331,47 +331,81 @@ func TestMinMaxOverJoinDecidesOnNetDelta(t *testing.T) {
 	}
 }
 
-// TestRollbackAfterStreamedWindow: the aggregate's live counts are
-// rolled back from the fold when the join under it kept no delta. A
-// rolled-back hire must not leave its group looking inhabited once the
-// group's real rows are gone.
-func TestRollbackAfterStreamedWindow(t *testing.T) {
-	cfg := corpus.Config{Departments: 3, EmpsPerDept: 1}
-	db := corpus.NewDatabase(cfg)
-	join := algebra.NewJoin(
-		[]algebra.JoinCond{{Left: "Emp.DName", Right: "Dept.DName"}},
-		algebra.Scan(db.Catalog.MustGet("Emp")), algebra.Scan(db.Catalog.MustGet("Dept")))
-	view := algebra.NewAggregate([]string{"Dept.DName"}, []algebra.AggSpec{
-		{Func: algebra.Sum, Arg: expr.C("Emp.Salary"), As: "S"},
-	}, join)
-	d, err := dag.FromTree(view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := maintain.New(d, db.Store, cost.PageIO{}, tracks.RootSet(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hire := &txn.Type{Name: "+Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 1}}}
-	rep, err := m.Apply(hire, map[string]*delta.Delta{"Emp": db.EmpInsertDelta("temp", corpus.DeptName(0), 50)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, held := rep.Deltas[d.FindEq(join).ID]; held {
-		t.Fatal("the join kept its delta: this test needs it streamed")
-	}
-	if err := m.Rollback(rep); err != nil {
-		t.Fatal(err)
-	}
-	fire, err := db.EmpDeleteDelta(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Apply(&txn.Type{Name: "-Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Delete, Size: 1}}},
-		map[string]*delta.Delta{"Emp": fire}); err != nil {
-		t.Fatal(err)
-	}
-	if drift, err := m.Drift(d.Root); err != nil || drift != "" {
-		t.Fatalf("after rollback and the department's last firing: drift %q, err %v", drift, err)
+// TestRejectedWindowDropsPendingCounts: a rejected window is propagated
+// but never applied, so the live counts its aggregate step computed go
+// with it. A hire that takes its department's SUM over a guarded
+// threshold is rejected; then, accepted, a hire into a department with
+// no Dept row (the join adds no row, so the SUM's step computes no live
+// counts of its own) and the first department's only firing. Run with
+// the join streaming into the SUM, whose live counts then exist only in
+// the fold, and with the join materialized.
+func TestRejectedWindowDropsPendingCounts(t *testing.T) {
+	for _, materialized := range []bool{false, true} {
+		t.Run(fmt.Sprintf("join materialized=%v", materialized), func(t *testing.T) {
+			db := corpus.NewDatabase(corpus.Config{Departments: 3, EmpsPerDept: 1})
+			join := algebra.NewJoin(
+				[]algebra.JoinCond{{Left: "Emp.DName", Right: "Dept.DName"}},
+				algebra.Scan(db.Catalog.MustGet("Emp")), algebra.Scan(db.Catalog.MustGet("Dept")))
+			sum := algebra.NewAggregate([]string{"Dept.DName"}, []algebra.AggSpec{
+				{Func: algebra.Sum, Arg: expr.C("Emp.Salary"), As: "S"},
+			}, join)
+			over := algebra.NewSelect(expr.Compare(expr.GT, expr.C("S"), expr.IntLit(1000)), sum)
+			d, err := dag.FromTrees(sum, over)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := tracks.RootSet(d)
+			joinEq, guard := d.FindEq(join), d.FindEq(over)
+			vs[joinEq.ID] = materialized
+			m, err := maintain.New(d, db.Store, cost.PageIO{}, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Guards = []*dag.EqNode{guard}
+			hooked := 0
+			m.SetWindowHook(func(maintain.WindowUpdate) { hooked++ })
+			hire := &txn.Type{Name: "+Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Insert, Size: 1}}}
+			fire := &txn.Type{Name: "-Emp", Weight: 1, Updates: []txn.RelUpdate{{Rel: "Emp", Kind: txn.Delete, Size: 1}}}
+			check := func(step string, rep *maintain.BatchReport, reject bool) {
+				t.Helper()
+				if rep.Rejected != reject {
+					t.Fatalf("%s: rejected %v, want %v", step, rep.Rejected, reject)
+				}
+				for _, e := range d.Roots {
+					if drift, err := m.Drift(e); err != nil || drift != "" {
+						t.Fatalf("%s: %s drifted: %q %v", step, e, drift, err)
+					}
+				}
+			}
+
+			rep, err := m.Apply(hire, map[string]*delta.Delta{"Emp": db.EmpInsertDelta("temp", corpus.DeptName(0), 5000)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, held := rep.Deltas[joinEq.ID]; held != materialized {
+				t.Fatalf("join delta held %v with the join materialized %v", held, materialized)
+			}
+			check("over-threshold hire", rep, true)
+			if hooked != 0 || rep.BaseIO.Total()+rep.ViewIO.Total()+rep.RootIO.Total() != 0 {
+				t.Fatalf("the rejected hire was applied: %d hook calls, base %v view %v root %v", hooked, rep.BaseIO, rep.ViewIO, rep.RootIO)
+			}
+			rep, err = m.Apply(hire, map[string]*delta.Delta{"Emp": db.EmpInsertDelta("stray", "nodept", 50)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("hire with no department", rep, false)
+			gone, err := db.EmpDeleteDelta(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err = m.Apply(fire, map[string]*delta.Delta{"Emp": gone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("the department's last firing", rep, false)
+			if rows := m.Contents(d.FindEq(sum)); len(rows) != 2 {
+				t.Fatalf("SUM view holds %d groups after the first department emptied, want 2", len(rows))
+			}
+		})
 	}
 }

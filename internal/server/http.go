@@ -2,9 +2,11 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -171,10 +173,15 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		}
 		total = len(rows)
 	} else {
-		offset, _ := strconv.Atoi(q.Get("offset"))
-		limit := 1000
-		if ls := q.Get("limit"); ls != "" {
-			limit, _ = strconv.Atoi(ls)
+		offset, err := intParam(q, "offset", 0)
+		if err != nil {
+			httpErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		limit, err := intParam(q, "limit", 1000)
+		if err != nil {
+			httpErr(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 		if offset < 0 {
 			offset = 0
@@ -207,6 +214,22 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
+// intParam reads an integer query parameter, def when it is absent.
+func intParam(q url.Values, name string, def int) (int, error) {
+	s := q.Get(name)
+	if s == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad %s %q", name, s)
+	}
+	return n, nil
+}
+
+// maxTxnBody bounds a POST /txn body; a larger one gets 413.
+const maxTxnBody = 1 << 20
+
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	if s.exec == nil {
 		httpErr(w, http.StatusNotImplemented, "server is read-only (no exec hook)")
@@ -217,7 +240,12 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Statements []string `json:"statements"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTxnBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpErr(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxTxnBody)
+			return
+		}
 		httpErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -212,6 +212,46 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTxnBodyLimit: a POST /txn body over 1 MiB is refused with 413
+// before any statement runs; one just under the limit is read.
+func TestTxnBodyLimit(t *testing.T) {
+	_, sys := buildSystem(t, 2, 2)
+	_, client := startServing(t, sys)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := client.Post("http://mv/txn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	pad := func(n int) string { return `{"statements":[],"pad":"` + strings.Repeat("x", n) + `"}` }
+	if code := post(pad(1 << 20)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body = %d, want 413", code)
+	}
+	// Under the limit the body is decoded: no statements is a 400.
+	if code := post(pad(1<<20 - 64)); code != http.StatusBadRequest {
+		t.Fatalf("body under the limit = %d, want 400 (no statements)", code)
+	}
+}
+
+// TestViewPagingParamsValidated: a limit or offset that is not an
+// integer is a 400, like a bad epoch, not a silent first page.
+func TestViewPagingParamsValidated(t *testing.T) {
+	_, sys := buildSystem(t, 2, 2)
+	_, client := startServing(t, sys)
+	for _, q := range []string{"limit=ten", "offset=1.5", "limit=5&offset=x"} {
+		if code, body := get(t, client, "http://mv/view/ProblemDept?"+q); code != http.StatusBadRequest {
+			t.Errorf("?%s = %d %s, want 400", q, code, body)
+		}
+	}
+	if code, body := get(t, client, "http://mv/view/ProblemDept?limit=5&offset=0"); code != http.StatusOK {
+		t.Fatalf("valid paging = %d %s", code, body)
+	}
+}
+
 // TestEpochPinning: a pinned epoch read returns the same bytes after
 // later windows apply, and ?epoch pins across views consistently.
 func TestEpochPinning(t *testing.T) {

@@ -586,10 +586,6 @@ func eqStrings(a, b []string) bool {
 	return true
 }
 
-// HasIndexOn reports whether the relation has a hash index on exactly the
-// given columns.
-func (r *Relation) HasIndexOn(cols []string) bool { return r.findIndex(cols) != nil }
-
 // lookupPlanFor resolves (and caches) the index choice and column
 // positions for a Lookup column shape. Index definitions are fixed at
 // Create, so cached plans never go stale; cols are copied into the
@@ -809,13 +805,13 @@ type slotList struct {
 }
 
 // slotGrace is how many ApplyBatch fences a freed slot must age before
-// an insert may harvest it. Two fences cover every sanctioned holder of
+// an insert may harvest it. One fence covers every sanctioned holder of
 // a dead tuple: deltas computed in a window's propagation are consumed
-// by that window's applies (one fence), and a rejecting rollback
-// replays inverse deltas whose tuples alias slots the forward apply
-// just freed (a second fence on the same relation). Anything older is
-// dead under the window ownership rule.
-const slotGrace = 2
+// by that window's applies and its window hook, all before the
+// relation's next batch. A rejected window writes nothing, so no batch
+// ever replays tuples an earlier one freed. Anything older is dead
+// under the window ownership rule.
+const slotGrace = 1
 
 // allocTuple places t's stored copy, preferring a same-arity slab slot
 // harvested from an aged dead entry over the bump allocator:
@@ -907,15 +903,10 @@ func (r *Relation) clearFreeSlots() {
 	r.freeStock = 0
 }
 
-// deleteRaw removes count copies of t with no I/O accounting. Counts
-// floor at zero; a tuple whose count reaches zero leaves the indexes.
-func (r *Relation) deleteRaw(t value.Tuple, count int64) {
-	r.deleteRawKeyed(t, r.encOld.Key(t), count)
-}
-
-// deleteRawKeyed is deleteRaw with the key bytes precomputed; it
-// returns the tuple's remaining multiplicity (zero when absent or fully
-// deleted).
+// deleteRawKeyed removes count copies of t, whose key bytes are tk, with
+// no I/O accounting. Counts floor at zero; a tuple whose count reaches
+// zero leaves the indexes. It returns the tuple's remaining multiplicity
+// (zero when absent or fully deleted).
 func (r *Relation) deleteRawKeyed(t value.Tuple, tk []byte, count int64) int64 {
 	p := r.rows.Ptr(tk)
 	if p == nil {

@@ -18,9 +18,11 @@ import (
 //
 // The journal is a Log: same segments, CRC32C frames, contiguous
 // sequence numbers (the records' LSNs) and torn-tail truncation on
-// open. The frame's transaction-count slot carries txns+1: rollback
-// compensations cover zero transactions, and the scanner treats a zero
-// count as a torn record. The body is feed-specific:
+// open. The frame's transaction-count slot carries txns+1: a record may
+// cover zero transactions (journals written while rejected transactions
+// were rolled back hold such compensation records, and stay readable),
+// and the scanner treats a zero count as a torn record. The body is
+// feed-specific:
 //
 //	body = uvarint windowSeq | uvarint walLSN | encoded window
 //
@@ -50,9 +52,9 @@ type FeedRecord struct {
 	// entry; it can skip values the feed never saw (empty windows).
 	WindowSeq uint64
 	// LSN is the primary WAL durability point covering the window (0
-	// for in-memory systems and rollback compensations).
+	// for in-memory systems).
 	LSN uint64
-	// Txns is the window's transaction count (0 for a compensation).
+	// Txns is the window's transaction count.
 	Txns int
 	// Views holds the per-view net deltas, sorted by view name.
 	Views delta.Coalesced

@@ -43,8 +43,9 @@ func feedWindow(schema *catalog.Schema, i int) delta.Coalesced {
 
 // goldenRecord is record i of the fixed feed stream the golden image
 // and the crash tests use: one to three changes on view_T plus a
-// deletion on view_U every fourth record; every seventh record is a
-// rollback compensation (zero transactions, no WAL LSN); the window
+// deletion on view_U every fourth record; every seventh record covers
+// zero transactions and no WAL LSN, as the rollback compensations of
+// older journals do; the window
 // sequence skips values the way empty windows make it.
 func goldenRecord(schema *catalog.Schema, i int) FeedRecord {
 	d := delta.New(schema)
@@ -77,7 +78,7 @@ func sameFeedRecord(a, b FeedRecord) bool {
 }
 
 // TestFeedLogRoundTrip appends records across a reopen and replays them
-// back, including rollback compensations (txns=0), which the segment
+// back, including a zero-transaction record (txns=0), which the segment
 // format reserves as an invalid frame marker and the feed log must
 // therefore bias around.
 func TestFeedLogRoundTrip(t *testing.T) {
@@ -91,7 +92,7 @@ func TestFeedLogRoundTrip(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		txns := i
 		if i == 2 {
-			txns = 0 // a rollback compensation window
+			txns = 0 // an older journal's rollback compensation
 		}
 		seq, err := f.Append(uint64(i), uint64(100+i), txns, feedWindow(schema, i))
 		if err != nil {

@@ -32,8 +32,8 @@ var (
 
 // Manager wires the log into a running maintainer: it is the
 // maintainer's Committer — handed each window's coalesced base deltas
-// by ApplyBatch (or, under a Reject-mode assertion checker, by the
-// checker once the verdict is in) — and it writes checkpoints. One
+// by ApplyBatch (a guarded window's once its verdict is in) — and it
+// writes checkpoints. One
 // Manager per maintainer; commits are serialized by the maintenance
 // pipeline's window barrier, so Manager itself takes no locks.
 type Manager struct {
@@ -97,7 +97,7 @@ func (g *Manager) LastLSN() uint64 { return g.log.LastLSN() }
 func (g *Manager) Log() *Log { return g.log }
 
 // Commit implements maintain.Committer for a window that logs nothing
-// (it coalesced to nothing, or the assertion checker rolled it back):
+// (it coalesced to nothing, or a guard rejected it before any write):
 // it writes nothing and returns the current durability point.
 func (g *Manager) Commit(int) (uint64, error) { return g.log.LastLSN(), nil }
 
@@ -319,10 +319,15 @@ func (r *Recovery) RestoreOptions() maintain.RestoreOptions {
 // LSN) through m.ApplyBatch — recovery IS incremental maintenance: each
 // window's deltas propagate along the normal update tracks instead of
 // views being recomputed — then installs itself as the maintainer's
-// committer and returns the re-armed Manager.
+// committer and returns the re-armed Manager. Replay bypasses m.Guards:
+// every record was acknowledged, so it is applied even if an assertion
+// added since would reject it.
 func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error) {
 	sp := obs.Trace.Start("recovery.replay", 0)
 	defer sp.Finish()
+	guards := m.Guards
+	m.Guards = nil
+	defer func() { m.Guards = guards }()
 	log, err := OpenLog(r.fsys, r.dir, opts)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package mvmaint_test
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -127,12 +128,13 @@ func TestBuildShardedMatchesSerial(t *testing.T) {
 		},
 	}
 	wantViolations := []int64{0, 1, 0}
+	// Lift the serial system's guard (which would reject the violation):
+	// the sharded pipeline applies unconditionally, so both sides must
+	// see the violating state to stay comparable.
+	serial.M.Guards = nil
 
 	for w, gen := range windows {
 		window := gen()
-		// Bypass the serial checker (which would roll the violation back):
-		// the sharded pipeline applies unconditionally, so both sides must
-		// see the violating state to stay comparable.
 		if _, err := serial.M.ApplyBatch(window); err != nil {
 			t.Fatalf("window %d serial: %v", w, err)
 		}
@@ -165,6 +167,116 @@ func TestBuildShardedMatchesSerial(t *testing.T) {
 					w, v.n, viol, wantViolations[w])
 			}
 		}
+	}
+}
+
+// fig5SQL renders the benchmark's Figure 5 database over the DDL of
+// testdata/fig5_skew.sql: items items with 4 R rows and 5 sales each,
+// and skewExtra extra sales on each of the first hot items, named and
+// valued as the file's rows are.
+func fig5SQL(tb testing.TB, items, hot int) string {
+	file, err := os.ReadFile("testdata/fig5_skew.sql")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ddl, _, _ := strings.Cut(string(file), "INSERT INTO")
+	var b strings.Builder
+	b.WriteString(ddl)
+	for i := 0; i < items; i++ {
+		item := fmt.Sprintf("item%03d", i)
+		fmt.Fprintf(&b, "INSERT INTO T VALUES ('%s', %d);\nINSERT INTO R VALUES ", item, 10+i%7)
+		for j := 0; j < 4; j++ {
+			fmt.Fprintf(&b, "%s('r%03d_%d', '%s')", strings.Repeat(", ", min(j, 1)), i, j, item)
+		}
+		b.WriteString(";\nINSERT INTO S VALUES ")
+		for j := 0; j < 5; j++ {
+			fmt.Fprintf(&b, "%s('s%03d_%d', '%s', %d)", strings.Repeat(", ", min(j, 1)), i, j, item, 1+(i+j)%5)
+		}
+		if i < hot {
+			for k := 0; k < skewExtra; k++ {
+				fmt.Fprintf(&b, ", ('x%07d', '%s', %d)", i*skewExtra+k, item, 1+k%5)
+			}
+		}
+		b.WriteString(";\n")
+	}
+	return b.String()
+}
+
+// TestFig5SQLMatchesCorpus: at the corpus's size fig5SQL loads exactly
+// the rows of testdata/fig5_skew.sql, so the two cannot drift apart.
+func TestFig5SQLMatchesCorpus(t *testing.T) {
+	file, err := os.ReadFile("testdata/fig5_skew.sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := mvmaint.Open(), mvmaint.Open()
+	want.MustExec(string(file))
+	got.MustExec(fig5SQL(t, 200, skewHot))
+	for _, rel := range []string{"R", "S", "T"} {
+		w, err := want.Query("SELECT * FROM " + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := got.Query("SELECT * FROM " + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sortedRows(g.Rows)) != fmt.Sprint(sortedRows(w.Rows)) {
+			t.Fatalf("%s: fig5SQL rows differ from the corpus file", rel)
+		}
+	}
+}
+
+// BenchmarkShardedWindow measures sharding where a 2-CPU host can: the
+// benchmark's Figure 5 shape (1 000 items, 4 R rows and 5 sales each, 64
+// extra sales on each of 16 hot items; 80/10/10 price changes, sales and
+// deletions in windows of 64) built with BuildSharded, partitioned on
+// Item so that every view is shard-local, at 1 and 2 shards. One op is
+// one window; the windows are drawn before the timer. Reports txn/s and
+// the page I/O per transaction, which must not depend on the shard count.
+func BenchmarkShardedWindow(b *testing.B) {
+	const items, hot = 1000, 16
+	sql := fig5SQL(b, items, hot)
+	for _, shards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			factory := func() (*mvmaint.DB, error) {
+				db := mvmaint.Open()
+				return db, db.Exec(sql)
+			}
+			sys, err := mvmaint.BuildSharded(factory, []string{"Revenue"}, mvmaint.Config{
+				Workload: skewTypes(), Shards: shards, PartitionBy: "Item", Parallelism: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sys.S.NumShards() != shards {
+				b.Fatalf("built %s, want %d shards", sys.Describe(), shards)
+			}
+			stream := newSkewStream(sys.Catalog, hot, 1)
+			windows := make([][]txn.Transaction, b.N)
+			for i := range windows {
+				windows[i] = make([]txn.Transaction, skewWindow)
+				for j := range windows[i] {
+					windows[i][j] = stream.next()
+				}
+			}
+			io0 := sys.S.IO()
+			b.ResetTimer()
+			for _, w := range windows {
+				if _, err := sys.ExecuteWindow(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			txns := float64(b.N * skewWindow)
+			io := sys.S.IO().Sub(io0)
+			b.ReportMetric(txns/b.Elapsed().Seconds(), "txn/s")
+			b.ReportMetric(float64(io.Total())/txns, "io/txn")
+			for _, e := range sys.DAG.Roots {
+				if drift, err := sys.S.Drift(e); err != nil || drift != "" {
+					b.Fatalf("%s drifted from the recompute oracle: %q %v", e, drift, err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	mvmaint "repro"
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/maintain"
@@ -60,16 +61,19 @@ func skewSystem(t testing.TB, method mvmaint.Method) *mvmaint.System {
 type skewStream struct {
 	rng      *rand.Rand
 	types    []*txn.Type
-	sys      *mvmaint.System
-	price    [skewHot]int64
-	sales    [skewHot][]value.Tuple // extra sales, oldest first
+	cat      *catalog.Catalog
+	price    []int64
+	sales    [][]value.Tuple // per hot item, its extra sales, oldest first
 	nextSale int
 	deleteOn int // hot item owing a deletion, or -1
 }
 
-func newSkewStream(sys *mvmaint.System, seed int64) *skewStream {
-	g := &skewStream{rng: rand.New(rand.NewSource(seed)), types: skewTypes(), sys: sys,
-		nextSale: skewHot * skewExtra, deleteOn: -1}
+// newSkewStream aims at the first hot items of a Figure 5 database
+// whose hot items each start with skewExtra extra sales.
+func newSkewStream(cat *catalog.Catalog, hot int, seed int64) *skewStream {
+	g := &skewStream{rng: rand.New(rand.NewSource(seed)), types: skewTypes(), cat: cat,
+		price: make([]int64, hot), sales: make([][]value.Tuple, hot),
+		nextSale: hot * skewExtra, deleteOn: -1}
 	for i := range g.price {
 		g.price[i] = int64(10 + i%7)
 		for k := 0; k < skewExtra; k++ {
@@ -86,26 +90,25 @@ func (g *skewStream) sale(seq, item int, qty int64) value.Tuple {
 }
 
 func (g *skewStream) next() txn.Transaction {
-	cat := g.sys.DB.Catalog
 	if g.rng.Intn(5) != 0 {
-		item := g.rng.Intn(skewHot)
+		item := g.rng.Intn(len(g.price))
 		old, next := g.price[item], int64(10+g.rng.Intn(97))
 		if next == old {
 			next = 10 + (next-9)%97
 		}
 		g.price[item] = next
-		d := delta.New(cat.MustGet("T").Schema)
+		d := delta.New(g.cat.MustGet("T").Schema)
 		d.Modify(value.Tuple{skewItem(item), value.NewInt(old)}, value.Tuple{skewItem(item), value.NewInt(next)}, 1)
 		return txn.Transaction{Type: g.types[0], Updates: map[string]*delta.Delta{"T": d}}
 	}
-	d := delta.New(cat.MustGet("S").Schema)
+	d := delta.New(g.cat.MustGet("S").Schema)
 	if item := g.deleteOn; item >= 0 {
 		g.deleteOn = -1
 		d.Delete(g.sales[item][0], 1)
 		g.sales[item] = g.sales[item][1:]
 		return txn.Transaction{Type: g.types[2], Updates: map[string]*delta.Delta{"S": d}}
 	}
-	item := g.rng.Intn(skewHot)
+	item := g.rng.Intn(len(g.price))
 	s := g.sale(g.nextSale, item, int64(1+g.rng.Intn(5)))
 	g.nextSale++
 	g.sales[item] = append(g.sales[item], s)
@@ -143,7 +146,7 @@ func TestSkewSweep(t *testing.T) {
 			}
 		}
 		m.Workers = 1
-		stream := newSkewStream(sys, 11)
+		stream := newSkewStream(sys.DB.Catalog, skewHot, 11)
 		window := make([]txn.Transaction, skewWindow)
 		var io int64
 		for w := 0; w < windows; w++ {

@@ -223,8 +223,8 @@ func (db *DB) roots(d *dag.DAG, names []string, trees []algebra.Node) (map[int]s
 	return byRoot, assertions, nil
 }
 
-// newChecker checks the assertions over m's views, rolling violating
-// transactions back iff there is an assertion to check.
+// newChecker checks the assertions over m's views, rejecting violating
+// transactions iff there is an assertion to check.
 func newChecker(m *maintain.Maintainer, assertions []ic.Assertion) (*ic.Checker, error) {
 	mode := ic.Report
 	if len(assertions) > 0 {
@@ -234,9 +234,8 @@ func newChecker(m *maintain.Maintainer, assertions []ic.Assertion) (*ic.Checker,
 }
 
 // Execute runs one DML statement under maintenance and assertion
-// checking, as a one-transaction maintenance window: with durability
-// attached the window is logged once it is accepted, and a rejected one
-// never is.
+// checking, as a one-transaction maintenance window: a rejected one is
+// decided after propagation and never applied, logged or published.
 func (s *System) Execute(sql string) (*ic.Outcome, error) {
 	ty, updates, err := s.DB.TxnFromSQL(sql)
 	if err != nil {
