@@ -102,39 +102,46 @@ func (g *acc) reset(key value.Tuple, n int) {
 	}
 }
 
-// getAcc returns the accumulator for t's group, creating (or reusing a
-// retained) one on first touch. Group keys are bump-allocated from the
-// plan's arena; append order of p.accs is first-seen group order. Rows
-// arrive in runs of one group (a join emits all of a key's matches
-// together), so the previous row's accumulator is tried before the table.
+// getAcc returns the accumulator for t's group.
 func (p *AggregatePlan) getAcc(t value.Tuple) *acc {
+	for i, j := range p.gpos {
+		p.gk[i] = t[j]
+	}
+	return &p.accs[p.group()]
+}
+
+// group returns the index in p.accs of the group keyed p.gk, creating (or
+// reusing a retained) accumulator on first touch. Group keys are
+// bump-allocated from the plan's arena; append order of p.accs is
+// first-seen group order. Keys compare by their encoding (value.Same), as
+// the table and a recomputation key groups, so +0.0 and −0.0 are two
+// groups. Rows arrive in runs of one group (a join emits all of a key's
+// matches together), so the previous lookup's group is tried before the
+// table. Hold the index, not a pointer: the next lookup may grow p.accs.
+func (p *AggregatePlan) group() int {
 	if p.last < len(p.accs) {
 		g, i := &p.accs[p.last], 0
-		for i < len(p.gpos) && g.key[i] == t[p.gpos[i]] {
+		for i < len(p.gk) && value.Same(g.key[i], p.gk[i]) {
 			i++
 		}
-		if i == len(p.gpos) {
-			return g
+		if i == len(p.gk) {
+			return p.last
 		}
 	}
-	kb := p.enc.ProjectedKey(t, p.gpos)
-	idx, _, existed := p.groups.GetOrPut(kb, int32(len(p.accs)))
+	idx, _, existed := p.groups.GetOrPut(p.enc.Key(p.gk), int32(len(p.accs)))
 	p.last = int(*idx)
 	if existed {
-		return &p.accs[*idx]
+		return p.last
 	}
 	if len(p.accs) < cap(p.accs) {
 		p.accs = p.accs[:len(p.accs)+1]
 	} else {
 		p.accs = append(p.accs, acc{})
 	}
-	g := &p.accs[len(p.accs)-1]
-	k := p.arena.NewTuple(len(p.gpos))
-	for i, j := range p.gpos {
-		k[i] = t[j]
-	}
-	g.reset(k, len(p.a.Aggs))
-	return g
+	k := p.arena.NewTuple(len(p.gk))
+	copy(k, p.gk)
+	p.accs[p.last].reset(k, len(p.a.Aggs))
+	return p.last
 }
 
 // fold adds n copies of t (n signed) to g.

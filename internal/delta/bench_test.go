@@ -97,8 +97,10 @@ func BenchmarkAggregateFull(b *testing.B) {
 // beside the R ⋈ S rows of 13 sales inserted or deleted (4 each) — both
 // inputs of R ⋈ S ⋈ T changed — into SUM(Quantity*Price) by item.
 // "streamed" is what the maintainer runs when the join is not
-// materialized (ApplyInto, FinishFold: no join delta); "netted" is what it
-// runs when something needs the join's delta (Apply, NormalizeInto, then
+// materialized (ApplyInto, FinishFold: no join delta; every change folds
+// by side); "streamed-float" is the same window with Float prices, which
+// every change folds per joined row; "netted" is what it runs when
+// something needs the join's delta (Apply, NormalizeInto, then
 // Incremental over it). Plans, normalizer and arena are reused across
 // iterations, as the maintainer reuses them across windows.
 func BenchmarkJoinAggregateWindow(b *testing.B) {
@@ -126,37 +128,49 @@ func BenchmarkJoinAggregateWindow(b *testing.B) {
 		item := value.NewString(fmt.Sprintf("item%04d", g))
 		return value.Tuple{value.NewString(fmt.Sprintf("r%04d_%d", g, r)), item, value.NewString(sale), item, value.NewInt(qty)}
 	}
-	rsOld, tOld := map[string][]storage.Row{}, map[string][]storage.Row{}
-	stored := map[string]value.Tuple{}
-	dl, dr := delta.New(rs), delta.New(ts)
-	for g := 0; g < items; g++ {
-		item := value.NewString(fmt.Sprintf("item%04d", g))
-		k := value.Tuple{item}.Key()
-		price, sum := int64(10+g%7), int64(0)
-		for r := 0; r < rPerItem; r++ {
-			for s := 0; s < sPerItem; s++ {
-				row := rsRow(g, r, fmt.Sprintf("s%04d_%d", g, s), int64(1+s%5))
-				rsOld[k] = append(rsOld[k], storage.Row{Tuple: row, Count: 1})
-				sum += row[4].I * price
-				if s == 0 && g < sales && g%2 == 0 {
-					dl.Delete(row, 1) // this item's first sale is deleted
+	var enc value.KeyEncoder
+	// window is one window's deltas and pre-update state, every price
+	// made by price.
+	type window struct {
+		dl, dr         *delta.Delta
+		probeL, probeR delta.Probe
+		oldAgg         delta.OldAgg
+	}
+	build := func(price func(int64) value.Value) window {
+		rsOld, tOld := map[string][]storage.Row{}, map[string][]storage.Row{}
+		stored := map[string]value.Tuple{}
+		w := window{dl: delta.New(rs), dr: delta.New(ts)}
+		for g := 0; g < items; g++ {
+			item := value.NewString(fmt.Sprintf("item%04d", g))
+			k := value.Tuple{item}.Key()
+			p, sum := price(int64(10+g%7)), value.NewInt(0)
+			for r := 0; r < rPerItem; r++ {
+				for s := 0; s < sPerItem; s++ {
+					row := rsRow(g, r, fmt.Sprintf("s%04d_%d", g, s), int64(1+s%5))
+					rsOld[k] = append(rsOld[k], storage.Row{Tuple: row, Count: 1})
+					sum = value.Add(sum, value.Mul(row[4], p))
+					if s == 0 && g < sales && g%2 == 0 {
+						w.dl.Delete(row, 1) // this item's first sale is deleted
+					}
+				}
+				if g < sales && g%2 == 1 {
+					w.dl.Insert(rsRow(g, r, fmt.Sprintf("new%04d", g), 3), 1) // a new sale of this item
 				}
 			}
-			if g < sales && g%2 == 1 {
-				dl.Insert(rsRow(g, r, fmt.Sprintf("new%04d", g), 3), 1) // a new sale of this item
-			}
+			tOld[k] = []storage.Row{{Tuple: value.Tuple{item, p}, Count: 1}}
+			stored[k] = value.Tuple{item, sum}
+			w.dr.Delete(tOld[k][0].Tuple, 1)
+			w.dr.Insert(value.Tuple{item, price(int64(50 + g))}, 1)
 		}
-		tOld[k] = []storage.Row{{Tuple: value.Tuple{item, value.NewInt(price)}, Count: 1}}
-		stored[k] = value.Tuple{item, value.NewInt(sum)}
-		dr.Delete(tOld[k][0].Tuple, 1)
-		dr.Insert(value.Tuple{item, value.NewInt(int64(50 + g))}, 1)
+		w.probeL = func(jk value.Tuple) ([]storage.Row, error) { return rsOld[string(enc.Key(jk))], nil }
+		w.probeR = func(jk value.Tuple) ([]storage.Row, error) { return tOld[string(enc.Key(jk))], nil }
+		w.oldAgg = func(gk value.Tuple) (value.Tuple, int64, bool, error) {
+			return stored[string(enc.Key(gk))], rPerItem * sPerItem, true, nil
+		}
+		return w
 	}
-	var enc value.KeyEncoder
-	probeL := func(jk value.Tuple) ([]storage.Row, error) { return rsOld[string(enc.Key(jk))], nil }
-	probeR := func(jk value.Tuple) ([]storage.Row, error) { return tOld[string(enc.Key(jk))], nil }
-	oldAgg := func(gk value.Tuple) (value.Tuple, int64, bool, error) {
-		return stored[string(enc.Key(gk))], rPerItem * sPerItem, true, nil
-	}
+	ints := build(value.NewInt)
+	floats := build(func(p int64) value.Value { return value.NewFloat(float64(p) + 0.5) })
 
 	jp, err := delta.CompileJoin(join, rs, ts)
 	if err != nil {
@@ -179,23 +193,27 @@ func BenchmarkJoinAggregateWindow(b *testing.B) {
 			b.Fatalf("%d output changes, want %d", len(out.Changes), items)
 		}
 	}
+	streamed := func(w window) func() {
+		return func() {
+			if _, err := jp.ApplyInto(ap, w.dl, w.dr, w.probeL, w.probeR); err != nil {
+				b.Fatal(err)
+			}
+			out, _, err := ap.FinishFold(w.oldAgg)
+			finish(out, err)
+		}
+	}
 	for _, mode := range []struct {
 		name string
 		run  func()
 	}{
-		{"streamed", func() {
-			if _, err := jp.ApplyInto(ap, dl, dr, probeL, probeR); err != nil {
-				b.Fatal(err)
-			}
-			out, _, err := ap.FinishFold(oldAgg)
-			finish(out, err)
-		}},
+		{"streamed", streamed(ints)},
+		{"streamed-float", streamed(floats)},
 		{"netted", func() {
-			d, err := jp.Apply(dl, dr, probeL, probeR)
+			d, err := jp.Apply(ints.dl, ints.dr, ints.probeL, ints.probeR)
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, _, err := ap.Incremental(nz.NormalizeInto(d, &net), oldAgg)
+			out, _, err := ap.Incremental(nz.NormalizeInto(d, &net), ints.oldAgg)
 			finish(out, err)
 		}},
 	} {

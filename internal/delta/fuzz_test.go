@@ -1,6 +1,7 @@
 package delta_test
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -17,7 +18,8 @@ import (
 // Emp relation (inserts, deletes and modifies of live rows), propagates
 // the resulting delta through the join → aggregate pipeline, and
 // compares both stages against the full-recomputation oracle. Any input
-// the decoder accepts must produce exactly the oracle's delta.
+// the decoder accepts must produce exactly the oracle's delta. The same
+// bytes also drive a streamed leg (fuzzStreamed).
 func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 50})
 	f.Add([]byte{1, 0, 0, 0, 2, 1, 1, 30})
@@ -36,10 +38,17 @@ func FuzzDeltaApply(f *testing.F) {
 	// lands in the dangling department — the coalesced window poses the
 	// same σ[DName=k] subexpression from multiple changes.
 	f.Add([]byte{2, 0, 1, 55, 2, 1, 1, 55, 0, 0, 3, 20})
+	// Streamed-leg shapes (fuzzStreamed): a NULL payload in L's bag and a
+	// Float inserted into R on the same key, both sides changing; a
+	// product near 2^62 grouped by L.a; a residual with a key move.
+	f.Add([]byte{0, 0, 1, 7, 1, 1, 1, 3, 0, 2, 1, 2, 0, 3, 1, 6, 1})
+	f.Add([]byte{1, 0, 2, 5, 0, 1, 2, 13, 1, 2, 2, 21, 2, 4, 0, 4, 7, 3, 2, 3, 0})
+	f.Add([]byte{4, 0, 0, 3, 1, 1, 0, 4, 2, 4, 0, 4, 6, 9, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 96 {
 			data = data[:96]
 		}
+		fuzzStreamed(t, data)
 		db := corpus.NewDatabase(corpus.Config{Departments: 3, EmpsPerDept: 2})
 		join := algebra.NewJoin(
 			[]algebra.JoinCond{{Left: "Emp.DName", Right: "Dept.DName"}},
@@ -208,4 +217,67 @@ func FuzzDeltaApply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzStreamed is FuzzDeltaApply's streamed leg: data[0] picks foldShape's
+// group-by column and residual, and each 4-byte step (op, k, v, n) adds
+// a row of key k%3 and payload v to one side's pre-update bag, inserts
+// one into that side's delta, or deletes or modifies (keeping or moving
+// the key) a bag row not changed yet. A payload byte decodes to a small
+// Int, NULL, a Float or an Int near 2^62. checkStreamedFold then holds
+// ApplyInto + FinishFold to the per-row fold and, with no Float, to
+// Incremental over the netted reference.
+func fuzzStreamed(t *testing.T, data []byte) {
+	if len(data) < 5 {
+		return
+	}
+	join, agg := foldShape([]string{"R.k", "L.a", "R.b"}[data[0]%3], data[0]&4 != 0)
+	exact := true
+	val := func(b byte) value.Value {
+		switch b % 8 {
+		case 7:
+			return value.NewNull()
+		case 6:
+			exact = false
+			return value.NewFloat(float64(b>>3) + 0.1)
+		case 5:
+			return value.NewInt(int64(1)<<62 + int64(b>>3))
+		}
+		return value.NewInt(int64(b % 8))
+	}
+	var bags [2]bag
+	ds := [2]*delta.Delta{delta.New(join.L.Schema()), delta.New(join.R.Schema())}
+	changed := [2]map[int]bool{{}, {}}
+	for data = data[1:]; len(data) >= 4; data = data[4:] {
+		op, k, v, n := data[0], data[1], data[2], data[3]
+		side, count := int(op%2), int64(1+n%3)
+		key := value.NewInt(int64(k % 3))
+		switch op / 2 % 3 {
+		case 0:
+			bags[side] = append(bags[side], storage.Row{Tuple: value.Tuple{key, val(v)}, Count: count})
+		case 1:
+			ds[side].Insert(value.Tuple{key, val(v)}, count)
+		default:
+			i := int(k) % max(len(bags[side]), 1)
+			if len(bags[side]) == 0 || changed[side][i] {
+				continue
+			}
+			changed[side][i] = true
+			row := bags[side][i]
+			count = 1 + int64(n)%row.Count
+			switch n / 3 % 3 {
+			case 0:
+				ds[side].Delete(row.Tuple, count)
+			case 1:
+				ds[side].Modify(row.Tuple, value.Tuple{row.Tuple[0], val(v)}, count)
+			default:
+				ds[side].Modify(row.Tuple, value.Tuple{value.NewInt(int64(k+1) % 3), val(v)}, count)
+			}
+		}
+	}
+	if ds[0].Empty() && ds[1].Empty() {
+		return
+	}
+	checkStreamedFold(t, fmt.Sprintf("ΔL %v, ΔR %v over L %v, R %v", ds[0].Changes, ds[1].Changes, bags[0], bags[1]),
+		join, agg, bags[0], bags[1], ds[0], ds[1], exact)
 }

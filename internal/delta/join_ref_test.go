@@ -2,13 +2,17 @@ package delta_test
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/delta"
+	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -91,14 +95,24 @@ func joinRows(j *algebra.Join, l, r []storage.Row) (out []storage.Row) {
 // are drawn against.
 type bag []storage.Row
 
-func randomBag(rng *rand.Rand, keys int) bag {
+// payload draws a payload value near base.
+type payload func(rng *rand.Rand, base int64) value.Value
+
+func intPayload(rng *rand.Rand, base int64) value.Value { return value.NewInt(base + rng.Int63n(5)) }
+
+// joinKey draws a join key.
+type joinKey func(rng *rand.Rand) value.Value
+
+func intKey(rng *rand.Rand) value.Value { return value.NewInt(rng.Int63n(3)) }
+
+func randomBag(rng *rand.Rand, key joinKey, pay payload) bag {
 	var b bag
-	seen := map[[2]int]bool{}
+	seen := map[string]bool{}
 	for i := rng.Intn(8); i > 0; i-- {
-		k, v := rng.Intn(keys), rng.Intn(5)
-		if !seen[[2]int{k, v}] {
-			seen[[2]int{k, v}] = true
-			b = append(b, storage.Row{Tuple: value.Tuple{value.NewInt(int64(k)), value.NewInt(int64(v))}, Count: int64(1 + rng.Intn(2))})
+		t := value.Tuple{key(rng), pay(rng, 0)}
+		if !seen[t.Key()] {
+			seen[t.Key()] = true
+			b = append(b, storage.Row{Tuple: t, Count: int64(1 + rng.Intn(3))})
 		}
 	}
 	return b
@@ -107,7 +121,7 @@ func randomBag(rng *rand.Rand, keys int) bag {
 // randomDelta draws a valid delta against b: deletions and modifications
 // of rows b holds (each row changed at most once, by at most its count),
 // insertions of anything. Modifications keep or move the join key.
-func (b bag) randomDelta(rng *rand.Rand, s *catalog.Schema, keys int) *delta.Delta {
+func (b bag) randomDelta(rng *rand.Rand, s *catalog.Schema, key joinKey, pay payload) *delta.Delta {
 	d := delta.New(s)
 	for _, i := range rng.Perm(len(b))[:rng.Intn(len(b)+1)] {
 		row := b[i]
@@ -116,13 +130,13 @@ func (b bag) randomDelta(rng *rand.Rand, s *catalog.Schema, keys int) *delta.Del
 		case 0:
 			d.Delete(row.Tuple, n)
 		case 1: // payload change, key kept
-			d.Modify(row.Tuple, value.Tuple{row.Tuple[0], value.NewInt(5 + rng.Int63n(5))}, n)
+			d.Modify(row.Tuple, value.Tuple{row.Tuple[0], pay(rng, 5)}, n)
 		default: // key change
-			d.Modify(row.Tuple, value.Tuple{value.NewInt(int64(rng.Intn(keys))), value.NewInt(5 + rng.Int63n(5))}, n)
+			d.Modify(row.Tuple, value.Tuple{key(rng), pay(rng, 5)}, n)
 		}
 	}
 	for i := rng.Intn(3); i > 0; i-- {
-		d.Insert(value.Tuple{value.NewInt(int64(rng.Intn(keys))), value.NewInt(10 + rng.Int63n(5))}, 1+rng.Int63n(2))
+		d.Insert(value.Tuple{key(rng), pay(rng, 10)}, 1+rng.Int63n(3))
 	}
 	return d
 }
@@ -138,107 +152,215 @@ func (b bag) probe() delta.Probe {
 	}
 }
 
-// TestJoinApplyAgainstNettedReference: on random windows that change
-// both join inputs, the un-netted Apply nets to exactly what the netted
-// reference returns, and ApplyInto + FinishFold — no join delta at all —
-// gives the aggregate above it the same output delta and live counts as
-// Incremental over that netted delta. Every third trial carries a
-// residual, so halves of a paired modification go missing.
-func TestJoinApplyAgainstNettedReference(t *testing.T) {
+// foldShape is the join L(k, a) ⋈ R(k, b) on k, optionally with a
+// residual, under SUM and COUNT of the product a*b beside COUNT(*) and a
+// SUM of each side's payload alone, grouped by one column.
+func foldShape(group string, residual bool) (*algebra.Join, *algebra.Aggregate) {
 	col := func(q, n string) catalog.Column { return catalog.Column{Qualifier: q, Name: n, Type: value.Int} }
 	lDef := &catalog.TableDef{Name: "L", Schema: catalog.NewSchema(col("L", "k"), col("L", "a"))}
 	rDef := &catalog.TableDef{Name: "R", Schema: catalog.NewSchema(col("R", "k"), col("R", "b"))}
-	for trial := 0; trial < 400; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		join := algebra.NewJoin([]algebra.JoinCond{{Left: "L.k", Right: "R.k"}}, algebra.Scan(lDef), algebra.Scan(rDef))
-		if trial%3 == 2 {
-			join.Residual = expr.Compare(expr.LE, expr.C("L.a"), expr.C("R.b"))
-		}
-		agg := algebra.NewAggregate([]string{"R.k"}, []algebra.AggSpec{
-			{Func: algebra.Sum, Arg: expr.Arith{Op: expr.Times, L: expr.C("L.a"), R: expr.C("R.b")}, As: "s"},
-			{Func: algebra.Count, As: "n"},
-		}, join)
-		const keys = 3
-		l, r := randomBag(rng, keys), randomBag(rng, keys)
-		dl, dr := l.randomDelta(rng, lDef.Schema, keys), r.randomDelta(rng, rDef.Schema, keys)
-		if trial%7 == 0 {
-			dr = delta.New(rDef.Schema) // one side only: the same body, no third term
-		}
-		label := fmt.Sprintf("trial %d (ΔL %v, ΔR %v)", trial, dl.Changes, dr.Changes)
+	join := algebra.NewJoin([]algebra.JoinCond{{Left: "L.k", Right: "R.k"}}, algebra.Scan(lDef), algebra.Scan(rDef))
+	if residual {
+		join.Residual = expr.Compare(expr.LE, expr.C("L.a"), expr.C("R.b"))
+	}
+	prod := expr.Arith{Op: expr.Times, L: expr.C("L.a"), R: expr.C("R.b")}
+	return join, algebra.NewAggregate([]string{group}, []algebra.AggSpec{
+		{Func: algebra.Sum, Arg: prod, As: "s"},
+		{Func: algebra.Count, As: "n"},
+		{Func: algebra.Count, Arg: prod, As: "c"},
+		{Func: algebra.Sum, Arg: expr.C("L.a"), As: "sa"},
+		{Func: algebra.Sum, Arg: expr.C("R.b"), As: "sb"},
+	}, join)
+}
 
-		want, err := referenceApplyBoth(join, dl, dr, l.probe(), r.probe())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := delta.CompileJoin(join, lDef.Schema, rDef.Schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plan.Apply(dl, dr, l.probe(), r.probe())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameDelta(got, want) {
-			t.Fatalf("%s: Apply nets to %v, reference %v", label, got.Normalize().Changes, want.Changes)
-		}
-		held := len(got.Changes)
+// oldState is the aggregate's stored state before the window: its fold
+// of l⋈r from nothing, and each group's live count.
+func oldState(t *testing.T, join *algebra.Join, agg *algebra.Aggregate, l, r bag) (delta.OldAgg, map[string]int64) {
+	t.Helper()
+	seed := delta.New(join.Schema())
+	for _, jr := range joinRows(join, l, r) {
+		seed.Insert(jr.Tuple, jr.Count)
+	}
+	out, lives, err := aggPlan(t, agg).Incremental(seed, func(value.Tuple) (value.Tuple, int64, bool, error) {
+		return nil, 0, false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, live := map[string]value.Tuple{}, liveMap(lives)
+	for _, c := range out.Changes {
+		old[c.New[:len(agg.GroupBy)].Key()] = c.New
+	}
+	return func(gk value.Tuple) (value.Tuple, int64, bool, error) {
+		k := gk.Key()
+		return old[k], live[k], old[k] != nil, nil
+	}, live
+}
 
-		// The aggregate's stored state: the pre-update join, grouped.
-		old := map[string]value.Tuple{}
-		oldLive := map[string]int64{}
-		for _, jr := range joinRows(join, l, r) {
-			k := value.Tuple{jr.Tuple[2]}.Key()
-			if old[k] == nil {
-				old[k] = value.Tuple{jr.Tuple[2], value.NewInt(0), value.NewInt(0)}
+// checkStreamedFold holds one window of l⋈r into agg to its oracles: the
+// un-netted Apply nets to referenceApplyBoth's delta; ApplyInto +
+// FinishFold — no join delta, changes folded by side wherever Factor and
+// the values allow — equals Incremental over the un-netted delta (the
+// per-row fold, in its order) bit for bit, live counts included; and,
+// when exact (no Float anywhere), it equals Incremental over the netted
+// reference too. It returns the changes folded by side.
+func checkStreamedFold(t *testing.T, label string, join *algebra.Join, agg *algebra.Aggregate, l, r bag, dl, dr *delta.Delta, exact bool) int64 {
+	t.Helper()
+	want, err := referenceApplyBoth(join, dl, dr, l.probe(), r.probe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := joinPlan(t, join)
+	got, err := plan.Apply(dl, dr, l.probe(), r.probe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameDelta(got, want) {
+		t.Fatalf("%s: Apply nets to %v, reference %v", label, got.Normalize().Changes, want.Changes)
+	}
+	held := len(got.Changes)
+	oldAgg, oldLive := oldState(t, join, agg, l, r)
+	perRowOut, lives, err := aggPlan(t, agg).Incremental(got, oldAgg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	perRowLive := liveMap(lives)
+
+	factored := obs.C("delta.fold.factored_changes")
+	before := factored.Value()
+	streamed := aggPlan(t, agg)
+	n, err := plan.ApplyInto(streamed, dl, dr, l.probe(), r.probe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOut, lives, err := streamed.FinishFold(oldAgg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	gotLive := liveMap(lives)
+	if n != held {
+		t.Errorf("%s: ApplyInto streamed %d changes, Apply held %d", label, n, held)
+	}
+	if !sameDelta(gotOut, perRowOut) || !maps.Equal(gotLive, perRowLive) {
+		t.Fatalf("%s: streamed aggregate delta %v live %v, per-row fold %v live %v", label, gotOut.Changes, gotLive, perRowOut.Changes, perRowLive)
+	}
+	if !exact {
+		return factored.Value() - before
+	}
+	wantOut, lives, err := aggPlan(t, agg).Incremental(want, oldAgg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	wantLive := liveMap(lives)
+	if !sameDelta(gotOut, wantOut) {
+		t.Fatalf("%s: streamed aggregate delta %v, netted %v", label, gotOut.Changes, wantOut.Changes)
+	}
+	// A group whose rows all cancelled is touched by the stream and not
+	// by the netted delta: its live count is reported, unchanged.
+	for k, n := range gotLive {
+		if w, ok := wantLive[k]; ok && w != n || !ok && n != oldLive[k] {
+			t.Errorf("%s: group %x live %d, want %d (netted) / %d (old)", label, k, n, w, oldLive[k])
+		}
+	}
+	for k := range wantLive {
+		if _, ok := gotLive[k]; !ok {
+			t.Errorf("%s: group %x missing from the streamed live counts", label, k)
+		}
+	}
+	return factored.Value() - before
+}
+
+// TestJoinApplyAgainstNettedReference: on random windows that change
+// both join inputs (every seventh changes L only), the un-netted Apply
+// nets to exactly what the netted reference returns, and ApplyInto +
+// FinishFold gives the aggregate above it what the per-row fold gives,
+// bit for bit, and what Incremental over the netted delta gives where
+// no Float is involved. Each arm varies one thing the factored fold
+// decides on: NULL and Float payloads (a Float change falls back to the
+// per-row fold), Int products that wrap, a group-by column on either
+// side of the join, join keys that are Equal but encode differently
+// (Int 0, 0.0, −0.0: matches that disagree on a group column they supply
+// fold per row), and a residual. Multiplicities reach 3. The mixed-key
+// arm changes L only: the ΔL⋈ΔR term matches keys by encoding, where the
+// probes and the reference match by value.Equal.
+func TestJoinApplyAgainstNettedReference(t *testing.T) {
+	nullPayload := func(rng *rand.Rand, base int64) value.Value {
+		if rng.Intn(3) == 0 {
+			return value.NewNull()
+		}
+		return intPayload(rng, base)
+	}
+	floatPayload := func(rng *rand.Rand, base int64) value.Value {
+		if rng.Intn(2) == 0 {
+			return value.NewFloat(float64(base+rng.Int63n(5)) + 0.1)
+		}
+		return intPayload(rng, base)
+	}
+	hugePayload := func(rng *rand.Rand, base int64) value.Value {
+		v := int64(1)<<62 + base + rng.Int63n(5)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		return value.NewInt(v)
+	}
+	mixedKey := func(rng *rand.Rand) value.Value {
+		switch n := rng.Int63n(2); rng.Intn(3) {
+		case 0:
+			return value.NewFloat(float64(n))
+		case 1:
+			if n == 0 {
+				return value.NewFloat(math.Copysign(0, -1))
 			}
-			old[k][1].I += jr.Count * jr.Tuple[1].I * jr.Tuple[3].I
-			old[k][2].I += jr.Count
-			oldLive[k] += jr.Count
 		}
-		oldAgg := func(gk value.Tuple) (value.Tuple, int64, bool, error) {
-			k := gk.Key()
-			return old[k], oldLive[k], old[k] != nil, nil
-		}
-		netted, err := delta.CompileAggregate(agg, join.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantOut, lives, err := netted.Incremental(want, oldAgg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		wantLive := liveMap(lives)
-		streamed, err := delta.CompileAggregate(agg, join.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := plan.ApplyInto(streamed, dl, dr, l.probe(), r.probe())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOut, lives, err := streamed.FinishFold(oldAgg)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		gotLive := liveMap(lives)
-		if n != held {
-			t.Errorf("%s: ApplyInto streamed %d changes, Apply held %d", label, n, held)
-		}
-		if !sameDelta(gotOut, wantOut) {
-			t.Fatalf("%s: streamed aggregate delta %v, netted %v", label, gotOut.Changes, wantOut.Changes)
-		}
-		// A group whose rows all cancelled is touched by the stream and not
-		// by the netted delta: its live count is reported, unchanged.
-		for k, n := range gotLive {
-			if w, ok := wantLive[k]; ok && w != n || !ok && n != oldLive[k] {
-				t.Errorf("%s: group %x live %d, want %d (netted) / %d (old)", label, k, n, w, oldLive[k])
+		return intKey(rng)
+	}
+	for _, arm := range []struct {
+		name     string
+		key      joinKey
+		pay      payload
+		exact    bool
+		group    string
+		residual bool
+		factors  [2]bool // whether Factor splits a ΔL, a ΔR
+		lOnly    bool
+	}{
+		{"int by R.k", intKey, intPayload, true, "R.k", false, [2]bool{true, true}, false},
+		{"null by R.k", intKey, nullPayload, true, "R.k", false, [2]bool{true, true}, false},
+		{"near 2^62 by R.k", intKey, hugePayload, true, "R.k", false, [2]bool{true, true}, false},
+		{"float by R.k", intKey, floatPayload, false, "R.k", false, [2]bool{true, true}, false},
+		{"int by L.a", intKey, intPayload, true, "L.a", false, [2]bool{true, false}, false},
+		{"null by R.b", intKey, nullPayload, true, "R.b", false, [2]bool{false, true}, false},
+		{"mixed keys by R.k", mixedKey, intPayload, true, "R.k", false, [2]bool{true, true}, true},
+		{"residual", intKey, intPayload, true, "R.k", true, [2]bool{false, false}, false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			join, agg := foldShape(arm.group, arm.residual)
+			ls, rs := join.L.Schema(), join.R.Schema()
+			for s, want := range arm.factors {
+				if got := delta.Factor(join, agg, ls, rs, s) != nil; got != want {
+					t.Fatalf("Factor(side %d) = %v, want %v", s, got, want)
+				}
 			}
-		}
-		for k := range wantLive {
-			if _, ok := gotLive[k]; !ok {
-				t.Errorf("%s: group %x missing from the streamed live counts", label, k)
+			var factored int64
+			for trial := 0; trial < 150; trial++ {
+				rng := rand.New(rand.NewSource(int64(trial)))
+				l, r := randomBag(rng, arm.key, arm.pay), randomBag(rng, arm.key, arm.pay)
+				dl, dr := l.randomDelta(rng, ls, arm.key, arm.pay), r.randomDelta(rng, rs, arm.key, arm.pay)
+				if trial%7 == 0 || arm.lOnly {
+					dr = delta.New(rs) // one side only: the same body, no third term
+				}
+				label := fmt.Sprintf("trial %d (ΔL %v, ΔR %v)", trial, dl.Changes, dr.Changes)
+				n := checkStreamedFold(t, label, join, agg, l, r, dl, dr, arm.exact)
+				if n != 0 && arm.factors == [2]bool{} {
+					t.Fatalf("%s: %d changes folded by side where Factor splits neither side", label, n)
+				}
+				factored += n
 			}
-		}
+			if arm.exact && arm.factors != [2]bool{} && factored == 0 {
+				t.Fatal("no change folded by side")
+			}
+			t.Logf("%d changes folded by side", factored)
+		})
 	}
 }
 
@@ -268,5 +390,44 @@ func TestFoldMultiplicityIsOneStep(t *testing.T) {
 	}
 	if len(lives) != 1 || lives[0].Live != n {
 		t.Errorf("live = %v, want one group of %d", lives, n)
+	}
+}
+
+// TestSignedZerosAreTwoGroups: +0.0 and −0.0 have different key
+// encodings, so a recomputation groups them apart; the fold must too,
+// though the second row's group is the previous row's under ==.
+func TestSignedZerosAreTwoGroups(t *testing.T) {
+	def := &catalog.TableDef{Name: "T", Schema: catalog.NewSchema(
+		catalog.Column{Qualifier: "T", Name: "g", Type: value.Float},
+		catalog.Column{Qualifier: "T", Name: "x", Type: value.Int},
+	)}
+	agg := algebra.NewAggregate([]string{"T.g"},
+		[]algebra.AggSpec{{Func: algebra.Sum, Arg: expr.C("T.x"), As: "s"}}, algebra.Scan(def))
+	rows := []value.Tuple{
+		{value.NewFloat(0), value.NewInt(1)},
+		{value.NewFloat(math.Copysign(0, -1)), value.NewInt(2)},
+	}
+	d := delta.New(def.Schema)
+	for _, r := range rows {
+		d.Insert(r, 1)
+	}
+	got, _, err := aggPlan(t, agg).Incremental(d, func(value.Tuple) (value.Tuple, int64, bool, error) {
+		return nil, 0, false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := storage.NewStore()
+	rel, err := store.Create(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.LoadTuples(rows)
+	res, err := exec.NewFree(store).Eval(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := resultDiff(agg.Schema(), &exec.Result{}, res); len(want.Changes) != 2 || !sameDelta(got, want) {
+		t.Fatalf("fold = %v, recomputation = %v: want one group per zero", got.Changes, want.Changes)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bytemap"
 	"repro/internal/catalog"
 	"repro/internal/expr"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -133,13 +132,16 @@ func (p *ProjectPlan) Apply(d *Delta) (*Delta, error) {
 // the join's delta never exists. Either way the output is the
 // differential's terms as derived, un-netted: a +t may be followed by
 // its −t. Whoever stores the delta, or poses queries by its rows, nets
-// it first (the maintainer does; DESIGN.md §7).
+// it first (the maintainer does; DESIGN.md §7). A side that folds by
+// side (sideFold) skips the sink: it folds a change against the summary
+// of all its matches at once.
 type joinOut struct {
-	d       Delta
-	agg     *AggregatePlan
-	arena   *value.Arena
-	scratch [2]value.Tuple
-	n       int // changes emitted
+	d        Delta
+	agg      *AggregatePlan
+	arena    *value.Arena
+	scratch  [2]value.Tuple
+	n        int   // changes emitted
+	factored int64 // changes folded by side
 }
 
 // concat returns l++r; half is the scratch tuple a folded row may
@@ -182,8 +184,10 @@ type joinSide struct {
 	p     *JoinPlan
 	side  int
 	pos   []int
-	cache bytemap.Map[[]storage.Row]
+	cache bytemap.Map[int32] // encoded join key → index in ents
+	ents  []matches
 	enc   value.KeyEncoder
+	fold  *sideFold // while ApplyInto streams into an aggregate this side factors for
 }
 
 // run emits the side's term of the differential (ΔL⋈R_old, or L_old⋈ΔR)
@@ -197,6 +201,7 @@ type joinSide struct {
 // old matches, then an insertion of the new.
 func (s *joinSide) run(d *Delta, probe Probe) error {
 	s.cache.Reset()
+	s.ents = s.ents[:0]
 	for _, c := range d.Changes {
 		old, new := c.Old, c.New
 		if old != nil && new != nil && !projEqual(old, new, s.pos) {
@@ -220,19 +225,35 @@ func (s *joinSide) emit(old, new value.Tuple, count int64, probe Probe) error {
 		mine = new
 	}
 	kb := s.enc.ProjectedKey(mine, s.pos) // ours alone: still valid after probe
-	rows, ok := s.cache.Get(kb)
+	mi, ok := s.cache.Get(kb)
 	if !ok {
 		jk := s.p.out.arena.NewTuple(len(s.pos))
 		for i, j := range s.pos {
 			jk[i] = mine[j]
 		}
-		var err error
-		if rows, err = probe(jk); err != nil {
+		rows, err := probe(jk)
+		if err != nil {
 			return err
 		}
-		s.cache.Put(kb, rows)
+		if len(s.ents) < cap(s.ents) {
+			s.ents = s.ents[:len(s.ents)+1]
+		} else {
+			s.ents = append(s.ents, matches{})
+		}
+		mi = int32(len(s.ents) - 1)
+		s.ents[mi].rows = rows
+		if s.fold != nil {
+			s.fold.summarise(&s.ents[mi])
+		}
+		s.cache.Put(kb, mi)
 	}
-	for _, r := range rows {
+	m := &s.ents[mi]
+	if len(m.rows) > 0 && s.fold != nil && m.ok && s.fold.fold(m, old, new, count) {
+		s.p.out.n += len(m.rows)
+		s.p.out.factored++
+		return nil
+	}
+	for _, r := range m.rows {
 		s.p.out.change(s.half(0, old, r.Tuple), s.half(1, new, r.Tuple), count*r.Count)
 	}
 	return nil
@@ -255,6 +276,8 @@ func (s *joinSide) half(h int, mine, other value.Tuple) value.Tuple {
 // positions and probe caches, the residual, and the scratch of the
 // ΔL⋈ΔR term for the both-sides-changed case.
 type JoinPlan struct {
+	j           *algebra.Join
+	in          [2]*catalog.Schema
 	left, right joinSide
 	outSchema   *catalog.Schema
 	residual    func(value.Tuple) value.Value
@@ -265,12 +288,14 @@ type JoinPlan struct {
 	build       bytemap.Map[int32]
 	buckets     [][]int32
 	nb          int
+	foldAgg     *AggregatePlan // what folds are compiled for
+	folds       [2]*sideFold   // per side; nil folds per joined row
 }
 
 // CompileJoin compiles both propagation directions of j against the
 // children's schemas (lin for j.L, rin for j.R).
 func CompileJoin(j *algebra.Join, lin, rin *catalog.Schema) (*JoinPlan, error) {
-	p := &JoinPlan{outSchema: j.Schema()}
+	p := &JoinPlan{j: j, in: [2]*catalog.Schema{lin, rin}, outSchema: j.Schema()}
 	p.left, p.right = joinSide{p: p, side: 0}, joinSide{p: p, side: 1}
 	for _, c := range j.On {
 		li, err := lin.Resolve(c.Left)
@@ -315,22 +340,41 @@ func (p *JoinPlan) keep(t value.Tuple) value.Tuple {
 // ApplyInto on this plan (or arena reset).
 func (p *JoinPlan) Apply(dl, dr *Delta, probeL, probeR Probe) (*Delta, error) {
 	p.out.agg = nil
+	p.left.fold, p.right.fold = nil, nil
 	return &p.out.d, p.run(dl, dr, probeL, probeR)
 }
 
 // ApplyInto is Apply with every output row folded into agg as it is
 // derived instead of being kept: agg is left holding the fold, for
-// FinishFold. It requires Linear aggregates — nothing nets the rows. It
-// returns the number of changes Apply would have held.
+// FinishFold. It requires Linear aggregates — nothing nets the rows. A
+// side that Factor splits folds each change against its matches' summary
+// (sideFold); a side it does not split, Float values and the ΔL⋈ΔR term
+// fold per joined row. It returns the number of changes Apply would have
+// held.
 func (p *JoinPlan) ApplyInto(agg *AggregatePlan, dl, dr *Delta, probeL, probeR Probe) (int, error) {
 	agg.StartFold()
 	p.out.agg = agg
+	p.left.fold, p.right.fold = p.foldsInto(agg)
 	err := p.run(dl, dr, probeL, probeR)
+	obsFactored.Add(p.out.factored)
 	return p.out.n, err
 }
 
+// foldsInto returns how each side folds into agg, deciding (Factor) and
+// compiling when the plan streams into agg for the first time. A join
+// step streams into one aggregate step, the one above it on every track.
+func (p *JoinPlan) foldsInto(agg *AggregatePlan) (*sideFold, *sideFold) {
+	if p.foldAgg != agg {
+		p.foldAgg = agg
+		for s := range p.folds {
+			p.folds[s] = Factor(p.j, agg.a, p.in[0], p.in[1], s).compile(agg, p.in[s], p.in[1-s])
+		}
+	}
+	return p.folds[0], p.folds[1]
+}
+
 func (p *JoinPlan) run(dl, dr *Delta, probeL, probeR Probe) error {
-	p.out.n = 0
+	p.out.n, p.out.factored = 0, 0
 	resetOut(&p.out.d, p.outSchema)
 	if !dl.Empty() {
 		if err := p.left.run(dl, probeR); err != nil {
@@ -401,7 +445,8 @@ type AggregatePlan struct {
 	arena  *value.Arena
 	groups bytemap.Map[int32]
 	accs   []acc
-	last   int // index in accs of the previous row's group
+	last   int         // index in accs of the previous lookup's group
+	gk     value.Tuple // the group key being looked up
 	sbuf   []signedRow
 	outD   Delta
 	lives  []GroupLive
@@ -424,7 +469,7 @@ func CompileAggregate(a *algebra.Aggregate, in *catalog.Schema) (*AggregatePlan,
 		}
 		gpos[i] = j
 	}
-	p := &AggregatePlan{a: a, gpos: gpos, out: a.Schema()}
+	p := &AggregatePlan{a: a, gpos: gpos, out: a.Schema(), gk: make(value.Tuple, len(gpos))}
 	p.argFns = make([]func(value.Tuple) value.Value, len(a.Aggs))
 	for i, ag := range a.Aggs {
 		if ag.Arg == nil { // COUNT(*)

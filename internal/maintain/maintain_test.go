@@ -2,15 +2,19 @@ package maintain_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/catalog"
 	"repro/internal/corpus"
 	"repro/internal/cost"
 	"repro/internal/dag"
 	"repro/internal/delta"
+	"repro/internal/expr"
 	"repro/internal/maintain"
 	"repro/internal/rules"
+	"repro/internal/storage"
 	"repro/internal/tracks"
 	"repro/internal/txn"
 	"repro/internal/value"
@@ -321,6 +325,58 @@ func TestNullSumGroupThroughEngine(t *testing.T) {
 	window(value.NewInt(70))
 	if v := sumOf(); v != value.NewInt(70) {
 		t.Fatalf("SUM after the first salary = %v, want 70", v)
+	}
+}
+
+// TestSignedZeroGroupsThroughEngine: a view grouped by a FLOAT column
+// keeps +0.0 and −0.0 apart, as the recomputation oracle does — one
+// window inserts a row into each, the next deletes one of them.
+func TestSignedZeroGroupsThroughEngine(t *testing.T) {
+	def := &catalog.TableDef{Name: "T", Schema: catalog.NewSchema(
+		catalog.Column{Qualifier: "T", Name: "g", Type: value.Float},
+		catalog.Column{Qualifier: "T", Name: "x", Type: value.Int},
+	)}
+	store := storage.NewStore()
+	if _, err := store.Create(def); err != nil {
+		t.Fatal(err)
+	}
+	d, err := dag.FromTree(algebra.NewAggregate([]string{"T.g"},
+		[]algebra.AggSpec{{Func: algebra.Sum, Arg: expr.C("T.x"), As: "s"}}, algebra.Scan(def)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := maintain.New(d, store, cost.PageIO{}, tracks.RootSet(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []value.Tuple{
+		{value.NewFloat(0), value.NewInt(1)},
+		{value.NewFloat(math.Copysign(0, -1)), value.NewInt(2)},
+	}
+	ins := &txn.Type{Name: "+T", Weight: 1, Updates: []txn.RelUpdate{{Rel: "T", Kind: txn.Insert, Size: 1}}}
+	del := &txn.Type{Name: "-T", Weight: 1, Updates: []txn.RelUpdate{{Rel: "T", Kind: txn.Delete, Size: 1}}}
+	one := func(ty *txn.Type, r value.Tuple) txn.Transaction {
+		u := delta.New(def.Schema)
+		if ty == ins {
+			u.Insert(r, 1)
+		} else {
+			u.Delete(r, 1)
+		}
+		return txn.Transaction{Type: ty, Updates: map[string]*delta.Delta{"T": u}}
+	}
+	for w, window := range [][]txn.Transaction{
+		{one(ins, rows[0]), one(ins, rows[1])},
+		{one(del, rows[1])},
+	} {
+		if _, err := m.ApplyBatch(window); err != nil {
+			t.Fatal(err)
+		}
+		if drift, err := m.Drift(d.Root); err != nil || drift != "" {
+			t.Fatalf("window %d: drift %q %v", w, drift, err)
+		}
+		if got := len(m.Contents(d.Root)); got != 2-w {
+			t.Fatalf("window %d: %d groups, want %d", w, got, 2-w)
+		}
 	}
 }
 

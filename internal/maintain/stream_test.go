@@ -12,6 +12,7 @@ import (
 	"repro/internal/delta"
 	"repro/internal/expr"
 	"repro/internal/maintain"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/storage"
 	"repro/internal/tracks"
@@ -66,6 +67,8 @@ func TestStreamedVsNettedRandom(t *testing.T) {
 		trials = 10
 	}
 	streamedWindows, bothChanged := 0, 0
+	factored := obs.C("delta.fold.factored_changes")
+	factored0 := factored.Value()
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(52000 + trial)
 		gen := buildMirror(t, seed) // advances txn by txn, so drawn windows compose
@@ -122,10 +125,11 @@ func TestStreamedVsNettedRandom(t *testing.T) {
 			}
 		}
 	}
-	if streamedWindows == 0 || bothChanged == 0 {
-		t.Fatalf("%d windows streamed, %d of them with more than one relation changed: the property was not exercised", streamedWindows, bothChanged)
+	n := factored.Value() - factored0
+	if streamedWindows == 0 || bothChanged == 0 || n == 0 {
+		t.Fatalf("%d windows streamed, %d of them with more than one relation changed, %d changes folded by side: the property was not exercised", streamedWindows, bothChanged, n)
 	}
-	t.Logf("%d windows streamed a join into its aggregate, %d of them with more than one relation changed", streamedWindows, bothChanged)
+	t.Logf("%d windows streamed a join into its aggregate, %d of them with more than one relation changed; %d changes folded by side", streamedWindows, bothChanged, n)
 }
 
 // fig5Nodes finds Figure 5's aggregate node, the three-way join under it
@@ -213,6 +217,8 @@ func TestStreamedVsNettedFigure5(t *testing.T) {
 				return tx
 			}
 			anyStreamed := false
+			factored := obs.C("delta.fold.factored_changes")
+			factored0 := factored.Value()
 			for w, size := range []int{16, 64, 1, 5, 16, 0} {
 				window := make([]txn.Transaction, size)
 				for i := range window {
@@ -248,6 +254,11 @@ func TestStreamedVsNettedFigure5(t *testing.T) {
 			}
 			if anyStreamed != set.streams {
 				t.Errorf("a join streamed into the aggregate: %v, want %v", anyStreamed, set.streams)
+			}
+			// Every stream here is Int SUM(Quantity*Price) BY T.Item over an
+			// equi-join on Item: the changes of either side fold by side.
+			if n := factored.Value() - factored0; (n > 0) != set.streams {
+				t.Errorf("%d changes folded by side, want some iff the join streams (%v)", n, set.streams)
 			}
 		})
 	}

@@ -25,6 +25,27 @@ func AppendProjectedKey(dst []byte, t Tuple, pos []int) []byte {
 	return dst
 }
 
+// Same reports whether a and b have the same key encoding: the same kind
+// and, within it, the same bits. Unlike Equal (and unlike ==, which reads
+// every field and compares floats numerically), an Int never matches a
+// Float, +0.0 and −0.0 differ, and a NaN matches itself.
+func Same(a, b Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	switch a.Kind {
+	case Int:
+		return a.I == b.I
+	case Float:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case String:
+		return a.S == b.S
+	case Bool:
+		return a.B == b.B
+	}
+	return true
+}
+
 func appendValue(dst []byte, v Value) []byte {
 	var buf [8]byte
 	dst = append(dst, byte(v.Kind))

@@ -2,6 +2,7 @@ package mvmaint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -314,7 +315,7 @@ func (s *System) Explain() string {
 		}
 		for _, e := range tc.Track.Order {
 			if into := s.M.StreamsInto(tc.Track, e); into != nil {
-				fmt.Fprintf(&b, "    %s streams into %s: E%d folds its rows as they are derived, no delta is held\n", e, into, tc.Track.Choice[into.ID].ID)
+				explainStream(&b, tc.Track, e, into)
 			}
 		}
 	}
@@ -343,6 +344,30 @@ func (s *System) Explain() string {
 		}
 	}
 	return b.String()
+}
+
+// explainStream writes the line for a join e that streams into the
+// aggregate node into, naming each side the track changes whose rows
+// fold by side (delta.Factor, the decision the plan makes).
+func explainStream(b *strings.Builder, tr *tracks.Track, e, into *dag.EqNode) {
+	join, agg := tr.Choice[e.ID], tr.Choice[into.ID]
+	fmt.Fprintf(b, "    %s streams into %s: E%d folds its rows as they are derived, no delta is held", e, into, agg.ID)
+	for side, ch := range join.Children {
+		if tr.Choice[ch.ID] == nil && !slices.Contains(tr.Leaves, ch) {
+			continue // unchanged on this track
+		}
+		fc := delta.Factor(join.Template.(*algebra.Join), agg.Template.(*algebra.Aggregate),
+			join.Children[0].Schema(), join.Children[1].Schema(), side)
+		if fc == nil {
+			continue
+		}
+		name := ch.String()
+		if ch.IsLeaf() {
+			name = ch.BaseRel
+		}
+		fmt.Fprintf(b, "; a Δ%s row folds %s", name, fc)
+	}
+	b.WriteString("\n")
 }
 
 func indent(s, pad string) string {
