@@ -223,7 +223,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		}
 		if m.Committer != nil {
 			lsn, err := m.Committer.Commit(len(txns))
-			if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
+			if err := fenced(&rep.LSN, wt.Seq(), lsn, err); err != nil {
 				return nil, err
 			}
 		}
@@ -264,7 +264,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		// Commit fence: ack implies durable.
 		lsn, err := wait()
 		wait = nil
-		if err := fenced(rep, wt.Seq(), lsn, err); err != nil {
+		if err := fenced(&rep.LSN, wt.Seq(), lsn, err); err != nil {
 			return nil, err
 		}
 	}
@@ -276,13 +276,13 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 }
 
 // fenced records a window's commit fence in the flight recorder and
-// folds the committer's answer into the report.
-func fenced(rep *BatchReport, seq, lsn uint64, err error) error {
+// folds the committer's answer into the report's LSN.
+func fenced(repLSN *uint64, seq, lsn uint64, err error) error {
 	if err != nil {
 		obs.Flight().Record(obs.EvWindowFence, 0, seq, lsn, 1)
 		return fmt.Errorf("maintain: commit: %w", err)
 	}
-	rep.LSN = lsn
+	*repLSN = lsn
 	obs.Flight().Record(obs.EvWindowFence, 0, seq, lsn, 0)
 	return nil
 }

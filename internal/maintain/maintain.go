@@ -81,30 +81,23 @@ type View struct {
 	enc       value.KeyEncoder
 }
 
-// Committer reports a durability point. Commit covers a window that
-// logs nothing — it coalesced to nothing, or a guard rejected it — and
-// returns the LSN as of which everything handed to the log so far is
-// durable, draining any commits still in flight. The
-// sharded coordinator is a bare Committer: its shards log their own
-// sub-windows and it commits the vector of their LSNs.
-type Committer interface {
-	Commit(txns int) (uint64, error)
-}
-
 // WindowCommitter makes maintenance windows durable; the WAL's group
-// commit implements it. ApplyBatch knows a window's net base deltas as
-// soon as it has coalesced them — before any propagation work — so it
-// hands them to BeginWindow, which starts encoding, writing and
-// fsyncing the window record on a background goroutine while
-// propagation, base apply and view apply proceed (a guarded window's
-// once it is accepted). The log learns a window's deltas this way and
-// no other. The returned wait is the
+// commit implements it, for a Maintainer and a Sharded alike. ApplyBatch
+// knows a window's net base deltas as soon as it has coalesced them —
+// before any propagation work — so it hands them to BeginWindow, which
+// starts encoding, writing and fsyncing the window record on a
+// background goroutine while propagation, base apply and view apply
+// proceed (a guarded window's once it is accepted). The log learns a
+// window's deltas this way and no other. The returned wait is the
 // commit fence: ApplyBatch blocks on it before acknowledging, so ack
 // still implies durable. A crash after the early fsync but before the
 // ack recovers to one window past the last acknowledged state
 // (lastAcked+1), which the recovery contract allows.
 type WindowCommitter interface {
-	Committer
+	// Commit covers a window that logs nothing — it coalesced to
+	// nothing, or a guard rejected it — and returns the LSN as of which
+	// everything handed to the log so far is durable.
+	Commit(txns int) (uint64, error)
 	// BeginWindow starts making the window durable from its coalesced
 	// net deltas, which stay valid until wait returns.
 	BeginWindow(w delta.Coalesced, txns int) (wait func() (uint64, error))
@@ -208,11 +201,11 @@ type Maintainer struct {
 
 	// Window-causal tracing state. Both fields follow the single-writer
 	// rule: spanParent is set by the dispatching goroutine (a Sharded
-	// window) before ApplyBatch runs, windowSpan at the top of each
-	// window. Committers read windowSpan synchronously from inside the
-	// window (BeginWindow/Commit are called on or joined by the window's
-	// goroutine), so cross-goroutine commit spans can parent to the
-	// window root without widening the Committer interface.
+	// window, or a replay) before ApplyBatch runs, windowSpan at the top
+	// of each window. Committers read windowSpan synchronously from
+	// inside the window (BeginWindow/Commit are called on or joined by
+	// the window's goroutine), so cross-goroutine commit spans can parent
+	// to the window root without widening the WindowCommitter interface.
 	spanParent uint64
 	windowSpan uint64
 
@@ -336,12 +329,6 @@ func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64, rep 
 	}
 }
 
-// SetSpanParent sets the parent span ID for this maintainer's next
-// windows (0 restores root). A Sharded window points every shard's
-// pipeline at its window root before dispatch, so shard-goroutine spans
-// link into one window trace.
-func (m *Maintainer) SetSpanParent(id uint64) { m.spanParent = id }
-
 // SetWindowHook installs (or, with nil, removes) the window hook: fn is
 // called once per applied window at the window fence, after the commit
 // wait and view application succeed. The WindowUpdate's delta map is
@@ -393,6 +380,10 @@ func (m *Maintainer) fireWindowHook(lsn uint64, txns int, deltas map[int]*delta.
 // spans (including the committer goroutine's fsync) to the window that
 // staged the deltas.
 func (m *Maintainer) WindowSpanID() uint64 { return m.windowSpan }
+
+// CommitterSlot returns the address of m.Committer: the slot a WAL
+// manager installs itself in, and clears on close.
+func (m *Maintainer) CommitterSlot() *WindowCommitter { return &m.Committer }
 
 // publishArenaStats pushes the arena's cumulative traffic into the obs
 // registry as counter deltas.

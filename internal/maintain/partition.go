@@ -75,6 +75,14 @@ type Partitioning struct {
 	basePos map[string]int
 }
 
+// shardViewName is the checkpoint name of shard i's part of a view. It
+// names the partitioning, so a checkpoint taken on another column or
+// shard count holds no state for this shard and its views are
+// recomputed rather than seeded with another partition's rows.
+func (p *Partitioning) shardViewName(view string, i int) string {
+	return fmt.Sprintf("%s@%s:%d/%d", view, p.Column, i, p.Effective)
+}
+
 // carry is the recursive analysis state: the class of a subtree plus
 // the output column positions whose value always equals the row's
 // partition-column value (the positions locality proofs rest on).

@@ -8,9 +8,11 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/dag"
+	"repro/internal/delta"
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/tracks"
+	"repro/internal/txn"
 )
 
 // ViewState is a materialized view's checkpointed contents plus the
@@ -137,6 +139,59 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 		m.views[e.ID] = v
 	}
 	return m, nil
+}
+
+// renamed resolves a view's checkpointed state under rename(name): how a
+// shard finds its own copy of a view in a sharded checkpoint.
+func (o RestoreOptions) renamed(rename func(string) string) RestoreOptions {
+	if src := o.Source; src != nil {
+		o.Source = func(name string) (*ViewState, bool) { return src(rename(name)) }
+	}
+	return o
+}
+
+// Snapshot is a pipeline's state as a checkpoint holds it.
+type Snapshot struct {
+	ViewSetKey string
+	// Base holds the rows of each base relation asked for, in order.
+	Base [][]storage.Row
+	// Views holds every materialized view's state by checkpoint name.
+	Views map[string]*ViewState
+}
+
+// Snapshot returns the maintainer's checkpoint state: the view-set key,
+// the rows of the named base relations and ViewStates.
+func (m *Maintainer) Snapshot(rels []string) (*Snapshot, error) {
+	snap := &Snapshot{ViewSetKey: m.VS.Key(), Views: m.ViewStates()}
+	for _, name := range rels {
+		r, ok := m.Store.Get(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown relation %q", name)
+		}
+		snap.Base = append(snap.Base, r.Snapshot())
+	}
+	return snap, nil
+}
+
+// ReplayWindow applies one logged window — the net base deltas its
+// Committer was handed — as a window of one transaction whose trace
+// hangs under parent. Guards are lifted: the window was acknowledged, so
+// it is applied even if an assertion added since would reject it.
+func (m *Maintainer) ReplayWindow(w delta.Coalesced, parent uint64) error {
+	guards := m.Guards
+	m.Guards, m.spanParent = nil, parent
+	defer func() { m.Guards, m.spanParent = guards, 0 }()
+	_, err := m.ApplyBatch(replayed(w))
+	return err
+}
+
+// replayed is a logged window as the one transaction that replays it.
+func replayed(w delta.Coalesced) []txn.Transaction {
+	updates := make(map[string]*delta.Delta, len(w))
+	for _, rd := range w {
+		updates[rd.Rel] = rd.Delta
+	}
+	return []txn.Transaction{{Updates: updates}}
 }
 
 // ViewStates snapshots every materialized view's contents and sidecar,

@@ -69,10 +69,9 @@ type mergedView struct {
 
 // Sharded is N shard-local maintenance pipelines behind one ApplyBatch:
 // each window is split by the tuple router, the shard pipelines run in
-// parallel (each owning its storage segment, plan cache and committer),
-// and a merge stage recombines the few views whose aggregates span
-// shards. Like Maintainer, Sharded is single-writer: one ApplyBatch at
-// a time.
+// parallel (each owning its storage segment and plan cache), and a merge
+// stage recombines the few views whose aggregates span shards. Like
+// Maintainer, Sharded is single-writer: one ApplyBatch at a time.
 type Sharded struct {
 	// D is the template DAG (shard 0's); all eq-node arguments to
 	// Contents/Drift resolve by ID against every shard.
@@ -81,41 +80,47 @@ type Sharded struct {
 	VS tracks.ViewSet
 	// Part records the partition analysis, including any fallback.
 	Part *Partitioning
-	// Coordinator, when set, is invoked once per window after every
-	// shard's own committer has made its segment durable; it is the
-	// group-commit record that makes the window's shard LSN vector the
-	// recovery bound.
-	Coordinator Committer
+	// Committer, when set, makes every window durable as Maintainer's
+	// does: ApplyBatch hands it the whole window's coalesced base deltas
+	// before the shards run and joins its fence after the spanning
+	// merge. The shard maintainers have none.
+	Committer WindowCommitter
 
 	shards []*shard
 	router *Router
 	merged map[int]*mergedView
 
-	// windowSpan is the current window's root span ID (single-writer:
-	// set at the top of ApplyBatch). The Coordinator reads it from
-	// inside the window to parent its LSN-vector commit span.
+	// Window-causal tracing state, single-writer as on Maintainer:
+	// spanParent is set by a replay, windowSpan at the top of ApplyBatch.
+	spanParent uint64
 	windowSpan uint64
 
 	// Cross-window recycled window scratch (DESIGN.md §14). Sharded is
 	// single-writer, so the one report, the per-shard routing slices and
 	// the merge stage's maps are reset in place each window; the
 	// returned ShardedReport is valid only until the next ApplyBatch.
-	rep      ShardedReport
-	per      [][]txn.Transaction
-	errs     []error
-	affected map[string]value.Tuple
-	partials []map[string]storage.Row
+	rep       ShardedReport
+	per       [][]txn.Transaction
+	errs      []error
+	affected  map[string]value.Tuple
+	partials  []map[string]storage.Row
+	coalescer delta.Coalescer
+	winBuf    []map[string]*delta.Delta
 }
 
-// WindowSpanID returns the current sharded window's root span ID for
-// coordinator commit spans.
+// WindowSpanID returns the current sharded window's root span ID, which
+// the Committer's commit spans hang under.
 func (s *Sharded) WindowSpanID() uint64 { return s.windowSpan }
+
+// CommitterSlot returns the address of s.Committer; see
+// Maintainer.CommitterSlot.
+func (s *Sharded) CommitterSlot() *WindowCommitter { return &s.Committer }
 
 // ShardedReport describes one maintained window across all shards.
 type ShardedReport struct {
 	// Size is the transaction count of the window.
 	Size int
-	// LSN is the coordinator's commit LSN (0 without a Coordinator).
+	// LSN is the window's commit LSN (0 without a Committer).
 	LSN uint64
 	// Shards holds each shard's BatchReport (nil for shards the window
 	// did not touch).
@@ -133,6 +138,15 @@ type ShardedReport struct {
 // partition analysis (and its possible fallback to one shard) is
 // exposed as .Part.
 func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharded, error) {
+	return NewShardedRestored(factory, cfg, RestoreOptions{})
+}
+
+// NewShardedRestored builds like NewSharded, but each shard seeds its
+// views from opts as NewRestored does, looking each one up under its
+// sharded checkpoint name (see Snapshot). Recovery's factory returns
+// setups holding the checkpoint's base relations, which are partitioned
+// here as a fresh build's are.
+func NewShardedRestored(factory func() (*ShardSetup, error), cfg ShardedConfig, opts RestoreOptions) (*Sharded, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("maintain: NewSharded requires Shards >= 1, got %d", cfg.Shards)
 	}
@@ -180,53 +194,34 @@ func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharde
 		}
 	}
 
-	ms := make([]*Maintainer, eff)
-	for i, s := range setups {
-		m, err := New(s.D, s.Store, cost.PageIO{}, cfg.VS.Clone())
+	s := &Sharded{
+		D:      template.D,
+		VS:     cfg.VS,
+		Part:   part,
+		router: router,
+		merged: map[int]*mergedView{},
+	}
+	for i, su := range setups {
+		ro := opts.renamed(func(name string) string { return part.shardViewName(name, i) })
+		m, err := NewRestored(su.D, su.Store, cost.PageIO{}, cfg.VS.Clone(), ro)
 		if err != nil {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
 		m.Workers = cfg.Workers
-		ms[i] = m
-	}
-	return AssembleSharded(setups, ms, part)
-}
-
-// AssembleSharded wires already-built shard maintainers (fresh from
-// NewSharded, or individually recovered from per-shard checkpoints and
-// logs) into a Sharded, rebuilding the merged state of every spanning
-// view from the current shard contents.
-func AssembleSharded(setups []*ShardSetup, ms []*Maintainer, part *Partitioning) (*Sharded, error) {
-	if len(setups) != len(ms) || len(setups) == 0 {
-		return nil, fmt.Errorf("maintain: AssembleSharded: %d setups, %d maintainers", len(setups), len(ms))
-	}
-	if part.Effective != len(ms) {
-		return nil, fmt.Errorf("maintain: AssembleSharded: analysis wants %d effective shards, got %d", part.Effective, len(ms))
-	}
-	s := &Sharded{
-		D:      setups[0].D,
-		VS:     ms[0].VS,
-		Part:   part,
-		router: part.NewRouter(),
-		merged: map[int]*mergedView{},
-	}
-	for i := range ms {
 		s.shards = append(s.shards, &shard{
-			setup:   setups[i],
-			m:       ms[i],
+			setup:   su,
+			m:       m,
 			applyNs: obs.H(fmt.Sprintf("maintain.shard%02d.apply.ns", i)),
 			routed:  obs.C(fmt.Sprintf("maintain.shard%02d.routed_units", i)),
 		})
 	}
-	if len(ms) > 1 {
+	if eff > 1 {
 		for _, e := range s.D.NonLeafEqs() {
-			vp, ok := part.Views[e.ID]
-			if !ok || vp.Class != ShardSpanning {
-				continue
+			if vp, ok := part.Views[e.ID]; ok && vp.Class == ShardSpanning {
+				s.merged[e.ID] = &mergedView{eq: e, part: vp}
 			}
-			s.merged[e.ID] = &mergedView{eq: e, part: vp}
 		}
-		s.RebuildMerged()
+		s.rebuildMerged()
 	}
 	return s, nil
 }
@@ -259,28 +254,40 @@ func sameDAG(a, b *dag.DAG, vs tracks.ViewSet) error {
 // NumShards returns the effective shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Shard returns shard i's maintainer and catalog (durability wiring).
-func (s *Sharded) Shard(i int) (*Maintainer, *catalog.Catalog) {
-	return s.shards[i].m, s.shards[i].setup.Cat
-}
-
 // Route exposes the tuple router (tests).
 func (s *Sharded) Route(rel string, t value.Tuple) int {
 	return s.router.Route(rel, t)
 }
 
-// ApplyBatch maintains one window: it splits every transaction's deltas
-// by the tuple router, runs the shard pipelines in parallel (each
-// coalesces, plans and applies its own sub-window, and drains its own
-// committer), recombines spanning aggregates for the affected group
-// keys, and finally asks the Coordinator to commit the window's shard
-// LSN vector.
+// ApplyBatch maintains one window: it hands the Committer the window's
+// coalesced base deltas, splits every transaction's deltas by the tuple
+// router, runs the shard pipelines in parallel (each coalesces, plans
+// and applies its own sub-window), recombines spanning aggregates for
+// the affected group keys, and finally joins the commit fence. The
+// window is one log record, so it is durable whole or not at all.
 func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 	n := len(s.shards)
-	wt := obs.StartWindow("maintain.window", 0)
+	wt := obs.StartWindow("maintain.window", s.spanParent)
 	s.windowSpan = wt.RootID()
 	obs.Flight().Record(obs.EvWindowOpen, 0, wt.Seq(), uint64(len(txns)), wt.RootID())
 	defer wt.Finish()
+	// Pipelined group commit, as on Maintainer: the record's fsync runs
+	// under the shards' work, and an early error return still joins it.
+	var wait func() (uint64, error)
+	defer func() {
+		if wait != nil {
+			wait()
+		}
+	}()
+	if s.Committer != nil {
+		s.winBuf = s.winBuf[:0]
+		for _, t := range txns {
+			s.winBuf = append(s.winBuf, t.Updates)
+		}
+		if merged := s.coalescer.Coalesce(s.winBuf); len(merged) > 0 {
+			wait = s.Committer.BeginWindow(merged, len(txns))
+		}
+	}
 	// Recycled window scratch: same report object every window, reset in
 	// place (callers use it only until the next ApplyBatch).
 	rep := &s.rep
@@ -337,12 +344,11 @@ func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 			defer wg.Done()
 			start := time.Now()
 			// Parent the shard pipeline's window (and everything under
-			// it, including its committer's fsync chain) to this window's
-			// root: the shard maintainer is owned by this goroutine for
-			// the duration, so the set is race-free.
-			s.shards[i].m.SetSpanParent(wt.RootID())
+			// it) to this window's root: the shard maintainer is owned
+			// by this goroutine for the duration, so the set is race-free.
+			s.shards[i].m.spanParent = wt.RootID()
 			rep.Shards[i], errs[i] = s.shards[i].m.ApplyBatch(per[i])
-			s.shards[i].m.SetSpanParent(0)
+			s.shards[i].m.spanParent = 0
 			s.shards[i].applyNs.Observe(time.Since(start).Nanoseconds())
 		}(i)
 	}
@@ -358,16 +364,49 @@ func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Coordinator != nil {
-		lsn, err := s.Coordinator.Commit(len(txns))
-		if err != nil {
-			obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 1)
+	if s.Committer != nil {
+		var lsn uint64
+		if wait != nil {
+			lsn, err = wait()
+			wait = nil
+		} else {
+			lsn, err = s.Committer.Commit(len(txns))
+		}
+		if err := fenced(&rep.LSN, wt.Seq(), lsn, err); err != nil {
 			return nil, err
 		}
-		rep.LSN = lsn
-		obs.Flight().Record(obs.EvWindowFence, 0, wt.Seq(), lsn, 0)
 	}
 	return rep, nil
+}
+
+// ReplayWindow applies one logged window as a window of one transaction
+// whose trace hangs under parent; see Maintainer.ReplayWindow.
+func (s *Sharded) ReplayWindow(w delta.Coalesced, parent uint64) error {
+	s.spanParent = parent
+	defer func() { s.spanParent = 0 }()
+	_, err := s.ApplyBatch(replayed(w))
+	return err
+}
+
+// Snapshot returns the sharded checkpoint state: the base relations are
+// the union of the shards' partitions, and each shard's views appear
+// under their sharded checkpoint names. Spanning merges are not part of
+// it; NewShardedRestored rebuilds them from the shards.
+func (s *Sharded) Snapshot(rels []string) (*Snapshot, error) {
+	snap := &Snapshot{ViewSetKey: s.VS.Key(), Base: make([][]storage.Row, len(rels)), Views: map[string]*ViewState{}}
+	for i, sh := range s.shards {
+		part, err := sh.m.Snapshot(rels)
+		if err != nil {
+			return nil, err
+		}
+		for j, rows := range part.Base {
+			snap.Base[j] = append(snap.Base[j], rows...)
+		}
+		for name, v := range part.Views {
+			snap.Views[s.Part.shardViewName(name, i)] = v
+		}
+	}
+	return snap, nil
 }
 
 // skew is max/mean of the routed units (0 when nothing routed).
@@ -533,9 +572,9 @@ func combineAgg(f algebra.AggFunc, a, b value.Value) value.Value {
 	}
 }
 
-// RebuildMerged recomputes every spanning view's merged state from the
+// rebuildMerged recomputes every spanning view's merged state from the
 // current shard contents (startup and post-recovery).
-func (s *Sharded) RebuildMerged() {
+func (s *Sharded) rebuildMerged() {
 	for _, mv := range s.merged {
 		mv.rows = map[string]storage.Row{}
 		partials := make([]map[string]storage.Row, len(s.shards))

@@ -23,19 +23,8 @@ import (
 	"repro/internal/value"
 )
 
-// shardCounts returns the shard counts under test, restricted to one
-// count when the SHARD_MATRIX environment variable is set (the CI
-// shard-matrix job runs one count per matrix leg).
-func shardCounts(t testing.TB) []int {
-	if v := os.Getenv("SHARD_MATRIX"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("bad SHARD_MATRIX=%q", v)
-		}
-		return []int{n}
-	}
-	return []int{1, 2, 4, 8}
-}
+// shardCounts are the shard counts under test.
+var shardCounts = []int{1, 2, 4, 8}
 
 // mirrorFactory returns a shard factory that rebuilds the exact
 // database + expanded DAG of buildMirror(seed): the rng stream is
@@ -113,7 +102,7 @@ func TestShardInvariance(t *testing.T) {
 	if testing.Short() {
 		trials = 3
 	}
-	counts := shardCounts(t)
+	counts := shardCounts
 	windowSizes := []int{1, 2, 5, 16, 64}
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
@@ -267,7 +256,7 @@ func TestShardedAggregateMerge(t *testing.T) {
 	if testing.Short() {
 		trials = 2
 	}
-	counts := shardCounts(t)
+	counts := shardCounts
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,8 +18,7 @@ import (
 //	record  = u32 len (LE) | u32 crc32c (LE) | payload
 //	payload = uvarint LSN | uvarint txnCount | body
 //
-// The body is an encoded window in the WAL, a shard-LSN vector in the
-// sharded coordinator's log (AppendRaw) and a feed entry in FeedLog.
+// The body is an encoded window in the WAL and a feed entry in FeedLog.
 //
 // LSNs are assigned per committed window (group commit: one record, one
 // fsync per ApplyBatch window) and increase by exactly one from the
@@ -75,10 +73,10 @@ type segInfo struct {
 	firstLSN uint64
 }
 
-// Log is an open segmented record log: the WAL, the sharded
-// coordinator's log and the changefeed (FeedLog) are all one. Not safe
-// for concurrent use; the Manager serializes commits behind the
-// maintenance pipeline's window barrier, FeedLog behind its mutex.
+// Log is an open segmented record log: the WAL and the changefeed
+// (FeedLog) are both one. Not safe for concurrent use; the Manager
+// serializes commits behind the maintenance pipeline's window barrier,
+// FeedLog behind its mutex.
 type Log struct {
 	fsys     FS
 	dir      string
@@ -186,39 +184,14 @@ func (l *Log) LastLSN() uint64 { return l.lastLSN }
 // and makes it durable with a single fsync. It returns the window's LSN.
 func (l *Log) CommitWindow(w delta.Coalesced, txns int) (uint64, error) {
 	l.buf = delta.AppendWindow(l.header(uint64(txns)), w)
-	return l.commitPayload(l.buf)
-}
-
-// AppendRaw appends one record whose body is opaque bytes (no window
-// decode on replay) covering txns transactions, durable with a single
-// fsync — the sharded coordinator's commit-record primitive. Raw
-// records share the LSN sequence, framing and CRC of window records;
-// only the body codec differs, so a log must hold one kind or the
-// other (Replay rejects raw bodies as trailing bytes, ReplayRaw never
-// decodes windows).
-func (l *Log) AppendRaw(body []byte, txns int) (uint64, error) {
-	l.buf = append(l.header(uint64(txns)), body...)
-	return l.commitPayload(l.buf)
-}
-
-// header starts the next record's payload in the log's scratch buffer —
-// uvarint LSN | uvarint txns — for the caller to append the body to.
-func (l *Log) header(txns uint64) []byte {
-	l.buf = binary.AppendUvarint(l.buf[:0], l.lastLSN+1)
-	return binary.AppendUvarint(l.buf, txns)
-}
-
-// commitPayload writes one already-encoded payload as the next record
-// and makes it durable with a single fsync.
-func (l *Log) commitPayload(payload []byte) (uint64, error) {
-	lsn, n := l.lastLSN+1, frameOverhead+len(payload)
+	lsn, n := l.lastLSN+1, frameOverhead+len(l.buf)
 	// Flight-recorder ordering contract: the start event lands BEFORE
 	// the record's bytes reach the filesystem and the done event only
 	// after fsync returns, so in any post-mortem image
 	// max(done LSNs) <= recovered LSN <= max(start LSNs) — the black box
 	// and the log can be cross-checked against each other.
 	obs.Flight().Record(obs.EvFsyncStart, 0, lsn, uint64(n), 0)
-	if err := l.writeRecord(payload); err != nil {
+	if err := l.writeRecord(l.buf); err != nil {
 		return 0, err
 	}
 	start := time.Now()
@@ -232,6 +205,13 @@ func (l *Log) commitPayload(payload []byte) (uint64, error) {
 	walRecs.Inc()
 	l.lastLSN = lsn
 	return lsn, nil
+}
+
+// header starts the next record's payload in the log's scratch buffer —
+// uvarint LSN | uvarint txns — for the caller to append the body to.
+func (l *Log) header(txns uint64) []byte {
+	l.buf = binary.AppendUvarint(l.buf[:0], l.lastLSN+1)
+	return binary.AppendUvarint(l.buf, txns)
 }
 
 // writeRecord frames one payload (uvarint LSN | uvarint txns | body,
@@ -324,7 +304,10 @@ func (l *Log) newSegment(firstLSN uint64) error {
 // Replay streams every committed window with LSN > after to fn, in LSN
 // order, resolving base-relation schemas through schemas.
 func (l *Log) Replay(after uint64, schemas delta.SchemaSource, fn func(Record) error) error {
-	return l.ReplayRaw(after, func(lsn uint64, txns int, body []byte) error {
+	if l.cur != nil {
+		return fmt.Errorf("wal: replay on a log with open writes")
+	}
+	return l.replaySegments(l.segs, after, func(lsn uint64, txns int, body []byte) error {
 		w, rest, err := delta.DecodeWindow(body, schemas)
 		if err != nil {
 			return fmt.Errorf("wal: record %d: %w", lsn, err)
@@ -334,15 +317,6 @@ func (l *Log) Replay(after uint64, schemas delta.SchemaSource, fn func(Record) e
 		}
 		return fn(Record{LSN: lsn, Txns: txns, Window: w})
 	})
-}
-
-// ReplayRaw streams every committed record with LSN > after to fn, in
-// LSN order, without decoding bodies — the reader for AppendRaw logs.
-func (l *Log) ReplayRaw(after uint64, fn func(lsn uint64, txns int, body []byte) error) error {
-	if l.cur != nil {
-		return fmt.Errorf("wal: replay on a log with open writes")
-	}
-	return l.replaySegments(l.segs, after, fn)
 }
 
 // replaySegments streams the valid records of segs with LSN > after to
@@ -396,7 +370,6 @@ type rawRec struct {
 	lsn  uint64
 	txns int
 	body []byte
-	end  int // byte offset just past this record's frame
 }
 
 // scanSegment parses a segment image, returning its header LSN, the
@@ -436,62 +409,10 @@ func scanSegment(data []byte) (hdrLSN uint64, recs []rawRec, valid int, hdrOK bo
 		if sz2 <= 0 || txns == 0 || txns > 1<<32 {
 			return
 		}
-		recs = append(recs, rawRec{lsn: lsn, txns: int(txns), body: payload[sz+sz2:],
-			end: valid + frameOverhead + int(n)})
+		recs = append(recs, rawRec{lsn: lsn, txns: int(txns), body: payload[sz+sz2:]})
 		valid += frameOverhead + int(n)
 		next = lsn + 1
 	}
-}
-
-// TruncateLogAfter durably discards every record with LSN > upTo from
-// the closed log directory dir: whole segments whose records all lie
-// beyond the bound are removed, the segment straddling it is truncated
-// to the bound's byte offset, and any invalid wreckage is dropped the
-// way OpenLog would. The sharded recovery path uses it to cut each
-// shard's log back to the coordinator's committed LSN vector before
-// replay, so a shard record that became durable without its coordinator
-// commit record can never resurface.
-func TruncateLogAfter(fsys FS, dir string, upTo uint64) error {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		if isNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("wal: readdir: %w", err)
-	}
-	var segNames []string
-	for _, n := range names {
-		if _, ok := parseSegName(n); ok {
-			segNames = append(segNames, n)
-		}
-	}
-	sort.Strings(segNames) // fixed-width hex names sort in LSN order
-	for _, name := range segNames {
-		data, err := fsys.ReadFile(join(dir, name))
-		if err != nil {
-			return fmt.Errorf("wal: read %s: %w", name, err)
-		}
-		hdrLSN, recs, _, hdrOK := scanSegment(data)
-		if !hdrOK || hdrLSN > upTo {
-			if err := fsys.Remove(join(dir, name)); err != nil {
-				return fmt.Errorf("wal: remove %s: %w", name, err)
-			}
-			continue
-		}
-		cut := segHeaderLen
-		for _, rec := range recs {
-			if rec.lsn > upTo {
-				break
-			}
-			cut = rec.end
-		}
-		if cut < len(data) {
-			if err := fsys.Truncate(join(dir, name), int64(cut)); err != nil {
-				return fmt.Errorf("wal: truncate %s: %w", name, err)
-			}
-		}
-	}
-	return nil
 }
 
 func segName(firstLSN uint64) string {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/txn"
 )
 
 var (
@@ -30,21 +29,37 @@ var (
 	obsCommitOverlap   = obs.G("wal.commit.overlap")
 )
 
-// Manager wires the log into a running maintainer: it is the
-// maintainer's Committer — handed each window's coalesced base deltas
-// by ApplyBatch (a guarded window's once its verdict is in) — and it
-// writes checkpoints. One
-// Manager per maintainer; commits are serialized by the maintenance
+// Pipeline is what a Manager journals: *maintain.Maintainer and
+// *maintain.Sharded both provide it, and the Manager uses nothing else
+// of either. A window is one record whichever it is.
+type Pipeline interface {
+	// CommitterSlot is where the Manager installs itself, and which
+	// Close clears.
+	CommitterSlot() *maintain.WindowCommitter
+	// WindowSpanID is the current window's root span, which the
+	// window's commit span hangs under.
+	WindowSpanID() uint64
+	// Snapshot is what a checkpoint holds: the view-set key, the rows of
+	// the named base relations and every view's state.
+	Snapshot(rels []string) (*maintain.Snapshot, error)
+	// ReplayWindow applies one logged window, guards lifted, its trace
+	// under parent.
+	ReplayWindow(w delta.Coalesced, parent uint64) error
+}
+
+// Manager wires the log into a running pipeline: it is the pipeline's
+// committer — handed each window's coalesced base deltas by ApplyBatch
+// (a guarded window's once its verdict is in) — and it writes
+// checkpoints. One Manager per pipeline; commits are serialized by the
 // pipeline's window barrier, so Manager itself takes no locks.
 type Manager struct {
-	fsys  FS
-	dir   string
-	opts  Options
-	log   *Log
-	col   *Collector
-	m     *maintain.Maintainer
-	cat   *catalog.Catalog
-	store *storage.Store
+	fsys FS
+	dir  string
+	opts Options
+	log  *Log
+	col  *Collector
+	p    Pipeline
+	cat  *catalog.Catalog
 
 	// Recovery statistics, populated by Resume.
 	RecoveredLSN    uint64
@@ -53,15 +68,15 @@ type Manager struct {
 	RecomputedViews int
 }
 
-// Attach starts durability for a running, freshly built maintainer: it
+// Attach starts durability for a running, freshly built pipeline: it
 // opens the log directory (which must not already hold durable state —
 // use Recover for that), writes an initial checkpoint of the current
-// base relations and views, and installs itself as the maintainer's
+// base relations and views, and installs itself as the pipeline's
 // committer. cat must hold exactly the base relations; views are
-// derived and never logged. Only windows maintained through m are
-// logged: a mutation applied to the store behind the maintainer's back
-// is not durable (and not maintained either).
-func Attach(m *maintain.Maintainer, cat *catalog.Catalog, fsys FS, dir string, opts Options) (*Manager, error) {
+// derived and never logged. Only windows maintained through p are
+// logged: a mutation applied to the store behind the pipeline's back is
+// not durable (and not maintained either).
+func Attach(p Pipeline, cat *catalog.Catalog, fsys FS, dir string, opts Options) (*Manager, error) {
 	if ok, err := HasState(fsys, dir); err != nil {
 		return nil, err
 	} else if ok {
@@ -71,34 +86,22 @@ func Attach(m *maintain.Maintainer, cat *catalog.Catalog, fsys FS, dir string, o
 	if err != nil {
 		return nil, err
 	}
-	mgr := &Manager{
-		fsys:  fsys,
-		dir:   dir,
-		opts:  opts,
-		log:   log,
-		col:   NewCollector(cat),
-		m:     m,
-		cat:   cat,
-		store: m.Store,
-	}
+	mgr := &Manager{fsys: fsys, dir: dir, opts: opts, log: log, col: NewCollector(cat), p: p, cat: cat}
 	// The initial checkpoint is the recovery base for crashes that
 	// happen before the first explicit checkpoint.
 	if err := mgr.Checkpoint(nil); err != nil {
 		return nil, err
 	}
-	m.Committer = mgr
+	*p.CommitterSlot() = mgr
 	return mgr, nil
 }
 
 // LastLSN returns the LSN of the last committed window.
 func (g *Manager) LastLSN() uint64 { return g.log.LastLSN() }
 
-// Log exposes the underlying log (tests and tools).
-func (g *Manager) Log() *Log { return g.log }
-
-// Commit implements maintain.Committer for a window that logs nothing
-// (it coalesced to nothing, or a guard rejected it before any write):
-// it writes nothing and returns the current durability point.
+// Commit implements maintain.WindowCommitter for a window that logs
+// nothing (it coalesced to nothing, or a guard rejected it before any
+// write): it writes nothing and returns the current durability point.
 func (g *Manager) Commit(int) (uint64, error) { return g.log.LastLSN(), nil }
 
 // BeginWindow implements maintain.WindowCommitter: it starts making the
@@ -113,7 +116,7 @@ func (g *Manager) Commit(int) (uint64, error) { return g.log.LastLSN(), nil }
 // lastAcked+1, which the recovery contract allows (the window was fully
 // intended and its record is self-consistent).
 func (g *Manager) BeginWindow(w delta.Coalesced, txns int) func() (uint64, error) {
-	sp := obs.Trace.Start("wal.commit", g.m.WindowSpanID())
+	sp := obs.Trace.Start("wal.commit", g.p.WindowSpanID())
 	type result struct {
 		lsn uint64
 		err error
@@ -159,19 +162,16 @@ func (g *Manager) Checkpoint(extra map[string]string) error {
 	for k, v := range extra {
 		meta[k] = v
 	}
-	c := &Checkpoint{
-		LSN:        g.log.LastLSN(),
-		ViewSetKey: g.m.VS.Key(),
-		Meta:       meta,
+	names := g.cat.Names()
+	snap, err := g.p.Snapshot(names)
+	if err != nil {
+		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	for _, name := range g.cat.Names() {
-		r, ok := g.store.Get(name)
-		if !ok {
-			return fmt.Errorf("wal: checkpoint: unknown relation %q", name)
-		}
-		c.Rels = append(c.Rels, RelSnapshot{Name: name, Rows: r.Snapshot()})
+	c := &Checkpoint{LSN: g.log.LastLSN(), ViewSetKey: snap.ViewSetKey, Meta: meta}
+	for i, name := range names {
+		c.Rels = append(c.Rels, RelSnapshot{Name: name, Rows: snap.Base[i]})
 	}
-	for name, vs := range g.m.ViewStates() {
+	for name, vs := range snap.Views {
 		c.Views = append(c.Views, ViewSnapshot{
 			Name:        name,
 			Fingerprint: vs.Fingerprint,
@@ -196,11 +196,11 @@ func sortViews(vs []ViewSnapshot) {
 	}
 }
 
-// Close detaches from the maintainer and releases the log handle. The
+// Close detaches from the pipeline and releases the log handle. The
 // directory remains recoverable.
 func (g *Manager) Close() error {
-	if g.m.Committer == maintain.WindowCommitter(g) {
-		g.m.Committer = nil
+	if slot := g.p.CommitterSlot(); *slot == maintain.WindowCommitter(g) {
+		*slot = nil
 	}
 	return g.log.Close()
 }
@@ -242,15 +242,14 @@ func ReadMeta(fsys FS, dir string) (map[string]string, error) {
 
 // Recovery is the two-phase recovery handle: BeginRecovery restores the
 // base relations from the newest checkpoint; the caller then rebuilds
-// its DAG and view set against the restored bases and calls Resume with
-// the new maintainer, which loads checkpointed views, replays the log
-// tail through the incremental pipeline, and re-arms durability.
+// its pipeline against the restored bases, seeding views from
+// RestoreOptions, and calls Resume with it, which replays the log tail
+// through the incremental pipeline and re-arms durability.
 type Recovery struct {
-	fsys  FS
-	dir   string
-	ckpt  *Checkpoint
-	cat   *catalog.Catalog
-	store *storage.Store
+	fsys FS
+	dir  string
+	ckpt *Checkpoint
+	cat  *catalog.Catalog
 
 	recomputed int
 }
@@ -266,30 +265,33 @@ func BeginRecovery(cat *catalog.Catalog, store *storage.Store, fsys FS, dir stri
 	if ckpt == nil {
 		return nil, fmt.Errorf("wal: %s holds no checkpoint", dir)
 	}
-	for _, rs := range ckpt.Rels {
-		r, ok := store.Get(rs.Name)
-		if !ok {
-			return nil, fmt.Errorf("wal: recovery: relation %q not in store", rs.Name)
-		}
-		r.Restore(rs.Rows)
-		r.RefreshStats()
+	r := &Recovery{fsys: fsys, dir: dir, ckpt: ckpt, cat: cat}
+	if err := r.RestoreBase(store); err != nil {
+		return nil, err
 	}
-	return &Recovery{fsys: fsys, dir: dir, ckpt: ckpt, cat: cat, store: store}, nil
+	return r, nil
 }
 
-// Meta returns the checkpoint's metadata.
-func (r *Recovery) Meta() map[string]string { return r.ckpt.Meta }
-
-// CheckpointLSN returns the LSN the restored snapshot is consistent as of.
-func (r *Recovery) CheckpointLSN() uint64 { return r.ckpt.LSN }
-
-// ViewSetKey returns the view-set key recorded in the checkpoint.
-func (r *Recovery) ViewSetKey() string { return r.ckpt.ViewSetKey }
+// RestoreBase restores every checkpointed base relation into store, as
+// BeginRecovery does into its own. A sharded pipeline's factory calls it
+// on each shard's store; maintain.NewShardedRestored then partitions it.
+func (r *Recovery) RestoreBase(store *storage.Store) error {
+	for _, rs := range r.ckpt.Rels {
+		rel, ok := store.Get(rs.Name)
+		if !ok {
+			return fmt.Errorf("wal: recovery: relation %q not in store", rs.Name)
+		}
+		rel.Restore(rs.Rows)
+		rel.RefreshStats()
+	}
+	return nil
+}
 
 // RestoreOptions returns the maintain.RestoreOptions that seed view
 // materialization from the checkpoint: pass it to maintain.NewRestored
-// (or through the system builder). Views missing from the checkpoint or
-// with stale fingerprints fall back to recomputation and are counted.
+// or maintain.NewShardedRestored (or through the system builder). Views
+// missing from the checkpoint or with stale fingerprints fall back to
+// recomputation and are counted.
 func (r *Recovery) RestoreOptions() maintain.RestoreOptions {
 	byName := make(map[string]*ViewSnapshot, len(r.ckpt.Views))
 	for i := range r.ckpt.Views {
@@ -316,18 +318,15 @@ func (r *Recovery) RestoreOptions() maintain.RestoreOptions {
 }
 
 // Resume replays the committed log tail (records after the checkpoint
-// LSN) through m.ApplyBatch — recovery IS incremental maintenance: each
-// window's deltas propagate along the normal update tracks instead of
-// views being recomputed — then installs itself as the maintainer's
-// committer and returns the re-armed Manager. Replay bypasses m.Guards:
-// every record was acknowledged, so it is applied even if an assertion
-// added since would reject it.
-func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error) {
+// LSN) through p.ReplayWindow — recovery IS incremental maintenance:
+// each window's deltas propagate along the normal update tracks instead
+// of views being recomputed — then installs itself as the pipeline's
+// committer and returns the re-armed Manager. Replay lifts guards: every
+// record was acknowledged, so it is applied even if an assertion added
+// since would reject it.
+func (r *Recovery) Resume(p Pipeline, opts Options) (*Manager, error) {
 	sp := obs.Trace.Start("recovery.replay", 0)
 	defer sp.Finish()
-	guards := m.Guards
-	m.Guards = nil
-	defer func() { m.Guards = guards }()
 	log, err := OpenLog(r.fsys, r.dir, opts)
 	if err != nil {
 		return nil, err
@@ -335,32 +334,17 @@ func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error
 	if log.LastLSN() < r.ckpt.LSN {
 		return nil, fmt.Errorf("wal: log tip %d behind checkpoint %d", log.LastLSN(), r.ckpt.LSN)
 	}
-	mgr := &Manager{
-		fsys:            r.fsys,
-		dir:             r.dir,
-		opts:            opts,
-		log:             log,
-		col:             NewCollector(r.cat),
-		m:               m,
-		cat:             r.cat,
-		store:           m.Store,
-		RecomputedViews: r.recomputed,
-	}
-	// Replayed windows parent under the recovery span, so a recovery
-	// trace is connected just like a live window trace.
-	m.SetSpanParent(sp.ID())
-	defer m.SetSpanParent(0)
+	mgr := &Manager{fsys: r.fsys, dir: r.dir, opts: opts, log: log, col: NewCollector(r.cat), p: p, cat: r.cat,
+		RecomputedViews: r.recomputed}
 	expect := r.ckpt.LSN
 	err = log.Replay(r.ckpt.LSN, mgr.col.Schema, func(rec Record) error {
 		if rec.LSN != expect+1 {
 			return fmt.Errorf("wal: replay gap: got %d, want %d", rec.LSN, expect+1)
 		}
 		expect = rec.LSN
-		updates := make(map[string]*delta.Delta, len(rec.Window))
-		for _, rd := range rec.Window {
-			updates[rd.Rel] = rd.Delta
-		}
-		if _, err := m.ApplyBatch([]txn.Transaction{{Updates: updates}}); err != nil {
+		// Replayed windows parent under the recovery span, so a recovery
+		// trace is connected just like a live window trace.
+		if err := p.ReplayWindow(rec.Window, sp.ID()); err != nil {
 			return fmt.Errorf("wal: replay record %d: %w", rec.LSN, err)
 		}
 		mgr.ReplayedWindows++
@@ -374,6 +358,6 @@ func (r *Recovery) Resume(m *maintain.Maintainer, opts Options) (*Manager, error
 	replayTxns.Add(int64(mgr.ReplayedTxns))
 	mgr.RecoveredLSN = log.LastLSN()
 	obs.Flight().Record(obs.EvRecovery, 0, mgr.RecoveredLSN, uint64(mgr.ReplayedWindows), 0)
-	m.Committer = mgr
+	*p.CommitterSlot() = mgr
 	return mgr, nil
 }

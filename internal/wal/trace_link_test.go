@@ -1,8 +1,8 @@
 // Window-causal trace connectivity: a sharded durable batch-64 run must
 // produce spans that all link back to their window's root — shard
-// pipelines run on their own goroutines and commit fsyncs run on
-// committer goroutines, so any break in parent threading shows up here
-// as an orphan.
+// pipelines run on their own goroutines and the window's commit fsync
+// runs on the committer's, so any break in parent threading shows up
+// here as an orphan.
 package wal_test
 
 import (
@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/maintain"
 	"repro/internal/obs"
 	"repro/internal/wal"
 )
@@ -25,7 +26,6 @@ var windowFamily = map[string]bool{
 	"maintain.apply.worker":   true,
 	"maintain.merge_spanning": true,
 	"wal.commit":              true,
-	"wal.coord.commit":        true,
 }
 
 func TestWindowTraceConnected(t *testing.T) {
@@ -44,12 +44,12 @@ func runWindowTraceConnected(t *testing.T, shards int) {
 	marker.Finish()
 
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
-	s := buildShardedFig5(t, cfg, shards, 2)
+	s := buildShardedFig5(t, fig5Factory(cfg), fig5ShardedVS(t, cfg), shards, 2, maintain.RestoreOptions{})
 	db := corpus.Figure5Database(cfg)
 	const nWindows, batch = 6, 64
 	windows := genWindows(db, cfg, nWindows, batch)
 	dir := t.TempDir()
-	sm, err := wal.AttachSharded(s, wal.OSFS{}, dir, wal.Options{SegmentBytes: crashSegBytes})
+	mgr, err := wal.Attach(s, db.Catalog, wal.OSFS{}, dir, wal.Options{SegmentBytes: crashSegBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func runWindowTraceConnected(t *testing.T, shards int) {
 			t.Fatal(err)
 		}
 	}
-	if err := sm.Close(); err != nil {
+	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,11 +103,9 @@ func runWindowTraceConnected(t *testing.T, shards int) {
 		}
 	}
 
-	// The cross-goroutine paths must actually have been exercised.
-	if counts["maintain.batch"] == 0 || counts["wal.commit"] == 0 {
+	// The cross-goroutine paths must actually have been exercised: one
+	// commit per window, whatever the shard count.
+	if counts["maintain.batch"] == 0 || counts["wal.commit"] != nWindows {
 		t.Fatalf("missing expected span families: %v", counts)
-	}
-	if shards > 1 && counts["wal.coord.commit"] == 0 {
-		t.Fatalf("sharded run recorded no coordinator commit spans: %v", counts)
 	}
 }
