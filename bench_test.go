@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	mvmaint "repro"
 	"repro/internal/core"
@@ -357,4 +358,39 @@ WHERE Dept.DName = Emp.DName GROUP BY Dept.DName, Budget;
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuild times Build at the fig5-batch64 shape (1 000 items, 4 R
+// rows and 5 sales each, 64 extra sales on each of 16 hot items; the
+// 80/10/10 price-change, sale, deletion mix) phase by phase: DAG
+// expansion, the exact view-set search and materialization, in ms per
+// build, with the view sets the search reports as costed. One op is one
+// Build; loading the database is outside the timer.
+//
+//	go test -run '^$' -bench Build -benchtime 20x .
+func BenchmarkBuild(b *testing.B) {
+	sql := fig5SQL(b, 1000, 16)
+	var expand, search, store time.Duration
+	var res *core.Result
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db := mvmaint.Open()
+		if err := db.Exec(sql); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		e, s, m, r, err := mvmaint.BuildPhases(db, []string{"Revenue"},
+			mvmaint.Config{Workload: skewTypes(), Method: mvmaint.Exhaustive})
+		if err != nil {
+			b.Fatal(err)
+		}
+		expand, search, store, res = expand+e, search+s, store+m, r
+	}
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(ms(expand), "expand-ms")
+	b.ReportMetric(ms(search), "search-ms")
+	b.ReportMetric(ms(store), "materialize-ms")
+	b.ReportMetric(float64(res.Explored), "sets-costed")
+	emitOnce(b, "build", fmt.Sprintf("Build at the fig5-batch64 shape chose %s of %d view sets (%d costed)",
+		res.Best.Set.Key(), res.Explored+res.Pruned, res.Explored))
 }

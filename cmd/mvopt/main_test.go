@@ -13,9 +13,10 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 
 // TestSkewDecisionGolden pins the whole decision on the skewed Figure 5
 // corpus (the command in testdata/fig5_skew.sql's header, which CI also
-// runs): the chosen set must hold the SUM(Quantity*Price) BY Item
-// aggregate, and the estimates, fan-outs and ranking are compared with
-// the committed report. Run with -update after an intended change.
+// runs): the chosen set must hold the factorized partial
+// γ[S.Item; SUM(Quantity), COUNT(*)](R ⋈ S), which turns a price change
+// into one probe, and the estimates, fan-outs and ranking are compared
+// with the committed report. Run with -update after an intended change.
 func TestSkewDecisionGolden(t *testing.T) {
 	sys, err := optimize("../../testdata/fig5_skew.sql", "Revenue", "exhaustive",
 		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"}, 0, 0)
@@ -23,8 +24,8 @@ func TestSkewDecisionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.Explain()
-	if !strings.Contains(got, "additional: N5 = Aggregate[SUM((Quantity * Price)) AS sum BY T.Item]") {
-		t.Errorf("the chosen view set lacks the SUM(Quantity*Price) BY Item aggregate:\n%s", got)
+	if !strings.Contains(got, "additional: N10 = Aggregate[SUM(Quantity) AS sum(Quantity)@S:Item, COUNT(*) AS count(*)@S:Item BY S.Item]") {
+		t.Errorf("the chosen view set lacks the factorized SUM(Quantity), COUNT(*) BY S.Item partial:\n%s", got)
 	}
 	const golden = "testdata/fig5_skew.golden"
 	if *update {

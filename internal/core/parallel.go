@@ -98,7 +98,16 @@ func (o *Optimizer) Parallel() (*Result, error) {
 			vs[e.ID] = true
 		}
 		s.candLB[i] = o.Cost.WeightedUpdateLB(vs, o.Types)
+		// Price the roots plus the candidate in full (without
+		// CountRootUpdate, the bundle just built): the best such set is
+		// an incumbent before the DFS starts. Any real set costs at least
+		// the optimum, so the sets reported below do not change; only
+		// fewer are evaluated.
+		one := tracks.RootSet(o.D)
+		one[e.ID] = true
+		s.observe(o.evaluate(one).Weighted)
 	}
+	obsSearchEvaluated.Add(int64(len(cands)))
 
 	// Chunk the lattice by the high prefixBits candidate bits: enough
 	// chunks to keep every worker fed, few enough that per-chunk prefix

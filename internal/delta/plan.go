@@ -395,7 +395,9 @@ func (p *JoinPlan) run(dl, dr *Delta, probeL, probeR Probe) error {
 // deltaDelta emits the signed join ΔL⋈ΔR with precompiled positions.
 // The build side is hashed into plan-owned scratch (an open-addressed
 // key table plus reusable bucket lists), so steady-state windows index
-// ΔR without per-call map allocation.
+// ΔR without per-call map allocation. Keys match by value.Equal, as the
+// probes of the other two terms match them: Int 1 joins Float 1.0 and
+// +0.0 joins −0.0 here too.
 func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 	p.sbufR = dr.appendSigned(p.sbufR[:0])
 	p.build.Reset()
@@ -404,7 +406,7 @@ func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 	}
 	p.nb = 0
 	for i := range p.sbufR {
-		kb := p.enc.ProjectedKey(p.sbufR[i].tuple, p.right.pos)
+		kb := p.enc.EqualKey(p.sbufR[i].tuple, p.right.pos)
 		bid, _, existed := p.build.GetOrPut(kb, int32(p.nb))
 		if !existed {
 			if p.nb == len(p.buckets) {
@@ -417,13 +419,16 @@ func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 	p.sbufL = dl.appendSigned(p.sbufL[:0])
 	for li := range p.sbufL {
 		lsr := &p.sbufL[li]
-		kb := p.enc.ProjectedKey(lsr.tuple, p.left.pos)
+		kb := p.enc.EqualKey(lsr.tuple, p.left.pos)
 		bid, ok := p.build.Get(kb)
 		if !ok {
 			continue
 		}
 		for _, ri := range p.buckets[bid] {
 			rsr := &p.sbufR[ri]
+			if !p.keysEqual(lsr.tuple, rsr.tuple) {
+				continue
+			}
 			t := p.keep(p.out.concat(0, lsr.tuple, rsr.tuple))
 			if n := lsr.count * rsr.count; n > 0 {
 				p.out.change(nil, t, n)
@@ -432,6 +437,17 @@ func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 			}
 		}
 	}
+}
+
+// keysEqual reports whether a left and a right tuple join: their key
+// columns are pairwise value.Equal.
+func (p *JoinPlan) keysEqual(l, r value.Tuple) bool {
+	for i, lp := range p.left.pos {
+		if !value.Equal(l[lp], r[p.right.pos[i]]) {
+			return false
+		}
+	}
+	return true
 }
 
 // AggregatePlan is the compiled static part of aggregate maintenance:

@@ -2,6 +2,7 @@ package maintain
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/algebra"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tracks"
 	"repro/internal/txn"
+	"repro/internal/value"
 )
 
 // ViewState is a materialized view's checkpointed contents plus the
@@ -58,29 +60,8 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 		steps:  map[*dag.OpNode]*planStep{},
 		planVS: viewSetKey(vs),
 	}
-	// Representative trees are built once per equivalence node, so the
-	// trees of different views share subtrees by pointer and one memo over
-	// them evaluates each subexpression once: a view set holding an
-	// aggregate and the selection above it joins once, not three times
-	// (view, sidecar, root). Base relations do not change in this loop.
-	free := exec.NewFree(st).WithMemo(exec.Memo{})
-	reps := map[int]algebra.Node{}
-	var rep func(e *dag.EqNode) algebra.Node
-	rep = func(e *dag.EqNode) algebra.Node {
-		if e.IsLeaf() {
-			return e.Expr
-		}
-		if t, ok := reps[e.ID]; ok {
-			return t
-		}
-		op := e.Ops[0]
-		children := make([]algebra.Node, len(op.Children))
-		for i, c := range op.Children {
-			children[i] = rep(c)
-		}
-		reps[e.ID] = op.Template.WithChildren(children)
-		return reps[e.ID]
-	}
+	vt := &viewTrees{cost: m.Cost, stored: tracks.ViewSet{}, scans: map[int]algebra.Node{}, built: map[viewTreeKey]builtTree{}}
+	var pending []*View
 	for _, e := range d.NonLeafEqs() {
 		if !vs[e.ID] {
 			continue
@@ -108,7 +89,7 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 				}
 			}
 		}
-		restored := false
+		m.views[e.ID] = v
 		if opts.Source != nil {
 			if state, ok := opts.Source(def.Name); ok && state.Fingerprint == d.Fingerprint(e) {
 				rel.Load(state.Rows)
@@ -119,26 +100,104 @@ func NewRestored(d *dag.DAG, st *storage.Store, model cost.Model, vs tracks.View
 				for _, k := range state.Stale {
 					v.stale[k] = true
 				}
-				restored = true
+				vt.store(v)
+				continue
 			}
-		}
-		if !restored {
-			if opts.Source != nil && opts.OnRecompute != nil {
+			if opts.OnRecompute != nil {
 				opts.OnRecompute(def.Name)
 			}
-			res, err := free.Eval(rep(e))
-			if err != nil {
-				return nil, fmt.Errorf("maintain: materializing %s: %w", e, err)
-			}
-			rel.Load(res.Rows)
-			rel.RefreshStats()
-			if err := m.initSidecar(v, free, rep); err != nil {
-				return nil, err
+		}
+		pending = append(pending, v)
+	}
+	// Compute the rest cheapest first, each through its cheapest plan
+	// given the views already stored: Figure 5's revenue reads its 1 000
+	// factorized partials joined with T, not the three-way join again.
+	// One memo serves every evaluation, and the trees share subtrees by
+	// pointer while their plans do not change, so a subexpression that a
+	// view, its sidecar and the view after it all read is evaluated once.
+	free := exec.NewFree(st).WithMemo(exec.Memo{})
+	for len(pending) > 0 {
+		next, least := 0, 0.0
+		for i, v := range pending {
+			if c := m.Cost.EvalCost(v.Eq, vt.stored); i == 0 || c < least {
+				next, least = i, c
 			}
 		}
-		m.views[e.ID] = v
+		v := pending[next]
+		pending = slices.Delete(pending, next, next+1)
+		res, err := free.Eval(vt.rep(v.Eq))
+		if err != nil {
+			return nil, fmt.Errorf("maintain: materializing %s: %w", v.Eq, err)
+		}
+		v.Rel.Load(res.Rows)
+		v.Rel.RefreshStats()
+		if err := m.initSidecar(v, free, vt.rep); err != nil {
+			return nil, err
+		}
+		vt.store(v)
 	}
 	return m, nil
+}
+
+// viewTrees builds the trees views are materialized from. A node is
+// computed through its cheapest operation given the views stored so far
+// (tracks.Costing.CheapestOp), and a stored view is read back from its
+// relation. A node whose schema carries a Float is built as the recompute
+// oracle builds it — first operations, from the base relations — so its
+// float sums add in the oracle's order and Drift compares equal bits.
+type viewTrees struct {
+	cost   *tracks.Costing
+	stored tracks.ViewSet
+	scans  map[int]algebra.Node
+	built  map[viewTreeKey]builtTree
+}
+
+type viewTreeKey struct {
+	id    int
+	exact bool
+}
+
+// builtTree is a node's last tree with the plan it was built from.
+type builtTree struct {
+	op   *dag.OpNode
+	kids []algebra.Node
+	tree algebra.Node
+}
+
+// store marks v stored: later trees read it back.
+func (t *viewTrees) store(v *View) {
+	t.stored[v.Eq.ID] = true
+	t.scans[v.Eq.ID] = algebra.Scan(v.Rel.Def)
+}
+
+// rep returns e's tree.
+func (t *viewTrees) rep(e *dag.EqNode) algebra.Node { return t.tree(e, map[int]bool{}, false) }
+
+func (t *viewTrees) tree(e *dag.EqNode, path map[int]bool, exact bool) algebra.Node {
+	if e.IsLeaf() {
+		return e.Expr
+	}
+	exact = exact || slices.ContainsFunc(e.Schema().Cols, func(c catalog.Column) bool { return c.Type == value.Float })
+	op := e.Ops[0]
+	if !exact {
+		if scan, ok := t.scans[e.ID]; ok {
+			return scan
+		}
+		op = t.cost.CheapestOp(e, t.stored, path)
+	}
+	path[e.ID] = true
+	kids := make([]algebra.Node, len(op.Children))
+	for i, c := range op.Children {
+		kids[i] = t.tree(c, path, exact)
+	}
+	delete(path, e.ID)
+	key := viewTreeKey{e.ID, exact}
+	if b, ok := t.built[key]; ok && b.op == op && slices.Equal(b.kids, kids) {
+		return b.tree
+	}
+	tree := op.Template.WithChildren(kids)
+	t.built[key] = builtTree{op: op, kids: kids, tree: tree}
+	return tree
 }
 
 // renamed resolves a view's checkpointed state under rename(name): how a

@@ -20,14 +20,17 @@ func newThroughput(tb testing.TB) *paper.Throughput {
 }
 
 // TestBatchingAmortizesPageIO is the batching claim as a count, exact on
-// every host: one 256-transaction hot-item stream charges 91.50, 56.93
-// and 15.34 page I/Os per transaction in windows of 1, 16 and 64.
+// every host: one 256-transaction hot-item stream charges 104.70, 64.53
+// and 17.46 page I/Os per transaction in windows of 1, 16 and 64. The
+// fixture materializes every node, so since the factorized push it also
+// maintains the five partial and join nodes that push adds (before it:
+// 23 425, 14 574 and 3 927, that is 91.50, 56.93 and 15.34).
 func TestBatchingAmortizesPageIO(t *testing.T) {
 	const n = 256
 	for _, c := range []struct {
 		batch  int
 		pageIO int64
-	}{{1, 23425}, {16, 14574}, {64, 3927}} {
+	}{{1, 26804}, {16, 16519}, {64, 4471}} {
 		th := newThroughput(t)
 		io, err := th.Run(n, c.batch)
 		if err != nil {
@@ -47,8 +50,11 @@ func TestBatchingAmortizesPageIO(t *testing.T) {
 
 // TestWindowAllocsSteadyState holds the per-window heap cost once
 // directories, arenas and plan caches have warmed up. A batch-64 window
-// allocates 98 objects (the new sales' id strings and what the stored
-// relations retain for them); recycling that stops recycling adds more.
+// allocates 175 objects: the new sales' id strings, what the stored
+// relations retain for them, and one memo key per distinct probe and
+// one sidecar entry per changed group, on the every-node fixture's 10
+// views (98 on its 5 before the factorized push added five). Recycling
+// that stops recycling adds hundreds.
 func TestWindowAllocsSteadyState(t *testing.T) {
 	th := newThroughput(t)
 	window := func() {
@@ -59,8 +65,8 @@ func TestWindowAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		window()
 	}
-	if got := testing.AllocsPerRun(20, window); got > 125 {
-		t.Errorf("steady-state batch-64 window allocates %.0f objects, want <= 125", got)
+	if got := testing.AllocsPerRun(20, window); got > 200 {
+		t.Errorf("steady-state batch-64 window allocates %.0f objects, want <= 200", got)
 	}
 }
 
@@ -124,4 +130,36 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.Fatalf("tracer + flight recorder cost %.1f%% of batch-%d throughput on %d readings in a row, budget %.0f%%",
 			pct, batch, readings, budgetPct)
 	}
+}
+
+// TestPageIOFlatInStreamLength is the factorized push's claim as a count:
+// over the view set the optimizer chooses for the stream (the partial
+// γ[S.Item; SUM(Quantity), COUNT(*)](R ⋈ S) beside the root), the page
+// I/O of maintenance per transaction is the same over 256 transactions
+// and over 8 192, though every new sale raises a hot item's fan-out: a
+// price change probes the partial once and a sale probes R and T once,
+// whatever the item holds. The base relations' own apply is left out:
+// appending sales to S writes a new page now and then wherever the rows
+// fall (6 page writes more over the long stream). The every-node fixture
+// above keeps R ⋈ S and the three-way join, whose maintenance grows with
+// the fan-out.
+func TestPageIOFlatInStreamLength(t *testing.T) {
+	var perTxn [2]float64
+	for i, n := range []int{256, 8192} {
+		th, err := paper.NewThroughputChosen(corpus.DefaultFigure5Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := th.Run(n, 64); err != nil {
+			t.Fatal(err)
+		}
+		if drift, err := th.Drift(); err != nil || drift != "" {
+			t.Fatalf("n=%d drifted: %s %v", n, drift, err)
+		}
+		perTxn[i] = float64(th.MaintenanceIO()) / float64(n)
+	}
+	if perTxn[0] != perTxn[1] {
+		t.Errorf("maintenance page I/O per transaction %.4f at n=256, %.4f at n=8192; want equal", perTxn[0], perTxn[1])
+	}
+	t.Logf("%.4f io/txn at n=256 and n=8192", perTxn[0])
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cost"
 	"repro/internal/dag"
@@ -50,6 +51,11 @@ type Throughput struct {
 	wbuf  []txn.Transaction
 	slots []txnSlot
 	idbuf []byte // sale-id scratch
+
+	// maint sums the page I/O of maintenance proper over every run:
+	// queries, views and the root, without the base relations' own
+	// apply (the split of maintain.BatchReport).
+	maint int64
 }
 
 // txnSlot is one reusable transaction generator position.
@@ -65,6 +71,17 @@ type txnSlot struct {
 // that set, but it puts every operator's delta path and every view's
 // apply under the counts the tests take.
 func NewThroughput(cfg corpus.Figure5Config) (*Throughput, error) {
+	return newThroughput(cfg, false)
+}
+
+// NewThroughputChosen is NewThroughput over the view set the optimizer
+// chooses for the stream's own mix (80 % price changes, 20 % new
+// sales), by the exact branch-and-bound search.
+func NewThroughputChosen(cfg corpus.Figure5Config) (*Throughput, error) {
+	return newThroughput(cfg, true)
+}
+
+func newThroughput(cfg corpus.Figure5Config, chosen bool) (*Throughput, error) {
 	db := corpus.Figure5Database(cfg)
 	d, err := dag.FromTree(db.Figure5View(0))
 	if err != nil {
@@ -73,9 +90,23 @@ func NewThroughput(cfg corpus.Figure5Config) (*Throughput, error) {
 	if _, err := d.Expand(rules.Default(), 400); err != nil {
 		return nil, err
 	}
+	modT := &txn.Type{Name: ">T", Weight: 0.8, Updates: []txn.RelUpdate{
+		{Rel: "T", Kind: txn.Modify, Size: 1, Cols: []string{"Price"}}}}
+	insS := &txn.Type{Name: "+S", Weight: 0.2, Updates: []txn.RelUpdate{
+		{Rel: "S", Kind: txn.Insert, Size: 1}}}
 	vs := tracks.RootSet(d)
-	for _, e := range d.NonLeafEqs() {
-		vs[e.ID] = true
+	if chosen {
+		opt := core.New(d, cost.PageIO{}, []*txn.Type{modT, insS})
+		opt.Parallelism = 1
+		res, err := opt.Parallel()
+		if err != nil {
+			return nil, err
+		}
+		vs = res.Best.Set
+	} else {
+		for _, e := range d.NonLeafEqs() {
+			vs[e.ID] = true
+		}
 	}
 	m, err := maintain.New(d, db.Store, cost.PageIO{}, vs)
 	if err != nil {
@@ -87,14 +118,12 @@ func NewThroughput(cfg corpus.Figure5Config) (*Throughput, error) {
 		hotN = cfg.Items
 	}
 	th := &Throughput{
-		db:    db,
-		m:     m,
-		d:     d,
-		price: map[string]int64{},
-		typeModT: &txn.Type{Name: ">T", Weight: 1, Updates: []txn.RelUpdate{
-			{Rel: "T", Kind: txn.Modify, Size: 1, Cols: []string{"Price"}}}},
-		typeInsS: &txn.Type{Name: "+S", Weight: 1, Updates: []txn.RelUpdate{
-			{Rel: "S", Kind: txn.Insert, Size: 1}}},
+		db:       db,
+		m:        m,
+		d:        d,
+		price:    map[string]int64{},
+		typeModT: modT,
+		typeInsS: insS,
 	}
 	for i := 0; i < hotN; i++ {
 		item := fmt.Sprintf("item%03d", i)
@@ -200,9 +229,11 @@ func (th *Throughput) Run(n, batch int) (storage.IOCounter, error) {
 	if batch <= 1 {
 		for i := 0; i < n; i++ {
 			t := th.nextTxn()
-			if _, err := th.m.Apply(t.Type, t.Updates); err != nil {
+			rep, err := th.m.Apply(t.Type, t.Updates)
+			if err != nil {
 				return storage.IOCounter{}, err
 			}
+			th.addMaint(rep)
 		}
 		return th.db.Store.IO.Snapshot().Sub(io0), nil
 	}
@@ -219,18 +250,32 @@ func (th *Throughput) Run(n, batch int) (storage.IOCounter, error) {
 		for i := range window {
 			th.fillTxn(&window[i], i)
 		}
-		if _, err := th.m.ApplyBatch(window); err != nil {
+		rep, err := th.m.ApplyBatch(window)
+		if err != nil {
 			return storage.IOCounter{}, err
 		}
+		th.addMaint(rep)
 		done += size
 	}
 	return th.db.Store.IO.Snapshot().Sub(io0), nil
 }
 
+func (th *Throughput) addMaint(rep *maintain.BatchReport) {
+	th.maint += rep.QueryIO.Total() + rep.ViewIO.Total() + rep.RootIO.Total()
+}
+
+// MaintenanceIO is the page I/O of maintenance proper (queries, views,
+// root) over every Run so far: Run's total without the base relations'
+// apply, whose page writes follow where new rows fall on pages.
+func (th *Throughput) MaintenanceIO() int64 { return th.maint }
+
 // Drift verifies every materialized view against full recomputation,
 // returning a description of the first mismatch ("" when consistent).
 func (th *Throughput) Drift() (string, error) {
 	for _, e := range th.d.NonLeafEqs() {
+		if !th.m.VS[e.ID] {
+			continue
+		}
 		drift, err := th.m.Drift(e)
 		if err != nil {
 			return "", err

@@ -11,7 +11,9 @@
 //   - AggJoinPush: γ(A⋈B) ⇒ π(γ'(A)⋈B) when B's join columns are a key
 //     of B and the grouping determines the join key (eager aggregation in
 //     the style of Yan–Larson) — the rule that produces Figure 1's left
-//     tree and Figure 3's V1.
+//     tree and Figure 3's V1 — and, where that cannot apply, pushes
+//     SUM/COUNT(*) partials over Int factors with each unkeyed side's
+//     COUNT(*) carried along (factorized IVM), Figure 5's N10.
 //
 // Rules that change output column order or naming re-align with a pure
 // projection, keeping memo equivalence strict.

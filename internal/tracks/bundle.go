@@ -26,6 +26,9 @@ type trackBundle struct {
 	// flows[i] holds track i's delta flow at every affected node,
 	// updated leaves included.
 	flows []map[int]Flow
+	// posed[i] holds the queries track i poses, each with the node whose
+	// materialization makes it unnecessary.
+	posed [][]posedQuery
 	// charges[i][j] is the update charge at tracks[i].Order[j] when that
 	// node is materialized.
 	charges [][]float64
@@ -62,7 +65,7 @@ func (c *Costing) bundleFor(vs ViewSet, t *txn.Type) *trackBundle {
 	ctx := newCostCtx(vs)
 	seeds := c.seedsOf(t)
 	for _, tr := range trs {
-		flows := c.trackDeltaFlows(ctx, tr, seeds)
+		flows, posed := c.trackDeltaFlows(ctx, tr, seeds)
 		ch := make([]float64, len(tr.Order))
 		for j, e := range tr.Order {
 			f := flows[e.ID]
@@ -73,6 +76,7 @@ func (c *Costing) bundleFor(vs ViewSet, t *txn.Type) *trackBundle {
 			ch[j] = c.Model.Update(f.Mods, f.Ins, f.Dels, 1, dirty)
 		}
 		b.flows = append(b.flows, flows)
+		b.posed = append(b.posed, posed)
 		b.charges = append(b.charges, ch)
 	}
 	// A racing builder computes an identical bundle (all inputs are
@@ -114,25 +118,24 @@ func (c *Costing) seedsOf(t *txn.Type) map[int]Flow {
 }
 
 // trackDeltaFlows propagates the transaction's delta along one track,
-// starting from the seeded leaf flows and returning the flow at every
-// affected node. The result is independent of ctx.vs (the view set gates
-// only query generation); queries produced along the way are discarded
-// here and rebuilt per view set.
-func (c *Costing) trackDeltaFlows(ctx *costCtx, tr *Track, seeds map[int]Flow) map[int]Flow {
+// starting from the seeded leaf flows, and returns the flow at every
+// affected node with the queries posed on the way. Neither depends on
+// ctx.vs (opFlow): each view set only filters and prices the queries.
+func (c *Costing) trackDeltaFlows(ctx *costCtx, tr *Track, seeds map[int]Flow) (map[int]Flow, []posedQuery) {
 	flows := make(map[int]Flow, len(seeds)+len(tr.Order))
 	for id, f := range seeds {
 		flows[id] = f
 	}
-	ctx.noQueries = true
-	defer func() { ctx.noQueries = false }()
 	ctx.trackChoice = tr.Choice
 	ctx.trackFlows = flows
 	defer func() { ctx.trackChoice, ctx.trackFlows = nil, nil }()
+	var posed []posedQuery
 	for _, e := range tr.Order {
-		f, _ := c.opFlow(ctx, e, tr.Choice[e.ID], flows)
+		f, qs := c.opFlow(ctx, e, tr.Choice[e.ID], flows)
 		flows[e.ID] = f
+		posed = append(posed, qs...)
 	}
-	return flows
+	return flows, posed
 }
 
 // updateCost sums track i's charges over the marked nodes of vs. It

@@ -2,6 +2,7 @@ package tracks
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -34,6 +35,9 @@ type Costing struct {
 	CountRootUpdate bool
 
 	cache *costCache
+	// origins renders each operation node once (OpNode.String), by ID:
+	// every query a track poses names the operation that posed it.
+	origins map[int]string
 	// bundles caches the view-set-independent half of pricing (tracks,
 	// flows, update charges) per (affected-root set, transaction type);
 	// see bundle.go. Entries are immutable once stored.
@@ -54,17 +58,19 @@ type costCtx struct {
 	vs          ViewSet
 	trackChoice map[int]*dag.OpNode
 	trackFlows  map[int]Flow
-	qmemo       map[string]float64
+	qmemo       map[queryKey]float64
 	ememo       map[int]float64
-	// noQueries suppresses QueryCharge construction in opFlow. The
-	// bundle builder sets it while propagating flows: it discards the
-	// queries, and their provenance strings are the single most
-	// expensive part of flow propagation.
-	noQueries bool
+}
+
+// queryKey identifies a priced point query in costCtx.qmemo.
+type queryKey struct {
+	id   int
+	bind string
+	keys float64
 }
 
 func newCostCtx(vs ViewSet) *costCtx {
-	return &costCtx{vs: vs, qmemo: map[string]float64{}, ememo: map[int]float64{}}
+	return &costCtx{vs: vs, qmemo: map[queryKey]float64{}, ememo: map[int]float64{}}
 }
 
 // NewCosting returns a coster over the DAG with the given model. It
@@ -72,7 +78,7 @@ func newCostCtx(vs ViewSet) *costCtx {
 // (node schemas, base-relation sets, estimator statistics) so that a
 // built Costing performs no shared writes outside its cache.
 func NewCosting(d *dag.DAG, m cost.Model) *Costing {
-	c := &Costing{D: d, Est: NewEstimator(d), Model: m, cache: newCostCache()}
+	c := &Costing{D: d, Est: NewEstimator(d), Model: m, cache: newCostCache(), origins: map[int]string{}}
 	for _, e := range d.Eqs() {
 		e.Schema()
 		d.BaseRelsOf(e)
@@ -80,6 +86,7 @@ func NewCosting(d *dag.DAG, m cost.Model) *Costing {
 	}
 	for _, op := range d.Ops() {
 		op.Template.Schema()
+		c.origins[op.ID] = op.String()
 	}
 	return c
 }
@@ -125,14 +132,14 @@ func (c *Costing) costTrack(ctx *costCtx, tr *Track, t *txn.Type) TrackCost {
 	ctx.trackFlows = flows
 	defer func() { ctx.trackChoice, ctx.trackFlows = nil, nil }()
 
-	var queries []QueryCharge
+	var posed []posedQuery
 	for _, e := range tr.Order {
 		op := tr.Choice[e.ID]
 		f, qs := c.opFlow(ctx, e, op, flows)
 		flows[e.ID] = f
-		queries = append(queries, qs...)
+		posed = append(posed, qs...)
 	}
-	queries, qcost := c.priceQueries(ctx, queries)
+	queries, qcost := c.priceQueries(ctx, posedBy(ctx.vs, posed))
 	ucost := c.trackUpdateCost(ctx, tr, flows)
 	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: ucost, Flows: flows}
 }
@@ -208,22 +215,14 @@ func (c *Costing) costViewSet(ctx *costCtx, t *txn.Type, keepAll bool) (best Tra
 }
 
 // costTrackQueries prices one bundled track for the current view set:
-// only the view-set-dependent parts (query generation and pricing) run
-// here; the delta flows and update charges come precomputed from the
-// bundle, and the update cost sums the same charges in the same order as
-// trackUpdateCost, so bound and full pricing agree bit for bit.
+// only the view-set-dependent part (which posed queries remain, and
+// their prices) runs here; the delta flows, posed queries and update
+// charges come precomputed from the bundle, and the update cost sums the
+// same charges in the same order as trackUpdateCost, so bound and full
+// pricing agree bit for bit.
 func (c *Costing) costTrackQueries(ctx *costCtx, b *trackBundle, i int, tr *Track) TrackCost {
-	flows := b.flows[i]
-	ctx.trackChoice = tr.Choice
-	ctx.trackFlows = flows
-	defer func() { ctx.trackChoice, ctx.trackFlows = nil, nil }()
-	var queries []QueryCharge
-	for _, e := range tr.Order {
-		_, qs := c.opFlow(ctx, e, tr.Choice[e.ID], flows)
-		queries = append(queries, qs...)
-	}
-	queries, qcost := c.priceQueries(ctx, queries)
-	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: b.updateCost(c, i, ctx.vs), Flows: flows}
+	queries, qcost := c.priceQueries(ctx, posedBy(ctx.vs, b.posed[i]))
+	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: b.updateCost(c, i, ctx.vs), Flows: b.flows[i]}
 }
 
 // WeightedCost prices a view set across all transaction types:
@@ -284,7 +283,7 @@ func (c *Costing) queryCostMemo(ctx *costCtx, e *dag.EqNode, bind []string, keys
 	if keys <= 0 {
 		return 0
 	}
-	mk := fmt.Sprintf("%d|%s|%g", e.ID, strings.Join(bind, ","), keys)
+	mk := queryKey{e.ID, strings.Join(bind, ","), keys}
 	if v, ok := ctx.qmemo[mk]; ok {
 		return v
 	}
@@ -435,6 +434,27 @@ func containsStr(xs []string, x string) bool {
 // heuristic's query-optimality check).
 func (c *Costing) EvalCost(e *dag.EqNode, vs ViewSet) float64 {
 	return c.evalCostMemo(newCostCtx(vs), e)
+}
+
+// CheapestOp returns the operation of e whose children EvalCost prices
+// lowest when the nodes of vs are stored (the first on a tie), reading
+// none of the nodes in path — the ones being evaluated above e. It is the
+// plan a full evaluation of e follows.
+func (c *Costing) CheapestOp(e *dag.EqNode, vs ViewSet, path map[int]bool) *dag.OpNode {
+	ctx := newCostCtx(vs)
+	visiting := map[int]bool{e.ID: true}
+	maps.Copy(visiting, path)
+	best, bestCost := e.Ops[0], math.Inf(1)
+	for _, op := range e.Ops {
+		var sum float64
+		for _, ch := range op.Children {
+			sum += c.evalCost(ctx, ch, visiting)
+		}
+		if sum < bestCost {
+			best, bestCost = op, sum
+		}
+	}
+	return best
 }
 
 func (c *Costing) evalCostMemo(ctx *costCtx, e *dag.EqNode) float64 {

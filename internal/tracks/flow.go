@@ -79,16 +79,36 @@ type QueryCharge struct {
 	Fanout float64
 }
 
+// posedQuery is a query a track poses unless the view set holds the node
+// whose ID is unless (-1: whatever the view set).
+type posedQuery struct {
+	QueryCharge
+	unless int
+}
+
+// posedBy returns the queries of posed that the view set leaves to ask.
+func posedBy(vs ViewSet, posed []posedQuery) []QueryCharge {
+	out := make([]QueryCharge, 0, len(posed))
+	for _, p := range posed {
+		if p.unless < 0 || !vs[p.unless] {
+			out = append(out, p.QueryCharge)
+		}
+	}
+	return out
+}
+
 // opFlow derives the output flow of an operation node from its children's
 // flows, and the queries the delta computation must pose. childFlows maps
 // equivalence-node IDs to flows (absent = unaffected input).
 //
-// The returned Flow never depends on ctx.vs — the view set gates only
-// which queries are posed. The branch-and-bound lower bound
-// (Costing.WeightedUpdateLB) relies on this invariant: update charges at
-// a node are a function of the track alone, so they carry unchanged to
-// every superset's tracks.
-func (c *Costing) opFlow(ctx *costCtx, e *dag.EqNode, op *dag.OpNode, childFlows map[int]Flow) (Flow, []QueryCharge) {
+// Neither result reads a view set: a query the view set can make
+// unnecessary names the node that does (posedQuery.unless). So a track's
+// flows and queries are computed once (trackBundle) and only priced per
+// view set, and the branch-and-bound lower bound
+// (Costing.WeightedUpdateLB) can rely on update charges at a node being
+// a function of the track alone, carried unchanged to every superset's
+// tracks.
+func (c *Costing) opFlow(ctx *costCtx, e *dag.EqNode, op *dag.OpNode, childFlows map[int]Flow) (Flow, []posedQuery) {
 	switch t := op.Template.(type) {
 	case *algebra.Select:
 		f := childFlows[op.Children[0].ID]
@@ -121,28 +141,22 @@ func (c *Costing) opFlow(ctx *costCtx, e *dag.EqNode, op *dag.OpNode, childFlows
 		return out, nil
 
 	case *algebra.Join:
-		return c.joinFlow(ctx, t, op, childFlows)
+		return c.joinFlow(t, op, childFlows)
 
 	case *algebra.Aggregate:
 		return c.aggFlow(ctx, t, e, op, childFlows)
 
 	case *algebra.Distinct:
 		f := childFlows[op.Children[0].ID]
-		if ctx.vs.Has(e) {
-			// Multiplicity sidecar rides with the materialized view.
-			return f, nil
-		}
-		if ctx.noQueries {
-			return f, nil
-		}
 		child := op.Children[0]
 		q := QueryCharge{
 			Target: child,
 			Bind:   child.Schema().ColumnNames(),
 			Keys:   f.Total(),
-			Origin: originOf(op, ""),
+			Origin: c.originOf(op, ""),
 		}
-		return f, []QueryCharge{q}
+		// A materialized view carries its multiplicity sidecar instead.
+		return f, []posedQuery{{q, e.ID}}
 
 	case *algebra.Union:
 		out := Flow{}
@@ -155,26 +169,20 @@ func (c *Costing) opFlow(ctx *costCtx, e *dag.EqNode, op *dag.OpNode, childFlows
 
 	case *algebra.Diff:
 		out := Flow{}
-		var queries []QueryCharge
-		for i, ch := range op.Children {
-			f, ok := childFlows[ch.ID]
-			if !ok {
-				continue
+		var queries []posedQuery
+		for _, ch := range op.Children {
+			if f, ok := childFlows[ch.ID]; ok {
+				out = addFlows(out, f)
 			}
-			out = addFlows(out, f)
-			_ = i
 		}
 		// Count probes on both inputs for every changed tuple.
-		if ctx.noQueries {
-			return out, nil
-		}
 		for _, ch := range op.Children {
-			queries = append(queries, QueryCharge{
+			queries = append(queries, posedQuery{QueryCharge{
 				Target: ch,
 				Bind:   ch.Schema().ColumnNames(),
 				Keys:   out.Total(),
-				Origin: originOf(op, ""),
-			})
+				Origin: c.originOf(op, ""),
+			}, -1})
 		}
 		return out, queries
 
@@ -196,22 +204,20 @@ func addFlows(a, b Flow) Flow {
 // equijoin: a delta on one side multiplies by the other side's fanout and
 // poses a semijoin query on it; deltas on both sides pose queries both
 // ways (the ΔL⋈R ∪ L⋈ΔR ∪ ΔL⋈ΔR decomposition).
-func (c *Costing) joinFlow(ctx *costCtx, j *algebra.Join, op *dag.OpNode, childFlows map[int]Flow) (Flow, []QueryCharge) {
+func (c *Costing) joinFlow(j *algebra.Join, op *dag.OpNode, childFlows map[int]Flow) (Flow, []posedQuery) {
 	l, r := op.Children[0], op.Children[1]
 	fl, lOK := childFlows[l.ID]
 	fr, rOK := childFlows[r.ID]
 	var out Flow
-	var queries []QueryCharge
+	var queries []posedQuery
 	side := func(f Flow, mine, other *dag.EqNode, myCols, otherCols []string, label string) Flow {
 		fanout := fanoutOf(c.Est.StatsOf(other), otherCols)
-		if !ctx.noQueries {
-			queries = append(queries, QueryCharge{
-				Target: other,
-				Bind:   otherCols,
-				Keys:   f.Keys,
-				Origin: originOf(op, label),
-			})
-		}
+		queries = append(queries, posedQuery{QueryCharge{
+			Target: other,
+			Bind:   otherCols,
+			Keys:   f.Keys,
+			Origin: c.originOf(op, label),
+		}, -1})
 		g := Flow{Keys: f.Keys, ModCols: f.ModCols}
 		if f.modsTouch(myCols) {
 			// The modification moves tuples across join keys: pairings
@@ -247,7 +253,7 @@ func (c *Costing) joinFlow(ctx *costCtx, j *algebra.Join, op *dag.OpNode, childF
 // skipped when the parent is materialized with decomposable aggregates
 // (the SumOfSals add/subtract trick) or when the delta covers whole
 // groups (the key-based rule that makes the paper's Q3d free).
-func (c *Costing) aggFlow(ctx *costCtx, a *algebra.Aggregate, e *dag.EqNode, op *dag.OpNode, childFlows map[int]Flow) (Flow, []QueryCharge) {
+func (c *Costing) aggFlow(ctx *costCtx, a *algebra.Aggregate, e *dag.EqNode, op *dag.OpNode, childFlows map[int]Flow) (Flow, []posedQuery) {
 	child := op.Children[0]
 	f := childFlows[child.ID]
 	groups := math.Min(math.Max(f.Keys, 1), f.Total())
@@ -274,27 +280,19 @@ func (c *Costing) aggFlow(ctx *costCtx, a *algebra.Aggregate, e *dag.EqNode, op 
 	for _, ag := range a.Aggs {
 		out.ModCols = append(out.ModCols, bareOf(ag.As))
 	}
-	if ctx.noQueries {
+	if groups == 0 || c.coversGroups(ctx, a, child) {
 		return out, nil
 	}
-
-	needQuery := true
-	if ctx.vs.Has(e) && decomposableFlow(a.Aggs, f) {
-		needQuery = false
-	}
-	if needQuery && c.coversGroups(ctx, a, child) {
-		needQuery = false
-	}
-	if !needQuery || groups == 0 {
-		return out, nil
-	}
-	q := QueryCharge{
+	q := posedQuery{QueryCharge{
 		Target: child,
 		Bind:   a.GroupBy,
 		Keys:   groups,
-		Origin: originOf(op, ""),
+		Origin: c.originOf(op, ""),
+	}, -1}
+	if decomposableFlow(a.Aggs, f) {
+		q.unless = e.ID // materialized, it adds and subtracts instead
 	}
-	return out, []QueryCharge{q}
+	return out, []posedQuery{q}
 }
 
 // decomposableFlow mirrors delta.Decomposable on estimated flows.
@@ -379,9 +377,9 @@ func CoversGroups(d *dag.DAG, a *algebra.Aggregate, child *dag.EqNode, childOp *
 	return true
 }
 
-func originOf(op *dag.OpNode, side string) string {
+func (c *Costing) originOf(op *dag.OpNode, side string) string {
 	if side == "" {
-		return op.String()
+		return c.origins[op.ID]
 	}
-	return op.String() + "." + side
+	return c.origins[op.ID] + "." + side
 }

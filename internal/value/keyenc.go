@@ -93,3 +93,20 @@ func (e *KeyEncoder) ProjectedKey(t Tuple, pos []int) []byte {
 	e.buf = AppendProjectedKey(e.buf[:0], t, pos)
 	return e.buf
 }
+
+// EqualKey returns a hash key for t restricted to pos under Equal, in
+// the reused buffer: an Int or Float is encoded as the float64 it
+// compares as, −0 as +0, so values Equal calls equal always share a key.
+// Unequal values can share one too (Ints beyond 2^53), so a hash join on
+// it checks Equal on every match.
+func (e *KeyEncoder) EqualKey(t Tuple, pos []int) []byte {
+	e.buf = e.buf[:0]
+	for _, j := range pos {
+		v := t[j]
+		if v.Kind == Int || v.Kind == Float {
+			v = NewFloat(v.AsFloat() + 0) // + 0 turns −0 into +0
+		}
+		e.buf = appendValue(e.buf, v)
+	}
+	return e.buf
+}

@@ -32,7 +32,10 @@ func updating() bool {
 // committed image, recovered through BeginRecovery and Resume, must
 // reach the state of the same windows applied in memory by replaying
 // its two-record tail, with no view recomputed. Regenerate with -update
-// only for a deliberate format change.
+// only for a deliberate format change, or when the rules change the
+// DAG whose every node the checkpoint holds (the factorized aggregate
+// push added five views: the checkpoint changed, the log segment did
+// not).
 func TestWALGolden(t *testing.T) {
 	dir := t.TempDir()
 	db, _, m := buildFig5(t, walGoldenCfg, 1, nil)

@@ -105,9 +105,10 @@ func TestEndToEndSQLWorkflow(t *testing.T) {
 		t.Fatalf("budget-cut violation not rejected: %+v", out)
 	}
 
-	// Explain is presentable.
+	// Explain is presentable. Method: Exhaustive searches the lattice by
+	// branch-and-bound on one worker, and says so.
 	ex := sys.Explain()
-	for _, want := range []string{"method: exhaustive", "chosen view set", ">Emp", ">Dept"} {
+	for _, want := range []string{"method: exhaustive branch-and-bound", "chosen view set", ">Emp", ">Dept"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("Explain missing %q:\n%s", want, ex)
 		}

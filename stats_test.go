@@ -14,9 +14,13 @@ import (
 // that moment. Build after a row-at-a-time load sees the loaded rows;
 // Reoptimize after maintained transactions sees what they left behind —
 // here 64 extra sales piled on each of 4 items, which turns the uniform
-// corpus (root alone is cheapest) into the skewed one of
-// testdata/fig5_skew.sql (the aggregate under the HAVING pays for
-// itself) — and swaps the view set accordingly.
+// corpus (of the two sets without the factorized partial, root alone
+// is cheaper) into the skewed one of testdata/fig5_skew.sql (the
+// aggregate under the HAVING pays for itself). Since the factorized push
+// the chosen set is the partial γ[S.Item; SUM(Quantity), COUNT(*)](R⋈S)
+// and the root on both: a price change is one probe on the partial
+// whatever the fan-out, so the skew no longer swaps the choice, and the
+// flip shows in the ranking of the two sets instead.
 func TestStatisticsTakenWhenRead(t *testing.T) {
 	sql, err := os.ReadFile("testdata/fig5_skew.sql")
 	if err != nil {
@@ -49,8 +53,11 @@ func TestStatisticsTakenWhenRead(t *testing.T) {
 		t.Fatalf("Build costed S at Card %v, Distinct[Item] %v, Fanout[Item] %v; loaded 1000 rows, 5 per item",
 			s.Stats.Card, s.Stats.Distinct["Item"], s.Stats.Fanout["Item"])
 	}
-	if got := sys.ViewSet.Key(); got != "{N7}" {
-		t.Fatalf("on uniform data Build chose %s, want the root alone", got)
+	if got := sys.ViewSet.Key(); got != "{N7,N10}" {
+		t.Fatalf("on uniform data Build chose %s, want the factorized partial ({N7,N10})", got)
+	}
+	if root, agg := estimate(t, sys, "{N7}"), estimate(t, sys, "{N5,N7}"); root >= agg {
+		t.Errorf("on uniform data the root alone is estimated at %.4g, the aggregate beside it at %.4g; want the root cheaper", root, agg)
 	}
 
 	for _, row := range extra {
@@ -73,8 +80,11 @@ func TestStatisticsTakenWhenRead(t *testing.T) {
 		t.Errorf("Reoptimize costed S at Card %v, Fanout[Item] %v; the windows left 1256 rows, fan-out %v",
 			s.Stats.Card, s.Stats.Fanout["Item"], want)
 	}
-	if got := sys.ViewSet.Key(); !changed || got != "{N5,N7}" {
-		t.Errorf("Reoptimize changed=%v, view set %s; want the aggregate added ({N5,N7})", changed, got)
+	if got := sys.ViewSet.Key(); changed || got != "{N7,N10}" {
+		t.Errorf("Reoptimize changed=%v, view set %s; want the factorized partial kept ({N7,N10})", changed, got)
+	}
+	if root, agg := estimate(t, sys, "{N7}"), estimate(t, sys, "{N5,N7}"); agg >= root {
+		t.Errorf("on skewed data the root alone is estimated at %.4g, the aggregate beside it at %.4g; want the aggregate cheaper", root, agg)
 	}
 	for _, e := range sys.DAG.NonLeafEqs() {
 		if sys.ViewSet[e.ID] {
@@ -84,9 +94,22 @@ func TestStatisticsTakenWhenRead(t *testing.T) {
 		}
 	}
 	ex := sys.Explain()
-	for _, want := range []string{"chosen view set: {N5,N7}", "fanout=", "(runner-up {"} {
+	for _, want := range []string{"chosen view set: {N7,N10}", "fanout=", "(runner-up {"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("Explain lacks %q:\n%s", want, ex)
 		}
 	}
+}
+
+// estimate is the weighted cost the system's last optimization gave the
+// view set with the given key.
+func estimate(t *testing.T, sys *mvmaint.System, key string) float64 {
+	t.Helper()
+	for _, ev := range sys.Decision.All {
+		if ev.Set.Key() == key {
+			return ev.Weighted
+		}
+	}
+	t.Fatalf("the decision did not cost %s", key)
+	return 0
 }

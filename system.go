@@ -24,7 +24,9 @@ type Method int
 
 // Optimization methods.
 const (
-	// Exhaustive is Algorithm OptimalViewSet (Figure 4).
+	// Exhaustive is Algorithm OptimalViewSet (Figure 4), searched exactly
+	// by branch-and-bound on one worker: the optimum of the full
+	// enumeration, from only the view sets a lower bound cannot exclude.
 	Exhaustive Method = iota
 	// Shielded applies the Shielding Principle at articulation nodes
 	// (Theorem 4.1) before searching.
@@ -97,6 +99,9 @@ type Config struct {
 // maxOps caps DAG expansion at every build.
 const maxOps = 512
 
+// exhaustiveBnB is the Decision.Method of a Method: Exhaustive build.
+const exhaustiveBnB = "exhaustive branch-and-bound"
+
 // System is a maintained configuration: an expression DAG over the chosen
 // views/assertions, the optimizer's decision, a live maintenance engine
 // and an assertion checker.
@@ -132,12 +137,7 @@ func (db *DB) build(names []string, cfg Config, restore *maintain.RestoreOptions
 	if err != nil {
 		return nil, err
 	}
-	var m *maintain.Maintainer
-	if restore != nil {
-		m, err = maintain.NewRestored(d, db.Store, cost.PageIO{}, res.Best.Set, *restore)
-	} else {
-		m, err = maintain.New(d, db.Store, cost.PageIO{}, res.Best.Set)
-	}
+	m, err := materialize(db, d, res.Best.Set, restore)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,17 @@ func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
 	opt.Seed = cfg.Seed
 	switch cfg.Method {
 	case Exhaustive:
-		return opt.Exhaustive()
+		// The exact search as one-worker branch-and-bound: the same
+		// optimum as enumerating the lattice (core.Exhaustive, which the
+		// paper's tables and the equivalence tests keep), costing only
+		// the sets no lower bound excludes.
+		opt.Parallelism = 1
+		res, err := opt.Parallel()
+		if err != nil {
+			return nil, err
+		}
+		res.Method = exhaustiveBnB
+		return res, nil
 	case Parallel:
 		return opt.Parallel()
 	case Shielded:
@@ -204,6 +214,16 @@ func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
 	default:
 		return nil, fmt.Errorf("mvmaint: unknown method %v", cfg.Method)
 	}
+}
+
+// materialize stores the view set over db's relations, each view
+// through its cheapest plan given the views stored before it, or seeded
+// from checkpointed state when restore is set.
+func materialize(db *DB, d *dag.DAG, vs tracks.ViewSet, restore *maintain.RestoreOptions) (*maintain.Maintainer, error) {
+	if restore != nil {
+		return maintain.NewRestored(d, db.Store, cost.PageIO{}, vs, *restore)
+	}
+	return maintain.New(d, db.Store, cost.PageIO{}, vs)
 }
 
 // roots maps the root of each declared name's tree in d to the name, and
@@ -281,11 +301,17 @@ func (s *System) AdditionalViews() []string {
 // (each charged query with the fan-out it was priced at) and the
 // runner-up set's cost; the ranking with each set's margin over the
 // chosen one; and, once windows have run, the measured page I/O per
-// transaction of each type, split as BatchReport splits it.
+// transaction of each type, split as BatchReport splits it. Runner-up
+// and ranking are over the sets the search costed (Decision.All), which
+// after a branch-and-bound search leave out the sets its bound excluded.
 func (s *System) Explain() string {
 	var b strings.Builder
 	best := s.Decision.Best
-	fmt.Fprintf(&b, "method: %s (%d view sets costed)\n", s.Decision.Method, s.Decision.Explored)
+	fmt.Fprintf(&b, "method: %s (%d view sets costed", s.Decision.Method, s.Decision.Explored)
+	if s.Decision.Pruned > 0 {
+		fmt.Fprintf(&b, ", %d excluded by the bound", s.Decision.Pruned)
+	}
+	b.WriteString(")\n")
 	fmt.Fprintf(&b, "expression DAG:\n%s", indent(s.DAG.Render(), "  "))
 	fmt.Fprintf(&b, "chosen view set: %s (weighted cost %.4g)\n", best.Set.Key(), best.Weighted)
 	for _, v := range s.AdditionalViews() {
@@ -323,7 +349,7 @@ func (s *System) Explain() string {
 	if len(top) > 5 {
 		top = top[:5]
 	}
-	fmt.Fprintf(&b, "ranking (best %d):\n", len(top))
+	fmt.Fprintf(&b, "ranking (best %d of the sets costed):\n", len(top))
 	for i, ev := range top {
 		fmt.Fprintf(&b, "  %d. %s = %.4g", i+1, ev.Set.Key(), ev.Weighted)
 		if best.Weighted > 0 {
@@ -403,7 +429,7 @@ func (s *System) Reoptimize(cfg Config) (changed bool, err error) {
 			s.DB.Store.Drop(maintain.ViewName(e))
 		}
 	}
-	m, err := maintain.New(s.DAG, s.DB.Store, cost.PageIO{}, res.Best.Set)
+	m, err := materialize(s.DB, s.DAG, res.Best.Set, nil)
 	if err != nil {
 		return false, err
 	}
