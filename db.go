@@ -210,9 +210,9 @@ func (db *DB) ViewNames() []string {
 
 // RefreshStats brings the statistics of every stored relation up to
 // date: a relation that has not changed since its last refresh is not
-// rescanned. Exec does not refresh per statement; Build, Reoptimize and
-// BuildSharded call this before costing, which is the only time the
-// statistics are read.
+// rescanned. Exec does not refresh per statement; Build and Reoptimize
+// call this before costing, which is the only time the statistics are
+// read.
 func (db *DB) RefreshStats() {
 	for _, name := range db.Store.Names() {
 		db.Store.MustGet(name).RefreshStats()

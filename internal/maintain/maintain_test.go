@@ -3,6 +3,7 @@ package maintain_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
@@ -326,6 +327,175 @@ func TestNullSumGroupThroughEngine(t *testing.T) {
 	if v := sumOf(); v != value.NewInt(70) {
 		t.Fatalf("SUM after the first salary = %v, want 70", v)
 	}
+}
+
+// TestAggregateWindowsThroughEngine: the paper's SumOfSals view and
+// random SUM/COUNT/MIN/MAX companions, all grouped by DName, stay equal
+// to recomputation after every window of aggWindows — whole departments
+// annihilated and one reborn, and groups whose salaries are all or
+// mostly NULL.
+func TestAggregateWindowsThroughEngine(t *testing.T) {
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	for trial := 0; trial < trials; trial++ {
+		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
+			db := corpus.NewDatabase(corpus.Config{Departments: 6, EmpsPerDept: 4, ADeptsEveryN: 2})
+			rng := rand.New(rand.NewSource(int64(4100 + trial)))
+			d, err := dag.FromTrees(randomAggViews(rng, db)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Expand(rules.Default(), 200); err != nil {
+				t.Fatal(err)
+			}
+			m, err := maintain.New(d, db.Store, cost.PageIO{}, tracks.RootSet(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			aggWindows(t, db, func(w int, window []txn.Transaction) {
+				if _, err := m.ApplyBatch(window); err != nil {
+					t.Fatalf("window %d: %v", w, err)
+				}
+				for _, e := range d.Roots {
+					if drift, err := m.Drift(e); err != nil || drift != "" {
+						t.Fatalf("window %d: root %s drift %q err %v", w, e, drift, err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// randomAggViews generates SumOfSals plus a random subset of
+// SUM/COUNT/MIN/MAX aggregates over Emp grouped by DName.
+func randomAggViews(rng *rand.Rand, db *corpus.Database) []algebra.Node {
+	emp := func() algebra.Node { return algebra.Scan(db.Catalog.MustGet("Emp")) }
+	pool := []func() algebra.Node{
+		func() algebra.Node { return db.SumOfSals() },
+		func() algebra.Node {
+			return algebra.NewAggregate([]string{"Emp.DName"},
+				[]algebra.AggSpec{{Func: algebra.Count, As: "N"}}, emp())
+		},
+		func() algebra.Node {
+			return algebra.NewAggregate([]string{"Emp.DName"},
+				[]algebra.AggSpec{
+					{Func: algebra.Sum, Arg: expr.C("Emp.Salary"), As: "S"},
+					{Func: algebra.Count, As: "N"},
+				}, emp())
+		},
+		func() algebra.Node {
+			return algebra.NewAggregate([]string{"Emp.DName"},
+				[]algebra.AggSpec{
+					{Func: algebra.Min, Arg: expr.C("Emp.Salary"), As: "Lo"},
+					{Func: algebra.Max, Arg: expr.C("Emp.Salary"), As: "Hi"},
+				}, emp())
+		},
+	}
+	out := []algebra.Node{pool[0]()}
+	for i := 1; i < len(pool); i++ {
+		if rng.Intn(2) == 0 {
+			out = append(out, pool[i]())
+		}
+	}
+	return out
+}
+
+// aggWindows generates six Emp windows against db's evolving state and
+// hands each to apply as soon as it is built, so the next is drawn from
+// the state it left. Windows 2 and 3 are the annihilation pair: window 2
+// deletes every employee of two departments, window 3 rebirths one of
+// them. Windows 4 and 5 hire with NULL salaries.
+func aggWindows(t *testing.T, db *corpus.Database, apply func(w int, window []txn.Transaction)) {
+	t.Helper()
+	empDef := db.Catalog.MustGet("Emp")
+	empRel, ok := db.Store.Get("Emp")
+	if !ok {
+		t.Fatal("no Emp relation")
+	}
+	mkTxn := func(name string, kind txn.Kind, d *delta.Delta) txn.Transaction {
+		ty := &txn.Type{Name: name, Weight: 1,
+			Updates: []txn.RelUpdate{{Rel: "Emp", Kind: kind, Size: float64(d.Size())}}}
+		return txn.Transaction{Type: ty, Updates: map[string]*delta.Delta{"Emp": d}}
+	}
+	w := 0
+	push := func(window ...txn.Transaction) {
+		apply(w, window)
+		w++
+	}
+
+	// Window 0: salary modifications spread over every department.
+	mod := delta.New(empDef.Schema)
+	for i, row := range empRel.ScanFree() {
+		if i%3 != 0 {
+			continue
+		}
+		nt := row.Tuple.Clone()
+		nt[2] = value.NewInt(nt[2].I + int64(7*i+13))
+		// Clone the old side too: ScanFree rows alias Emp's storage,
+		// which applying the window mutates.
+		mod.Modify(row.Tuple.Clone(), nt, row.Count)
+	}
+	push(mkTxn(">Emp", txn.Modify, mod))
+
+	// Window 1: hires into department 0 and brand-new departments only —
+	// departments 1 and 2 are annihilated next and must stay untouched.
+	ins := delta.New(empDef.Schema)
+	for i := 0; i < 5; i++ {
+		dept := corpus.DeptName(0)
+		if i >= 3 {
+			dept = fmt.Sprintf("dxnew%d", i)
+		}
+		ins.Insert(value.Tuple{
+			value.NewString(fmt.Sprintf("zz_new_%02d", i)),
+			value.NewString(dept),
+			value.NewInt(int64(90 + 11*i)),
+		}, 1)
+	}
+	push(mkTxn("+Emp", txn.Insert, ins))
+
+	// Window 2: annihilate two whole departments — every group member goes.
+	del := delta.New(empDef.Schema)
+	for _, row := range empRel.ScanFree() {
+		dn := row.Tuple[1].S
+		if dn == corpus.DeptName(1) || dn == corpus.DeptName(2) {
+			del.Delete(row.Tuple.Clone(), row.Count)
+		}
+	}
+	push(mkTxn("-Emp", txn.Delete, del))
+
+	// Window 3: rebirth one annihilated department with new members.
+	reb := delta.New(empDef.Schema)
+	for i := 0; i < 3; i++ {
+		reb.Insert(value.Tuple{
+			value.NewString(fmt.Sprintf("zz_reb_%02d", i)),
+			value.NewString(corpus.DeptName(1)),
+			value.NewInt(int64(150 + i)),
+		}, 1)
+	}
+	push(mkTxn("+Emp", txn.Insert, reb))
+
+	// Windows 4 and 5: NULL arguments. Window 4 hires into two new
+	// departments: every dxnull salary is NULL (its SUM, MIN and MAX are
+	// NULL), and dxmix has one salary among NULLs. Window 5 hires one
+	// more NULL salary into dxnull: a NULL-SUM group that a window gives
+	// no non-NULL argument stays NULL.
+	hires := func(d *delta.Delta, prefix, dept string, salaries ...value.Value) *delta.Delta {
+		for i, sal := range salaries {
+			d.Insert(value.Tuple{
+				value.NewString(fmt.Sprintf("%s_%02d", prefix, i)),
+				value.NewString(dept),
+				sal,
+			}, 1)
+		}
+		return d
+	}
+	null := value.NewNull()
+	nulls := hires(delta.New(empDef.Schema), "zz_null", "dxnull", null, null, null, null)
+	hires(nulls, "zz_mix", "dxmix", null, null, null, value.NewInt(42), null)
+	push(mkTxn("+Emp", txn.Insert, nulls))
+	push(mkTxn("+Emp", txn.Insert, hires(delta.New(empDef.Schema), "zz_null_late", "dxnull", null)))
 }
 
 // TestSignedZeroGroupsThroughEngine: a view grouped by a FLOAT column

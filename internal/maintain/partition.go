@@ -22,37 +22,12 @@ const (
 	// union of the per-shard views, because every tuple that could
 	// contribute to one output row lives on one shard.
 	ShardLocal ShardClass = iota
-	// ShardSpanning views are aggregates whose group keys are spread
-	// across shards; each shard holds partial aggregates and a merge
-	// stage combines them (SUM/COUNT add, MIN/MAX compare).
-	ShardSpanning
 	// ShardInvalid views cannot be maintained shard-locally under the
 	// partitioning; their presence forces the fallback to one shard.
+	// An aggregate grouped off the partition column is one: its groups
+	// span shards, and no stage recombines per-shard partials.
 	ShardInvalid
 )
-
-// String names the class for reports.
-func (c ShardClass) String() string {
-	switch c {
-	case ShardLocal:
-		return "local"
-	case ShardSpanning:
-		return "spanning"
-	default:
-		return "invalid"
-	}
-}
-
-// ViewPartition is the per-view outcome of partition analysis.
-type ViewPartition struct {
-	Class  ShardClass
-	Reason string // why invalid ("" otherwise)
-
-	// Spanning views only: the output prefix [0, NGroup) is the group
-	// key and Aggs describes how to combine the remaining columns.
-	NGroup int
-	Aggs   []algebra.AggSpec
-}
 
 // Partitioning is the analysis of one DAG + view set against a hash
 // partitioning of the base relations on Column into Shards shards.
@@ -64,9 +39,6 @@ type Partitioning struct {
 	Shards    int
 	Effective int
 	Reason    string
-
-	// Views maps each materialized eq ID to its class.
-	Views map[int]ViewPartition
 
 	// basePos maps each base relation to the position of Column in its
 	// schema, or -1 when the relation lacks the column and routes by
@@ -90,7 +62,6 @@ type carry struct {
 	class  ShardClass
 	pos    []int
 	reason string
-	agg    *algebra.Aggregate // set when class == ShardSpanning
 }
 
 func invalidCarry(format string, args ...any) carry {
@@ -111,21 +82,11 @@ func analyzeNode(n algebra.Node, col string) carry {
 		return c
 
 	case *algebra.Select:
-		in := analyzeNode(t.Input, col)
-		if in.class != ShardLocal {
-			if in.class == ShardSpanning {
-				return invalidCarry("selection above a spanning aggregate reads partial aggregates")
-			}
-			return in
-		}
-		return in // schema unchanged, positions carry through
+		return analyzeNode(t.Input, col) // schema unchanged, positions carry through
 
 	case *algebra.Project:
 		in := analyzeNode(t.Input, col)
 		if in.class != ShardLocal {
-			if in.class == ShardSpanning {
-				return invalidCarry("projection above a spanning aggregate reads partial aggregates")
-			}
 			return in
 		}
 		out := carry{class: ShardLocal}
@@ -179,9 +140,6 @@ func analyzeNode(n algebra.Node, col string) carry {
 	case *algebra.Aggregate:
 		in := analyzeNode(t.Input, col)
 		if in.class != ShardLocal {
-			if in.class == ShardSpanning {
-				return invalidCarry("aggregate above a spanning aggregate re-aggregates partial aggregates")
-			}
 			return in
 		}
 		schema := t.Input.Schema()
@@ -195,24 +153,14 @@ func analyzeNode(n algebra.Node, col string) carry {
 				out.pos = append(out.pos, gi)
 			}
 		}
-		if len(out.pos) > 0 {
-			return out // grouping on the partition column keeps groups whole
+		if len(out.pos) == 0 {
+			return invalidCarry("aggregate grouped by %v does not group on the partition column %q; its groups span shards", t.GroupBy, col)
 		}
-		for _, ag := range t.Aggs {
-			switch ag.Func {
-			case algebra.Sum, algebra.Count, algebra.Min, algebra.Max:
-			default:
-				return invalidCarry("aggregate %s cannot be merged from per-shard partials", ag.Func)
-			}
-		}
-		return carry{class: ShardSpanning, agg: t}
+		return out // grouping on the partition column keeps groups whole
 
 	case *algebra.Distinct:
 		in := analyzeNode(t.Children()[0], col)
 		if in.class != ShardLocal {
-			if in.class == ShardSpanning {
-				return invalidCarry("distinct above a spanning aggregate reads partial aggregates")
-			}
 			return in
 		}
 		if len(in.pos) == 0 {
@@ -252,16 +200,12 @@ func containsInt(xs []int, x int) bool {
 }
 
 // AnalyzePartitioning classifies every materialized view of vs against
-// a hash partitioning on col into shards shards. A spanning aggregate
-// is only mergeable when it is the root of its own rep tree — any
-// operator above it would compute over partial aggregates — which the
-// recursion enforces by invalidating operators over spanning inputs.
+// a hash partitioning on col into shards shards.
 func AnalyzePartitioning(d *dag.DAG, vs tracks.ViewSet, col string, shards int) *Partitioning {
 	p := &Partitioning{
 		Column:    col,
 		Shards:    shards,
 		Effective: shards,
-		Views:     map[int]ViewPartition{},
 		basePos:   map[string]int{},
 	}
 	if shards < 1 {
@@ -290,14 +234,7 @@ func AnalyzePartitioning(d *dag.DAG, vs tracks.ViewSet, col string, shards int) 
 		if !vs[e.ID] {
 			continue
 		}
-		c := analyzeNode(d.RepTree(e), col)
-		vp := ViewPartition{Class: c.class, Reason: c.reason}
-		if c.class == ShardSpanning {
-			vp.NGroup = len(c.agg.GroupBy)
-			vp.Aggs = c.agg.Aggs
-		}
-		p.Views[e.ID] = vp
-		if c.class == ShardInvalid && p.Reason == "" {
+		if c := analyzeNode(d.RepTree(e), col); c.class == ShardInvalid && p.Reason == "" {
 			p.Reason = fmt.Sprintf("%s: %s", e, c.reason)
 		}
 	}
@@ -307,10 +244,10 @@ func AnalyzePartitioning(d *dag.DAG, vs tracks.ViewSet, col string, shards int) 
 	return p
 }
 
-// ChoosePartitionColumn picks the bare column name that keeps the most
-// materialized views shard-local while invalidating none, preferring
-// the lexicographically smallest on ties. It returns "" when no column
-// admits a valid partitioning (callers then fall back to one shard).
+// ChoosePartitionColumn picks the lexicographically smallest bare
+// column name under which every materialized view is shard-local. It
+// returns "" when no column admits a valid partitioning (callers then
+// fall back to one shard).
 func ChoosePartitionColumn(d *dag.DAG, vs tracks.ViewSet) string {
 	seen := map[string]bool{}
 	var cands []string
@@ -330,23 +267,12 @@ func ChoosePartitionColumn(d *dag.DAG, vs tracks.ViewSet) string {
 		}
 	}
 	sort.Strings(cands)
-	best, bestScore := "", -1
 	for _, cand := range cands {
-		an := AnalyzePartitioning(d, vs, cand, 2)
-		if an.Reason != "" {
-			continue
-		}
-		score := 0
-		for _, vp := range an.Views {
-			if vp.Class == ShardLocal {
-				score++
-			}
-		}
-		if score > bestScore {
-			best, bestScore = cand, score
+		if AnalyzePartitioning(d, vs, cand, 2).Reason == "" {
+			return cand
 		}
 	}
-	return best
+	return ""
 }
 
 // Describe renders the analysis for logs and Explain output.

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/dag"
@@ -59,19 +58,13 @@ type shard struct {
 	routed  *obs.Counter
 }
 
-// mergedView is the merge-stage state of one spanning aggregate view:
-// the combined rows keyed by encoded group key.
-type mergedView struct {
-	eq   *dag.EqNode
-	part ViewPartition
-	rows map[string]storage.Row
-}
-
 // Sharded is N shard-local maintenance pipelines behind one ApplyBatch:
-// each window is split by the tuple router, the shard pipelines run in
-// parallel (each owning its storage segment and plan cache), and a merge
-// stage recombines the few views whose aggregates span shards. Like
-// Maintainer, Sharded is single-writer: one ApplyBatch at a time.
+// each window is split by the tuple router and the shard pipelines run
+// in parallel, each owning its storage segment and plan cache. Every
+// materialized view is shard-local (a view set that is not falls back to
+// one shard), so a view's global contents are the bag union of its
+// shard parts. Like Maintainer, Sharded is single-writer: one ApplyBatch
+// at a time.
 type Sharded struct {
 	// D is the template DAG (shard 0's); all eq-node arguments to
 	// Contents/Drift resolve by ID against every shard.
@@ -82,13 +75,12 @@ type Sharded struct {
 	Part *Partitioning
 	// Committer, when set, makes every window durable as Maintainer's
 	// does: ApplyBatch hands it the whole window's coalesced base deltas
-	// before the shards run and joins its fence after the spanning
-	// merge. The shard maintainers have none.
+	// before the shards run and joins its fence after they finish. The
+	// shard maintainers have none.
 	Committer WindowCommitter
 
 	shards []*shard
 	router *Router
-	merged map[int]*mergedView
 
 	// Window-causal tracing state, single-writer as on Maintainer:
 	// spanParent is set by a replay, windowSpan at the top of ApplyBatch.
@@ -96,14 +88,12 @@ type Sharded struct {
 	windowSpan uint64
 
 	// Cross-window recycled window scratch (DESIGN.md §14). Sharded is
-	// single-writer, so the one report, the per-shard routing slices and
-	// the merge stage's maps are reset in place each window; the
-	// returned ShardedReport is valid only until the next ApplyBatch.
+	// single-writer, so the one report and the per-shard routing slices
+	// are reset in place each window; the returned ShardedReport is valid
+	// only until the next ApplyBatch.
 	rep       ShardedReport
 	per       [][]txn.Transaction
 	errs      []error
-	affected  map[string]value.Tuple
-	partials  []map[string]storage.Row
 	coalescer delta.Coalescer
 	winBuf    []map[string]*delta.Delta
 }
@@ -199,7 +189,6 @@ func NewShardedRestored(factory func() (*ShardSetup, error), cfg ShardedConfig, 
 		VS:     cfg.VS,
 		Part:   part,
 		router: router,
-		merged: map[int]*mergedView{},
 	}
 	for i, su := range setups {
 		ro := opts.renamed(func(name string) string { return part.shardViewName(name, i) })
@@ -214,14 +203,6 @@ func NewShardedRestored(factory func() (*ShardSetup, error), cfg ShardedConfig, 
 			applyNs: obs.H(fmt.Sprintf("maintain.shard%02d.apply.ns", i)),
 			routed:  obs.C(fmt.Sprintf("maintain.shard%02d.routed_units", i)),
 		})
-	}
-	if eff > 1 {
-		for _, e := range s.D.NonLeafEqs() {
-			if vp, ok := part.Views[e.ID]; ok && vp.Class == ShardSpanning {
-				s.merged[e.ID] = &mergedView{eq: e, part: vp}
-			}
-		}
-		s.rebuildMerged()
 	}
 	return s, nil
 }
@@ -262,9 +243,8 @@ func (s *Sharded) Route(rel string, t value.Tuple) int {
 // ApplyBatch maintains one window: it hands the Committer the window's
 // coalesced base deltas, splits every transaction's deltas by the tuple
 // router, runs the shard pipelines in parallel (each coalesces, plans
-// and applies its own sub-window), recombines spanning aggregates for
-// the affected group keys, and finally joins the commit fence. The
-// window is one log record, so it is durable whole or not at all.
+// and applies its own sub-window), and finally joins the commit fence.
+// The window is one log record, so it is durable whole or not at all.
 func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 	n := len(s.shards)
 	wt := obs.StartWindow("maintain.window", s.spanParent)
@@ -358,14 +338,9 @@ func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
 	}
-	msp := wt.Child("maintain.merge_spanning")
-	err := s.mergeSpanning(rep)
-	msp.Finish()
-	if err != nil {
-		return nil, err
-	}
 	if s.Committer != nil {
 		var lsn uint64
+		var err error
 		if wait != nil {
 			lsn, err = wait()
 			wait = nil
@@ -390,8 +365,7 @@ func (s *Sharded) ReplayWindow(w delta.Coalesced, parent uint64) error {
 
 // Snapshot returns the sharded checkpoint state: the base relations are
 // the union of the shards' partitions, and each shard's views appear
-// under their sharded checkpoint names. Spanning merges are not part of
-// it; NewShardedRestored rebuilds them from the shards.
+// under their sharded checkpoint names.
 func (s *Sharded) Snapshot(rels []string) (*Snapshot, error) {
 	snap := &Snapshot{ViewSetKey: s.VS.Key(), Base: make([][]storage.Row, len(rels)), Views: map[string]*ViewState{}}
 	for i, sh := range s.shards {
@@ -425,197 +399,21 @@ func skew(routed []int64) float64 {
 	return float64(max) / mean
 }
 
-// mergeSpanning recombines every spanning view's affected group keys
-// from the shards' partial aggregates. Only groups named by a shard's
-// view delta are touched, so the merge stage costs O(changed groups),
-// not O(view).
-func (s *Sharded) mergeSpanning(rep *ShardedReport) error {
-	for eqID, mv := range s.merged {
-		if s.affected == nil {
-			s.affected = map[string]value.Tuple{}
-		}
-		affected := s.affected
-		clear(affected)
-		var enc value.KeyEncoder
-		for _, br := range rep.Shards {
-			if br == nil {
-				continue
-			}
-			d := br.Deltas[eqID]
-			if d.Empty() {
-				continue
-			}
-			for _, c := range d.Changes {
-				for _, t := range [2]value.Tuple{c.Old, c.New} {
-					if t == nil {
-						continue
-					}
-					g := t[:mv.part.NGroup]
-					affected[string(enc.Key(g))] = g
-				}
-			}
-		}
-		if len(affected) == 0 {
-			continue
-		}
-		// One uncharged zero-copy walk per shard fills the recycled
-		// group→partial maps; each affected key is then recombined
-		// across them. The partial rows alias shard storage, which is
-		// safe: combineGroup clones before it accumulates.
-		if s.partials == nil {
-			s.partials = make([]map[string]storage.Row, len(s.shards))
-		}
-		for i, sh := range s.shards {
-			if s.partials[i] == nil {
-				s.partials[i] = map[string]storage.Row{}
-			}
-			clear(s.partials[i])
-			groupIndexInto(s.partials[i], sh.m, mv.eq, mv.part.NGroup)
-		}
-		for key := range affected {
-			combined, found := combineGroup(s.partials, key, mv.part)
-			if found {
-				s.mergedSet(mv, key, combined)
-			} else {
-				delete(mv.rows, key)
-			}
-		}
-	}
-	return nil
-}
-
-func (s *Sharded) mergedSet(mv *mergedView, key string, row storage.Row) {
-	if mv.rows == nil {
-		mv.rows = map[string]storage.Row{}
-	}
-	mv.rows[key] = row
-}
-
-// groupIndex indexes rows by the key encoding of their nGroup-column
-// prefix.
-func groupIndex(rows []storage.Row, nGroup int) map[string]storage.Row {
-	out := make(map[string]storage.Row, len(rows))
-	var enc value.KeyEncoder
-	for _, r := range rows {
-		out[string(enc.Key(r.Tuple[:nGroup]))] = r
-	}
-	return out
-}
-
-// groupIndexInto is groupIndex over a materialized node's live rows,
-// filling a caller-recycled map via the relation's zero-copy iterator
-// (no []Row materialization). The indexed rows alias relation storage
-// and are valid only until the node's next mutation.
-func groupIndexInto(out map[string]storage.Row, m *Maintainer, e *dag.EqNode, nGroup int) {
-	v, ok := m.views[e.ID]
-	if !ok {
-		return
-	}
-	var enc value.KeyEncoder
-	v.Rel.Iterate(func(r storage.Row) bool {
-		out[string(enc.Key(r.Tuple[:nGroup]))] = r
-		return true
-	})
-}
-
-// combineGroup merges one group's per-shard partial aggregates: SUM and
-// COUNT add, MIN and MAX compare. found is false when no shard holds
-// the group (it died everywhere — e.g. an annihilation window deleted
-// every member).
-func combineGroup(partials []map[string]storage.Row, key string, vp ViewPartition) (storage.Row, bool) {
-	var out storage.Row
-	found := false
-	for _, p := range partials {
-		r, ok := p[key]
-		if !ok {
-			continue
-		}
-		if !found {
-			out = storage.Row{Tuple: r.Tuple.Clone(), Count: 1}
-			found = true
-			continue
-		}
-		for j, ag := range vp.Aggs {
-			pos := vp.NGroup + j
-			out.Tuple[pos] = combineAgg(ag.Func, out.Tuple[pos], r.Tuple[pos])
-		}
-	}
-	return out, found
-}
-
-// combineAgg merges two shards' partials of one aggregate. A NULL
-// partial (the shard's rows of the group all have a NULL argument)
-// contributes nothing, as a NULL argument contributes nothing to the
-// fold that made the partials.
-func combineAgg(f algebra.AggFunc, a, b value.Value) value.Value {
-	switch {
-	case b.IsNull():
-		return a
-	case a.IsNull():
-		return b
-	}
-	switch f {
-	case algebra.Sum, algebra.Count:
-		return value.Add(a, b)
-	case algebra.Min:
-		if value.Compare(b, a) < 0 {
-			return b
-		}
-		return a
-	case algebra.Max:
-		if value.Compare(b, a) > 0 {
-			return b
-		}
-		return a
-	default:
-		return a
-	}
-}
-
-// rebuildMerged recomputes every spanning view's merged state from the
-// current shard contents (startup and post-recovery).
-func (s *Sharded) rebuildMerged() {
-	for _, mv := range s.merged {
-		mv.rows = map[string]storage.Row{}
-		partials := make([]map[string]storage.Row, len(s.shards))
-		keys := map[string]bool{}
-		for i, sh := range s.shards {
-			partials[i] = groupIndex(sh.m.Contents(mv.eq), mv.part.NGroup)
-			for k := range partials[i] {
-				keys[k] = true
-			}
-		}
-		for key := range keys {
-			if combined, found := combineGroup(partials, key, mv.part); found {
-				mv.rows[key] = combined
-			}
-		}
-	}
-}
-
 // Contents returns the maintained global contents of a materialized
-// node: the count-merged bag union of the shard views for local views,
-// or the merge stage's combined rows for spanning aggregates. Rows are
-// sorted by tuple, so equal states compare byte-identically at any
-// shard count.
+// node: the count-merged bag union of its shard parts. Rows are sorted
+// by tuple, so equal states compare byte-identically at any shard count.
 func (s *Sharded) Contents(e *dag.EqNode) []storage.Row {
 	var rows []storage.Row
-	if mv, ok := s.merged[e.ID]; ok {
-		for _, r := range mv.rows {
-			rows = append(rows, r)
-		}
-	} else {
-		byKey := map[string]int{}
-		var enc value.KeyEncoder
-		for _, sh := range s.shards {
-			for _, r := range sh.m.Contents(e) {
-				k := string(enc.Key(r.Tuple))
-				if j, ok := byKey[k]; ok {
-					rows[j].Count += r.Count
-				} else {
-					byKey[k] = len(rows)
-					rows = append(rows, storage.Row{Tuple: r.Tuple, Count: r.Count})
-				}
+	byKey := map[string]int{}
+	var enc value.KeyEncoder
+	for _, sh := range s.shards {
+		for _, r := range sh.m.Contents(e) {
+			k := string(enc.Key(r.Tuple))
+			if j, ok := byKey[k]; ok {
+				rows[j].Count += r.Count
+			} else {
+				byKey[k] = len(rows)
+				rows = append(rows, storage.Row{Tuple: r.Tuple, Count: r.Count})
 			}
 		}
 	}
@@ -634,16 +432,6 @@ func (s *Sharded) Violations(e *dag.EqNode) int64 {
 		n += r.Count
 	}
 	return n
-}
-
-// IO returns the fold of every shard's I/O counters.
-func (s *Sharded) IO() storage.IOCounter {
-	var total storage.IOCounter
-	for _, sh := range s.shards {
-		c := sh.setup.Store.IO.Snapshot()
-		total.AddCounter(c)
-	}
-	return total
 }
 
 // Drift compares a materialized node's sharded contents against full

@@ -6,15 +6,13 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/corpus"
-	"repro/internal/cost"
 	"repro/internal/dag"
-	"repro/internal/delta"
-	"repro/internal/expr"
 	"repro/internal/maintain"
 	"repro/internal/rules"
 	"repro/internal/storage"
@@ -192,7 +190,7 @@ func sumCounts(rows []storage.Row) int64 {
 }
 
 // aggFactory builds a fixed corporate database whose views are chosen
-// by build; used by the cross-shard merge tests.
+// by build.
 func aggFactory(build func(db *corpus.Database) []algebra.Node) func() (*maintain.ShardSetup, error) {
 	return func() (*maintain.ShardSetup, error) {
 		cfg := corpus.Config{Departments: 6, EmpsPerDept: 4, ADeptsEveryN: 2}
@@ -206,233 +204,6 @@ func aggFactory(build func(db *corpus.Database) []algebra.Node) func() (*maintai
 		}
 		return &maintain.ShardSetup{D: d, Cat: db.Catalog, Store: db.Store}, nil
 	}
-}
-
-// randomAggViews generates SUM/COUNT aggregates over Emp grouped by
-// DName — spanning views under an EName partitioning, since the group
-// key is spread across shards while every Emp row carries EName.
-func randomAggViews(rng *rand.Rand, db *corpus.Database) []algebra.Node {
-	emp := func() algebra.Node { return algebra.Scan(db.Catalog.MustGet("Emp")) }
-	pool := []func() algebra.Node{
-		func() algebra.Node { return db.SumOfSals() },
-		func() algebra.Node {
-			return algebra.NewAggregate([]string{"Emp.DName"},
-				[]algebra.AggSpec{{Func: algebra.Count, As: "N"}}, emp())
-		},
-		func() algebra.Node {
-			return algebra.NewAggregate([]string{"Emp.DName"},
-				[]algebra.AggSpec{
-					{Func: algebra.Sum, Arg: expr.C("Emp.Salary"), As: "S"},
-					{Func: algebra.Count, As: "N"},
-				}, emp())
-		},
-		func() algebra.Node {
-			return algebra.NewAggregate([]string{"Emp.DName"},
-				[]algebra.AggSpec{
-					{Func: algebra.Min, Arg: expr.C("Emp.Salary"), As: "Lo"},
-					{Func: algebra.Max, Arg: expr.C("Emp.Salary"), As: "Hi"},
-				}, emp())
-		},
-	}
-	out := []algebra.Node{pool[0]()}
-	for i := 1; i < len(pool); i++ {
-		if rng.Intn(2) == 0 {
-			out = append(out, pool[i]())
-		}
-	}
-	return out
-}
-
-// TestShardedAggregateMerge pins the cross-shard merge stage: under a
-// forced EName partitioning the paper's SumOfSals view (and random
-// SUM/COUNT/MIN/MAX companions) group by DName, so every group's
-// members are spread across shards and each maintained row is combined
-// from per-shard partials. The merged result must equal unsharded
-// maintenance and recomputation after every window — including
-// annihilation windows that delete entire departments (the group must
-// die on every shard and vanish from the merged view).
-func TestShardedAggregateMerge(t *testing.T) {
-	trials := 6
-	if testing.Short() {
-		trials = 2
-	}
-	counts := shardCounts
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			factory := aggFactory(func(db *corpus.Database) []algebra.Node {
-				rng := rand.New(rand.NewSource(int64(4100 + trial)))
-				return randomAggViews(rng, db)
-			})
-
-			// Unsharded baseline over an identical database. The windows
-			// are generated against its evolving state, and expected view
-			// contents are snapshotted after each window.
-			setup, err := factory()
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs := tracks.RootSet(setup.D)
-			serial, err := maintain.New(setup.D, setup.Store, cost.PageIO{}, vs.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			roots := setup.D.Roots
-			windows, expected := mergeWindows(t, setup, serial, roots)
-
-			for _, n := range counts {
-				n := n
-				t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-					s, err := maintain.NewSharded(factory, maintain.ShardedConfig{
-						Shards:      n,
-						PartitionBy: "EName",
-						VS:          vs.Clone(),
-						Workers:     1 + trial%4,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n > 1 {
-						spanning := 0
-						for _, vp := range s.Part.Views {
-							if vp.Class == maintain.ShardSpanning {
-								spanning++
-							}
-						}
-						if spanning == 0 {
-							t.Fatalf("EName partitioning produced no spanning views: %s", s.Part.Describe())
-						}
-					}
-					for w, window := range windows {
-						if _, err := s.ApplyBatch(window); err != nil {
-							t.Fatalf("window %d: %v", w, err)
-						}
-						for ri, e := range roots {
-							want := expected[w][ri]
-							got := s.Contents(e)
-							if !rowsEqual(got, want) {
-								t.Fatalf("window %d: root %s diverged\nsharded: %v\nserial:  %v", w, e, got, want)
-							}
-							if drift, err := s.Drift(e); err != nil || drift != "" {
-								t.Fatalf("window %d: root %s drift %q err %v", w, e, drift, err)
-							}
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// mergeWindows generates the merge-test workload against the baseline's
-// evolving state, applying each window to the serial maintainer as it is
-// built and snapshotting the expected contents of every root after each.
-// Windows 2 and 3 are the annihilation pair: window 2 deletes every
-// employee of two departments (killing their groups on every shard),
-// window 3 rebirths one of them. Windows 4 and 5 hire with NULL
-// salaries.
-func mergeWindows(t *testing.T, setup *maintain.ShardSetup, serial *maintain.Maintainer, roots []*dag.EqNode) ([][]txn.Transaction, [][][]storage.Row) {
-	t.Helper()
-	empDef := setup.Cat.MustGet("Emp")
-	empRel, ok := setup.Store.Get("Emp")
-	if !ok {
-		t.Fatal("no Emp relation")
-	}
-	mkTxn := func(name string, kind txn.Kind, d *delta.Delta) txn.Transaction {
-		ty := &txn.Type{Name: name, Weight: 1,
-			Updates: []txn.RelUpdate{{Rel: "Emp", Kind: kind, Size: float64(d.Size())}}}
-		return txn.Transaction{Type: ty, Updates: map[string]*delta.Delta{"Emp": d}}
-	}
-	var windows [][]txn.Transaction
-	var expected [][][]storage.Row
-	push := func(w []txn.Transaction) {
-		if _, err := serial.ApplyBatch(w); err != nil {
-			t.Fatalf("baseline window %d: %v", len(windows), err)
-		}
-		windows = append(windows, w)
-		snap := make([][]storage.Row, len(roots))
-		for i, e := range roots {
-			snap[i] = sortedContents(serial, e)
-		}
-		expected = append(expected, snap)
-	}
-
-	// Window 0: salary modifications spread over every department.
-	mod := delta.New(empDef.Schema)
-	for i, row := range empRel.ScanFree() {
-		if i%3 != 0 {
-			continue
-		}
-		nt := row.Tuple.Clone()
-		nt[2] = value.NewInt(nt[2].I + int64(7*i+13))
-		// Clone the old side too: ScanFree rows alias Emp's storage and
-		// this delta is replayed into the sharded runs after the baseline
-		// has mutated (and recycled) those slots.
-		mod.Modify(row.Tuple.Clone(), nt, row.Count)
-	}
-	push([]txn.Transaction{mkTxn(">Emp", txn.Modify, mod)})
-
-	// Window 1: hires into department 0 and brand-new departments only —
-	// departments 1 and 2 are annihilated next and must stay untouched.
-	ins := delta.New(empDef.Schema)
-	for i := 0; i < 5; i++ {
-		dept := corpus.DeptName(0)
-		if i >= 3 {
-			dept = fmt.Sprintf("dxnew%d", i)
-		}
-		ins.Insert(value.Tuple{
-			value.NewString(fmt.Sprintf("zz_new_%02d", i)),
-			value.NewString(dept),
-			value.NewInt(int64(90 + 11*i)),
-		}, 1)
-	}
-	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, ins)})
-
-	// Window 2: annihilate two whole departments — every group member
-	// goes, across every shard they were spread over.
-	del := delta.New(empDef.Schema)
-	for _, row := range empRel.ScanFree() {
-		dn := row.Tuple[1].S
-		if dn == corpus.DeptName(1) || dn == corpus.DeptName(2) {
-			del.Delete(row.Tuple.Clone(), row.Count)
-		}
-	}
-	push([]txn.Transaction{mkTxn("-Emp", txn.Delete, del)})
-
-	// Window 3: rebirth one annihilated department with new members.
-	reb := delta.New(empDef.Schema)
-	for i := 0; i < 3; i++ {
-		reb.Insert(value.Tuple{
-			value.NewString(fmt.Sprintf("zz_reb_%02d", i)),
-			value.NewString(corpus.DeptName(1)),
-			value.NewInt(int64(150 + i)),
-		}, 1)
-	}
-	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, reb)})
-
-	// Windows 4 and 5: NULL arguments. Window 4 hires into two new
-	// departments: every dxnull salary is NULL (its SUM, MIN and MAX are
-	// NULL on every shard), and dxmix has one salary among NULLs (a shard
-	// holding only NULL members of it has NULL partials, which the merge
-	// must skip). Window 5 hires one more NULL salary into dxnull: a
-	// NULL-SUM group that a window gives no non-NULL argument stays NULL.
-	hires := func(d *delta.Delta, prefix, dept string, salaries ...value.Value) *delta.Delta {
-		for i, sal := range salaries {
-			d.Insert(value.Tuple{
-				value.NewString(fmt.Sprintf("%s_%02d", prefix, i)),
-				value.NewString(dept),
-				sal,
-			}, 1)
-		}
-		return d
-	}
-	null := value.NewNull()
-	nulls := hires(delta.New(empDef.Schema), "zz_null", "dxnull", null, null, null, null)
-	hires(nulls, "zz_mix", "dxmix", null, null, null, value.NewInt(42), null)
-	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, nulls)})
-	push([]txn.Transaction{mkTxn("+Emp", txn.Insert, hires(delta.New(empDef.Schema), "zz_null_late", "dxnull", null))})
-
-	return windows, expected
 }
 
 // fuzz routing substrate: the paper's corporate schema + ProblemDept
@@ -556,35 +327,49 @@ func FuzzShardRoute(f *testing.F) {
 }
 
 // TestPartitionFallback pins the analysis fallback: a partition column
-// no join condition equates forces Effective=1 with a recorded reason,
-// and the resulting single-shard pipeline still maintains correctly.
+// no join condition equates, or one an aggregate does not group on,
+// forces Effective=1 with a recorded reason, and the resulting
+// single-shard pipeline still maintains correctly.
 func TestPartitionFallback(t *testing.T) {
-	factory := aggFactory(func(db *corpus.Database) []algebra.Node {
-		return []algebra.Node{db.ProblemDept()}
-	})
-	vsSetup, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs := tracks.RootSet(vsSetup.D)
-	s, err := maintain.NewSharded(factory, maintain.ShardedConfig{
-		Shards:      4,
-		PartitionBy: "Budget", // joins equate DName, never Budget
-		VS:          vs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Part.Effective != 1 || s.Part.Reason == "" {
-		t.Fatalf("expected fallback to 1 shard with a reason, got %s", s.Part.Describe())
-	}
-	if s.NumShards() != 1 {
-		t.Fatalf("fallback built %d shards", s.NumShards())
-	}
-	for _, e := range s.D.Roots {
-		if drift, err := s.Drift(e); err != nil || drift != "" {
-			t.Fatalf("fallback drift %q err %v", drift, err)
+	for _, tc := range []struct {
+		partitionBy string
+		view        func(*corpus.Database) algebra.Node
+		reason      string // the recorded reason must contain it
+	}{
+		// ProblemDept's joins equate DName, never Budget.
+		{"Budget", (*corpus.Database).ProblemDept, "no join condition equates"},
+		// SumOfSals groups by DName, so under EName its groups span shards.
+		{"EName", (*corpus.Database).SumOfSals, "aggregate grouped by [Emp.DName]"},
+	} {
+		factory := aggFactory(func(db *corpus.Database) []algebra.Node {
+			return []algebra.Node{tc.view(db)}
+		})
+		vsSetup, err := factory()
+		if err != nil {
+			t.Fatal(err)
 		}
+		vs := tracks.RootSet(vsSetup.D)
+		s, err := maintain.NewSharded(factory, maintain.ShardedConfig{
+			Shards:      4,
+			PartitionBy: tc.partitionBy,
+			VS:          vs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Part.Effective != 1 || !strings.Contains(s.Part.Reason, tc.reason) {
+			t.Fatalf("%s: expected fallback to 1 shard with a reason naming %q, got %s",
+				tc.partitionBy, tc.reason, s.Part.Describe())
+		}
+		if s.NumShards() != 1 {
+			t.Fatalf("%s: fallback built %d shards", tc.partitionBy, s.NumShards())
+		}
+		for _, e := range s.D.Roots {
+			if drift, err := s.Drift(e); err != nil || drift != "" {
+				t.Fatalf("%s: fallback drift %q err %v", tc.partitionBy, drift, err)
+			}
+		}
+		t.Logf("%s", s.Part.Describe())
 	}
 }
 

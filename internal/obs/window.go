@@ -6,8 +6,7 @@ import "sync/atomic"
 // span plus a process-unique window sequence number. It is allocated
 // once per ApplyBatch window and threaded through every stage that does
 // work on the window's behalf — coalesce, track propagation, per-shard
-// apply, spanning-aggregate merge, and the cross-goroutine WAL commit —
-// so spans finished on worker or committer goroutines still link back
+// apply and the cross-goroutine WAL commit — so spans finished on worker or committer goroutines still link back
 // to the window that caused them.
 //
 // The sequence number keys flight-recorder events (EvWindowOpen /

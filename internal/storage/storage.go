@@ -545,26 +545,6 @@ func (r *Relation) Iterate(yield func(Row) bool) {
 	}
 }
 
-func (r *Relation) findIndex(cols []string) *hashIndex {
-	want := make([]string, len(cols))
-	copy(want, cols)
-	for i := range want {
-		want[i] = bareName(want[i])
-	}
-	sort.Strings(want)
-	for _, ix := range r.indexes {
-		have := make([]string, len(ix.def.Columns))
-		for i, c := range ix.def.Columns {
-			have[i] = bareName(c)
-		}
-		sort.Strings(have)
-		if eqStrings(have, want) {
-			return ix
-		}
-	}
-	return nil
-}
-
 func bareName(name string) string {
 	for i := len(name) - 1; i >= 0; i-- {
 		if name[i] == '.' {

@@ -138,9 +138,11 @@ func (c *Costing) trackDeltaFlows(ctx *costCtx, tr *Track, seeds map[int]Flow) (
 	return flows, posed
 }
 
-// updateCost sums track i's charges over the marked nodes of vs. It
-// iterates Order in order and skips exactly the nodes trackUpdateCost
-// skips, so the sum is bit-identical to a full costTrack's UpdateCost.
+// updateCost sums track i's charges over the nodes of vs it passes
+// through, in Order, skipping the root unless CountRootUpdate. This is
+// the monotone part of a track's cost: the charges depend only on the
+// delta flows, which are independent of the view set, so over supersets
+// it only gains terms.
 func (b *trackBundle) updateCost(c *Costing, i int, vs ViewSet) float64 {
 	var sum float64
 	for j, e := range b.tracks[i].Order {

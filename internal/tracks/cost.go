@@ -110,40 +110,6 @@ func (tc TrackCost) Total() float64 { return tc.QueryCost + tc.UpdateCost }
 // (and, in the runtime's window memo, evaluated) only once.
 func (tc TrackCost) SharedQueries() int { return len(tc.Queries) - len(MQO(tc.Queries)) }
 
-// CostTrack prices one track for one transaction type under a view set:
-// the multi-query-optimized cost of the queries posed along the track
-// plus the cost of applying deltas to every affected materialized view.
-func (c *Costing) CostTrack(tr *Track, vs ViewSet, t *txn.Type) TrackCost {
-	return c.costTrack(newCostCtx(vs), tr, t)
-}
-
-func (c *Costing) costTrack(ctx *costCtx, tr *Track, t *txn.Type) TrackCost {
-	flows := map[int]Flow{}
-	// Seed the flows at updated base relations.
-	for _, e := range c.D.Eqs() {
-		if !e.IsLeaf() {
-			continue
-		}
-		if u, ok := t.UpdateOf(e.BaseRel); ok {
-			flows[e.ID] = leafFlow(u)
-		}
-	}
-	ctx.trackChoice = tr.Choice
-	ctx.trackFlows = flows
-	defer func() { ctx.trackChoice, ctx.trackFlows = nil, nil }()
-
-	var posed []posedQuery
-	for _, e := range tr.Order {
-		op := tr.Choice[e.ID]
-		f, qs := c.opFlow(ctx, e, op, flows)
-		flows[e.ID] = f
-		posed = append(posed, qs...)
-	}
-	queries, qcost := c.priceQueries(ctx, posedBy(ctx.vs, posed))
-	ucost := c.trackUpdateCost(ctx, tr, flows)
-	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: ucost, Flows: flows}
-}
-
 // priceQueries merges a track's queries (MQO) and fills in each one's
 // cost and the fan-out it was priced at, returning them with their sum.
 func (c *Costing) priceQueries(ctx *costCtx, queries []QueryCharge) ([]QueryCharge, float64) {
@@ -156,29 +122,6 @@ func (c *Costing) priceQueries(ctx *costCtx, queries []QueryCharge) ([]QueryChar
 		qcost += q.Cost
 	}
 	return queries, qcost
-}
-
-// trackUpdateCost sums the cost of applying the track's deltas to the
-// materialized nodes it passes through. This is the monotone part of a
-// track's cost: it depends only on the delta flows (which are independent
-// of the view set), so over supersets it only gains terms.
-func (c *Costing) trackUpdateCost(ctx *costCtx, tr *Track, flows map[int]Flow) float64 {
-	var ucost float64
-	for _, e := range tr.Order {
-		if !ctx.vs[e.ID] {
-			continue
-		}
-		if c.D.IsRoot(e) && !c.CountRootUpdate {
-			continue
-		}
-		f := flows[e.ID]
-		dirty := 0
-		if f.modsTouch(c.ViewIndexCols(e)) {
-			dirty = 1
-		}
-		ucost += c.Model.Update(f.Mods, f.Ins, f.Dels, 1, dirty)
-	}
-	return ucost
 }
 
 // CostViewSet prices a view set for a transaction type: the cheapest
@@ -217,9 +160,9 @@ func (c *Costing) costViewSet(ctx *costCtx, t *txn.Type, keepAll bool) (best Tra
 // costTrackQueries prices one bundled track for the current view set:
 // only the view-set-dependent part (which posed queries remain, and
 // their prices) runs here; the delta flows, posed queries and update
-// charges come precomputed from the bundle, and the update cost sums the
-// same charges in the same order as trackUpdateCost, so bound and full
-// pricing agree bit for bit.
+// charges come precomputed from the bundle, and the update cost is the
+// same updateCost sum the branch-and-bound bound takes its minimum of,
+// so bound and full pricing agree bit for bit.
 func (c *Costing) costTrackQueries(ctx *costCtx, b *trackBundle, i int, tr *Track) TrackCost {
 	queries, qcost := c.priceQueries(ctx, posedBy(ctx.vs, b.posed[i]))
 	return TrackCost{Track: tr, Queries: queries, QueryCost: qcost, UpdateCost: b.updateCost(c, i, ctx.vs), Flows: b.flows[i]}

@@ -19,13 +19,12 @@ import (
 // maintain.window root. Spans outside the family (wal.checkpoint,
 // recovery.replay) are legitimate roots of their own.
 var windowFamily = map[string]bool{
-	"maintain.batch":          true,
-	"maintain.propagate":      true,
-	"maintain.apply_base":     true,
-	"maintain.apply_views":    true,
-	"maintain.apply.worker":   true,
-	"maintain.merge_spanning": true,
-	"wal.commit":              true,
+	"maintain.batch":        true,
+	"maintain.propagate":    true,
+	"maintain.apply_base":   true,
+	"maintain.apply_views":  true,
+	"maintain.apply.worker": true,
+	"wal.commit":            true,
 }
 
 func TestWindowTraceConnected(t *testing.T) {

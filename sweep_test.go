@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/delta"
 	"repro/internal/maintain"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
@@ -193,4 +195,72 @@ func TestSkewSweep(t *testing.T) {
 		t.Errorf("Build chose %s, measuring %.2f io/txn; %s measures %.2f (%.2fx)\n%s",
 			pick, measured[pick], best, measured[best], measured[pick]/measured[best], table.String())
 	}
+}
+
+// fig5SQL renders the benchmark's Figure 5 database over the DDL of
+// testdata/fig5_skew.sql: items items with 4 R rows and 5 sales each,
+// and skewExtra extra sales on each of the first hot items, named and
+// valued as the file's rows are.
+func fig5SQL(tb testing.TB, items, hot int) string {
+	file, err := os.ReadFile("testdata/fig5_skew.sql")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ddl, _, _ := strings.Cut(string(file), "INSERT INTO")
+	var b strings.Builder
+	b.WriteString(ddl)
+	for i := 0; i < items; i++ {
+		item := fmt.Sprintf("item%03d", i)
+		fmt.Fprintf(&b, "INSERT INTO T VALUES ('%s', %d);\nINSERT INTO R VALUES ", item, 10+i%7)
+		for j := 0; j < 4; j++ {
+			fmt.Fprintf(&b, "%s('r%03d_%d', '%s')", strings.Repeat(", ", min(j, 1)), i, j, item)
+		}
+		b.WriteString(";\nINSERT INTO S VALUES ")
+		for j := 0; j < 5; j++ {
+			fmt.Fprintf(&b, "%s('s%03d_%d', '%s', %d)", strings.Repeat(", ", min(j, 1)), i, j, item, 1+(i+j)%5)
+		}
+		if i < hot {
+			for k := 0; k < skewExtra; k++ {
+				fmt.Fprintf(&b, ", ('x%07d', '%s', %d)", i*skewExtra+k, item, 1+k%5)
+			}
+		}
+		b.WriteString(";\n")
+	}
+	return b.String()
+}
+
+// TestFig5SQLMatchesCorpus: at the corpus's size fig5SQL loads exactly
+// the rows of testdata/fig5_skew.sql, so the two cannot drift apart.
+func TestFig5SQLMatchesCorpus(t *testing.T) {
+	file, err := os.ReadFile("testdata/fig5_skew.sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := mvmaint.Open(), mvmaint.Open()
+	want.MustExec(string(file))
+	got.MustExec(fig5SQL(t, 200, skewHot))
+	for _, rel := range []string{"R", "S", "T"} {
+		w, err := want.Query("SELECT * FROM " + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := got.Query("SELECT * FROM " + rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sortedRows(g.Rows)) != fmt.Sprint(sortedRows(w.Rows)) {
+			t.Fatalf("%s: fig5SQL rows differ from the corpus file", rel)
+		}
+	}
+}
+
+// sortedRows orders rows by their rendered form for order-insensitive
+// comparison.
+func sortedRows(rows []storage.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%v x%d", r.Tuple, r.Count)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -86,14 +86,6 @@ type Config struct {
 	// Seed shuffles the order parallel workers claim search chunks. It
 	// perturbs timing only; the result is the same for every seed.
 	Seed int64
-	// Shards is the shard count for BuildSharded (ignored by Build).
-	// The effective count can fall back to 1 when the chosen view set
-	// cannot be partitioned; the reason is recorded on the result.
-	Shards int
-	// PartitionBy names the base-relation column to hash-partition on
-	// for BuildSharded ("" picks the column that keeps the most views
-	// shard-local).
-	PartitionBy string
 }
 
 // maxOps caps DAG expansion at every build.
@@ -177,7 +169,7 @@ func expand(db *DB, names []string) (*dag.DAG, []algebra.Node, error) {
 }
 
 // optimize runs cfg's view-set optimizer over d under the page-I/O
-// model; the one path behind Build, Reoptimize and BuildSharded.
+// model; the one path behind Build and Reoptimize.
 func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
 	if len(cfg.Workload) == 0 {
 		return nil, fmt.Errorf("mvmaint: a workload is required")
