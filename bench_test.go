@@ -18,6 +18,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/cost"
 	"repro/internal/paper"
+	"repro/internal/txn"
 )
 
 // printOnce gates artifact printing so -bench output stays readable
@@ -393,4 +394,73 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportMetric(float64(res.Explored), "sets-costed")
 	emitOnce(b, "build", fmt.Sprintf("Build at the fig5-batch64 shape chose %s of %d view sets (%d costed)",
 		res.Best.Set.Key(), res.Explored+res.Pruned, res.Explored))
+}
+
+// BenchmarkApplyBatchWindow64 times the maintenance window of the
+// fig5-batch64 workload without the benchmark harness around it: the
+// same database (1 000 items, 64 extra sales on each of 16 hot items),
+// the view set Build picks for the 80/10/10 mix, and windows of 64
+// hot-item transactions — price changes, and sales inserted and deleted
+// one for one so the hot items' fan-out holds. Windows are drawn with
+// the timer stopped, 256 at a time. One op is one window, so ns/op and
+// allocs/op are per window; io/txn is reported beside them, and the
+// benchmark fails if any view drifts from recomputation.
+//
+//	go test -run '^$' -bench ApplyBatchWindow64 -benchtime 2000x .
+func BenchmarkApplyBatchWindow64(b *testing.B) {
+	const window, chunk = 64, 256
+	db := mvmaint.Open()
+	if err := db.Exec(fig5SQL(b, 1000, 16)); err != nil {
+		b.Fatal(err)
+	}
+	sys, err := db.Build([]string{"Revenue"}, mvmaint.Config{Workload: skewTypes(), Method: mvmaint.Exhaustive})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.M.Workers = 1
+	stream := newSkewStream(sys.DB.Catalog, 16, 5)
+	windows := make([][]txn.Transaction, chunk)
+	for i := range windows {
+		windows[i] = make([]txn.Transaction, window)
+	}
+	// A chunk is drawn whole and applied whole: the stream's model of
+	// prices and sales runs ahead of the database by what it drew.
+	draw := func() {
+		for _, w := range windows {
+			for i := range w {
+				w[i] = stream.next()
+			}
+		}
+	}
+	apply := func(w []txn.Transaction) {
+		if _, err := sys.M.ApplyBatch(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	draw()
+	for _, w := range windows { // plans compile, slabs grow
+		apply(w)
+	}
+	b.ReportAllocs()
+	io0 := sys.IO().Snapshot()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += chunk {
+		b.StopTimer()
+		draw()
+		b.StartTimer()
+		for _, w := range windows[:min(chunk, b.N-done)] {
+			apply(w)
+		}
+	}
+	b.StopTimer()
+	io := sys.IO().Snapshot().Sub(io0)
+	b.ReportMetric(float64(io.Total())/float64(b.N*window), "io/txn")
+	for _, e := range sys.DAG.NonLeafEqs() {
+		if !sys.ViewSet[e.ID] {
+			continue
+		}
+		if drift, err := sys.M.Drift(e); err != nil || drift != "" {
+			b.Fatalf("view %s drifted from recomputation: %s %v", e, drift, err)
+		}
+	}
 }

@@ -161,7 +161,11 @@ func (db *DB) exec(s sqlparser.Statement) error {
 	}
 }
 
+// applyUncharged applies d to rel directly, as statements do before a
+// system is built; d's numbers are stored in their columns' kinds, as a
+// window's are (delta.Coalescer).
 func applyUncharged(rel *storage.Relation, d *delta.Delta) {
+	d.Coerce()
 	was := rel.Resident
 	rel.Resident = true
 	rel.ApplyBatch(d.ToMutations())

@@ -327,12 +327,14 @@ func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row
 		}
 		s.reset(g.key, len(p.a.Aggs))
 		for _, r := range oldRows {
-			p.fold(s, r.Tuple, r.Count)
+			if p.inGroup(r.Tuple, g.key) {
+				p.fold(s, r.Tuple, r.Count)
+			}
 		}
 		oldTuple, oldOK := p.groupTuple(s)
 
 		s.reset(g.key, len(p.a.Aggs))
-		for _, r := range p.netGroup(oldRows, g.rows) {
+		for _, r := range p.netGroup(oldRows, g.key, g.rows) {
 			if r.count > 0 {
 				p.fold(s, r.tuple, r.count)
 			}
@@ -351,15 +353,31 @@ func (p *AggregatePlan) Full(d *Delta, oldGroup func(value.Tuple) ([]storage.Row
 	return out, p.lives, nil
 }
 
+// inGroup reports whether a child row belongs to the group keyed key:
+// its group columns encode as the key does (value.Same). A group query
+// matches by value.Equal, so it also returns the rows of groups that
+// only compare equal (Int 1 and Float 1.0, +0.0 and −0.0); they are
+// groups of their own here, as in the table and in a recomputation.
+func (p *AggregatePlan) inGroup(t, key value.Tuple) bool {
+	for i, j := range p.gpos {
+		if !value.Same(t[j], key[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // netGroup nets a group's pre-update rows and its signed delta rows
 // (positions in p.sbuf) per tuple, in first-seen order. The result is
 // plan scratch, valid until the next call; entries netted to zero or
 // below are not part of the post-update bag.
-func (p *AggregatePlan) netGroup(oldRows []storage.Row, rows []int32) []signedRow {
+func (p *AggregatePlan) netGroup(oldRows []storage.Row, key value.Tuple, rows []int32) []signedRow {
 	p.netIdx.Reset()
 	p.net = p.net[:0]
 	for _, r := range oldRows {
-		p.netAdd(r.Tuple, r.Count)
+		if p.inGroup(r.Tuple, key) {
+			p.netAdd(r.Tuple, r.Count)
+		}
 	}
 	for _, i := range rows {
 		p.netAdd(p.sbuf[i].tuple, p.sbuf[i].count)

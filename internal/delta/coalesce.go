@@ -139,6 +139,7 @@ func (co *Coalescer) Coalesce(windows []map[string]*Delta) Coalesced {
 			dst = New(acc.Schema)
 			co.norm[rel] = dst
 		}
+		acc.Coerce()
 		if net := co.nz.normalize(acc, dst, pair); !net.Empty() {
 			out = append(out, RelDelta{Rel: rel, Delta: net})
 			changesOut += signedUnits(net)

@@ -17,8 +17,8 @@ package delta
 
 import (
 	"fmt"
+	"hash/maphash"
 
-	"repro/internal/bytemap"
 	"repro/internal/catalog"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -92,6 +92,41 @@ func (d *Delta) Modify(old, new value.Tuple, count int64) {
 	d.Changes = append(d.Changes, Change{Old: old, New: new, Count: count})
 }
 
+// Coerce stores each number in d's changes as its column's declared
+// kind (value.Coerce): an Int in a FLOAT column becomes a Float, an
+// integral Float in an INT column an Int. Within one column, then, two
+// numbers that compare equal encode alike (a FLOAT column's ±0.0
+// aside), which the aggregate pushed below an INT join counts on
+// (DESIGN.md §7). A tuple that needs it is replaced by a coerced copy,
+// so the tuples d points at are never written; a well-typed delta costs
+// a kind comparison per value.
+func (d *Delta) Coerce() {
+	if d.Schema == nil {
+		return
+	}
+	for i := range d.Changes {
+		c := &d.Changes[i]
+		c.Old = coerceTuple(c.Old, d.Schema)
+		c.New = coerceTuple(c.New, d.Schema)
+	}
+}
+
+// coerceTuple returns t with its numbers in s's declared kinds: t
+// itself when they already are, else a copy.
+func coerceTuple(t value.Tuple, s *catalog.Schema) value.Tuple {
+	for i, v := range t {
+		if i >= len(s.Cols) || v.Kind == s.Cols[i].Type || value.Coerce(v, s.Cols[i].Type).Kind == v.Kind {
+			continue
+		}
+		out := t.Clone()
+		for j := i; j < len(out) && j < len(s.Cols); j++ {
+			out[j] = value.Coerce(out[j], s.Cols[j].Type)
+		}
+		return out
+	}
+	return t
+}
+
 // Size returns the number of changes (the paper's |delta|, used for
 // update-cost accounting).
 func (d *Delta) Size() int {
@@ -146,16 +181,29 @@ func (d *Delta) signedRows() []signedRow {
 }
 
 // Normalizer nets deltas tuple-wise with reusable scratch (an
-// open-addressed key table and a signed-row buffer), so steady-state
-// windows normalize without heap allocation beyond the output delta.
+// open-addressed table of the tuples themselves, hashed by
+// value.HashSame rather than key-encoded, and a signed-row buffer), so
+// steady-state windows normalize without heap allocation beyond the
+// output delta.
 // Not safe for concurrent use; owners are per-maintainer.
 type Normalizer struct {
-	net  bytemap.Map[int32]
+	// tab indexes rows by tuple (value.HashSame, value.SameTuple): open
+	// addressing, linear probing, sized per call to twice the signed
+	// rows; a slot holds a row index plus one (0: empty).
+	tab  []netSlot
 	rows []signedRow
 	sbuf []signedRow
 	slot []int32 // per sbuf entry, its index in rows (pairing only)
-	enc  value.KeyEncoder
 }
+
+// netSlot is one slot of Normalizer.tab.
+type netSlot struct {
+	hash uint64
+	row  int32
+}
+
+// hashSeed seeds the normalizer's tuple hash.
+var hashSeed = maphash.MakeSeed()
 
 // Normalize merges d's changes tuple-wise into net insertions and
 // deletions, in first-seen tuple order — identical semantics to
@@ -178,20 +226,37 @@ func (nz *Normalizer) NormalizeInto(d, out *Delta) *Delta {
 // being torn into a delete and an insert; a half that cancelled against
 // another change leaves the other half as a plain insert or delete.
 func (nz *Normalizer) normalize(d, out *Delta, pair bool) *Delta {
-	nz.net.Reset()
 	nz.rows = nz.rows[:0]
 	nz.slot = nz.slot[:0]
 	nz.sbuf = d.appendSigned(nz.sbuf[:0])
+	size := 8
+	for size < 2*len(nz.sbuf) {
+		size *= 2
+	}
+	if cap(nz.tab) < size {
+		nz.tab = make([]netSlot, size)
+	}
+	tab := nz.tab[:size]
+	clear(tab)
+	mask := uint64(size - 1)
 	for _, sr := range nz.sbuf {
-		kb := nz.enc.Key(sr.tuple)
-		p, _, existed := nz.net.GetOrPut(kb, int32(len(nz.rows)))
-		if pair {
-			nz.slot = append(nz.slot, *p)
+		h := value.HashSame(sr.tuple, hashSeed)
+		i := h & mask
+		for {
+			s := &tab[i]
+			if s.row == 0 {
+				nz.rows = append(nz.rows, sr)
+				s.hash, s.row = h, int32(len(nz.rows))
+				break
+			}
+			if r := &nz.rows[s.row-1]; s.hash == h && value.SameTuple(r.tuple, sr.tuple) {
+				r.count += sr.count
+				break
+			}
+			i = (i + 1) & mask
 		}
-		if existed {
-			nz.rows[*p].count += sr.count
-		} else {
-			nz.rows = append(nz.rows, sr)
+		if pair {
+			nz.slot = append(nz.slot, tab[i].row-1)
 		}
 	}
 	out.Schema = d.Schema

@@ -1,6 +1,8 @@
 package delta_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -712,5 +714,79 @@ func TestGroupAndTupleCounts(t *testing.T) {
 	}
 	if tc[empTuple(1, 0, 100).Key()] != -1 || tc[empTuple(1, 0, 200).Key()] != 1 {
 		t.Error("modify split wrong")
+	}
+}
+
+// TestNormalizerNetsByEncoding holds the Normalizer's tuple table to a
+// netting keyed by the tuple's encoding (Tuple.Key): over random deltas
+// of 0 to 300 changes drawn from values that compare equal without
+// encoding alike — Int 1 and Float 1.0, +0.0 and −0.0 — and from NULL,
+// strings and booleans, the net insertions and deletions are the
+// reference's, tuple for tuple and in first-seen order, and every change
+// is kept apart from the ones that only compare equal to it.
+func TestNormalizerNetsByEncoding(t *testing.T) {
+	schema := catalog.NewSchema(
+		catalog.Column{Name: "A", Type: value.Float},
+		catalog.Column{Name: "B", Type: value.String},
+	)
+	as := []value.Value{
+		value.NewInt(1), value.NewFloat(1), value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
+		value.NewNull(), value.NewBool(true), value.NewBool(false), value.NewInt(0),
+	}
+	rng := rand.New(rand.NewSource(41))
+	var nz delta.Normalizer
+	for trial := 0; trial < 300; trial++ {
+		tuple := func() value.Tuple {
+			return value.Tuple{as[rng.Intn(len(as))], value.NewString(fmt.Sprint("s", rng.Intn(1+trial%12)))}
+		}
+		d := delta.New(schema)
+		for i, n := 0, rng.Intn(1+trial); i < n; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				d.Insert(tuple(), int64(1+rng.Intn(3)))
+			case 1:
+				d.Delete(tuple(), int64(1+rng.Intn(3)))
+			default:
+				d.Modify(tuple(), tuple(), 1)
+			}
+		}
+		var order []string
+		net, first := map[string]int64{}, map[string]value.Tuple{}
+		add := func(tu value.Tuple, n int64) {
+			k := tu.Key()
+			if _, ok := first[k]; !ok {
+				order = append(order, k)
+				first[k] = tu
+			}
+			net[k] += n
+		}
+		for _, c := range d.Changes {
+			if c.Old != nil {
+				add(c.Old, -c.Count)
+			}
+			if c.New != nil {
+				add(c.New, c.Count)
+			}
+		}
+		var want []string
+		for _, k := range order {
+			if n := net[k]; n != 0 {
+				want = append(want, fmt.Sprintf("%q %+d", first[k].Key(), n))
+			}
+		}
+		var got []string
+		for _, c := range nz.Normalize(d).Changes {
+			switch {
+			case c.IsInsert():
+				got = append(got, fmt.Sprintf("%q %+d", c.New.Key(), c.Count))
+			case c.IsDelete():
+				got = append(got, fmt.Sprintf("%q %+d", c.Old.Key(), -c.Count))
+			default:
+				t.Fatalf("trial %d: Normalize kept a modification %v", trial, c)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: Normalize = %v\nby encoding = %v", trial, got, want)
+		}
 	}
 }

@@ -426,7 +426,7 @@ func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 		}
 		for _, ri := range p.buckets[bid] {
 			rsr := &p.sbufR[ri]
-			if !p.keysEqual(lsr.tuple, rsr.tuple) {
+			if !value.EqualAt(lsr.tuple, p.left.pos, rsr.tuple, p.right.pos) {
 				continue
 			}
 			t := p.keep(p.out.concat(0, lsr.tuple, rsr.tuple))
@@ -437,17 +437,6 @@ func (p *JoinPlan) deltaDelta(dl, dr *Delta) {
 			}
 		}
 	}
-}
-
-// keysEqual reports whether a left and a right tuple join: their key
-// columns are pairwise value.Equal.
-func (p *JoinPlan) keysEqual(l, r value.Tuple) bool {
-	for i, lp := range p.left.pos {
-		if !value.Equal(l[lp], r[p.right.pos[i]]) {
-			return false
-		}
-	}
-	return true
 }
 
 // AggregatePlan is the compiled static part of aggregate maintenance:

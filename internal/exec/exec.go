@@ -253,7 +253,9 @@ func projectResult(in *Result, p *algebra.Project) (*Result, error) {
 // affected group per window) builds every table in the same memory. The
 // build rows of one join key form a list threaded through next in build
 // order; heads remembers each probe row's list, so the output is sized
-// before it is filled.
+// before it is filled. Keys are KeyEncoder.EqualKey, so Int 1 joins
+// Float 1.0 and +0.0 joins −0.0, as every probe of maintenance matches
+// them; each match is checked with value.Equal.
 type joinScratch struct {
 	enc        value.KeyEncoder
 	lpos, rpos []int
@@ -282,7 +284,7 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 	s.next = s.next[:0]
 	for i, row := range r.Rows {
 		at := int32(i)
-		list, _, existed := s.idx.GetOrPut(s.enc.ProjectedKey(row.Tuple, s.rpos), joinList{head: at, tail: at, n: 1})
+		list, _, existed := s.idx.GetOrPut(s.enc.EqualKey(row.Tuple, s.rpos), joinList{head: at, tail: at, n: 1})
 		s.next = append(s.next, -1)
 		if existed {
 			s.next[list.tail] = at
@@ -294,7 +296,7 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 	s.heads = s.heads[:0]
 	for _, lrow := range l.Rows {
 		head := int32(-1)
-		if list := s.idx.Ptr(s.enc.ProjectedKey(lrow.Tuple, s.lpos)); list != nil {
+		if list := s.idx.Ptr(s.enc.EqualKey(lrow.Tuple, s.lpos)); list != nil {
 			head = list.head
 			matches += int(list.n)
 		}
@@ -308,6 +310,9 @@ func (ev *Evaluator) hashJoin(j *algebra.Join, l, r *Result) (*Result, error) {
 	for li, lrow := range l.Rows {
 		for i := s.heads[li]; i >= 0; i = s.next[i] {
 			rrow := r.Rows[i]
+			if !value.EqualAt(lrow.Tuple, s.lpos, rrow.Tuple, s.rpos) {
+				continue
+			}
 			t := ev.Win.ConcatTuples(lrow.Tuple, rrow.Tuple)
 			if residual != nil && !residual.Truth(t) {
 				continue

@@ -52,8 +52,8 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 
 	case *algebra.Join:
 		dl, dr := childDelta(0), childDelta(1)
-		probeL := m.probe(op.Children[0], t.LeftCols(), w)
-		probeR := m.probe(op.Children[1], t.RightCols(), w)
+		probeL := m.probe(op.Children[0], st.lcols, w)
+		probeR := m.probe(op.Children[1], st.rcols, w)
 		if p := m.StreamsInto(tr, e); p != nil && !m.netAll && len(m.views[p.ID].stale) == 0 {
 			into, err := m.stepFor(tr.Choice[p.ID])
 			if err != nil {
@@ -104,6 +104,11 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 			if cd.Empty() {
 				continue
 			}
+			if i == 1 && !childDelta(0).Empty() {
+				// L's side went first, against R before the window; R's
+				// goes against L after it, so the two parts add up.
+				countL = countAfter(countL, childDelta(0))
+			}
 			part, err := delta.DiffSide(t, cd, i, countL, countR, &m.nz)
 			if err != nil {
 				return nil, err
@@ -114,6 +119,29 @@ func (m *Maintainer) opDelta(e *dag.EqNode, op *dag.OpNode, deltas map[int]*delt
 
 	default:
 		return nil, fmt.Errorf("maintain: unsupported operator %s", op.OpLabel())
+	}
+}
+
+// countAfter answers count as of after d: the pre-update count plus
+// the tuple's signed change in d (tuples told apart by encoding).
+func countAfter(count delta.CountProbe, d *delta.Delta) delta.CountProbe {
+	var enc value.KeyEncoder
+	net := map[string]int64{}
+	for _, c := range d.Changes {
+		n := c.Count
+		if n == 0 {
+			n = 1
+		}
+		if c.Old != nil {
+			net[string(enc.Key(c.Old))] -= n
+		}
+		if c.New != nil {
+			net[string(enc.Key(c.New))] += n
+		}
+	}
+	return func(t value.Tuple) (int64, error) {
+		n, err := count(t)
+		return n + net[string(enc.Key(t))], err
 	}
 }
 
@@ -205,13 +233,28 @@ func (m *Maintainer) oldAggProbe(v *View) delta.OldAgg {
 	return func(gk value.Tuple) (value.Tuple, int64, bool, error) {
 		was := v.Rel.Resident
 		v.Rel.Resident = true
-		rows := v.Rel.Lookup(v.groupCols, gk)
+		v.probeBuf = v.Rel.LookupAppend(v.groupCols, gk, v.probeBuf[:0])
 		v.Rel.Resident = was
-		if len(rows) == 0 {
-			return nil, 0, false, nil
+		for _, r := range v.probeBuf {
+			if sameKey(r.Tuple, gk) {
+				return r.Tuple, v.live[string(v.enc.Key(gk))], true, nil
+			}
 		}
-		return rows[0].Tuple, v.live[string(v.enc.Key(gk))], true, nil
+		return nil, 0, false, nil
 	}
+}
+
+// sameKey reports whether t's leading columns encode as key does. A
+// lookup matches by value.Equal, so a probe for group +0.0 also finds
+// group −0.0 (and Int 1 finds Float 1.0); groups are told apart by
+// encoding, as the view stores them.
+func sameKey(t, key value.Tuple) bool {
+	for i, k := range key {
+		if !value.Same(t[i], k) {
+			return false
+		}
+	}
+	return true
 }
 
 // probe builds a join probe answering from the pre-update state of an
@@ -224,7 +267,10 @@ func (m *Maintainer) probe(target *dag.EqNode, cols []string, w *windowMemo) del
 
 // countProbe answers multiplicity questions for Distinct/Diff: from the
 // sidecar when this node's view tracks them, else by a charged point
-// query on the child.
+// query on the child. The query matches by value.Equal, so it also
+// returns tuples that only compare equal to t (−0.0 for +0.0, Float 1.0
+// for Int 1); they are tuples of their own, so only t's own encoding
+// (sameKey) counts.
 func (m *Maintainer) countProbe(parent *dag.EqNode, child *dag.EqNode, w *windowMemo) (delta.CountProbe, error) {
 	cols := child.Schema().ColumnNames()
 	query := func(t value.Tuple) (int64, error) {
@@ -234,7 +280,9 @@ func (m *Maintainer) countProbe(parent *dag.EqNode, child *dag.EqNode, w *window
 		}
 		var n int64
 		for _, r := range rows {
-			n += r.Count
+			if sameKey(r.Tuple, t) {
+				n += r.Count
+			}
 		}
 		return n, nil
 	}
@@ -264,18 +312,19 @@ func (m *Maintainer) countProbe(parent *dag.EqNode, child *dag.EqNode, w *window
 // database, charged, using the materialized view set: a materialized
 // target is probed through its index; otherwise the cheapest
 // view-aware expression tree is evaluated with the filter pushed down.
-// Results are shared through the window memo, keyed by the target's
-// structural fingerprint — the runtime counterpart of the track-level
-// multi-query optimization (queries posed by more than one consumer
-// along the track are answered once per window).
+// Results are shared through the window memo, keyed by the ordinal of
+// the target's structural fingerprint — the runtime counterpart of the
+// track-level multi-query optimization (queries posed by more than one
+// consumer along the track are answered once per window).
 func (m *Maintainer) answerQuery(target *dag.EqNode, cols []string, key value.Tuple, w *windowMemo) ([]storage.Row, error) {
-	ckb := m.memoKey(make([]byte, 0, 64), target, cols, key)
-	if rows, ok := w.get(ckb); ok {
+	// The key lives in the maintainer's buffer until put: nothing
+	// between here and there builds another.
+	m.memoBuf = m.memoKey(m.memoBuf[:0], target, cols, key)
+	if rows, ok := w.get(m.memoBuf); ok {
 		obsProbeHits.Inc()
 		return rows, nil
 	}
 	obsProbeMisses.Inc()
-	ck := string(ckb)
 	var rows []storage.Row
 	if target.IsLeaf() {
 		rel, ok := m.Store.Get(target.BaseRel)
@@ -299,7 +348,7 @@ func (m *Maintainer) answerQuery(target *dag.EqNode, cols []string, key value.Tu
 		}
 		rows = res.Rows
 	}
-	w.put(ck, rows)
+	w.put(m.memoBuf, rows)
 	return rows, nil
 }
 

@@ -107,17 +107,18 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 // Coalesce keeps its modifications paired, and the track is the one its
 // declared type was costed for, so the window reproduces §3.6's
 // per-transaction page I/O exactly. Larger windows net to insertions
-// and deletions under a synthesized type (txn.MergedType).
+// and deletions under a synthesized type (txn.Window.MergedType).
 func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err error) {
 	t0 := time.Now()
 	wt := obs.StartWindow("maintain.batch", m.spanParent)
 	m.windowSpan = wt.RootID()
 	obs.Flight().Record(obs.EvWindowOpen, 0, wt.Seq(), uint64(len(txns)), wt.RootID())
+	m.winTypes.Fold(txns)
 	defer func() {
 		wt.Finish()
 		elapsed := time.Since(t0).Nanoseconds()
 		obsApplyNs.Observe(elapsed)
-		m.observeTxnTypes(txns, elapsed, rep)
+		m.observeTxnTypes(len(txns), elapsed, rep)
 		m.publishArenaStats()
 	}()
 	obsBatchWindow.Observe(int64(len(txns)))
@@ -129,13 +130,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		m.winBuf = append(m.winBuf, t.Updates)
 	}
 	merged := m.coalescer.Coalesce(m.winBuf)
-	var bt *txn.Type
-	if len(txns) == 1 {
-		bt = txns[0].Type
-	}
-	if bt == nil {
-		bt = txn.MergedType(txns, merged)
-	}
+	bt, plan := m.windowPlan(txns, merged)
 	// Recycled report: the maintainer hands back the same BatchReport
 	// every window, reset in place — callers may use it only until the
 	// next ApplyBatch (the same lifetime its Deltas already had).
@@ -176,10 +171,10 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		}
 	}
 
-	if len(merged) == 0 {
+	if plan == nil {
 		rep.Track = &tracks.Track{}
 	} else {
-		rep.Track = m.planFor(bt).track
+		rep.Track = plan.track
 	}
 	tr := rep.Track
 

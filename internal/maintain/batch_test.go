@@ -243,3 +243,119 @@ func TestApplyBatchAnnihilation(t *testing.T) {
 		t.Fatalf("root drifted: %s", drift)
 	}
 }
+
+// TestWindowTypeIsMergedType: a merged window's type is found by the
+// name its fold builds, and synthesized only for a name not seen under
+// the view set; either way the report's type is the window's own merged
+// type (a fresh fold's), in name and in updates. Windows draw typed, untyped and repeated shapes,
+// so most are answered from the plan cache.
+func TestWindowTypeIsMergedType(t *testing.T) {
+	gen, mir := buildMirror(t, 515), buildMirror(t, 515)
+	rng := rand.New(rand.NewSource(77))
+	hits := 0
+	seen := map[string]bool{}
+	for w := 0; w < 200; w++ {
+		var window []txn.Transaction
+		for i, n := 0, 2+rng.Intn(3); i < n; i++ {
+			ty, updates := corpus.RandomTxn(rng, gen.db, gen.cfg, w*100+i)
+			if ty == nil {
+				continue
+			}
+			if _, err := gen.m.Apply(ty, updates); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(4) == 0 {
+				ty = nil
+			}
+			window = append(window, txn.Transaction{Type: ty, Updates: updates})
+		}
+		rep, err := mir.m.ApplyBatch(window)
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if len(window) < 2 {
+			continue
+		}
+		var fold txn.Window
+		fold.Fold(window)
+		want := fold.MergedType(rep.Merged)
+		if rep.Type.Name != want.Name || len(rep.Type.Updates) != len(want.Updates) {
+			t.Fatalf("window %d: type %s, MergedType %s", w, rep.Type, want)
+		}
+		for i, u := range rep.Type.Updates {
+			v := want.Updates[i]
+			if u.Rel != v.Rel || u.Kind != v.Kind || u.Size != v.Size || fmt.Sprint(u.Cols) != fmt.Sprint(v.Cols) {
+				t.Fatalf("window %d: update %+v, MergedType's %+v", w, u, v)
+			}
+		}
+		if seen[want.Name] {
+			hits++
+		}
+		seen[want.Name] = true
+	}
+	if hits < 20 {
+		t.Fatalf("only %d windows repeat a shape", hits)
+	}
+}
+
+// TestMeasuredIOPerTransaction: MeasuredIO attributes each window's page
+// I/O to its transactions in equal shares, one Add per distinct type per
+// window. The sums are the ones a per-transaction loop leaves, bit for
+// bit: each type's sum takes the window's share once per transaction of
+// the type, in window order.
+func TestMeasuredIOPerTransaction(t *testing.T) {
+	gen, mir := buildMirror(t, 616), buildMirror(t, 616)
+	rng := rand.New(rand.NewSource(88))
+	want := map[string]*maintain.TypeIO{}
+	for w := 0; w < 60; w++ {
+		var window []txn.Transaction
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			ty, updates := corpus.RandomTxn(rng, gen.db, gen.cfg, w*100+i)
+			if ty == nil {
+				continue
+			}
+			if _, err := gen.m.Apply(ty, updates); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(5) == 0 {
+				ty = nil
+			}
+			window = append(window, txn.Transaction{Type: ty, Updates: updates})
+		}
+		if len(window) == 0 {
+			continue
+		}
+		rep, err := mir.m.ApplyBatch(window)
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		n := float64(len(window))
+		q, v, r, b := float64(rep.QueryIO.Total())/n, float64(rep.ViewIO.Total())/n,
+			float64(rep.RootIO.Total())/n, float64(rep.BaseIO.Total())/n
+		for _, tx := range window {
+			name := "untyped"
+			if tx.Type != nil {
+				name = tx.Type.Name
+			}
+			s := want[name]
+			if s == nil {
+				s = &maintain.TypeIO{Name: name}
+				want[name] = s
+			}
+			s.Txns++
+			s.Query += q
+			s.View += v
+			s.Root += r
+			s.Base += b
+		}
+	}
+	got := mir.m.MeasuredIO()
+	if len(got) != len(want) {
+		t.Fatalf("MeasuredIO has %d types, want %d", len(got), len(want))
+	}
+	for _, g := range got {
+		if w := want[g.Name]; w == nil || g != *w {
+			t.Errorf("%s: measured %+v, per-transaction sums %+v", g.Name, g, w)
+		}
+	}
+}

@@ -75,10 +75,12 @@ type View struct {
 	// aggregateDelta (incremental or full-group), applied by
 	// updateSidecar; it also clears staleness for those keys.
 	pending []delta.GroupLive
-	// groupCols (the view's leading, group-by columns when aggOp is set)
-	// and enc are oldAggProbe's, kept here so a window allocates neither.
+	// groupCols (the view's leading, group-by columns when aggOp is set),
+	// enc and probeBuf are oldAggProbe's, kept here so a window allocates
+	// none of them.
 	groupCols []string
 	enc       value.KeyEncoder
+	probeBuf  []storage.Row
 }
 
 // WindowCommitter makes maintenance windows durable; the WAL's group
@@ -166,6 +168,19 @@ type Maintainer struct {
 	plans  map[string]*trackPlan
 	steps  map[*dag.OpNode]*planStep
 	planVS string
+	// The window's transactions folded by declared type (one entry per
+	// distinct type), and the merged type's name built from the fold:
+	// a merged window's plan is found by it, so a merged type is built
+	// only for a window shape not seen under the current view set.
+	winTypes txn.Window
+	sigBuf   []byte
+
+	// fpOrd numbers each class's structural fingerprint (index: class
+	// ID; 0 unset), fpOrdinals each distinct fingerprint; memoBuf holds
+	// the probe-memo key being looked up (memo.go).
+	fpOrd      []uint32
+	fpOrdinals map[string]uint32
+	memoBuf    []byte
 
 	// Per-window scratch, reset (not freed) between windows. The arena
 	// backs every tuple propagation derives, which is why a report's
@@ -294,38 +309,39 @@ func (m *Maintainer) typeStatFor(name string) *typeStat {
 // equal share of the window's wall time (per-txn attribution inside a
 // coalesced window is not observable — the window is maintained as one
 // unit), and of the page I/O rep reports for it (nil for a window that
-// failed). Zero allocations after the first window of each type.
-func (m *Maintainer) observeTxnTypes(txns []txn.Transaction, elapsed int64, rep *BatchReport) {
-	if len(txns) == 0 {
+// failed). It reads the window's fold (m.winTypes), so it does one
+// counter Add per distinct type, not per transaction; each type's float
+// sums still take the same addend once per transaction, so they are the
+// same bits a per-transaction loop leaves. Zero allocations after the
+// first window of each type.
+func (m *Maintainer) observeTxnTypes(txns int, elapsed int64, rep *BatchReport) {
+	if txns == 0 {
 		return
 	}
-	obsTxns.Add(int64(len(txns)))
-	share := elapsed / int64(len(txns))
+	obsTxns.Add(int64(txns))
+	share := elapsed / int64(txns)
 	var io TypeIO
 	if rep != nil {
-		n := float64(len(txns))
+		n := float64(txns)
 		io = TypeIO{Txns: 1,
 			Query: float64(rep.QueryIO.Total()) / n, View: float64(rep.ViewIO.Total()) / n,
 			Root: float64(rep.RootIO.Total()) / n, Base: float64(rep.BaseIO.Total()) / n}
 	}
-	var lastName string
-	var st *typeStat
-	for i := range txns {
+	for _, u := range m.winTypes.Uses() {
 		name := "untyped"
-		if txns[i].Type != nil {
-			name = txns[i].Type.Name
+		if u.Type != nil {
+			name = u.Type.Name
 		}
-		if st == nil || name != lastName {
-			st = m.typeStatFor(name)
-			lastName = name
+		st := m.typeStatFor(name)
+		st.count.Add(int64(u.N))
+		st.ns.Add(share * int64(u.N))
+		st.io.Txns += io.Txns * int64(u.N)
+		for range u.N {
+			st.io.Query += io.Query
+			st.io.View += io.View
+			st.io.Root += io.Root
+			st.io.Base += io.Base
 		}
-		st.count.Inc()
-		st.ns.Add(share)
-		st.io.Txns += io.Txns
-		st.io.Query += io.Query
-		st.io.View += io.View
-		st.io.Root += io.Root
-		st.io.Base += io.Base
 	}
 }
 

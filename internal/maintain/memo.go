@@ -1,6 +1,9 @@
 package maintain
 
 import (
+	"encoding/binary"
+
+	"repro/internal/bytemap"
 	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -22,19 +25,20 @@ var (
 // layers:
 //
 //   - rows: answered point queries σ[cols = key](target), keyed by the
-//     target's structural fingerprint (dag.Fingerprint) plus the binding.
-//     Fingerprint keying makes the slot a property of the expression, not
-//     of the equivalence-class ID, so every query posed along the track —
-//     across marked nodes and across opDelta calls — that asks for the
-//     same subexpression under the same binding is evaluated exactly
-//     once per window.
+//     ordinal of the target's structural fingerprint (dag.Fingerprint)
+//     plus the binding. Fingerprint keying makes the slot a property of
+//     the expression, not of the equivalence-class ID, so every query
+//     posed along the track — across marked nodes and across opDelta
+//     calls — that asks for the same subexpression under the same
+//     binding is evaluated exactly once per window.
 //   - eval: the executor-level memo sharing full-evaluation results of
 //     repeated subtrees inside query-tree evaluation (exec.Memo).
 //
 // Both layers hold pre-update state only; a memo never survives past the
 // window's propagation pass (views and bases mutate after it).
 type windowMemo struct {
-	rows map[string][]storage.Row
+	rows bytemap.Map[[]storage.Row]
+	on   bool // false: the memo is inert (disableMQO)
 	eval exec.Memo
 	// buf is the window's probe-row slab: answerQuery directs
 	// LookupAppend into it and memoizes sub-slices, so a window's probes
@@ -53,27 +57,26 @@ type windowMemo struct {
 func (m *Maintainer) newWindowMemo() *windowMemo {
 	w := &m.winMemo
 	w.buf = w.buf[:0]
-	if m.disableMQO {
-		w.rows, w.eval = nil, nil
+	w.rows.Reset()
+	if w.on = !m.disableMQO; !w.on {
+		w.eval = nil
 		return w
 	}
-	if w.rows == nil {
-		w.rows = map[string][]storage.Row{}
+	if w.eval == nil {
 		w.eval = exec.Memo{}
 	} else {
-		clear(w.rows)
 		clear(w.eval)
 	}
 	return w
 }
 
-// get looks up an answered query; a nil rows map (disableMQO) never hits.
+// get looks up an answered query; an inert memo never hits.
 func (w *windowMemo) get(key []byte) ([]storage.Row, bool) {
-	if w.rows == nil {
+	if !w.on {
 		obsMemoMisses.Inc()
 		return nil, false
 	}
-	rows, ok := w.rows[string(key)]
+	rows, ok := w.rows.Get(key)
 	if ok {
 		obsMemoHits.Inc()
 	} else {
@@ -83,9 +86,9 @@ func (w *windowMemo) get(key []byte) ([]storage.Row, bool) {
 }
 
 // put records an answered query (no-op when the memo is inert).
-func (w *windowMemo) put(key string, rows []storage.Row) {
-	if w.rows != nil {
-		w.rows[key] = rows
+func (w *windowMemo) put(key []byte, rows []storage.Row) {
+	if w.on {
+		w.rows.Put(key, rows)
 	}
 }
 
@@ -98,10 +101,12 @@ func (w *windowMemo) lookup(rel *storage.Relation, cols []string, key value.Tupl
 	return w.buf[start:len(w.buf):len(w.buf)]
 }
 
-// memoKey builds the memo key for σ[cols = key](target): structural
-// fingerprint, binding columns, bound values (canonical key encoding).
+// memoKey builds the memo key for σ[cols = key](target): the ordinal of
+// the target's structural fingerprint, binding columns, bound values
+// (canonical key encoding). The ordinal is a uvarint, so it is
+// prefix-free.
 func (m *Maintainer) memoKey(dst []byte, target *dag.EqNode, cols []string, key value.Tuple) []byte {
-	dst = append(dst, m.D.Fingerprint(target)...)
+	dst = binary.AppendUvarint(dst, uint64(m.fingerprintOrdinal(target)))
 	dst = append(dst, '|')
 	for _, c := range cols {
 		dst = append(dst, c...)
@@ -109,4 +114,31 @@ func (m *Maintainer) memoKey(dst []byte, target *dag.EqNode, cols []string, key 
 	}
 	dst = append(dst, '|')
 	return value.AppendKey(dst, key)
+}
+
+// fingerprintOrdinal numbers e's structural fingerprint: classes with
+// equal fingerprints get one ordinal, so a memo keyed by it shares
+// exactly what a memo keyed by the fingerprint text would, for a few
+// bytes of key instead of the whole expression. The numbering is the
+// maintainer's, built on first sight of each class; the DAG is fully
+// expanded before a maintainer exists, so a class's fingerprint never
+// changes under it.
+func (m *Maintainer) fingerprintOrdinal(e *dag.EqNode) uint32 {
+	if e.ID < len(m.fpOrd) && m.fpOrd[e.ID] != 0 {
+		return m.fpOrd[e.ID]
+	}
+	fp := m.D.Fingerprint(e)
+	if m.fpOrdinals == nil {
+		m.fpOrdinals = map[string]uint32{}
+	}
+	ord, ok := m.fpOrdinals[fp]
+	if !ok {
+		ord = uint32(len(m.fpOrdinals) + 1)
+		m.fpOrdinals[fp] = ord
+	}
+	if e.ID >= len(m.fpOrd) {
+		m.fpOrd = append(m.fpOrd, make([]uint32, e.ID+1-len(m.fpOrd))...)
+	}
+	m.fpOrd[e.ID] = ord
+	return ord
 }

@@ -303,3 +303,28 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 			&mirror{m: unsharedM, checked: checked})
 	}
 }
+
+// TestMemoCountsPinned pins what the window memo shares on a fixed
+// Figure 5 stream over every node: the hits and misses counted when the
+// memo was keyed by fingerprint text. Keying by fingerprint ordinal must
+// share exactly as much.
+func TestMemoCountsPinned(t *testing.T) {
+	mir := buildFig5Mirror(t, corpus.Figure5Config{Items: 24, RPerItem: 3, SPerItem: 3}, 1)
+	stream := newFig5Stream(mir.db, 6)
+	hits, misses := obs.C("maintain.mqo.memo_hits"), obs.C("maintain.mqo.memo_misses")
+	h0, m0 := hits.Value(), misses.Value()
+	for round := 0; round < 3; round++ {
+		for w, size := range mqoWindowSizes {
+			window := make([]txn.Transaction, size)
+			for i := range window {
+				window[i] = stream.next()
+			}
+			if _, err := mir.m.ApplyBatch(window); err != nil {
+				t.Fatalf("round %d window %d: %v", round, w, err)
+			}
+		}
+	}
+	if h, m := hits.Value()-h0, misses.Value()-m0; h != 28 || m != 200 {
+		t.Errorf("memo hits %d, misses %d; want 28, 200", h, m)
+	}
+}

@@ -15,7 +15,7 @@ import (
 
 // trackPlan is what the cost model chose for one transaction type: the
 // update track and its query list. Plans live in Maintainer.plans keyed
-// by the type's canonical name. txn.MergedType names a window by its net
+// by the type's canonical name. A merged type names a window by its net
 // delta size per relation as well as by relation and kind, because the
 // cheapest track depends on those sizes — so a long run sees many names,
 // and a trackPlan must stay this small. Everything compiled, and every
@@ -29,6 +29,11 @@ type trackPlan struct {
 	// shared counts the queries MQO merges away — posed by more than one
 	// consumer along the track, answered once per window by the memo.
 	shared int
+	// merged is the synthesized type of the window shape this plan was
+	// costed for (nil for a declared type's plan), kept so a recurring
+	// shape is not synthesized again. Shared by every window of the shape,
+	// so nothing may modify it.
+	merged *txn.Type
 }
 
 // The plan cache on /metrics: track plans and compiled steps held by
@@ -51,6 +56,8 @@ type planStep struct {
 	proj *delta.ProjectPlan
 	join *delta.JoinPlan
 	agg  *delta.AggregatePlan
+	// lcols and rcols are a join's column lists, for its probes.
+	lcols, rcols []string
 	// net holds a join's netted delta (both inputs changed) for the window.
 	net delta.Delta
 }
@@ -113,16 +120,49 @@ func viewSetKey(vs tracks.ViewSet) string {
 	return string(b)
 }
 
-// planFor returns the plan for t, costing the view set's tracks for it
-// on first use. A changed view set first drops every cached plan and
-// compiled step: tracks are costed against the view set, and the steps
-// of operations no track crosses any more would only hold scratch.
-func (m *Maintainer) planFor(t *txn.Type) *trackPlan {
+// checkViewSet drops every cached plan and compiled step when the view
+// set changed since they were built: tracks are costed against the view
+// set, and the steps of operations no track crosses any more would only
+// hold scratch.
+func (m *Maintainer) checkViewSet() {
 	if vsk := viewSetKey(m.VS); vsk != m.planVS {
 		clear(m.plans)
 		clear(m.steps)
 		m.planVS = vsk
 	}
+}
+
+// windowPlan returns the type a window's track is chosen for and its
+// plan (nil when the window coalesced to nothing). A window of one
+// declared transaction is planned for its type; any other is planned
+// for its merged type, found by name in the plan cache — the name is
+// built from the window's fold (m.winTypes) into a reused buffer — and
+// synthesized only for a shape not seen before.
+func (m *Maintainer) windowPlan(txns []txn.Transaction, merged delta.Coalesced) (*txn.Type, *trackPlan) {
+	if len(txns) == 1 && txns[0].Type != nil {
+		if len(merged) == 0 {
+			return txns[0].Type, nil
+		}
+		return txns[0].Type, m.planFor(txns[0].Type)
+	}
+	if len(merged) == 0 {
+		return m.winTypes.MergedType(merged), nil
+	}
+	m.checkViewSet()
+	m.sigBuf = m.winTypes.AppendName(m.sigBuf[:0], merged)
+	if p := m.plans[string(m.sigBuf)]; p != nil && p.merged != nil {
+		return p.merged, p
+	}
+	bt := m.winTypes.MergedType(merged)
+	p := m.planFor(bt)
+	p.merged = bt
+	return bt, p
+}
+
+// planFor returns the plan for t, costing the view set's tracks for it
+// on first use.
+func (m *Maintainer) planFor(t *txn.Type) *trackPlan {
+	m.checkViewSet()
 	if p := m.plans[t.Name]; p != nil {
 		return p
 	}
@@ -186,6 +226,7 @@ func compileStep(op *dag.OpNode) (*planStep, error) {
 			return nil, err
 		}
 		st.join = p
+		st.lcols, st.rcols = t.LeftCols(), t.RightCols()
 	case *algebra.Aggregate:
 		p, err := delta.CompileAggregate(t, op.Children[0].Schema())
 		if err != nil {

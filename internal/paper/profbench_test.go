@@ -50,11 +50,18 @@ func TestBatchingAmortizesPageIO(t *testing.T) {
 
 // TestWindowAllocsSteadyState holds the per-window heap cost once
 // directories, arenas and plan caches have warmed up. A batch-64 window
-// allocates 175 objects: the new sales' id strings, what the stored
-// relations retain for them, and one memo key per distinct probe and
-// one sidecar entry per changed group, on the every-node fixture's 10
-// views (98 on its 5 before the factorized push added five). Recycling
-// that stops recycling adds hundreds.
+// on the every-node fixture's 10 views allocates about 63 objects (69
+// under -race), nearly all of them for rows: about 24 sidecar entries
+// (a live-count key string per aggregate group the window changes), 13
+// sale ids the stream draws for its new sales, 4 spans of the window
+// trace, and what the stored relations retain as they grow by those
+// sales (slab blocks, row-directory pages). A handful pay for the
+// window itself: the view-set key the plan cache is checked against and
+// the sort of the coalesced relations. The merged type is found by its
+// name, built in a reused buffer, and probe-memo keys carry a
+// fingerprint ordinal, not the fingerprint text; before that a window
+// allocated 175 (98 on the fixture's 5 views before the factorized push
+// added five). Recycling that stops recycling adds hundreds.
 func TestWindowAllocsSteadyState(t *testing.T) {
 	th := newThroughput(t)
 	window := func() {
@@ -65,8 +72,10 @@ func TestWindowAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		window()
 	}
-	if got := testing.AllocsPerRun(20, window); got > 200 {
-		t.Errorf("steady-state batch-64 window allocates %.0f objects, want <= 200", got)
+	got := testing.AllocsPerRun(20, window)
+	t.Logf("steady-state batch-64 window: %.0f allocations", got)
+	if got > 80 {
+		t.Errorf("steady-state batch-64 window allocates %.0f objects, want <= 80", got)
 	}
 }
 

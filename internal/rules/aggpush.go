@@ -38,6 +38,12 @@ import (
 // — the multiplicity the paper says would change, carried along — and a
 // keyed side is used raw, as above.
 //
+// Both forms count on a join key value being one group: a join matches
+// by value.Equal while groups and keys are told apart by encoding, and
+// the two differ on FLOAT (+0.0 equals −0.0) and across kinds (Int 1
+// equals Float 1.0). So neither fires unless each pair of join columns
+// is declared one INT, VARCHAR or BOOL type (exactJoinKeys).
+//
 // The realignment projection keeps memo equivalence strict.
 type AggJoinPush struct{}
 
@@ -54,7 +60,7 @@ func (AggJoinPush) Apply(d *dag.DAG, op *dag.OpNode) []algebra.Node {
 	var out []algebra.Node
 	for _, childOp := range child.Ops {
 		join, ok := childOp.Template.(*algebra.Join)
-		if !ok || join.Residual != nil {
+		if !ok || join.Residual != nil || !exactJoinKeys(join, childOp) {
 			continue
 		}
 		pushed := false
@@ -71,6 +77,25 @@ func (AggJoinPush) Apply(d *dag.DAG, op *dag.OpNode) []algebra.Node {
 		}
 	}
 	return out
+}
+
+// exactJoinKeys reports whether every pair of j's join columns is
+// declared one type under which value.Equal is encoding equality: INT,
+// VARCHAR or BOOL.
+func exactJoinKeys(j *algebra.Join, op *dag.OpNode) bool {
+	ls, rs := op.Children[0].Schema(), op.Children[1].Schema()
+	for _, c := range j.On {
+		li, lerr := ls.Resolve(c.Left)
+		ri, rerr := rs.Resolve(c.Right)
+		if lerr != nil || rerr != nil {
+			return false
+		}
+		switch t := ls.Cols[li].Type; {
+		case t != rs.Cols[ri].Type, t != value.Int && t != value.String && t != value.Bool:
+			return false
+		}
+	}
+	return true
 }
 
 // tryPush attempts to push agg into the given side of the join op.

@@ -292,6 +292,45 @@ func TestFactorizedPushDoesNotFire(t *testing.T) {
 	}
 }
 
+// keyTyped is tableDef with its join column K declared as kind.
+func keyTyped(name string, keyed bool, kind value.Kind) *catalog.TableDef {
+	def := tableDef(name, keyed)
+	def.Schema = catalog.NewSchema(
+		catalog.Column{Qualifier: name, Name: "K", Type: kind},
+		catalog.Column{Qualifier: name, Name: "V", Type: value.Int},
+	)
+	return def
+}
+
+// TestPushNeedsExactJoinKeys: a join matches by value.Equal, groups and
+// keys by encoding, and the two differ on FLOAT (+0.0 and −0.0) and
+// across kinds (Int 1 and Float 1.0). So neither push fires over a FLOAT
+// join key or a key declared INT on one side and FLOAT on the other —
+// not the keyed push, whose other side would no longer match one row per
+// key, nor the factorized one, whose group would hold two key values.
+// The same views over INT keys push.
+func TestPushNeedsExactJoinKeys(t *testing.T) {
+	keyed := []algebra.AggSpec{{Func: algebra.Sum, Arg: expr.C("A.V"), As: "S"}}
+	factored := []algebra.AggSpec{{Func: algebra.Sum, Arg: times("A.V", "B.V"), As: "S"}}
+	for _, c := range []struct {
+		name        string
+		left, right value.Kind
+		pushes      bool
+	}{
+		{"INT keys", value.Int, value.Int, true},
+		{"FLOAT keys", value.Float, value.Float, false},
+		{"INT against FLOAT", value.Int, value.Float, false},
+	} {
+		for _, aggs := range [][]algebra.AggSpec{keyed, factored} {
+			view := algebra.NewAggregate([]string{"B.K"}, aggs,
+				joinAK(keyTyped("A", false, c.left), keyTyped("B", true, c.right)))
+			if got := pushes(t, view); (len(got) > 0) != c.pushes {
+				t.Errorf("%s, %s: pushed %q, want a push: %v", c.name, aggs[0].Arg, got, c.pushes)
+			}
+		}
+	}
+}
+
 // TestKeyedPushUnchanged: with the other side keyed and every argument
 // on one side, the rule's output is the keyed push's tree alone, byte
 // for byte — no factorized tree beside it — so DAGs the keyed push

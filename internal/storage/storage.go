@@ -248,7 +248,7 @@ func (s *tupleSlab) release() {
 type hashIndex struct {
 	def    catalog.IndexDef
 	colPos []int
-	// buckets maps projected-key bytes to a bucket id; lists[id] holds
+	// buckets maps bucket keys (keyOf) to a bucket id; lists[id] holds
 	// the entry ids in the bucket, in insertion order (Lookup output
 	// order depends on it). Lists may contain dead entry ids (lazy index
 	// deletion); readers skip entries with count zero. nlists counts the
@@ -267,12 +267,16 @@ type hashIndex struct {
 	order   []bytemap.Ref
 }
 
+// keyOf returns t's bucket key: its indexed columns under value.Equal
+// (KeyEncoder.EqualKey), so an Int 1 and a Float 1.0 share a bucket and
+// a probe with either finds both. Unequal values can share one too, so
+// readers check Equal on every entry they fetch (tupleMatches).
 func (ix *hashIndex) keyOf(t value.Tuple) []byte {
-	return ix.enc.ProjectedKey(t, ix.colPos)
+	return ix.enc.EqualKey(t, ix.colPos)
 }
 
 func (ix *hashIndex) keyOf2(t value.Tuple) []byte {
-	return ix.enc2.ProjectedKey(t, ix.colPos)
+	return ix.enc2.EqualKey(t, ix.colPos)
 }
 
 // lookupPlan caches the column resolution of a Lookup shape so repeated
@@ -610,7 +614,7 @@ func (r *Relation) LookupAppend(cols []string, key value.Tuple, dst []Row) []Row
 		return r.scanMatch(pl, key, dst)
 	}
 	ix := pl.ix
-	bucket := r.encAux.ProjectedKey(key, pl.keyPos)
+	bucket := r.encAux.EqualKey(key, pl.keyPos)
 	r.chargeIndexRead(ix.def.Name, bucket)
 	if bid, ok := ix.buckets.Get(bucket); ok {
 		for _, eid := range ix.lists[bid] {

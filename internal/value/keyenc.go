@@ -2,6 +2,7 @@ package value
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 )
 
@@ -42,6 +43,51 @@ func Same(a, b Value) bool {
 		return a.S == b.S
 	case Bool:
 		return a.B == b.B
+	}
+	return true
+}
+
+// HashSame hashes t so that tuples Same column by column hash alike:
+// each value contributes its kind and the bits Same compares.
+func HashSame(t Tuple, seed maphash.Seed) uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		var x uint64
+		switch v.Kind {
+		case Int:
+			x = uint64(v.I)
+		case Float:
+			x = math.Float64bits(v.F)
+		case String:
+			x = maphash.String(seed, v.S)
+		case Bool:
+			if v.B {
+				x = 1
+			}
+		}
+		h = mix(h ^ uint64(v.Kind)<<59 ^ x)
+	}
+	return h
+}
+
+// mix is splitmix64's finalizer.
+func mix(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// SameTuple reports whether a and b are Same column by column.
+func SameTuple(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !Same(a[i], b[i]) {
+			return false
+		}
 	}
 	return true
 }

@@ -28,6 +28,17 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
+// EqualAt reports whether l and r agree under Equal on every column
+// pair (lpos[i], rpos[i]): whether they join on those columns.
+func EqualAt(l Tuple, lpos []int, r Tuple, rpos []int) bool {
+	for i, lp := range lpos {
+		if !Equal(l[lp], r[rpos[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Compare orders tuples lexicographically.
 func (t Tuple) Compare(o Tuple) int {
 	n := len(t)

@@ -9,6 +9,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -96,6 +97,22 @@ func (v Value) AsInt() int64 {
 	default:
 		return 0
 	}
+}
+
+// Coerce returns v as a column declared kind stores it: an Int in a
+// FLOAT column becomes that Float, and a Float with an integral value in
+// an INT column that Int (−0.0 is 0). Anything else is v. Within one
+// column, then, two numbers Equal calls equal also encode alike — a FLOAT
+// column's +0.0 and −0.0 aside — which is what joins and groups on the
+// column count on (DESIGN.md §7).
+func Coerce(v Value, kind Kind) Value {
+	switch {
+	case kind == Float && v.Kind == Int:
+		return NewFloat(float64(v.I))
+	case kind == Int && v.Kind == Float && v.F == math.Trunc(v.F) && math.Abs(v.F) < 1<<63:
+		return NewInt(int64(v.F))
+	}
+	return v
 }
 
 // Truth reports whether v is a true boolean. NULL and non-booleans are

@@ -1,6 +1,8 @@
 package value
 
 import (
+	"hash/maphash"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -247,5 +249,52 @@ func TestCompareConsistentWithArithmetic(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestCoerce(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		kind Kind
+		want Value
+	}{
+		{NewFloat(1), Int, NewInt(1)},
+		{NewFloat(math.Copysign(0, -1)), Int, NewInt(0)},
+		{NewFloat(2.5), Int, NewFloat(2.5)},
+		{NewFloat(math.Ldexp(1, 63)), Int, NewFloat(math.Ldexp(1, 63))},
+		{NewFloat(math.NaN()), Int, NewFloat(math.NaN())},
+		{NewInt(3), Float, NewFloat(3)},
+		{NewInt(3), Int, NewInt(3)},
+		{NewNull(), Int, NewNull()},
+		{NewString("1"), Int, NewString("1")},
+	} {
+		if got := Coerce(c.v, c.kind); !Same(got, c.want) {
+			t.Errorf("Coerce(%v %v, %v) = %v %v, want %v %v", c.v.Kind, c.v, c.kind, got.Kind, got, c.want.Kind, c.want)
+		}
+	}
+}
+
+// TestHashSame: tuples that are Same column by column hash alike, built
+// from separate strings; tuples that only compare Equal are not Same.
+func TestHashSame(t *testing.T) {
+	seed := maphash.MakeSeed()
+	negZero := NewFloat(math.Copysign(0, -1))
+	for _, c := range []struct {
+		a, b Tuple
+		same bool
+	}{
+		{Tuple{NewInt(7), NewString("ab")}, Tuple{NewInt(7), NewString(string([]byte("ab")))}, true},
+		{Tuple{NewFloat(math.NaN()), NewNull(), NewBool(true)}, Tuple{NewFloat(math.NaN()), NewNull(), NewBool(true)}, true},
+		{Tuple{NewInt(1)}, Tuple{NewFloat(1)}, false},
+		{Tuple{NewFloat(0)}, Tuple{negZero}, false},
+		{Tuple{NewInt(0)}, Tuple{NewNull()}, false},
+		{Tuple{NewInt(1)}, Tuple{NewInt(1), NewInt(1)}, false},
+	} {
+		if got := SameTuple(c.a, c.b); got != c.same {
+			t.Errorf("SameTuple(%v, %v) = %v, want %v", c.a, c.b, got, c.same)
+		}
+		if c.same && HashSame(c.a, seed) != HashSame(c.b, seed) {
+			t.Errorf("HashSame(%v) != HashSame(%v)", c.a, c.b)
+		}
 	}
 }
