@@ -417,7 +417,6 @@ func BenchmarkApplyBatchWindow64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.M.Workers = 1
 	stream := newSkewStream(sys.DB.Catalog, 16, 5)
 	windows := make([][]txn.Transaction, chunk)
 	for i := range windows {

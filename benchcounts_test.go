@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -26,15 +27,17 @@ func counted(name, unit string) bool {
 
 // TestBenchCounts compares the counted lines of benchmark results to
 // the golden file. CI's "Counted lines" step writes one result per
-// workload of the golden file and points BENCH_COUNTS_DIR at them:
+// workload of the golden file, all four of BENCHMARK.json's, and points
+// BENCH_COUNTS_DIR at them:
 //
-//	for w in fig5-batch64 corp-sql-txn1; do
+//	for w in fig5-batch64 fig5-batch64-wal corp-sql-txn1 corp-serve-tcp; do
 //	  bash benchmark/run.sh -workload $w -ops 300 -seed 5 -trace 1 | tail -1 > /tmp/counts/$w.json
 //	done
 //	BENCH_COUNTS_DIR=/tmp/counts go test -run TestBenchCounts .
 //
-// -update-counts rewrites the golden file from those results: only for
-// a change meant to move a count, said so where it is reviewed.
+// -update-counts rewrites the golden file from every result in the
+// directory: only for a change meant to move a count (or add a
+// workload), said so where it is reviewed.
 func TestBenchCounts(t *testing.T) {
 	dir := os.Getenv("BENCH_COUNTS_DIR")
 	if dir == "" {
@@ -49,9 +52,19 @@ func TestBenchCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]map[string]float64{}
-	workloads := make([]string, 0, len(golden))
-	for w := range golden {
-		workloads = append(workloads, w)
+	var workloads []string
+	if *updateCounts {
+		files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			workloads = append(workloads, strings.TrimSuffix(filepath.Base(f), ".json"))
+		}
+	} else {
+		for w := range golden {
+			workloads = append(workloads, w)
+		}
 	}
 	sort.Strings(workloads)
 	for _, w := range workloads {

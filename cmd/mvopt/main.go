@@ -7,7 +7,7 @@
 //	mvopt -schema schema.sql -view ProblemDept \
 //	      -txn 'modify:Emp:Salary:1:1' -txn 'modify:Dept:Budget:1:1' \
 //	      [-method exhaustive|parallel|shielded|greedy|single-tree|heuristic-marking]
-//	      [-j workers] [-seed n]
+//	      [-j workers]
 //
 // Each -txn flag is kind:relation[:cols]:size:weight, where kind is
 // insert, delete or modify and cols is a +-separated column list for
@@ -34,6 +34,7 @@ type txnFlags []string
 
 // String implements flag.Value.
 func (t *txnFlags) String() string { return strings.Join(*t, ",") }
+
 // Set implements flag.Value.
 func (t *txnFlags) Set(s string) error {
 	*t = append(*t, s)
@@ -89,7 +90,6 @@ func main() {
 	var workers int
 	flag.IntVar(&workers, "j", 0, "worker count for -method parallel (0 = all CPUs)")
 	flag.IntVar(&workers, "workers", 0, "alias for -j")
-	seed := flag.Int64("seed", 0, "chunk-order seed for -method parallel (result is seed-independent)")
 	var txns txnFlags
 	flag.Var(&txns, "txn", "transaction type kind:rel[:cols]:size:weight (repeatable)")
 	metrics := flag.Bool("metrics", false, "dump the metrics snapshot as JSON to stderr on exit")
@@ -125,7 +125,7 @@ func main() {
 			select {}
 		}
 	}()
-	sys, err := optimize(*schema, *view, *method, txns, workers, *seed)
+	sys, err := optimize(*schema, *view, *method, txns, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func main() {
 
 // optimize loads the schema file, parses the workload and runs the
 // chosen optimizer over the named views.
-func optimize(schema, view, method string, txns []string, workers int, seed int64) (*mvmaint.System, error) {
+func optimize(schema, view, method string, txns []string, workers int) (*mvmaint.System, error) {
 	sql, err := os.ReadFile(schema)
 	if err != nil {
 		return nil, err
@@ -171,6 +171,5 @@ func optimize(schema, view, method string, txns []string, workers int, seed int6
 		Workload:    workload,
 		Method:      m,
 		Parallelism: workers,
-		Seed:        seed,
 	})
 }

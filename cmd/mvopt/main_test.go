@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // with the committed report. Run with -update after an intended change.
 func TestSkewDecisionGolden(t *testing.T) {
 	sys, err := optimize("../../testdata/fig5_skew.sql", "Revenue", "exhaustive",
-		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"}, 0, 0)
+		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestParseTxn(t *testing.T) {
 func TestParseTxnErrors(t *testing.T) {
 	bad := []string{
 		"",
-		"modify:Emp",            // too short
-		"modify:Emp:1:1",        // missing cols for modify
-		"upsert:Emp:1:1",        // unknown kind
-		"insert:Emp:abc:1",      // bad size
-		"insert:Emp:1:xyz",      // bad weight
+		"modify:Emp",       // too short
+		"modify:Emp:1:1",   // missing cols for modify
+		"upsert:Emp:1:1",   // unknown kind
+		"insert:Emp:abc:1", // bad size
+		"insert:Emp:1:xyz", // bad weight
 	}
 	for _, spec := range bad {
 		if _, err := parseTxn(spec); err == nil {

@@ -3,7 +3,6 @@ package maintain
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/delta"
@@ -17,18 +16,9 @@ import (
 // — the batching knob §3.6's space-for-time trade is parameterized by.
 var obsBatchWindow = obs.H("maintain.batch.window")
 
-// workerHist returns the apply-latency histogram for one view-apply
-// worker slot (nanoseconds per view applied). Registration is lazy and
-// idempotent, so repeated batches share one histogram per slot; a
-// skewed slot reveals an unbalanced view partition.
-func workerHist(w int) *obs.Histogram {
-	return obs.H(fmt.Sprintf("maintain.apply.worker%02d.ns", w))
-}
-
-// serialWorkerHist is slot 0's histogram, resolved once: the serial
-// path runs every window, and formatting the name there is measurable
-// at window sizes of one.
-var serialWorkerHist = workerHist(0)
+// obsApplyView records the time to apply one view's delta and fold its
+// sidecar, in nanoseconds.
+var obsApplyView = obs.H("maintain.apply.view.ns")
 
 // BatchReport describes one maintained window of transactions, with
 // page I/O split the way the paper accounts it: queries posed during
@@ -91,11 +81,9 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 //     written: rejected, it returns with Rejected set; accepted, it is
 //     handed to the Committer now instead of in step 1;
 //  4. the base relations are updated, one storage batch per relation;
-//  5. the per-view deltas are applied to independent materialized views
-//     concurrently (up to m.Workers goroutines), each worker charging a
-//     private I/O counter so the hot path takes no locks; sidecar
-//     live/stale bookkeeping stays per-view and runs on whichever
-//     worker owns the view.
+//  5. the per-view deltas are applied to the materialized views in
+//     track order, on the window's goroutine, each view's sidecar
+//     live/stale bookkeeping right after its delta.
 //
 // Queries see the pre-batch state, as in the paper's differential
 // formalism (R_old, V_old): composition of the window's deltas is valid
@@ -249,11 +237,11 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 	rep.BaseIO = m.Store.IO.Snapshot().Sub(before)
 	ab.Finish()
 
-	// Apply deltas to the materialized views. Sidecar updates ride with
-	// the owning view's worker: they only read the (now fully computed)
-	// delta map and write that view's private live/stale/pending state.
+	// Apply deltas to the materialized views, each view's sidecar with
+	// it: the sidecar reads the (now fully computed) delta map and writes
+	// that view's live/stale/pending state.
 	av := wt.Child("maintain.apply_views")
-	verr := m.applyViews(rep, tr, av.ID())
+	verr := m.applyViews(rep, tr)
 	av.Finish()
 	if wait != nil {
 		// Commit fence: ack implies durable.
@@ -282,137 +270,31 @@ func fenced(repLSN *uint64, seq, lsn uint64, err error) error {
 	return nil
 }
 
-// viewWork is one view-apply job; the maintainer keeps a recycled
-// slice of these across windows (workBuf).
-type viewWork struct {
-	v    *View
-	root bool
-}
-
 // applyViews applies the computed deltas to every materialized view on
-// the track, in parallel when configured and safe. parent is the
-// enclosing apply_views span: each worker goroutine publishes one
-// maintain.apply.worker span under it, so cross-goroutine view
-// application stays inside the window trace.
-func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track, parent uint64) error {
-	work := m.workBuf[:0]
+// the track, in track order, charging each view's page I/O to RootIO or
+// ViewIO by snapshot difference, and folds the window into its sidecar.
+func (m *Maintainer) applyViews(rep *BatchReport, tr *tracks.Track) error {
 	for _, e := range tr.Order {
-		if v, ok := m.views[e.ID]; ok {
-			work = append(work, viewWork{v: v, root: m.D.IsRoot(e)})
+		v, ok := m.views[e.ID]
+		if !ok {
+			continue
 		}
-	}
-	m.workBuf = work
-	if len(work) == 0 {
-		return nil
-	}
-	workers := m.Workers
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if m.Store.Buffer != nil {
-		workers = 1
-	}
-	if workers > 1 {
-		// Auto-degrade to serial when the window's view deltas are too
-		// small to amortize worker handoff: channel send/receive plus
-		// counter folding costs more than the few mutations themselves
-		// (measured: small-batch windows ran faster single-threaded).
-		total := 0
-		for _, w := range work {
-			total += rep.Deltas[w.v.Eq.ID].Size()
+		t0 := time.Now()
+		if d := rep.Deltas[e.ID]; !d.Empty() {
+			before := m.Store.IO.Snapshot()
+			m.mutBuf = d.AppendMutations(m.mutBuf[:0])
+			v.Rel.ApplyBatch(m.mutBuf)
+			used := m.Store.IO.Snapshot().Sub(before)
+			if m.D.IsRoot(e) {
+				rep.RootIO = addIO(rep.RootIO, used)
+			} else {
+				rep.ViewIO = addIO(rep.ViewIO, used)
+			}
 		}
-		if total < serialThreshold {
-			workers = 1
-			obsSerialDegrade.Inc()
+		if err := m.updateSidecar(v, rep.Deltas, tr); err != nil {
+			return err
 		}
+		obsApplyView.Observe(time.Since(t0).Nanoseconds())
 	}
-
-	if workers <= 1 {
-		hist := serialWorkerHist
-		for _, w := range work {
-			t0 := time.Now()
-			if d := rep.Deltas[w.v.Eq.ID]; !d.Empty() {
-				before := m.Store.IO.Snapshot()
-				m.mutBuf = d.AppendMutations(m.mutBuf[:0])
-				w.v.Rel.ApplyBatch(m.mutBuf)
-				used := m.Store.IO.Snapshot().Sub(before)
-				if w.root {
-					rep.RootIO = addIO(rep.RootIO, used)
-				} else {
-					rep.ViewIO = addIO(rep.ViewIO, used)
-				}
-			}
-			if err := m.updateSidecar(w.v, rep.Deltas, tr); err != nil {
-				return err
-			}
-			hist.Observe(time.Since(t0).Nanoseconds())
-		}
-		return nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	jobs := make(chan viewWork)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wsp := obs.Trace.Start("maintain.apply.worker", parent)
-			defer wsp.Finish()
-			hist := workerHist(w)
-			// wio is this worker's private counter: the charge paths
-			// mutate it atomically, and nobody else holds a pointer to
-			// it, so the plain copy/Sub below are race-free (see the
-			// IOCounter concurrency contract in internal/storage).
-			var wio, rootSum, viewSum storage.IOCounter
-			var werr error
-			var mbuf []storage.Mutation // worker-private mutation scratch
-			for j := range jobs {
-				if werr != nil {
-					continue // drain after a failure
-				}
-				t0 := time.Now()
-				if d := rep.Deltas[j.v.Eq.ID]; !d.Empty() {
-					before := wio
-					j.v.Rel.SetIOCounter(&wio)
-					mbuf = d.AppendMutations(mbuf[:0])
-					j.v.Rel.ApplyBatch(mbuf)
-					j.v.Rel.SetIOCounter(nil)
-					used := wio.Sub(before)
-					if j.root {
-						rootSum = addIO(rootSum, used)
-					} else {
-						viewSum = addIO(viewSum, used)
-					}
-				}
-				if err := m.updateSidecar(j.v, rep.Deltas, tr); err != nil {
-					werr = err
-				}
-				hist.Observe(time.Since(t0).Nanoseconds())
-			}
-			mu.Lock()
-			rep.RootIO = addIO(rep.RootIO, rootSum)
-			rep.ViewIO = addIO(rep.ViewIO, viewSum)
-			if werr != nil && firstErr == nil {
-				firstErr = werr
-			}
-			mu.Unlock()
-		}(i)
-	}
-	for _, w := range work {
-		jobs <- w
-	}
-	close(jobs)
-	wg.Wait()
-	// Fold the workers' private charges back into the store's shared
-	// counter so global accounting matches the sequential path exactly.
-	// AddCounter mutates atomically: the store counter may be read (or
-	// Reset) concurrently by monitoring goroutines — e.g. a /metrics
-	// scrape — and the ownership rule is that only quiescent or
-	// goroutine-private counters may be accessed non-atomically.
-	m.Store.IO.AddCounter(addIO(rep.RootIO, rep.ViewIO))
-	return firstErr
+	return nil
 }

@@ -92,9 +92,10 @@ func sortedContents(m *maintain.Maintainer, e *dag.EqNode) []storage.Row {
 
 // TestApplyBatchEquivalence is the batching soundness property: for
 // random views, random view sets and random transaction windows, the
-// batched pipeline (all window sizes, all worker counts) leaves every
-// materialized view byte-identical to per-transaction maintenance, and
-// both agree with full recomputation.
+// batched pipeline (all window sizes) leaves every materialized view
+// byte-identical to per-transaction maintenance, and both agree with
+// full recomputation. Every window's four I/O parts sum to what the
+// store's counter was charged.
 func TestApplyBatchEquivalence(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -107,7 +108,6 @@ func TestApplyBatchEquivalence(t *testing.T) {
 			seed := int64(7000 + trial)
 			serial := buildMirror(t, seed) // per-transaction baseline
 			batched := buildMirror(t, seed)
-			batched.m.Workers = 1 + trial%8
 			if len(serial.checked) != len(batched.checked) {
 				t.Fatalf("mirrors diverged: %d vs %d checked nodes",
 					len(serial.checked), len(batched.checked))
@@ -132,9 +132,15 @@ func TestApplyBatchEquivalence(t *testing.T) {
 					}
 					window = append(window, txn.Transaction{Type: ty, Updates: updates})
 				}
+				io0 := batched.db.Store.IO.Snapshot()
 				rep, err := batched.m.ApplyBatch(window)
 				if err != nil {
 					t.Fatalf("window %d (%d txns): %v", w, len(window), err)
+				}
+				parts := rep.QueryIO.Total() + rep.ViewIO.Total() + rep.RootIO.Total() + rep.BaseIO.Total()
+				if charged := batched.db.Store.IO.Snapshot().Sub(io0); parts != charged.Total() {
+					t.Fatalf("window %d (%d txns): query+view+root+base I/O = %d, store charged %s",
+						w, len(window), parts, charged.String())
 				}
 				if rep.Size != len(window) {
 					t.Fatalf("window %d: report size %d, want %d", w, rep.Size, len(window))
@@ -147,8 +153,8 @@ func TestApplyBatchEquivalence(t *testing.T) {
 					want := sortedContents(serial.m, es)
 					got := sortedContents(batched.m, eb)
 					if !rowsEqual(got, want) {
-						t.Fatalf("window %d (%d txns, %d workers): node %s diverged\nbatched: %v\nserial:  %v",
-							w, len(window), batched.m.Workers, eb, got, want)
+						t.Fatalf("window %d (%d txns): node %s diverged\nbatched: %v\nserial:  %v",
+							w, len(window), eb, got, want)
 					}
 					drift, err := batched.m.Drift(eb)
 					if err != nil {
@@ -160,46 +166,6 @@ func TestApplyBatchEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestApplyBatchWorkerIOIndependence pins the accounting invariant: the
-// worker count changes wall-clock behaviour only — the page I/Os charged
-// for a window are identical whether views are applied sequentially or
-// by a pool.
-func TestApplyBatchWorkerIOIndependence(t *testing.T) {
-	seed := int64(9090)
-	gen := buildMirror(t, seed) // generates and serially applies the stream
-	one := buildMirror(t, seed)
-	many := buildMirror(t, seed)
-	one.m.Workers = 1
-	many.m.Workers = 8
-
-	txnRng := rand.New(rand.NewSource(555))
-	for w := 0; w < 6; w++ {
-		var window []txn.Transaction
-		for i := 0; i < 8; i++ {
-			ty, updates := corpus.RandomTxn(txnRng, gen.db, gen.cfg, w*100+i)
-			if ty == nil {
-				continue
-			}
-			// Apply (a one-transaction window) only advances the generator's
-			// database here; nothing is compared against it.
-			if _, err := gen.m.Apply(ty, updates); err != nil {
-				t.Fatal(err)
-			}
-			window = append(window, txn.Transaction{Type: ty, Updates: updates})
-		}
-		if _, err := one.m.ApplyBatch(window); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := many.m.ApplyBatch(window); err != nil {
-			t.Fatal(err)
-		}
-		if a, b := one.db.Store.IO.Snapshot(), many.db.Store.IO.Snapshot(); a != b {
-			t.Fatalf("window %d: worker count changed I/O accounting:\n1 worker:  %s\n8 workers: %s",
-				w, a.String(), b.String())
-		}
 	}
 }
 

@@ -12,14 +12,12 @@ import (
 // TestStoreIOConcurrentResetAndRead pins the IOCounter concurrency
 // contract: the store's shared counter may be snapshotted, totalled and
 // Reset by a monitoring goroutine (a /metrics scrape, a periodic
-// stats dump) while the batch pipeline — including its parallel view
-// workers and their end-of-window fold — is charging it. Run under
-// -race this is the regression test for the atomic fold in applyViews;
-// the values a racing Reset produces are unspecified, so the test
-// asserts only that maintenance itself stays correct and race-free.
+// stats dump) while the batch pipeline is charging it. Run under -race
+// this is the regression test for the atomic charge paths; the values
+// a racing Reset produces are unspecified, so the test asserts only
+// that maintenance itself stays correct and race-free.
 func TestStoreIOConcurrentResetAndRead(t *testing.T) {
 	mir := buildMirror(t, 1234)
-	mir.m.Workers = 4
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

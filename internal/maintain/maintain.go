@@ -45,11 +45,6 @@ var (
 	obsArenaGrown  = obs.C("maintain.arena.grown_bytes")
 )
 
-// obsSerialDegrade counts windows whose view-apply worker pool degraded
-// to serial because the window's summed view-delta cardinality was too
-// small to amortize worker handoff.
-var obsSerialDegrade = obs.C("maintain.apply.serial_degrade")
-
 // View is one materialized equivalence node with its backing store and
 // (for aggregates and duplicate elimination) the live-count sidecar that
 // detects group birth and death. The sidecar plays the role of the
@@ -153,10 +148,8 @@ type Maintainer struct {
 	// BatchReport.Rejected.
 	Guards []*dag.EqNode
 
-	// Workers bounds the goroutines ApplyBatch uses to apply per-view
-	// deltas to independent materialized views. Zero or one means
-	// sequential; a store with an attached page buffer always runs
-	// sequentially (buffered charging mutates shared LRU state).
+	// Workers is ignored: ApplyBatch applies views on the window's
+	// goroutine. It remains only because benchmark/engine.go assigns it.
 	Workers int
 
 	views map[int]*View
@@ -207,7 +200,6 @@ type Maintainer struct {
 	// whole report (not just its Deltas) is valid only until the next
 	// ApplyBatch on this maintainer.
 	batchRep BatchReport
-	workBuf  []viewWork
 	winMemo  windowMemo
 
 	// queryEv answers every query propagation poses; it outlives the
@@ -237,12 +229,6 @@ type Maintainer struct {
 
 	pubArenaReused, pubArenaGrown uint64
 }
-
-// serialThreshold is the window view-delta cardinality (summed changes
-// across all views on the track) below which the view-apply worker pool
-// degrades to serial: tiny windows lose more to goroutine handoff than
-// they gain from overlap.
-const serialThreshold = 256
 
 // obsTxns counts maintained transactions — the numerator of every
 // txns/sec readout (mvtop polls it).

@@ -54,7 +54,7 @@ func assertMirrorsAgree(t *testing.T, label string, shared, unshared *mirror) {
 }
 
 // TestMQOEquivalenceRandom runs the property on random view DAGs with
-// random additional view sets, random windows and worker counts 1–8.
+// random additional view sets and random windows.
 func TestMQOEquivalenceRandom(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -68,8 +68,6 @@ func TestMQOEquivalenceRandom(t *testing.T) {
 			shared := buildMirror(t, seed)
 			unshared := buildMirror(t, seed)
 			unshared.m.DisableMQO()
-			shared.m.Workers = 1 + trial%8
-			unshared.m.Workers = 1 + (trial+3)%8
 
 			txnRng := rand.New(rand.NewSource(seed*13 + 1))
 			steps := 0
@@ -119,7 +117,7 @@ type fig5Mirror struct {
 	checked []*dag.EqNode
 }
 
-func buildFig5Mirror(t *testing.T, cfg corpus.Figure5Config, workers int) *fig5Mirror {
+func buildFig5Mirror(t *testing.T, cfg corpus.Figure5Config) *fig5Mirror {
 	t.Helper()
 	db := corpus.Figure5Database(cfg)
 	d, err := dag.FromTree(db.Figure5View(0))
@@ -138,7 +136,6 @@ func buildFig5Mirror(t *testing.T, cfg corpus.Figure5Config, workers int) *fig5M
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Workers = workers
 	return &fig5Mirror{db: db, m: m, checked: checked}
 }
 
@@ -204,48 +201,46 @@ func (s *fig5Stream) next() txn.Transaction {
 // when enabled and none when disabled.
 func TestMQOEquivalenceFigure5(t *testing.T) {
 	cfg := corpus.Figure5Config{Items: 24, RPerItem: 3, SPerItem: 3}
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			shared := buildFig5Mirror(t, cfg, workers)
-			unshared := buildFig5Mirror(t, cfg, 1)
-			unshared.m.DisableMQO()
-			stream := newFig5Stream(shared.db, 6)
+	// The apply path is serial: one worker is the only arm.
+	t.Run("workers1", func(t *testing.T) {
+		shared := buildFig5Mirror(t, cfg)
+		unshared := buildFig5Mirror(t, cfg)
+		unshared.m.DisableMQO()
+		stream := newFig5Stream(shared.db, 6)
 
-			hits := obs.C("maintain.mqo.memo_hits")
-			hits0 := hits.Value()
-			for w, size := range mqoWindowSizes {
-				window := make([]txn.Transaction, size)
-				for i := range window {
-					window[i] = stream.next()
-				}
-				if _, err := shared.m.ApplyBatch(window); err != nil {
-					t.Fatalf("window %d shared: %v", w, err)
-				}
-				sharedDelta := hits.Value() - hits0
-				if _, err := unshared.m.ApplyBatch(window); err != nil {
-					t.Fatalf("window %d unshared: %v", w, err)
-				}
-				if got := hits.Value() - hits0; got != sharedDelta {
-					t.Fatalf("window %d: DisableMQO engine recorded %d memo hits", w, got-sharedDelta)
-				}
-				assertMirrorsAgree(t, fmt.Sprintf("window %d (%d txns)", w, size), &mirror{
-					m:       shared.m,
-					checked: shared.checked,
-				}, &mirror{m: unshared.m, checked: unshared.checked})
+		hits := obs.C("maintain.mqo.memo_hits")
+		hits0 := hits.Value()
+		for w, size := range mqoWindowSizes {
+			window := make([]txn.Transaction, size)
+			for i := range window {
+				window[i] = stream.next()
 			}
-			if got := hits.Value() - hits0; got <= 0 {
-				t.Fatalf("merged Figure 5 track poses shared queries, but memo recorded %d hits", got)
+			if _, err := shared.m.ApplyBatch(window); err != nil {
+				t.Fatalf("window %d shared: %v", w, err)
 			}
-		})
-	}
+			sharedDelta := hits.Value() - hits0
+			if _, err := unshared.m.ApplyBatch(window); err != nil {
+				t.Fatalf("window %d unshared: %v", w, err)
+			}
+			if got := hits.Value() - hits0; got != sharedDelta {
+				t.Fatalf("window %d: DisableMQO engine recorded %d memo hits", w, got-sharedDelta)
+			}
+			assertMirrorsAgree(t, fmt.Sprintf("window %d (%d txns)", w, size), &mirror{
+				m:       shared.m,
+				checked: shared.checked,
+			}, &mirror{m: unshared.m, checked: unshared.checked})
+		}
+		if got := hits.Value() - hits0; got <= 0 {
+			t.Fatalf("merged Figure 5 track poses shared queries, but memo recorded %d hits", got)
+		}
+	})
 }
 
 // TestMQOEquivalenceSumOfSals runs the property on Example 1.1's
 // ProblemDeptAlt, whose rep tree routes through the SumOfSals
 // aggregate — the paper's canonical additional view.
 func TestMQOEquivalenceSumOfSals(t *testing.T) {
-	build := func(workers int) (*corpus.Database, *maintain.Maintainer, []*dag.EqNode) {
+	build := func() (*corpus.Database, *maintain.Maintainer, []*dag.EqNode) {
 		db := corpus.NewDatabase(corpus.Config{Departments: 6, EmpsPerDept: 4, ADeptsEveryN: 2})
 		d, err := dag.FromTree(db.ProblemDeptAlt())
 		if err != nil {
@@ -263,16 +258,15 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Workers = workers
 		return db, m, checked
 	}
 	cfg := corpus.Config{Departments: 6, EmpsPerDept: 4, ADeptsEveryN: 2}
 	// The generator engine applies each transaction as it is drawn, so
 	// window deltas chain (a modify's old tuple is the previous new one)
 	// and the window composes validly against its start state.
-	serialDB, serialM, _ := build(1)
-	_, sharedM, checked := build(4)
-	_, unsharedM, _ := build(1)
+	serialDB, serialM, _ := build()
+	_, sharedM, checked := build()
+	_, unsharedM, _ := build()
 	unsharedM.DisableMQO()
 
 	txnRng := rand.New(rand.NewSource(31337))
@@ -309,7 +303,7 @@ func TestMQOEquivalenceSumOfSals(t *testing.T) {
 // memo was keyed by fingerprint text. Keying by fingerprint ordinal must
 // share exactly as much.
 func TestMemoCountsPinned(t *testing.T) {
-	mir := buildFig5Mirror(t, corpus.Figure5Config{Items: 24, RPerItem: 3, SPerItem: 3}, 1)
+	mir := buildFig5Mirror(t, corpus.Figure5Config{Items: 24, RPerItem: 3, SPerItem: 3})
 	stream := newFig5Stream(mir.db, 6)
 	hits, misses := obs.C("maintain.mqo.memo_hits"), obs.C("maintain.mqo.memo_misses")
 	h0, m0 := hits.Value(), misses.Value()

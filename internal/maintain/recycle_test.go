@@ -42,7 +42,7 @@ func modeFactory(seed int64, fresh bool) func() (*maintain.ShardSetup, error) {
 
 // buildShardedMode is buildSharded with the allocation mode threaded
 // through to each shard's store.
-func buildShardedMode(t *testing.T, seed int64, shards, workers int, fresh bool) *maintain.Sharded {
+func buildShardedMode(t *testing.T, seed int64, shards int, fresh bool) *maintain.Sharded {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := corpus.Config{
@@ -66,9 +66,8 @@ func buildShardedMode(t *testing.T, seed int64, shards, workers int, fresh bool)
 		}
 	}
 	s, err := maintain.NewSharded(modeFactory(seed, fresh), maintain.ShardedConfig{
-		Shards:  shards,
-		VS:      vs,
-		Workers: workers,
+		Shards: shards,
+		VS:     vs,
 	})
 	if err != nil {
 		t.Fatalf("seed %d shards %d fresh %v: %v", seed, shards, fresh, err)
@@ -83,11 +82,9 @@ func buildShardedMode(t *testing.T, seed int64, shards, workers int, fresh bool)
 // transaction stream (window sizes 1–64) runs through engines in
 // recycled mode and in fresh-alloc mode (slab + slot recycling
 // disabled, every stored tuple its own heap clone), unsharded and at
-// shards 1 and 4 with worker counts spread over 1–8, and every engine
-// must stay byte-identical to a fresh-alloc per-transaction reference
-// in contents, root-view violation count and recompute-oracle Drift.
-// Run under -race this also shocks out unsynchronized scratch sharing
-// between apply workers.
+// shards 1 and 4, and every engine must stay byte-identical to a
+// fresh-alloc per-transaction reference in contents, root-view
+// violation count and recompute-oracle Drift.
 func TestRecycledVsFreshDifferential(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -110,41 +107,40 @@ func TestRecycledVsFreshDifferential(t *testing.T) {
 				drift func(*dag.EqNode) (string, error)
 			}
 			var engines []engine
-			addBatched := func(fresh bool, workers int) {
+			addBatched := func(fresh bool) {
 				mode := "recycled"
 				if fresh {
 					mode = "fresh"
 				}
 				m := buildMirrorMode(t, seed, fresh)
-				m.m.Workers = workers
 				engines = append(engines, engine{
-					name:  fmt.Sprintf("batched-%s/workers%d", mode, workers),
+					name:  "batched-" + mode,
 					apply: func(w []txn.Transaction) error { _, err := m.m.ApplyBatch(w); return err },
 					cont:  func(e *dag.EqNode) []storage.Row { return sortedContents(m.m, e) },
 					viol:  func(e *dag.EqNode) int64 { return sumCounts(m.m.Contents(e)) },
 					drift: func(e *dag.EqNode) (string, error) { return m.m.Drift(e) },
 				})
 			}
-			addSharded := func(fresh bool, shards, workers int) {
+			addSharded := func(fresh bool, shards int) {
 				mode := "recycled"
 				if fresh {
 					mode = "fresh"
 				}
-				s := buildShardedMode(t, seed, shards, workers, fresh)
+				s := buildShardedMode(t, seed, shards, fresh)
 				engines = append(engines, engine{
-					name:  fmt.Sprintf("sharded-%s/shards%d/workers%d", mode, shards, workers),
+					name:  fmt.Sprintf("sharded-%s/shards%d", mode, shards),
 					apply: func(w []txn.Transaction) error { _, err := s.ApplyBatch(w); return err },
 					cont:  s.Contents, // already cloned and sorted
 					viol:  s.Violations,
 					drift: s.Drift,
 				})
 			}
-			addBatched(false, 1+trial%8)
-			addBatched(true, 1+(trial+4)%8)
-			addSharded(false, 1, 1+(trial+2)%8)
-			addSharded(false, 4, 1+(trial+6)%8)
-			addSharded(true, 1, 1+(trial+3)%8)
-			addSharded(true, 4, 1+(trial+7)%8)
+			addBatched(false)
+			addBatched(true)
+			addSharded(false, 1)
+			addSharded(false, 4)
+			addSharded(true, 1)
+			addSharded(true, 4)
 
 			txnRng := rand.New(rand.NewSource(seed*13 + 5))
 			steps := 0

@@ -46,8 +46,6 @@ type ShardedConfig struct {
 	// Required: the optimizer runs once globally, not per shard, so
 	// shard-local statistics cannot diverge the view sets.
 	VS tracks.ViewSet
-	// Workers is each shard pipeline's view-apply worker count.
-	Workers int
 }
 
 // shard is one shard-local pipeline with its observability handles.
@@ -196,7 +194,6 @@ func NewShardedRestored(factory func() (*ShardSetup, error), cfg ShardedConfig, 
 		if err != nil {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
-		m.Workers = cfg.Workers
 		s.shards = append(s.shards, &shard{
 			setup:   su,
 			m:       m,

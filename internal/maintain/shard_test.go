@@ -51,8 +51,8 @@ func mirrorFactory(seed int64) func() (*maintain.ShardSetup, error) {
 
 // buildSharded is the sharded twin of buildMirror: same seed, same
 // view set, same checked nodes, but maintained by a Sharded pipeline
-// at the given shard and worker counts.
-func buildSharded(t *testing.T, seed int64, shards, workers int) *maintain.Sharded {
+// at the given shard count.
+func buildSharded(t *testing.T, seed int64, shards int) *maintain.Sharded {
 	t.Helper()
 	// Re-derive the view set with buildMirror's exact rng consumption,
 	// so serial.checked[i].ID indexes the same logical node here.
@@ -78,9 +78,8 @@ func buildSharded(t *testing.T, seed int64, shards, workers int) *maintain.Shard
 		}
 	}
 	s, err := maintain.NewSharded(mirrorFactory(seed), maintain.ShardedConfig{
-		Shards:  shards,
-		VS:      vs,
-		Workers: workers,
+		Shards: shards,
+		VS:     vs,
 	})
 	if err != nil {
 		t.Fatalf("seed %d shards %d: %v", seed, shards, err)
@@ -112,9 +111,8 @@ func TestShardInvariance(t *testing.T) {
 				s      *maintain.Sharded
 			}
 			var variants []variant
-			for vi, n := range counts {
-				workers := 1 + (trial+vi*3)%8
-				variants = append(variants, variant{n, buildSharded(t, seed, n, workers)})
+			for _, n := range counts {
+				variants = append(variants, variant{n, buildSharded(t, seed, n)})
 			}
 			for _, v := range variants {
 				if v.shards > 1 && v.s.Part.Effective == 1 && v.s.Part.Reason == "" {

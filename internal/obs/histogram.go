@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -12,36 +11,13 @@ import (
 // non-negative int64 lands in exactly one bucket.
 const histBuckets = 64
 
-// histShards stripes the bucket counters so concurrent observers on
-// different Ps rarely contend on one cache line. Power of two.
-const histShards = 8
-
-type histShard struct {
+// Histogram is a race-safe histogram with power-of-two bucket
+// boundaries (0, 1, 2, 4, 8, ... 2^62): one atomic counter per bucket
+// plus an atomic sum. The zero value is ready to use.
+type Histogram struct {
 	counts [histBuckets]atomic.Int64
 	sum    atomic.Int64
-	// pad keeps neighbouring shards off one cache line for the hot
-	// low-bucket counters.
-	_ [64]byte
 }
-
-// Histogram is a race-safe histogram with power-of-two bucket
-// boundaries (0, 1, 2, 4, 8, ... 2^62), sharded for write scalability.
-// The zero value is ready to use.
-type Histogram struct {
-	shards [histShards]histShard
-}
-
-// shardHints hands out quasi-P-local shard indices: sync.Pool keeps one
-// hint per P in steady state, so goroutines running on different
-// processors stripe onto different shards without any goroutine-ID
-// tricks. Get/Put cost a few nanoseconds and never allocate after
-// warm-up.
-var shardHints = sync.Pool{New: func() any {
-	h := int(hintSeq.Add(1)) & (histShards - 1)
-	return &h
-}}
-
-var hintSeq atomic.Int64
 
 // bucketOf returns the power-of-two bucket index of v (v < 0 clamps
 // to 0).
@@ -60,11 +36,8 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	hint := shardHints.Get().(*int)
-	s := &h.shards[*hint]
-	shardHints.Put(hint)
-	s.counts[bucketOf(v)].Add(1)
-	s.sum.Add(v)
+	h.counts[bucketOf(v)].Add(1)
+	h.sum.Add(v)
 }
 
 // Count returns the total number of observations.
@@ -73,10 +46,8 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	var n int64
-	for i := range h.shards {
-		for b := range h.shards[i].counts {
-			n += h.shards[i].counts[b].Load()
-		}
+	for b := range h.counts {
+		n += h.counts[b].Load()
 	}
 	return n
 }
@@ -86,11 +57,7 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.shards {
-		n += h.shards[i].sum.Load()
-	}
-	return n
+	return h.sum.Load()
 }
 
 // Bucket is one histogram bucket in a snapshot: Count observations were
@@ -109,18 +76,16 @@ type HistogramSnapshot struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Snapshot merges the shards into one cumulative bucket list.
+// Snapshot reads the buckets into one cumulative bucket list.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var out HistogramSnapshot
 	if h == nil {
 		return out
 	}
+	out.Sum = h.sum.Load()
 	var merged [histBuckets]int64
-	for i := range h.shards {
-		out.Sum += h.shards[i].sum.Load()
-		for b := range h.shards[i].counts {
-			merged[b] += h.shards[i].counts[b].Load()
-		}
+	for b := range h.counts {
+		merged[b] = h.counts[b].Load()
 	}
 	last := -1
 	for b, n := range merged {

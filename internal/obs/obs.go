@@ -156,7 +156,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Snapshot captures every registered metric at one instant. Counters
-// and histogram shards are read atomically (each value is individually
+// and histogram buckets are read atomically (each value is individually
 // consistent; the snapshot as a whole is not a global atomic cut, which
 // is fine for monitoring).
 type Snapshot struct {

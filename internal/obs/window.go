@@ -5,9 +5,10 @@ import "sync/atomic"
 // WindowTrace is the causal context of one maintenance window: a root
 // span plus a process-unique window sequence number. It is allocated
 // once per ApplyBatch window and threaded through every stage that does
-// work on the window's behalf — coalesce, track propagation, per-shard
-// apply and the cross-goroutine WAL commit — so spans finished on worker or committer goroutines still link back
-// to the window that caused them.
+// work on the window's behalf — coalesce, track propagation, view
+// apply, per-shard apply and the cross-goroutine WAL commit — so spans
+// finished on shard or committer goroutines still link back to the
+// window that caused them.
 //
 // The sequence number keys flight-recorder events (EvWindowOpen /
 // EvWindowFence / EvShardRoute) so a binary dump can be correlated with

@@ -76,11 +76,11 @@ var (
 // IOCounter accumulates page I/O charges.
 //
 // Concurrency contract: all mutation goes through atomic operations
-// (the charge paths, AddCounter and Reset), so a counter may be read
-// with Snapshot/Total at any time — including by the metrics endpoint —
-// without synchronizing with chargers. Plain field access and
-// whole-struct copies are only safe on counters no other goroutine is
-// touching (private per-worker counters, or any counter between
+// (the charge paths and Reset), so a counter may be read with
+// Snapshot/Total at any time — including by the metrics endpoint —
+// without synchronizing with the one goroutine charging it. Plain field
+// access and whole-struct copies are only safe on counters no other
+// goroutine is touching (a Snapshot's copy, or any counter between
 // operations in single-threaded code, which is what the tests do).
 type IOCounter struct {
 	IndexReads  int64
@@ -104,16 +104,6 @@ func (c *IOCounter) Snapshot() IOCounter {
 		PageReads:   atomic.LoadInt64(&c.PageReads),
 		PageWrites:  atomic.LoadInt64(&c.PageWrites),
 	}
-}
-
-// AddCounter atomically folds o's charges into c. The batched
-// maintenance pipeline uses it to merge per-worker counters back into
-// the store's shared counter while readers may be watching.
-func (c *IOCounter) AddCounter(o IOCounter) {
-	atomic.AddInt64(&c.IndexReads, o.IndexReads)
-	atomic.AddInt64(&c.IndexWrites, o.IndexWrites)
-	atomic.AddInt64(&c.PageReads, o.PageReads)
-	atomic.AddInt64(&c.PageWrites, o.PageWrites)
 }
 
 // Reset zeroes the counter.
@@ -316,7 +306,6 @@ type Relation struct {
 	freeStock int
 	rows      bytemap.Map[int32] // canonical tuple key bytes → entry id
 	indexes   []*hashIndex
-	io        *IOCounter
 	store     *Store
 	// liveTuples counts distinct live tuples so Card is O(1) and
 	// cardinality statistics stay fresh between full refreshes.
@@ -368,7 +357,6 @@ func NewStore() *Store {
 func (s *Store) Create(def *catalog.TableDef) (*Relation, error) {
 	r := &Relation{
 		Def:   def,
-		io:    s.IO,
 		store: s,
 	}
 	for _, ixd := range def.Indexes {
@@ -420,19 +408,6 @@ func (s *Store) Names() []string {
 // Card returns the number of distinct tuples currently stored.
 func (r *Relation) Card() int { return r.liveTuples }
 
-// SetIOCounter redirects the relation's I/O charges to c; nil restores
-// the store's shared counter. The batched maintenance pipeline gives
-// each worker a private counter so that applying deltas to independent
-// views in parallel needs no locks on the charging path. Callers must
-// ensure no buffer is attached (buffered charging mutates shared LRU
-// state) and that the relation is touched by one goroutine at a time.
-func (r *Relation) SetIOCounter(c *IOCounter) {
-	if c == nil {
-		c = r.store.IO
-	}
-	r.io = c
-}
-
 // Page identities: every stored tuple is its own page and every hash
 // bucket is its own index page (the unclustered model of §3.6).
 //
@@ -459,7 +434,7 @@ func (r *Relation) chargeIndexRead(indexName string, bucketKey []byte) {
 	if r.buffered() && r.store.Buffer.read(r.indexPageID(indexName, bucketKey)) {
 		return
 	}
-	atomic.AddInt64(&r.io.IndexReads, 1)
+	atomic.AddInt64(&r.store.IO.IndexReads, 1)
 	obsIndexReads.Inc()
 }
 
@@ -467,7 +442,7 @@ func (r *Relation) chargeIndexWrite(indexName string, bucketKey []byte) {
 	if r.Resident {
 		return
 	}
-	atomic.AddInt64(&r.io.IndexWrites, 1)
+	atomic.AddInt64(&r.store.IO.IndexWrites, 1)
 	obsIndexWrites.Inc()
 	if r.buffered() {
 		r.store.Buffer.write(r.indexPageID(indexName, bucketKey))
@@ -481,7 +456,7 @@ func (r *Relation) chargePageRead(tupleKey []byte) {
 	if r.buffered() && r.store.Buffer.read(r.tuplePageID(tupleKey)) {
 		return
 	}
-	atomic.AddInt64(&r.io.PageReads, 1)
+	atomic.AddInt64(&r.store.IO.PageReads, 1)
 	obsPageReads.Inc()
 }
 
@@ -489,7 +464,7 @@ func (r *Relation) chargePageWrite(tupleKey []byte) {
 	if r.Resident {
 		return
 	}
-	atomic.AddInt64(&r.io.PageWrites, 1)
+	atomic.AddInt64(&r.store.IO.PageWrites, 1)
 	obsPageWrites.Inc()
 	if r.buffered() {
 		r.store.Buffer.write(r.tuplePageID(tupleKey))

@@ -20,8 +20,8 @@ import (
 // plain make, so code paths that run without a window arena (per-txn
 // Apply, tests, oracles) need no branches.
 //
-// Arenas are not safe for concurrent use; the per-worker apply path
-// gives each worker its own.
+// Arenas are not safe for concurrent use; each maintainer (one per
+// shard) owns its own.
 type Arena struct {
 	blocks [][]Value
 	bi     int // current block index

@@ -40,16 +40,16 @@ const (
 // buildFig5 assembles a maintained Figure 5 system with every non-leaf
 // equivalence node materialized (root plus intermediates, so recovery
 // exercises several views per window). ro seeds views from a checkpoint.
-func buildFig5(t testing.TB, cfg corpus.Figure5Config, workers int, ro *maintain.RestoreOptions) (*corpus.Database, *dag.DAG, *maintain.Maintainer) {
+func buildFig5(t testing.TB, cfg corpus.Figure5Config, ro *maintain.RestoreOptions) (*corpus.Database, *dag.DAG, *maintain.Maintainer) {
 	t.Helper()
 	db := corpus.Figure5Database(cfg)
-	d, m := buildOn(t, db, workers, ro)
+	d, m := buildOn(t, db, ro)
 	return db, d, m
 }
 
 // buildOn expands the DAG and materializes the view set over an existing
 // database — in recovery, over the base relations a checkpoint restored.
-func buildOn(t testing.TB, db *corpus.Database, workers int, ro *maintain.RestoreOptions) (*dag.DAG, *maintain.Maintainer) {
+func buildOn(t testing.TB, db *corpus.Database, ro *maintain.RestoreOptions) (*dag.DAG, *maintain.Maintainer) {
 	t.Helper()
 	d, err := dag.FromTree(db.Figure5View(0))
 	if err != nil {
@@ -71,7 +71,6 @@ func buildOn(t testing.TB, db *corpus.Database, workers int, ro *maintain.Restor
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Workers = workers
 	return d, m
 }
 
@@ -274,7 +273,7 @@ func dumpFlight(t *testing.T, sub string) {
 //     converges);
 //   - the recovered system keeps maintaining correctly: the rest of the
 //     workload lands on identical state and zero drift.
-func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, workers, nWindows, batch int, acked []uint64, forceRecompute bool) {
+func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, nWindows, batch int, acked []uint64, forceRecompute bool) {
 	t.Helper()
 	db2 := corpus.Figure5Database(cfg)
 	rec, err := wal.BeginRecovery(db2.Catalog, db2.Store, fsys, dir)
@@ -290,7 +289,7 @@ func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figu
 	if forceRecompute {
 		ro.Source = func(string) (*maintain.ViewState, bool) { return nil, false }
 	}
-	d2, m2 := buildOn(t, db2, workers, &ro)
+	d2, m2 := buildOn(t, db2, &ro)
 	mgr, err := rec.Resume(m2, wal.Options{SegmentBytes: crashSegBytes})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
@@ -320,7 +319,7 @@ func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figu
 
 	// Oracle: a fresh in-memory system applying exactly the committed
 	// prefix of the same deterministic workload.
-	odb, _, om := buildFig5(t, cfg, 1, nil)
+	odb, _, om := buildFig5(t, cfg, nil)
 	owins := genWindows(odb, cfg, nWindows, batch)
 	for i := 0; i < prefix; i++ {
 		if _, err := om.ApplyBatch(owins[i]); err != nil {
@@ -375,7 +374,7 @@ func dumpOnFailureNow(t *testing.T, fsys *wal.FaultFS) {
 
 // TestCrashRecoveryEveryPoint enumerates every mutating filesystem
 // operation of a checkpointed durable run and crashes at each one, with
-// torn tails and bit flips, cycling the view-application worker count.
+// torn tails and bit flips.
 func TestCrashRecoveryEveryPoint(t *testing.T) {
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
 	const nWindows, batch, ckptEvery = 8, 4, 3
@@ -383,7 +382,7 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	// Reference run without a crash: counts the fault points and pins the
 	// window↔LSN mapping the prefix oracle depends on.
 	ref := wal.NewFaultFS(1)
-	db, _, m := buildFig5(t, cfg, 1, nil)
+	db, _, m := buildFig5(t, cfg, nil)
 	acked, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -399,7 +398,6 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	}
 	t.Logf("%d fault-injection points", total)
 
-	workerCycle := []int{1, 2, 4, 8}
 	stride := 1
 	if testing.Short() {
 		stride = 5
@@ -407,13 +405,12 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	for crashAt := 1; crashAt <= total; crashAt += stride {
 		crashAt := crashAt
 		t.Run(fmt.Sprintf("op%03d", crashAt), func(t *testing.T) {
-			workers := workerCycle[crashAt%len(workerCycle)]
 			fsys := wal.NewFaultFS(uint64(crashAt)*2654435761 + 1)
 			fsys.TornTail = true
 			fsys.FlipBit = true
 			fsys.SetCrashAfter(crashAt)
 			t.Cleanup(func() { dumpOnFailure(t, fsys) })
-			db, _, m := buildFig5(t, cfg, workers, nil)
+			db, _, m := buildFig5(t, cfg, nil)
 			acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
 			if err == nil {
 				t.Fatalf("crash scheduled at op %d never fired", crashAt)
@@ -425,7 +422,7 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 				t.Fatal("filesystem not down after injected crash")
 			}
 			fsys.Reboot()
-			verifyRecovery(t, fsys, crashDir, cfg, workers, nWindows, batch, acked, false)
+			verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
 		})
 	}
 }
@@ -440,12 +437,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	workerCycle := []int{1, 2, 4, 8}
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := wal.NewFaultFS(seed)
-			db, _, m := buildFig5(t, cfg, 1, nil)
+			db, _, m := buildFig5(t, cfg, nil)
 			if _, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery); err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -475,13 +471,12 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			for _, crashAt := range sorted {
 				crashAt := crashAt
 				t.Run(fmt.Sprintf("op%03d", crashAt), func(t *testing.T) {
-					workers := workerCycle[(crashAt+int(seed))%len(workerCycle)]
 					fsys := wal.NewFaultFS(seed*1000003 + uint64(crashAt))
 					fsys.TornTail = true
 					fsys.FlipBit = true
 					fsys.SetCrashAfter(crashAt)
 					t.Cleanup(func() { dumpOnFailure(t, fsys) })
-					db, _, m := buildFig5(t, cfg, workers, nil)
+					db, _, m := buildFig5(t, cfg, nil)
 					acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
 					if err == nil {
 						t.Fatalf("crash scheduled at op %d never fired", crashAt)
@@ -490,7 +485,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						t.Fatalf("crash surfaced as %v, want wal.ErrCrashed", err)
 					}
 					fsys.Reboot()
-					verifyRecovery(t, fsys, crashDir, cfg, workers, nWindows, batch, acked, false)
+					verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
 				})
 			}
 		})
@@ -504,7 +499,7 @@ func TestRecoveryAfterCleanClose(t *testing.T) {
 	const nWindows, batch = 6, 4
 	fsys := wal.NewFaultFS(5)
 	t.Cleanup(func() { dumpOnFailure(t, fsys) })
-	db, _, m := buildFig5(t, cfg, 2, nil)
+	db, _, m := buildFig5(t, cfg, nil)
 	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +507,7 @@ func TestRecoveryAfterCleanClose(t *testing.T) {
 	if len(acked) != nWindows {
 		t.Fatalf("acked %d of %d windows", len(acked), nWindows)
 	}
-	verifyRecovery(t, fsys, crashDir, cfg, 2, nWindows, batch, acked, false)
+	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
 }
 
 // TestRecoveryRecomputeFallback simulates a checkpoint that predates the
@@ -523,10 +518,10 @@ func TestRecoveryRecomputeFallback(t *testing.T) {
 	const nWindows, batch = 6, 4
 	fsys := wal.NewFaultFS(99)
 	t.Cleanup(func() { dumpOnFailure(t, fsys) })
-	db, _, m := buildFig5(t, cfg, 2, nil)
+	db, _, m := buildFig5(t, cfg, nil)
 	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyRecovery(t, fsys, crashDir, cfg, 2, nWindows, batch, acked, true)
+	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, true)
 }

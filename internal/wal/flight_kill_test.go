@@ -38,7 +38,7 @@ func TestFlightKillHelper(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs.SetFlight(f)
-	db, _, m := buildFig5(t, flightKillCfg, 1, nil)
+	db, _, m := buildFig5(t, flightKillCfg, nil)
 	if _, err := wal.Attach(m, db.Catalog, wal.OSFS{}, filepath.Join(dir, "wal"),
 		wal.Options{SegmentBytes: 1 << 16}); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestFlightKillDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro := rec.RestoreOptions()
-	_, m2 := buildOn(t, db2, 1, &ro)
+	_, m2 := buildOn(t, db2, &ro)
 	mgr, err := rec.Resume(m2, wal.Options{SegmentBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)

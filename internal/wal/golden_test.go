@@ -38,7 +38,7 @@ func updating() bool {
 // not).
 func TestWALGolden(t *testing.T) {
 	dir := t.TempDir()
-	db, _, m := buildFig5(t, walGoldenCfg, 1, nil)
+	db, _, m := buildFig5(t, walGoldenCfg, nil)
 	windows := genWindows(db, walGoldenCfg, walGoldenWindows, walGoldenBatch)
 	if _, err := runDurable(db, m, wal.OSFS{}, dir, windows, walGoldenCkpt); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestWALGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ro := rec.RestoreOptions()
-	_, m2 := buildOn(t, db2, 1, &ro)
+	_, m2 := buildOn(t, db2, &ro)
 	mgr, err := rec.Resume(m2, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestWALGolden(t *testing.T) {
 		t.Fatalf("recovered to LSN %d replaying %d windows, %d views recomputed; want LSN %d, %d windows, 0",
 			mgr.RecoveredLSN, mgr.ReplayedWindows, mgr.RecomputedViews, walGoldenWindows, walGoldenWindows-walGoldenCkpt)
 	}
-	odb, _, om := buildFig5(t, walGoldenCfg, 1, nil)
+	odb, _, om := buildFig5(t, walGoldenCfg, nil)
 	for i, w := range genWindows(odb, walGoldenCfg, walGoldenWindows, walGoldenBatch) {
 		if _, err := om.ApplyBatch(w); err != nil {
 			t.Fatalf("oracle window %d: %v", i+1, err)

@@ -80,13 +80,12 @@ func fig5ShardedVS(t testing.TB, cfg corpus.Figure5Config) tracks.ViewSet {
 // are shard-local and the partitioning must hold at full width. ro
 // seeds the shards' views from a checkpoint, and factory then restores
 // the checkpoint's base relations into every shard it builds.
-func buildShardedFig5(t testing.TB, factory func() (*maintain.ShardSetup, error), vs tracks.ViewSet, shards, workers int, ro maintain.RestoreOptions) *maintain.Sharded {
+func buildShardedFig5(t testing.TB, factory func() (*maintain.ShardSetup, error), vs tracks.ViewSet, shards int, ro maintain.RestoreOptions) *maintain.Sharded {
 	t.Helper()
 	s, err := maintain.NewShardedRestored(factory, maintain.ShardedConfig{
 		Shards:      shards,
 		PartitionBy: "Item",
 		VS:          vs,
-		Workers:     workers,
 	}, ro)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +126,7 @@ func runDurableSharded(s *maintain.Sharded, cat *catalog.Catalog, fsys wal.FS, d
 // (union of shard bases plus every materialized view) equal to the
 // committed-prefix oracle, and correct continued maintenance of the
 // remaining workload.
-func verifyShardedRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, n, workers, nWindows, batch int, acked []uint64) {
+func verifyShardedRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, n, nWindows, batch int, acked []uint64) {
 	t.Helper()
 	factory := fig5Factory(cfg)
 	setup, err := factory()
@@ -157,7 +156,7 @@ func verifyShardedRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corp
 		}
 		return su, err
 	}
-	s2 := buildShardedFig5(t, restored, vs, n, workers, rec.RestoreOptions())
+	s2 := buildShardedFig5(t, restored, vs, n, rec.RestoreOptions())
 	mgr, err := rec.Resume(s2, wal.Options{SegmentBytes: shardSegBytes})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
@@ -181,7 +180,7 @@ func verifyShardedRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corp
 
 	// Oracle: an unsharded in-memory system applying exactly the
 	// committed prefix of the same deterministic workload.
-	odb, od, om := buildFig5(t, cfg, 1, nil)
+	odb, od, om := buildFig5(t, cfg, nil)
 	owins := genWindows(odb, cfg, nWindows, batch)
 	for i := 0; i < prefix; i++ {
 		if _, err := om.ApplyBatch(owins[i]); err != nil {
@@ -246,7 +245,6 @@ func verifyShardedRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corp
 func TestShardedCrashRecoveryEveryPoint(t *testing.T) {
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
 	const nWindows, batch, ckptEvery = 24, 4, 1
-	workerCycle := []int{1, 2, 4, 8}
 	vs := fig5ShardedVS(t, cfg)
 	for _, n := range shardMatrixCounts {
 		n := n
@@ -254,7 +252,7 @@ func TestShardedCrashRecoveryEveryPoint(t *testing.T) {
 			// Reference run without a crash: counts fault points and pins
 			// the window↔LSN mapping the oracle depends on.
 			ref := wal.NewFaultFS(1)
-			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, 1, maintain.RestoreOptions{})
+			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
 			gdb := corpus.Figure5Database(cfg)
 			acked, err := runDurableSharded(s, gdb.Catalog, ref, shardCrashDir, genWindows(gdb, cfg, nWindows, batch), ckptEvery)
 			if err != nil {
@@ -281,13 +279,12 @@ func TestShardedCrashRecoveryEveryPoint(t *testing.T) {
 			for crashAt := 1; crashAt <= total; crashAt += stride {
 				crashAt := crashAt
 				t.Run(fmt.Sprintf("op%04d", crashAt), func(t *testing.T) {
-					workers := workerCycle[crashAt%len(workerCycle)]
 					fsys := wal.NewFaultFS(uint64(crashAt)*2654435761 + uint64(n))
 					fsys.TornTail = true
 					fsys.FlipBit = true
 					fsys.SetCrashAfter(crashAt)
 					t.Cleanup(func() { dumpOnFailure(t, fsys) })
-					s := buildShardedFig5(t, fig5Factory(cfg), vs, n, workers, maintain.RestoreOptions{})
+					s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
 					wdb := corpus.Figure5Database(cfg)
 					acked, err := runDurableSharded(s, wdb.Catalog, fsys, shardCrashDir, genWindows(wdb, cfg, nWindows, batch), ckptEvery)
 					if err == nil {
@@ -297,7 +294,7 @@ func TestShardedCrashRecoveryEveryPoint(t *testing.T) {
 						t.Fatalf("crash surfaced as %v, want wal.ErrCrashed", err)
 					}
 					fsys.Reboot()
-					verifyShardedRecovery(t, fsys, shardCrashDir, cfg, n, workers, nWindows, batch, acked)
+					verifyShardedRecovery(t, fsys, shardCrashDir, cfg, n, nWindows, batch, acked)
 				})
 			}
 		})
@@ -316,7 +313,7 @@ func TestShardedRecoveryAfterCleanClose(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
 			fsys := wal.NewFaultFS(uint64(7 + n))
 			t.Cleanup(func() { dumpOnFailure(t, fsys) })
-			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, 2, maintain.RestoreOptions{})
+			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
 			gdb := corpus.Figure5Database(cfg)
 			acked, err := runDurableSharded(s, gdb.Catalog, fsys, shardCrashDir, genWindows(gdb, cfg, nWindows, batch), 0)
 			if err != nil {
@@ -325,7 +322,7 @@ func TestShardedRecoveryAfterCleanClose(t *testing.T) {
 			if len(acked) != nWindows {
 				t.Fatalf("acked %d of %d windows", len(acked), nWindows)
 			}
-			verifyShardedRecovery(t, fsys, shardCrashDir, cfg, n, 2, nWindows, batch, acked)
+			verifyShardedRecovery(t, fsys, shardCrashDir, cfg, n, nWindows, batch, acked)
 		})
 	}
 }
@@ -365,7 +362,7 @@ func TestShardedWindowIsOneRecord(t *testing.T) {
 	vs := fig5ShardedVS(t, cfg)
 	for _, n := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, 1, maintain.RestoreOptions{})
+			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
 			db := corpus.Figure5Database(cfg)
 			fsys := &syncCountingFS{FS: wal.NewFaultFS(1)}
 			mgr, err := wal.Attach(s, db.Catalog, fsys, "wal", wal.Options{})

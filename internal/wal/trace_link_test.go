@@ -19,12 +19,11 @@ import (
 // maintain.window root. Spans outside the family (wal.checkpoint,
 // recovery.replay) are legitimate roots of their own.
 var windowFamily = map[string]bool{
-	"maintain.batch":        true,
-	"maintain.propagate":    true,
-	"maintain.apply_base":   true,
-	"maintain.apply_views":  true,
-	"maintain.apply.worker": true,
-	"wal.commit":            true,
+	"maintain.batch":       true,
+	"maintain.propagate":   true,
+	"maintain.apply_base":  true,
+	"maintain.apply_views": true,
+	"wal.commit":           true,
 }
 
 func TestWindowTraceConnected(t *testing.T) {
@@ -43,7 +42,7 @@ func runWindowTraceConnected(t *testing.T, shards int) {
 	marker.Finish()
 
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
-	s := buildShardedFig5(t, fig5Factory(cfg), fig5ShardedVS(t, cfg), shards, 2, maintain.RestoreOptions{})
+	s := buildShardedFig5(t, fig5Factory(cfg), fig5ShardedVS(t, cfg), shards, maintain.RestoreOptions{})
 	db := corpus.Figure5Database(cfg)
 	const nWindows, batch = 6, 64
 	windows := genWindows(db, cfg, nWindows, batch)

@@ -151,7 +151,6 @@ func TestSkewSweep(t *testing.T) {
 				t.Fatalf("%s: %v", ev.Set.Key(), err)
 			}
 		}
-		m.Workers = 1
 		stream := newSkewStream(sys.DB.Catalog, skewHot, 11)
 		window := make([]txn.Transaction, skewWindow)
 		var io int64

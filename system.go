@@ -83,9 +83,6 @@ type Config struct {
 	// Parallelism is the worker count for the Parallel method
 	// (0 = GOMAXPROCS). The chosen view set is identical at any setting.
 	Parallelism int
-	// Seed shuffles the order parallel workers claim search chunks. It
-	// perturbs timing only; the result is the same for every seed.
-	Seed int64
 }
 
 // maxOps caps DAG expansion at every build.
@@ -176,7 +173,6 @@ func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
 	}
 	opt := core.New(d, cost.PageIO{}, cfg.Workload)
 	opt.Parallelism = cfg.Parallelism
-	opt.Seed = cfg.Seed
 	switch cfg.Method {
 	case Exhaustive:
 		// The exact search as one-worker branch-and-bound: the same
