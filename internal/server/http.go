@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 var (
@@ -111,7 +110,7 @@ func (s *Server) handleViews(w http.ResponseWriter, _ *http.Request) {
 	var out []viewInfo
 	for _, name := range s.hub.ViewNames() {
 		ep, _ := s.hub.Current(name)
-		out = append(out, viewInfo{Name: name, Epoch: ep.Seq, LSN: ep.LSN, Rows: len(ep.Rows)})
+		out = append(out, viewInfo{Name: name, Epoch: ep.Seq, LSN: ep.LSN, Rows: ep.Len()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
@@ -156,8 +155,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 		ep = got
 	}
 
-	rows := ep.Rows
-	total := len(rows)
+	var rows []Row
+	total := ep.Len()
 	if ks := q.Get("key"); ks != "" {
 		schema, _ := s.hub.Schema(name)
 		tuple, err := tupleFromJSON([]byte(ks), schema)
@@ -165,11 +164,8 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		var enc value.KeyEncoder
-		if row, ok := ep.Lookup(enc.Key(tuple)); ok {
+		if row, ok := ep.Lookup(tuple); ok {
 			rows = []Row{row}
-		} else {
-			rows = nil
 		}
 		total = len(rows)
 	} else {
@@ -183,16 +179,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) {
 			httpErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if offset < 0 {
-			offset = 0
-		}
-		if offset > len(rows) {
-			offset = len(rows)
-		}
-		rows = rows[offset:]
-		if limit >= 0 && limit < len(rows) {
-			rows = rows[:limit]
-		}
+		rows = ep.Page(offset, limit)
 	}
 
 	// Hand-rolled body: deterministic (same epoch -> same bytes), and no

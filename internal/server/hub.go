@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -98,8 +99,6 @@ type Hub struct {
 
 	retain int
 	subCap int
-
-	enc value.KeyEncoder // hub goroutine only
 }
 
 // NewHub builds the hub, seeds every view's epoch 0 from its backing
@@ -133,23 +132,21 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 		if _, dup := h.views[src.Name]; dup {
 			return nil, errf("duplicate view %q", src.Name)
 		}
-		vs := &viewState{name: src.Name, schema: src.Schema, eqID: src.EqID,
-			rows: map[string]Row{}}
+		vs := &viewState{name: src.Name, schema: src.Schema, eqID: src.EqID}
 		for retry := 0; ; retry++ {
 			v0 := src.Rel.Version()
 			rows := src.Rel.Snapshot()
 			if src.Rel.Version() == v0 {
 				for _, r := range rows {
-					vs.rows[string(h.enc.Key(r.Tuple))] = Row{Tuple: r.Tuple, Count: r.Count}
+					vs.build.insert(r.Tuple, r.Count)
 				}
 				break
 			}
 			if retry > 100 {
 				return nil, errf("view %q: cannot seed a stable snapshot (writer active)", src.Name)
 			}
-			clear(vs.rows)
 		}
-		ep := vs.snapshot(h.feedSeq, 0, &h.enc)
+		ep := vs.build.publish(h.feedSeq, 0)
 		vs.cur.Store(ep)
 		vs.ring = append(vs.ring, ep)
 		h.views[src.Name] = vs
@@ -258,8 +255,7 @@ func (h *Hub) process(w ownedWindow) {
 
 	for _, vd := range w.views {
 		vs := vd.state
-		vs.fold(vd.changes, &h.enc)
-		ep := vs.snapshot(seq, w.lsn, &h.enc)
+		ep := vs.build.next(vs.cur.Load(), vd.changes, seq, w.lsn)
 		ev := Event{
 			View: vs.name,
 			Seq:  seq,
@@ -344,7 +340,7 @@ func buildEventJSON(view string, seq, windowSeq, lsn uint64, txns int, changes [
 }
 
 func appendUint(b []byte, n uint64) []byte {
-	return fmt.Appendf(b, "%d", n)
+	return strconv.AppendUint(b, n, 10)
 }
 
 func removeSub(subs []*subscriber, i int) []*subscriber {
