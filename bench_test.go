@@ -9,6 +9,7 @@ package mvmaint_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -461,5 +462,82 @@ func BenchmarkApplyBatchWindow64(b *testing.B) {
 		if drift, err := sys.M.Drift(e); err != nil || drift != "" {
 			b.Fatalf("view %s drifted from recomputation: %s %v", e, drift, err)
 		}
+	}
+}
+
+// txnSQLSchema is the corp-* workloads' DDL (paper Example 1.1 with the
+// SumOfSals view and the DeptConstraint assertion), copied here so the
+// root module does not import the benchmark's.
+const txnSQLSchema = `
+CREATE TABLE Dept (DName VARCHAR(20) PRIMARY KEY, MName VARCHAR(20), Budget INT);
+CREATE TABLE Emp  (EName VARCHAR(20) PRIMARY KEY, DName VARCHAR(20), Salary INT);
+CREATE INDEX dept_dname ON Dept (DName);
+CREATE INDEX emp_dname  ON Emp (DName);
+CREATE VIEW ProblemDept (DName) AS
+SELECT Dept.DName FROM Emp, Dept
+WHERE Dept.DName = Emp.DName
+GROUP BY Dept.DName, Budget
+HAVING SUM(Salary) > Budget;
+CREATE VIEW SumOfSals (DName, Total) AS
+SELECT DName, SUM(Salary) FROM Emp GROUP BY DName;
+CREATE ASSERTION DeptConstraint CHECK
+  (NOT EXISTS (SELECT * FROM ProblemDept));
+`
+
+// txnSQLLoad renders the corp-* tables: 1 000 departments of 10
+// employees, plus 500 employees outside that pattern, 10 500 Emp rows.
+func txnSQLLoad() string {
+	var sb strings.Builder
+	insert := func(table string, rows []string) {
+		for len(rows) > 0 {
+			n := min(100, len(rows))
+			sb.WriteString("INSERT INTO " + table + " VALUES " + strings.Join(rows[:n], ", ") + ";\n")
+			rows = rows[n:]
+		}
+	}
+	var dept, emp []string
+	for d := 0; d < 1000; d++ {
+		dept = append(dept, fmt.Sprintf("('d%04d', 'm%04d', 2000)", d, d))
+		for j := 0; j < 10; j++ {
+			emp = append(emp, fmt.Sprintf("('e%04d_%02d', 'd%04d', 100)", d, j, d))
+		}
+	}
+	for k := 0; k < 500; k++ {
+		emp = append(emp, fmt.Sprintf("('x%07d', 'd%04d', 100)", k, k*7%1000))
+	}
+	insert("Dept", dept)
+	insert("Emp", emp)
+	return sb.String()
+}
+
+// BenchmarkTxnFromSQL times SQL text to delta, the sqlparser layer of
+// the corp-* workloads, at their shape (1 000 Dept, 10 500 Emp rows):
+// parse, compile the WHERE and SET, and evaluate them over the table.
+// One op is one statement; nothing is applied, so every op sees the same
+// table, and the benchmark fails unless the delta holds exactly one row.
+//
+//	go test -run '^$' -bench TxnFromSQL -benchtime 2000x .
+func BenchmarkTxnFromSQL(b *testing.B) {
+	db := mvmaint.Open()
+	if err := db.Exec(txnSQLSchema + txnSQLLoad()); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, table, sql string }{
+		{"update-emp", "Emp", "UPDATE Emp SET Salary = 120 WHERE EName = 'e0500_05'"},
+		{"update-dept", "Dept", "UPDATE Dept SET Budget = 2500 WHERE DName = 'd0500'"},
+		{"delete-emp", "Emp", "DELETE FROM Emp WHERE EName = 'x0000250'"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, ds, err := db.TxnFromSQL(c.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := ds[c.table].Size(); n != 1 {
+					b.Fatalf("%s: delta of %d rows, want 1", c.sql, n)
+				}
+			}
+		})
 	}
 }

@@ -111,7 +111,7 @@ func TestProgDifferential(t *testing.T) {
 // else).
 func sameValue(a, b value.Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && a.B == b.B &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
+		math.Float64bits(a.F()) == math.Float64bits(b.F())
 }
 
 func TestProgShortCircuit(t *testing.T) {

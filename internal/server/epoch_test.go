@@ -70,8 +70,8 @@ func (r *refView) snapshot() []Row {
 // NaN before every other number, then the key encodings' bytes.
 func refLess(a, b value.Tuple) bool {
 	for i := range a {
-		an := a[i].Kind == value.Float && math.IsNaN(a[i].F)
-		bn := b[i].Kind == value.Float && math.IsNaN(b[i].F)
+		an := a[i].Kind == value.Float && math.IsNaN(a[i].F())
+		bn := b[i].Kind == value.Float && math.IsNaN(b[i].F())
 		switch {
 		case an && bn:
 			continue

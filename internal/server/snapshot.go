@@ -66,6 +66,21 @@ type Epoch struct {
 type chunk struct {
 	rows []Row // non-empty
 	end  int   // rows in this chunk and every chunk before it
+	// last is the chunk's last tuple, and lead its first column, so
+	// that Lookup's search over the chunk list reads the list alone
+	// until a chunk's lead ties with the tuple sought.
+	last value.Tuple
+	lead value.Value
+}
+
+// after reports whether c's last row sorts at or after t.
+func (c *chunk) after(t value.Tuple) bool {
+	if len(t) > 0 {
+		if d := compareValues(c.lead, t[0]); d != 0 {
+			return d > 0
+		}
+	}
+	return compareRows(c.last, t) >= 0
 }
 
 // Len is the number of rows in the epoch.
@@ -97,7 +112,7 @@ func (e *Epoch) Page(offset, limit int) []Row {
 // Lookup returns the row whose tuple has t's key encoding, if any: ±0.0
 // and an Int and a Float of one number are different rows.
 func (e *Epoch) Lookup(t value.Tuple) (Row, bool) {
-	ci := sort.Search(len(e.chunks), func(i int) bool { return compareRows(lastRow(e.chunks[i].rows), t) >= 0 })
+	ci := sort.Search(len(e.chunks), func(i int) bool { return e.chunks[i].after(t) })
 	if ci == len(e.chunks) {
 		return Row{}, false
 	}
@@ -154,10 +169,8 @@ func compareKeys(a, b value.Value) int {
 		return cmp.Compare(a.Kind, b.Kind)
 	}
 	switch a.Kind {
-	case value.Int:
+	case value.Int, value.Float: // a Float's I is its bits
 		return cmp.Compare(uint64(a.I), uint64(b.I))
-	case value.Float:
-		return cmp.Compare(math.Float64bits(a.F), math.Float64bits(b.F))
 	case value.String:
 		if c := cmp.Compare(len(a.S), len(b.S)); c != 0 {
 			return c
@@ -310,7 +323,11 @@ func (b *epochBuilder) publish(seq, lsn uint64) *Epoch {
 	end := 0
 	for i, c := range b.chunks {
 		end += len(c.rows)
-		ep.chunks[i] = chunk{rows: c.rows, end: end}
+		last := lastRow(c.rows)
+		ep.chunks[i] = chunk{rows: c.rows, end: end, last: last}
+		if len(last) > 0 {
+			ep.chunks[i].lead = last[0]
+		}
 	}
 	clear(b.chunks)
 	b.chunks = b.chunks[:0]
@@ -325,10 +342,11 @@ func appendValueJSON(dst []byte, v value.Value) []byte {
 	case value.Int:
 		return strconv.AppendInt(dst, v.I, 10)
 	case value.Float:
-		if math.IsNaN(v.F) || math.IsInf(v.F, 0) {
+		f := v.F()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return append(dst, "null"...)
 		}
-		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case value.String:
 		b, _ := json.Marshal(v.S)
 		return append(dst, b...)

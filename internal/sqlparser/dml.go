@@ -25,23 +25,24 @@ func InsertDelta(def *catalog.TableDef, ins *Insert) (*delta.Delta, error) {
 }
 
 // DeleteDelta evaluates DELETE's WHERE against the current (pre-update)
-// contents, uncharged, and returns the deletions.
+// contents in place, uncharged, and returns the deletions.
 func DeleteDelta(tr *Translator, rel *storage.Relation, del *Delete) (*delta.Delta, error) {
 	d := delta.New(rel.Def.Schema)
 	match, err := compileWhere(tr, rel, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rel.ScanFree() {
+	rel.Iterate(func(row storage.Row) bool {
 		if match(row.Tuple) {
 			d.Delete(row.Tuple.Clone(), row.Count)
 		}
-	}
+		return true
+	})
 	return d, nil
 }
 
 // UpdateDelta evaluates UPDATE's WHERE and SET against the current
-// contents, uncharged, and returns paired modifications.
+// contents in place, uncharged, and returns paired modifications.
 func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Delta, error) {
 	d := delta.New(rel.Def.Schema)
 	match, err := compileWhere(tr, rel, upd.Where)
@@ -68,16 +69,17 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 		}
 		setters[i] = setter{pos: pos, p: p}
 	}
-	for _, row := range rel.ScanFree() {
+	rel.Iterate(func(row storage.Row) bool {
 		if !match(row.Tuple) {
-			continue
+			return true
 		}
 		newT := row.Tuple.Clone()
 		for _, s := range setters {
 			newT[s.pos] = s.p.Eval(row.Tuple)
 		}
 		d.Modify(row.Tuple.Clone(), newT, row.Count)
-	}
+		return true
+	})
 	return d, nil
 }
 

@@ -488,7 +488,7 @@ func (p *parser) literal() (value.Value, error) {
 		case value.Int:
 			return value.NewInt(-v.I), nil
 		case value.Float:
-			return value.NewFloat(-v.F), nil
+			return value.NewFloat(-v.F()), nil
 		}
 		return value.Value{}, fmt.Errorf("sql: at %d: cannot negate %v", t.pos, v)
 	default:

@@ -165,7 +165,7 @@ func litString(v value.Value) string {
 	case value.Int:
 		return strconv.FormatInt(v.I, 10)
 	case value.Float:
-		return strconv.FormatFloat(v.F, 'f', -1, 64)
+		return strconv.FormatFloat(v.F(), 'f', -1, 64)
 	case value.String:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case value.Bool:

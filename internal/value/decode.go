@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrCorrupt reports a byte string that is not a valid value encoding.
@@ -32,17 +31,11 @@ func DecodeValue(b []byte) (Value, []byte, error) {
 	switch kind {
 	case Null:
 		v = Value{Kind: Null}
-	case Int:
+	case Int, Float: // a Float's I is its bits
 		if len(rest) < 8 {
-			return Value{}, nil, fmt.Errorf("%w: truncated int", ErrCorrupt)
+			return Value{}, nil, fmt.Errorf("%w: truncated %v", ErrCorrupt, kind)
 		}
-		v = NewInt(int64(binary.BigEndian.Uint64(rest)))
-		rest = rest[8:]
-	case Float:
-		if len(rest) < 8 {
-			return Value{}, nil, fmt.Errorf("%w: truncated float", ErrCorrupt)
-		}
-		v = NewFloat(math.Float64frombits(binary.BigEndian.Uint64(rest)))
+		v = Value{Kind: kind, I: int64(binary.BigEndian.Uint64(rest))}
 		rest = rest[8:]
 	case String:
 		if len(rest) < 8 {

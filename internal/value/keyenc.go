@@ -3,7 +3,6 @@ package value
 import (
 	"encoding/binary"
 	"hash/maphash"
-	"math"
 )
 
 // AppendKey appends the stable key encoding of t to dst and returns the
@@ -27,18 +26,15 @@ func AppendProjectedKey(dst []byte, t Tuple, pos []int) []byte {
 }
 
 // Same reports whether a and b have the same key encoding: the same kind
-// and, within it, the same bits. Unlike Equal (and unlike ==, which reads
-// every field and compares floats numerically), an Int never matches a
+// and, within it, the same bits. Unlike Equal, an Int never matches a
 // Float, +0.0 and −0.0 differ, and a NaN matches itself.
 func Same(a, b Value) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
 	switch a.Kind {
-	case Int:
+	case Int, Float:
 		return a.I == b.I
-	case Float:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
 	case String:
 		return a.S == b.S
 	case Bool:
@@ -54,10 +50,8 @@ func HashSame(t Tuple, seed maphash.Seed) uint64 {
 	for _, v := range t {
 		var x uint64
 		switch v.Kind {
-		case Int:
+		case Int, Float:
 			x = uint64(v.I)
-		case Float:
-			x = math.Float64bits(v.F)
 		case String:
 			x = maphash.String(seed, v.S)
 		case Bool:
@@ -96,11 +90,8 @@ func appendValue(dst []byte, v Value) []byte {
 	var buf [8]byte
 	dst = append(dst, byte(v.Kind))
 	switch v.Kind {
-	case Int:
+	case Int, Float: // a Float's I is its bits
 		binary.BigEndian.PutUint64(buf[:], uint64(v.I))
-		dst = append(dst, buf[:]...)
-	case Float:
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.F))
 		dst = append(dst, buf[:]...)
 	case String:
 		binary.BigEndian.PutUint64(buf[:], uint64(len(v.S)))

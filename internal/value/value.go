@@ -2,9 +2,9 @@
 // layer of the system: the storage engine, the query executor, the delta
 // propagation machinery and the SQL front end.
 //
-// Values are small comparable structs so they can be used directly as map
-// keys (hash-index buckets, group-by keys). Tuples are slices of values
-// with an explicit stable encoding for use as composite keys.
+// Values are 32-byte comparable structs, so they can be used directly as
+// map keys (hash-index buckets, group-by keys). Tuples are slices of
+// values with an explicit stable encoding for use as composite keys.
 package value
 
 import (
@@ -46,21 +46,28 @@ func (k Kind) String() string {
 
 // Value is a scalar database value. The zero Value is NULL.
 //
-// Value is comparable (usable as a map key); only the field matching Kind
-// is meaningful.
+// Only the field matching Kind is meaningful, and the others are zero:
+// B for a Bool, I for an Int, S for a String, and for a Float its
+// IEEE-754 bits in I (read them through F). Kind and B share the first
+// word, so a Value is Size bytes, which every stored, scanned and
+// propagated tuple pays per column.
+//
+// Value is comparable (usable as a map key), and == is Same: the same
+// kind and the same bits. Two Floats are == only bit for bit, so +0.0
+// and −0.0 differ, and a NaN equals a NaN with its payload; an Int never
+// == a Float. Equal is the numeric comparison.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
-	S    string
 	B    bool
+	I    int64
+	S    string
 }
 
 // NewInt returns an Int value.
 func NewInt(i int64) Value { return Value{Kind: Int, I: i} }
 
 // NewFloat returns a Float value.
-func NewFloat(f float64) Value { return Value{Kind: Float, F: f} }
+func NewFloat(f float64) Value { return Value{Kind: Float, I: int64(math.Float64bits(f))} }
 
 // NewString returns a String value.
 func NewString(s string) Value { return Value{Kind: String, S: s} }
@@ -70,6 +77,9 @@ func NewBool(b bool) Value { return Value{Kind: Bool, B: b} }
 
 // NewNull returns the NULL value.
 func NewNull() Value { return Value{} }
+
+// F returns a Float's number. It is meaningless for any other kind.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.Kind == Null }
@@ -81,7 +91,7 @@ func (v Value) AsFloat() float64 {
 	case Int:
 		return float64(v.I)
 	case Float:
-		return v.F
+		return v.F()
 	default:
 		return 0
 	}
@@ -93,7 +103,7 @@ func (v Value) AsInt() int64 {
 	case Int:
 		return v.I
 	case Float:
-		return int64(v.F)
+		return int64(v.F())
 	default:
 		return 0
 	}
@@ -109,8 +119,10 @@ func Coerce(v Value, kind Kind) Value {
 	switch {
 	case kind == Float && v.Kind == Int:
 		return NewFloat(float64(v.I))
-	case kind == Int && v.Kind == Float && v.F == math.Trunc(v.F) && math.Abs(v.F) < 1<<63:
-		return NewInt(int64(v.F))
+	case kind == Int && v.Kind == Float:
+		if f := v.F(); f == math.Trunc(f) && math.Abs(f) < 1<<63 {
+			return NewInt(int64(f))
+		}
 	}
 	return v
 }
@@ -127,7 +139,7 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.I, 10)
 	case Float:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case String:
 		return "'" + v.S + "'"
 	case Bool:
