@@ -512,20 +512,25 @@ func txnSQLLoad() string {
 
 // BenchmarkTxnFromSQL times SQL text to delta, the sqlparser layer of
 // the corp-* workloads, at their shape (1 000 Dept, 10 500 Emp rows):
-// parse, compile the WHERE and SET, and evaluate them over the table.
-// One op is one statement; nothing is applied, so every op sees the same
-// table, and the benchmark fails unless the delta holds exactly one row.
+// parse, compile the WHERE and SET, and evaluate them over the rows
+// they read — one, through the key, where the WHERE fixes a declared
+// key; every row of the table where it does not (update-emp-scan, whose
+// WHERE names only Salary). One op is one statement; nothing is
+// applied, so every op sees the same table, and the benchmark fails
+// unless the delta holds exactly one row.
 //
 //	go test -run '^$' -bench TxnFromSQL -benchtime 2000x .
 func BenchmarkTxnFromSQL(b *testing.B) {
 	db := mvmaint.Open()
-	if err := db.Exec(txnSQLSchema + txnSQLLoad()); err != nil {
+	if err := db.Exec(txnSQLSchema + txnSQLLoad() +
+		"UPDATE Emp SET Salary = 101 WHERE EName = 'e0250_03';"); err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct{ name, table, sql string }{
 		{"update-emp", "Emp", "UPDATE Emp SET Salary = 120 WHERE EName = 'e0500_05'"},
 		{"update-dept", "Dept", "UPDATE Dept SET Budget = 2500 WHERE DName = 'd0500'"},
 		{"delete-emp", "Emp", "DELETE FROM Emp WHERE EName = 'x0000250'"},
+		{"update-emp-scan", "Emp", "UPDATE Emp SET Salary = 120 WHERE Salary = 101"},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -54,17 +54,22 @@ type Ref struct {
 	Len uint32
 }
 
+// slot is one record: 16 bytes when V is a 4-byte value. A record's
+// probe distance (its probe-sequence position plus one, see dist) is
+// worked out from its tag and where it sits, not stored. The
+// robin-hood invariant is that scanning a probe sequence sees
+// non-decreasing distances until the record or an empty slot is found.
 type slot[V any] struct {
-	hash uint64
+	// tag is the low 31 bits of the key's hash with the top bit set;
+	// zero marks an empty slot. Tables stay below 2^31 slots, so the
+	// home bucket is tag & mask.
+	tag  uint32
 	koff uint32
 	klen uint32
-	// dist is the probe-sequence position of the record plus one; zero
-	// marks an empty slot. The robin-hood invariant is that scanning a
-	// probe sequence sees non-decreasing dist until the record or an
-	// empty slot is found.
-	dist int32
 	val  V
 }
+
+func tagOf(h uint64) uint32 { return uint32(h) | 1<<31 }
 
 // Map is an open-addressed robin-hood hash table from byte-slice keys
 // to values of type V. The zero value is an empty map.
@@ -110,8 +115,13 @@ func (m *Map[V]) note(d int32) {
 	}
 }
 
-func (m *Map[V]) keyEq(s *slot[V], h uint64, k []byte) bool {
-	if s.hash != h || int(s.klen) != len(k) {
+// dist returns the probe distance of the record in slot i.
+func (m *Map[V]) dist(i uint64) int32 {
+	return int32((i-uint64(m.slots[i].tag))&m.mask) + 1
+}
+
+func (m *Map[V]) keyEq(s *slot[V], t uint32, k []byte) bool {
+	if s.tag != t || int(s.klen) != len(k) {
 		return false
 	}
 	off := s.koff & pageMask
@@ -140,16 +150,16 @@ func (m *Map[V]) lookup(k []byte) *slot[V] {
 	if m.n == 0 {
 		return nil
 	}
-	h := Hash(k)
-	i := h & m.mask
+	t := tagOf(Hash(k))
+	i := uint64(t) & m.mask
 	d := int32(1)
 	for {
 		s := &m.slots[i]
-		if s.dist == 0 || s.dist < d {
+		if s.tag == 0 || m.dist(i) < d {
 			m.note(d)
 			return nil
 		}
-		if m.keyEq(s, h, k) {
+		if m.keyEq(s, t, k) {
 			m.note(d)
 			return s
 		}
@@ -174,47 +184,50 @@ func (m *Map[V]) GetOrPut(k []byte, v V) (p *V, ref Ref, existed bool) {
 	if len(m.slots) == 0 || (m.n+1)*8 > len(m.slots)*7 {
 		m.grow()
 	}
-	h := Hash(k)
-	i := h & m.mask
+	t := tagOf(Hash(k))
+	i := uint64(t) & m.mask
 	d := int32(1)
 	for {
 		s := &m.slots[i]
-		if s.dist == 0 {
+		if s.tag == 0 {
 			ref = m.appendKey(k)
-			*s = slot[V]{hash: h, koff: ref.Off, klen: ref.Len, dist: d, val: v}
+			*s = slot[V]{tag: t, koff: ref.Off, klen: ref.Len, val: v}
 			m.n++
 			m.note(d)
 			return &s.val, ref, false
 		}
-		if m.keyEq(s, h, k) {
+		if m.keyEq(s, t, k) {
 			m.note(d)
 			return &s.val, Ref{Off: s.koff, Len: s.klen}, true
 		}
-		if s.dist < d {
+		if m.dist(i) < d {
 			// Robin hood: the resident is closer to home than we are.
 			// Take its slot and push it (and transitively anyone it
-			// displaces) further down the probe sequence.
+			// displaces) further down the probe sequence; cd is the
+			// distance of the record being carried.
 			ref = m.appendKey(k)
-			cand := slot[V]{hash: h, koff: ref.Off, klen: ref.Len, dist: d, val: v}
+			cand := slot[V]{tag: t, koff: ref.Off, klen: ref.Len, val: v}
+			cd := d
 			placed := -1
 			for {
 				s := &m.slots[i]
-				if s.dist == 0 {
+				if s.tag == 0 {
 					*s = cand
 					if placed < 0 {
 						placed = int(i)
 					}
 					m.n++
-					m.note(cand.dist)
+					m.note(cd)
 					return &m.slots[placed].val, ref, false
 				}
-				if s.dist < cand.dist {
+				if sd := m.dist(i); sd < cd {
 					*s, cand = cand, *s
+					cd = sd
 					if placed < 0 {
 						placed = int(i)
 					}
 				}
-				cand.dist++
+				cd++
 				i = (i + 1) & m.mask
 			}
 		}
@@ -230,16 +243,16 @@ func (m *Map[V]) Delete(k []byte) bool {
 	if m.n == 0 {
 		return false
 	}
-	h := Hash(k)
-	i := h & m.mask
+	t := tagOf(Hash(k))
+	i := uint64(t) & m.mask
 	d := int32(1)
 	for {
 		s := &m.slots[i]
-		if s.dist == 0 || s.dist < d {
+		if s.tag == 0 || m.dist(i) < d {
 			m.note(d)
 			return false
 		}
-		if m.keyEq(s, h, k) {
+		if m.keyEq(s, t, k) {
 			m.note(d)
 			break
 		}
@@ -250,12 +263,10 @@ func (m *Map[V]) Delete(k []byte) bool {
 	j := i
 	for {
 		nxt := (j + 1) & m.mask
-		s := &m.slots[nxt]
-		if s.dist <= 1 {
+		if m.slots[nxt].tag == 0 || m.dist(nxt) <= 1 {
 			break
 		}
-		m.slots[j] = *s
-		m.slots[j].dist--
+		m.slots[j] = m.slots[nxt]
 		j = nxt
 	}
 	m.slots[j] = slot[V]{}
@@ -269,7 +280,7 @@ func (m *Map[V]) Delete(k []byte) bool {
 func (m *Map[V]) Range(f func(k []byte, v *V) bool) {
 	for i := range m.slots {
 		s := &m.slots[i]
-		if s.dist == 0 {
+		if s.tag == 0 {
 			continue
 		}
 		if !f(m.KeyAt(Ref{Off: s.koff, Len: s.klen}), &s.val) {
@@ -332,7 +343,7 @@ func (m *Map[V]) grow() {
 	m.slots = make([]slot[V], newCap)
 	m.mask = uint64(newCap - 1)
 	for i := range old {
-		if old[i].dist != 0 {
+		if old[i].tag != 0 {
 			m.reinsert(old[i])
 		}
 	}
@@ -342,18 +353,19 @@ func (m *Map[V]) grow() {
 // already in the arena and necessarily distinct, so no key compares or
 // arena appends happen during a rehash.
 func (m *Map[V]) reinsert(rec slot[V]) {
-	rec.dist = 1
-	i := rec.hash & m.mask
+	i := uint64(rec.tag) & m.mask
+	d := int32(1)
 	for {
 		s := &m.slots[i]
-		if s.dist == 0 {
+		if s.tag == 0 {
 			*s = rec
 			return
 		}
-		if s.dist < rec.dist {
+		if sd := m.dist(i); sd < d {
 			*s, rec = rec, *s
+			d = sd
 		}
-		rec.dist++
+		d++
 		i = (i + 1) & m.mask
 	}
 }

@@ -25,14 +25,16 @@ func InsertDelta(def *catalog.TableDef, ins *Insert) (*delta.Delta, error) {
 }
 
 // DeleteDelta evaluates DELETE's WHERE against the current (pre-update)
-// contents in place, uncharged, and returns the deletions.
+// contents in place, uncharged, and returns the deletions. A WHERE that
+// fixes a declared key reads its candidates through the key (see
+// candidates).
 func DeleteDelta(tr *Translator, rel *storage.Relation, del *Delete) (*delta.Delta, error) {
 	d := delta.New(rel.Def.Schema)
 	match, err := compileWhere(tr, rel, del.Where)
 	if err != nil {
 		return nil, err
 	}
-	rel.Iterate(func(row storage.Row) bool {
+	candidates(rel, del.Where)(func(row storage.Row) bool {
 		if match(row.Tuple) {
 			d.Delete(row.Tuple.Clone(), row.Count)
 		}
@@ -42,7 +44,9 @@ func DeleteDelta(tr *Translator, rel *storage.Relation, del *Delete) (*delta.Del
 }
 
 // UpdateDelta evaluates UPDATE's WHERE and SET against the current
-// contents in place, uncharged, and returns paired modifications.
+// contents in place, uncharged, and returns paired modifications. A
+// WHERE that fixes a declared key reads its candidates through the key
+// (see candidates).
 func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Delta, error) {
 	d := delta.New(rel.Def.Schema)
 	match, err := compileWhere(tr, rel, upd.Where)
@@ -69,7 +73,7 @@ func UpdateDelta(tr *Translator, rel *storage.Relation, upd *Update) (*delta.Del
 		}
 		setters[i] = setter{pos: pos, p: p}
 	}
-	rel.Iterate(func(row storage.Row) bool {
+	candidates(rel, upd.Where)(func(row storage.Row) bool {
 		if !match(row.Tuple) {
 			return true
 		}
@@ -105,4 +109,75 @@ func compileWhere(tr *Translator, rel *storage.Relation, where Scalar) (func(val
 		return nil, err
 	}
 	return p.Truth, nil
+}
+
+// candidates returns the walk over the rows a DML statement's WHERE must
+// be tested on, in first-insertion order. When every column of a
+// declared key (catalog.TableDef.Keys, the first such key) is fixed by a
+// top-level AND conjunct `col = literal` (or `literal = col`), it walks
+// Relation.IterateKey, which answers from the relation's key directory
+// with at most one row; otherwise every live row. Either way the full
+// WHERE still filters what it yields.
+//
+// A key with a FLOAT column is never probed: KeyEncoder.EqualKey, which
+// the directory hashes on, gives a NaN its own key while value.Equal
+// calls it equal to every number (the FOUND on EqualKey in CHANGES.md),
+// so on such a column the scan is the only answer right by construction.
+func candidates(rel *storage.Relation, where Scalar) func(func(storage.Row) bool) {
+	if where != nil {
+		if pos, key := keyLiterals(rel.Def, where); pos != nil {
+			return func(yield func(storage.Row) bool) { rel.IterateKey(pos, key, yield) }
+		}
+	}
+	return rel.Iterate
+}
+
+// keyLiterals returns the positions of the first declared key of def
+// whose columns where's top-level conjuncts all bind to literals, with
+// those literals in key order; nil when there is none.
+func keyLiterals(def *catalog.TableDef, where Scalar) ([]int, value.Tuple) {
+	conj := conjuncts(where)
+keys:
+	for _, k := range def.Keys {
+		if len(k) == 0 {
+			continue
+		}
+		pos, key := make([]int, len(k)), make(value.Tuple, len(k))
+		for i, name := range k {
+			j, err := def.Schema.Resolve(name)
+			if err != nil || def.Schema.Cols[j].Type == value.Float {
+				continue keys
+			}
+			lit, ok := boundLiteral(def, conj, j)
+			if !ok {
+				continue keys
+			}
+			pos[i], key[i] = j, lit
+		}
+		return pos, key
+	}
+	return nil, nil
+}
+
+// boundLiteral returns the literal a conjunct `col = literal` or
+// `literal = col` binds column j of def to.
+func boundLiteral(def *catalog.TableDef, conj []Scalar, j int) (value.Value, bool) {
+	for _, c := range conj {
+		b, ok := c.(BinExpr)
+		if !ok || b.Op != "=" {
+			continue
+		}
+		col, lok := b.L.(ColRef)
+		lit, rok := b.R.(Literal)
+		if !lok || !rok {
+			col, lok = b.R.(ColRef)
+			lit, rok = b.L.(Literal)
+		}
+		if lok && rok {
+			if i, err := def.Schema.Resolve(col.Name); err == nil && i == j {
+				return lit.V, true
+			}
+		}
+	}
+	return value.Value{}, false
 }

@@ -51,7 +51,9 @@ func (b *refBag) matching(pos []int, key value.Tuple) map[string]int64 {
 
 // TestRelationAgainstReferenceModel drives random mutation batches
 // against both the storage engine and the reference bag, comparing
-// contents and index lookups after every batch.
+// contents and index lookups after every batch, and probes every tuple
+// the stream can hold through the key directory over (A, B) — a key of
+// the stored set, whose tuples die and revive constantly.
 func TestRelationAgainstReferenceModel(t *testing.T) {
 	def := &catalog.TableDef{
 		Name: "T",
@@ -129,6 +131,25 @@ func TestRelationAgainstReferenceModel(t *testing.T) {
 			if want[row.Tuple.Key()] != row.Count {
 				t.Fatalf("step %d: lookup count mismatch", step)
 			}
+		}
+		// Probe every possible tuple through the key directory: a live
+		// one yields exactly its row, an absent one nothing.
+		for a := int64(0); a < 5; a++ {
+			for b := int64(0); b < 5; b++ {
+				key := value.Tuple{value.NewInt(a), value.NewInt(b)}
+				var got []Row
+				rel.IterateKey([]int{0, 1}, key, func(row Row) bool {
+					got = append(got, row)
+					return true
+				})
+				n := ref.counts[key.Key()]
+				if n == 0 && len(got) != 0 || n > 0 && (len(got) != 1 || !got[0].Tuple.Equal(key) || got[0].Count != n) {
+					t.Fatalf("step %d: key probe %v = %v, reference count %d", step, key, got, n)
+				}
+			}
+		}
+		if rel.keyDirs[0].off {
+			t.Fatalf("step %d: key directory switched off on a set with no repeated key", step)
 		}
 	}
 }

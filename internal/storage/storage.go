@@ -28,7 +28,14 @@
 // in per-window arenas), so relation state never aliases caller memory;
 // the copies live in a per-relation paged slab (tupleSlab), so the
 // resident set is a few slab blocks per relation rather than one
-// GC-tracked object per tuple.
+// GC-tracked object per tuple. Dead entries are swept once they pass a
+// quarter of the live ones (maybeCompact), so a relation holds its live
+// rows and not its churn.
+//
+// Point DML reads its rows through an uncharged key directory
+// (IterateKey, keyDir), built on a relation's first probe and kept
+// beside the row directory; it charges nothing, so the page model
+// above is untouched by it.
 package storage
 
 import (
@@ -139,12 +146,10 @@ type Row struct {
 // entry is one stored tuple. Entries are appended to a flat slice in
 // first-insertion order and never removed (a fully deleted tuple keeps
 // its slot at count zero so a reinsert reuses its original scan
-// position); kref locates the tuple's canonical key bytes inside the
-// row directory's arena.
+// position).
 type entry struct {
 	tuple value.Tuple
 	count int64
-	kref  bytemap.Ref
 	// freedSeq is the batch fence at which the entry last died (count
 	// reached zero). A free-list record whose seq doesn't match is stale
 	// — the entry was revived and re-freed since, and only the record
@@ -159,28 +164,39 @@ type entry struct {
 }
 
 // tupleSlab bump-allocates the Value arrays backing stored tuples out
-// of paged blocks, so a relation's resident set is a few hundred slab
-// blocks instead of one GC-tracked object per tuple. The slab is
+// of a few large blocks, so a relation's resident set is a handful of
+// slab blocks instead of one GC-tracked object per tuple. The slab is
 // grow-only between sweeps: blocks are appended as tuples arrive and
-// individual tuples are never freed — a fully deleted tuple's storage
-// is reclaimed when the lazy-deletion sweep (maybeCompact) or Restore
-// copies the live tuples into the relation's spare slab and swaps the
-// two (see Relation.slab/spare). Swapping instead of reallocating is
-// what keeps steady-state compaction allocation-free, at the cost of
-// holding roughly twice the live tuple bytes — the paper's
-// space-for-time trade applied to the allocator itself.
+// individual tuples are never freed (a dead tuple's slot is recycled
+// through the free-slot stock instead). The lazy-deletion sweep
+// (maybeCompact) copies the live tuples and the stock into a new
+// generation of one block sized to exactly those Values, and drops the
+// old one to the collector; Restore drops it too. A relation so holds
+// its live tuple bytes plus its stock, plus what arrived since the last
+// sweep — not a second generation.
 type tupleSlab struct {
 	blocks [][]value.Value
 	bi     int // current block index
 	off    int // next free slot in blocks[bi]
 }
 
-const slabBlockVals = 4096 // Values per slab block
+const slabBlockVals = 4096 // Values per block appended past a generation's first
+
+// newSlab returns a slab whose first block holds exactly vals Values
+// (none when vals is zero) — a compaction's new generation.
+func newSlab(vals int) tupleSlab {
+	if vals == 0 {
+		return tupleSlab{}
+	}
+	obsSlabBlockAllocs.Inc()
+	obsSlabBytesAlloc.Add(int64(vals) * int64(value.Size))
+	return tupleSlab{blocks: [][]value.Value{make([]value.Value, vals)}}
+}
 
 // alloc reserves an n-Value slot in the slab without initializing it
-// (the slot may hold stale Values from a retired generation; callers
-// either copy over it or hand it out as dead free-slot storage that is
-// overwritten on harvest). Oversize tuples get a dedicated block.
+// (callers either copy over it or hand it out as dead free-slot storage
+// that is overwritten on harvest). Oversize tuples get a dedicated
+// block.
 func (s *tupleSlab) alloc(n int) value.Tuple {
 	for {
 		if s.bi < len(s.blocks) {
@@ -214,16 +230,9 @@ func (s *tupleSlab) clone(t value.Tuple) value.Tuple {
 	return dst
 }
 
-// rewind resets the bump cursor so existing blocks are refilled from
-// the start. Only safe when every tuple previously served from the
-// slab is dead (the compaction swap's contract).
-func (s *tupleSlab) rewind() {
-	s.bi, s.off = 0, 0
-}
-
-// release drops every block to the collector (Restore). Rows already
-// handed out keep the old blocks alive for as long as they are
-// referenced.
+// release drops every block to the collector (compaction, Restore).
+// Rows already handed out keep the old blocks alive for as long as
+// they are referenced.
 func (s *tupleSlab) release() {
 	var vals int64
 	for _, blk := range s.blocks {
@@ -287,12 +296,6 @@ type Relation struct {
 
 	entries []entry
 	slab    tupleSlab // backing store for every entry's tuple
-	// spare is the previous generation's slab, retained across the
-	// compaction swap so the next compaction refills its blocks instead
-	// of allocating. Its contents stay intact for one full compaction
-	// cycle — at least a window — which is longer than any reader is
-	// allowed to hold a row (rows die at the relation's next mutation).
-	spare tupleSlab
 	// freeSlots lists dead entries (by id, per tuple arity) whose slab
 	// slot a later insert may harvest once slotGrace batch fences have
 	// passed; see allocTuple. The stock survives compaction: kept
@@ -306,7 +309,10 @@ type Relation struct {
 	freeStock int
 	rows      bytemap.Map[int32] // canonical tuple key bytes → entry id
 	indexes   []*hashIndex
-	store     *Store
+	// keyDirs are the uncharged point-lookup directories IterateKey has
+	// built, one per probed column set (see keyDir).
+	keyDirs []*keyDir
+	store   *Store
 	// liveTuples counts distinct live tuples so Card is O(1) and
 	// cardinality statistics stay fresh between full refreshes.
 	liveTuples int
@@ -317,10 +323,11 @@ type Relation struct {
 
 	// Reused key-encoding scratch for the apply path; encNew/encOld are
 	// live simultaneously during a modify. encAux serves the read paths
-	// (Lookup probes, GetCount).
-	encNew value.KeyEncoder
-	encOld value.KeyEncoder
-	encAux value.KeyEncoder
+	// (Lookup probes, GetCount), encPage the page names a buffer charges.
+	encNew  value.KeyEncoder
+	encOld  value.KeyEncoder
+	encAux  value.KeyEncoder
+	encPage value.KeyEncoder
 
 	plans []lookupPlan
 
@@ -477,9 +484,16 @@ func (r *Relation) dropPage(tupleKey []byte) {
 	}
 }
 
-// keyBytes returns the canonical key bytes of entry e (stable: they
-// live in the row directory's append-only arena).
-func (r *Relation) keyBytes(e *entry) []byte { return r.rows.KeyAt(e.kref) }
+// chargeRowRead charges the page read of live entry e, whose page is
+// named by its tuple's canonical key — encoded only when a buffer needs
+// the name.
+func (r *Relation) chargeRowRead(e *entry) {
+	var k []byte
+	if r.buffered() && !r.Resident {
+		k = r.encPage.Key(e.tuple)
+	}
+	r.chargePageRead(k)
+}
 
 // Scan returns all rows in first-insertion order, charging one page read
 // per tuple (unclustered storage).
@@ -489,7 +503,7 @@ func (r *Relation) Scan() []Row {
 		e := &r.entries[i]
 		if e.count > 0 {
 			out = append(out, Row{Tuple: e.tuple, Count: e.count})
-			r.chargePageRead(r.keyBytes(e))
+			r.chargeRowRead(e)
 		}
 	}
 	return out
@@ -597,7 +611,7 @@ func (r *Relation) LookupAppend(cols []string, key value.Tuple, dst []Row) []Row
 			if e.count <= 0 {
 				continue
 			}
-			r.chargePageRead(r.keyBytes(e))
+			r.chargeRowRead(e)
 			if tupleMatches(e.tuple, pl.pos, key) {
 				dst = append(dst, Row{Tuple: e.tuple, Count: e.count})
 			}
@@ -664,7 +678,7 @@ func (r *Relation) scanMatch(pl *lookupPlan, key value.Tuple, dst []Row) []Row {
 			continue
 		}
 		// A scan touches every live tuple's page.
-		r.chargePageRead(r.keyBytes(e))
+		r.chargeRowRead(e)
 		if tupleMatches(e.tuple, pl.pos, key) {
 			dst = append(dst, Row{Tuple: e.tuple, Count: e.count})
 		}
@@ -715,7 +729,7 @@ func (r *Relation) insertRaw(t value.Tuple, count int64) {
 // alias a reused encoder buffer; the row directory copies it.
 func (r *Relation) insertRawKeyed(t value.Tuple, tk []byte, count int64) {
 	r.statsStale = true
-	p, ref, existed := r.rows.GetOrPut(tk, int32(len(r.entries)))
+	p, _, existed := r.rows.GetOrPut(tk, int32(len(r.entries)))
 	if existed {
 		e := &r.entries[*p]
 		if e.count == 0 {
@@ -730,6 +744,9 @@ func (r *Relation) insertRawKeyed(t value.Tuple, tk []byte, count int64) {
 				e.indexed = true
 			}
 			r.liveTuples++
+			for _, d := range r.keyDirs {
+				d.add(r.entries, *p)
+			}
 		}
 		e.count += count
 		return
@@ -743,9 +760,12 @@ func (r *Relation) insertRawKeyed(t value.Tuple, tk []byte, count int64) {
 	// copy lands in the relation's paged slab — preferentially in a slot
 	// harvested from a dead entry — rather than as its own GC-tracked
 	// object.
-	r.entries = append(r.entries, entry{tuple: r.allocTuple(t), count: count, kref: ref, indexed: true})
+	r.entries = append(r.entries, entry{tuple: r.allocTuple(t), count: count, indexed: true})
 	r.indexInsert(t, eid)
 	r.liveTuples++
+	for _, d := range r.keyDirs {
+		d.add(r.entries, eid)
+	}
 }
 
 // slotRec is one harvestable dead-entry slot: the entry id plus the
@@ -881,33 +901,46 @@ func (r *Relation) deleteRawKeyed(t value.Tuple, tk []byte, count int64) int64 {
 		e.count = 0
 		// Lazy index deletion: the entry stays in its buckets (readers
 		// skip count-zero entries) until the next compaction. Its tuple
-		// slot goes on the free list for a later same-arity insert.
+		// slot goes on the free list for a later same-arity insert; it
+		// leaves the key directories now, while its tuple is intact.
 		r.liveTuples--
+		for _, d := range r.keyDirs {
+			d.remove(r.entries, *p)
+		}
 		r.freeSlot(*p)
 	}
 	return e.count
 }
 
+// compactDeadShare sets the sweep's trigger: maybeCompact runs once
+// reclaimable dead entries pass 1/compactDeadShare of the live tuples.
+const compactDeadShare = 4
+
 // maybeCompact reclaims dead entries once the reclaimable ones — dead
-// entries NOT serving as free-slot stock — outnumber live tuples: the
-// entries slice, row directory and every index are rebuilt from the
-// live rows (preserving first-insertion scan order), dropping dead
-// bucket positions and dead directory keys. Amortized O(1) per delete —
-// a compaction's O(live) rebuild is paid for by the >= live deletions
-// that accumulated since the last one. No I/O is charged: compaction is
-// physical reorganization below the page model, like Restore.
+// entries NOT serving as free-slot stock — pass a quarter of the live
+// tuples (and number at least 1024): the entries slice, row directory,
+// every index and every key directory are rebuilt from the live rows
+// (preserving first-insertion scan order), dropping dead bucket
+// positions and dead directory keys, and the live tuples move to a new
+// slab generation of one block. Amortized O(1) per delete — a
+// compaction's O(live) rebuild is paid for by the >= live/4 deletions
+// that accumulated since the last one — and it bounds what a relation
+// holds for its churn: entries, row directory and slab stay within a
+// quarter (or 1024 entries) plus the stock of what its live rows need.
+// No I/O is charged: compaction is physical reorganization below the
+// page model, like Restore.
 //
 // The free-slot stock survives the sweep: clearing it would starve
 // allocTuple for the slotGrace windows after every compaction and
 // force the rewrite churn back onto the bump allocator exactly when it
 // is heaviest. Each kept record is re-slotted as a bare donor entry —
 // dead, unindexed, absent from the row directory — whose tuple is an
-// uninitialized slot in the fresh generation (capacity is all a dead
+// uninitialized slot in the new generation (capacity is all a dead
 // slot carries; the bytes are written on harvest). Stock beyond what
 // one grace period can consume is dropped oldest-first.
 func (r *Relation) maybeCompact() {
 	reclaimable := len(r.entries) - r.liveTuples - r.freeStock
-	if reclaimable < 1024 || reclaimable <= r.liveTuples {
+	if reclaimable < 1024 || reclaimable <= r.liveTuples/compactDeadShare {
 		return
 	}
 	old := r.entries
@@ -915,7 +948,8 @@ func (r *Relation) maybeCompact() {
 	// BEFORE the live copy reuses the entries array in place: only each
 	// record's seq and arity survive; eids are reassigned below.
 	stockCap := 2*r.liveTuples + 1024
-	for _, sl := range r.freeSlots {
+	vals := 0 // Values the new generation holds: live tuples plus stock
+	for arity, sl := range r.freeSlots {
 		w := 0
 		for _, rec := range sl.recs[sl.head:] {
 			d := &old[rec.eid]
@@ -932,50 +966,61 @@ func (r *Relation) maybeCompact() {
 			// outlast any plausible demand before the next sweep.
 			sl.recs = sl.recs[:copy(sl.recs, sl.recs[w-stockCap:])]
 		}
+		vals += arity * len(sl.recs)
 	}
+	fresh := r.store != nil && r.store.FreshAlloc
+	if !fresh {
+		for i := range old {
+			if old[i].count > 0 {
+				vals += len(old[i].tuple)
+			}
+		}
+	}
+	// The new generation is one block sized to what it will hold; the
+	// outgoing one goes to the collector once no row handed out from it
+	// is referenced.
+	gen := newSlab(vals)
 	r.entries = old[:0]
 	r.rows.Reset()
 	for _, ix := range r.indexes {
 		ix.resetIndex()
 	}
-	// Live tuples move into the spare slab, whose blocks were retired a
-	// full compaction cycle ago: every row served from them is dead by
-	// contract, so the blocks are refilled in place instead of
-	// reallocated. The outgoing slab becomes the next spare.
-	fresh := r.spare
-	fresh.rewind()
 	for i := range old {
 		e := old[i]
 		if e.count <= 0 {
 			continue
 		}
-		if r.store == nil || !r.store.FreshAlloc {
-			e.tuple = fresh.clone(e.tuple)
+		if !fresh {
+			e.tuple = gen.clone(e.tuple)
 		}
 		eid := int32(len(r.entries))
-		_, ref, _ := r.rows.GetOrPut(r.encNew.Key(e.tuple), eid)
-		e.kref = ref
+		r.rows.Put(r.encNew.Key(e.tuple), eid)
 		e.indexed = true
 		r.entries = append(r.entries, e)
 		r.indexInsert(e.tuple, eid)
 	}
-	// Re-slot the surviving stock as donor entries in the fresh
-	// generation. In steady state the slots come from retained blocks,
-	// so carrying the stock allocates nothing.
+	// Re-slot the surviving stock as donor entries in the new
+	// generation.
 	r.freeStock = 0
 	for arity, sl := range r.freeSlots {
 		for i := range sl.recs {
 			eid := int32(len(r.entries))
 			r.entries = append(r.entries, entry{
-				tuple:    fresh.alloc(arity),
+				tuple:    gen.alloc(arity),
 				freedSeq: sl.recs[i].seq,
 			})
 			sl.recs[i].eid = eid
 			r.freeStock++
 		}
 	}
-	r.spare = r.slab
-	r.slab = fresh
+	// The reused array's tail still holds outgoing entries, whose tuples
+	// would pin the old generation's blocks.
+	clear(r.entries[len(r.entries):cap(r.entries)])
+	r.slab.release()
+	r.slab = gen
+	for _, d := range r.keyDirs {
+		d.rebuild(r.entries, r.liveTuples)
+	}
 }
 
 // publishProbeStats folds the open-index probe counters accumulated
@@ -1120,15 +1165,18 @@ func (r *Relation) RetainWhere(keep func(t value.Tuple, count int64) bool) {
 // ScanFree rows straight back), so the old slab is dropped — not reused
 // — and Load clones each row into a fresh one.
 func (r *Relation) Restore(rows []Row) {
+	clear(r.entries) // stale entries would pin the released slab
 	r.entries = r.entries[:0]
 	r.rows.Reset()
 	r.liveTuples = 0
 	r.statsStale = true
 	r.slab.release()
-	r.spare.release()
 	r.clearFreeSlots()
 	for _, ix := range r.indexes {
 		ix.resetIndex()
+	}
+	for _, d := range r.keyDirs {
+		d.rebuild(nil, len(rows))
 	}
 	r.Load(rows)
 }
