@@ -8,7 +8,6 @@ package mvmaint_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -165,13 +164,13 @@ func BenchmarkAlgorithmOptimalViewSet(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelOptimalViewSet compares the parallel branch-and-bound
-// search against sequential Exhaustive on the Figure 5 corpus DAG. Both
-// paths build a fresh Costing per iteration, so the shared track-cost
-// cache inside one search is measured but nothing leaks across
-// iterations or between the two strategies. Metrics report the view sets
-// pruned by the update-cost bound and the cache hit rate of one parallel
-// search; the chosen view set must match the exhaustive optimum exactly.
+// BenchmarkParallelOptimalViewSet compares the branch-and-bound search
+// against Exhaustive on the Figure 5 corpus DAG. Both paths build a fresh
+// Costing per iteration, so the track-cost cache inside one search is
+// measured but nothing leaks across iterations or between the two
+// strategies. Metrics report the view sets pruned by the update-cost
+// bound and the cache hit rate of one branch-and-bound search; the
+// chosen view set must match the exhaustive optimum exactly.
 func BenchmarkParallelOptimalViewSet(b *testing.B) {
 	base, err := paper.Figure5Optimizer(corpus.DefaultFigure5Config())
 	if err != nil {
@@ -182,7 +181,7 @@ func BenchmarkParallelOptimalViewSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	emitOnce(b, "pbb", fmt.Sprintf(
-		"Parallel branch-and-bound (Figure 5 DAG): exhaustive costs %d sets; the bound-pruned search matches its optimum %s = %.4g\n",
+		"Branch-and-bound (Figure 5 DAG): exhaustive costs %d sets; the bound-pruned search matches its optimum %s = %.4g\n",
 		seq.Explored, seq.Best.Set.Key(), seq.Best.Weighted))
 
 	fresh := func() *core.Optimizer { return core.New(base.D, cost.PageIO{}, base.Types) }
@@ -194,30 +193,27 @@ func BenchmarkParallelOptimalViewSet(b *testing.B) {
 			}
 		}
 	})
-	for _, j := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("parallel-j%d", j), func(b *testing.B) {
-			var res *core.Result
-			var hits, misses uint64
-			for i := 0; i < b.N; i++ {
-				opt := fresh()
-				opt.Parallelism = j
-				r, err := opt.Parallel()
-				if err != nil {
-					b.Fatal(err)
-				}
-				res = r
-				hits, misses = opt.Cost.CacheStats()
+	b.Run("bnb", func(b *testing.B) {
+		var res *core.Result
+		var hits, misses uint64
+		for i := 0; i < b.N; i++ {
+			opt := fresh()
+			r, err := opt.BranchAndBound()
+			if err != nil {
+				b.Fatal(err)
 			}
-			if res.Best.Set.Key() != seq.Best.Set.Key() || res.Best.Weighted != seq.Best.Weighted {
-				b.Fatalf("parallel chose %s = %g, exhaustive %s = %g",
-					res.Best.Set.Key(), res.Best.Weighted, seq.Best.Set.Key(), seq.Best.Weighted)
-			}
-			b.ReportMetric(float64(res.Pruned), "sets-pruned")
-			if hits+misses > 0 {
-				b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-rate")
-			}
-		})
-	}
+			res = r
+			hits, misses = opt.Cost.CacheStats()
+		}
+		if res.Best.Set.Key() != seq.Best.Set.Key() || res.Best.Weighted != seq.Best.Weighted {
+			b.Fatalf("branch-and-bound chose %s = %g, exhaustive %s = %g",
+				res.Best.Set.Key(), res.Best.Weighted, seq.Best.Set.Key(), seq.Best.Weighted)
+		}
+		b.ReportMetric(float64(res.Pruned), "sets-pruned")
+		if hits+misses > 0 {
+			b.ReportMetric(float64(hits)/float64(hits+misses), "cache-hit-rate")
+		}
+	})
 }
 
 // BenchmarkMeasuredParity runs the live engine next to the estimates

@@ -7,11 +7,10 @@
 //	mvbench -figure 3  # one figure (1, 2, 3, 5)
 //	mvbench -measured    # estimated-vs-measured parity run
 //	mvbench -sweeps      # the ablation sweeps recorded in EXPERIMENTS.md
-//	mvbench -parallel    # parallel branch-and-bound vs exhaustive search
-//	                     # (tune with -j workers and -seed n)
+//	mvbench -parallel    # branch-and-bound vs exhaustive search
 //
-// -j sets the -parallel worker count (alias: -workers). -cpuprofile and
-// -memprofile write pprof profiles of whatever modes were run.
+// -cpuprofile and -memprofile write pprof profiles of whatever modes
+// were run.
 //
 // Observability: -metrics dumps the global metrics snapshot as JSON to
 // stderr when the run finishes (-metrics-out FILE writes it to a file
@@ -39,11 +38,7 @@ func main() {
 	figure := flag.Int("figure", 0, "print one figure (1, 2, 3, 5)")
 	measured := flag.Bool("measured", false, "run the measured-parity experiment")
 	sweeps := flag.Bool("sweeps", false, "run the ablation sweeps")
-	parallel := flag.Bool("parallel", false, "compare parallel branch-and-bound vs exhaustive")
-	var workers int
-	flag.IntVar(&workers, "j", 0, "worker count for -parallel (0 = default)")
-	flag.IntVar(&workers, "workers", 0, "alias for -j")
-	seed := flag.Int64("seed", 0, "chunk-order seed for -parallel (result is seed-independent)")
+	parallel := flag.Bool("parallel", false, "compare branch-and-bound vs exhaustive search")
 	dot := flag.Bool("dot", false, "emit the ProblemDept expression DAG as Graphviz DOT")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -158,7 +153,7 @@ func main() {
 		emit(out)
 	}
 	if all || *parallel {
-		out, err := paper.ParallelSearch(corpus.DefaultFigure5Config(), workers, *seed)
+		out, err := paper.BranchAndBound(corpus.DefaultFigure5Config())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,8 +6,7 @@
 //
 //	mvopt -schema schema.sql -view ProblemDept \
 //	      -txn 'modify:Emp:Salary:1:1' -txn 'modify:Dept:Budget:1:1' \
-//	      [-method exhaustive|parallel|shielded|greedy|single-tree|heuristic-marking]
-//	      [-j workers]
+//	      [-method exhaustive|shielded|greedy|single-tree|heuristic-marking|no-additional]
 //
 // Each -txn flag is kind:relation[:cols]:size:weight, where kind is
 // insert, delete or modify and cols is a +-separated column list for
@@ -86,10 +85,7 @@ func main() {
 	log.SetFlags(0)
 	schema := flag.String("schema", "", "SQL file with schema, data, views and assertions")
 	view := flag.String("view", "", "view or assertion to optimize (repeatable via comma)")
-	method := flag.String("method", "exhaustive", "exhaustive|parallel|shielded|greedy|single-tree|heuristic-marking|no-additional")
-	var workers int
-	flag.IntVar(&workers, "j", 0, "worker count for -method parallel (0 = all CPUs)")
-	flag.IntVar(&workers, "workers", 0, "alias for -j")
+	method := flag.String("method", "exhaustive", "exhaustive|shielded|greedy|single-tree|heuristic-marking|no-additional")
 	var txns txnFlags
 	flag.Var(&txns, "txn", "transaction type kind:rel[:cols]:size:weight (repeatable)")
 	metrics := flag.Bool("metrics", false, "dump the metrics snapshot as JSON to stderr on exit")
@@ -125,7 +121,7 @@ func main() {
 			select {}
 		}
 	}()
-	sys, err := optimize(*schema, *view, *method, txns, workers)
+	sys, err := optimize(*schema, *view, *method, txns)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +130,7 @@ func main() {
 
 // optimize loads the schema file, parses the workload and runs the
 // chosen optimizer over the named views.
-func optimize(schema, view, method string, txns []string, workers int) (*mvmaint.System, error) {
+func optimize(schema, view, method string, txns []string) (*mvmaint.System, error) {
 	sql, err := os.ReadFile(schema)
 	if err != nil {
 		return nil, err
@@ -155,7 +151,6 @@ func optimize(schema, view, method string, txns []string, workers int) (*mvmaint
 
 	methods := map[string]mvmaint.Method{
 		"exhaustive":        mvmaint.Exhaustive,
-		"parallel":          mvmaint.Parallel,
 		"shielded":          mvmaint.Shielded,
 		"greedy":            mvmaint.Greedy,
 		"single-tree":       mvmaint.SingleTree,
@@ -167,9 +162,5 @@ func optimize(schema, view, method string, txns []string, workers int) (*mvmaint
 		return nil, fmt.Errorf("unknown method %q", method)
 	}
 
-	return db.Build(strings.Split(view, ","), mvmaint.Config{
-		Workload:    workload,
-		Method:      m,
-		Parallelism: workers,
-	})
+	return db.Build(strings.Split(view, ","), mvmaint.Config{Workload: workload, Method: m})
 }

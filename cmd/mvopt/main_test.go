@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // with the committed report. Run with -update after an intended change.
 func TestSkewDecisionGolden(t *testing.T) {
 	sys, err := optimize("../../testdata/fig5_skew.sql", "Revenue", "exhaustive",
-		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"}, 0)
+		[]string{"modify:T:Price:1:0.8", "insert:S:1:0.1", "delete:S:1:0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}

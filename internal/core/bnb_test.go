@@ -14,8 +14,8 @@ import (
 	"repro/internal/rules"
 )
 
-// canonical renders a result into the byte-identical form the parallel
-// search guarantees across every Parallelism and Seed.
+// canonical renders a result byte for byte: two runs of one search must
+// render identically.
 func canonical(r *core.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "best=%s w=%.17g explored=%d pruned=%d trunc=%v\n",
@@ -27,10 +27,9 @@ func canonical(r *core.Result) string {
 }
 
 // TestParallelMatchesExhaustiveRandom is the equivalence property: over
-// random views and random weighted workloads, the parallel search at any
-// worker count and any seed returns the exhaustive optimum, prices every
-// kept set identically, keeps every minimum-cost set, and renders
-// byte-identically across all (Parallelism, Seed) combinations.
+// random views and random weighted workloads, branch-and-bound returns
+// the exhaustive optimum, prices every costed set identically, costs
+// every minimum-cost set, and accounts for the whole lattice.
 func TestParallelMatchesExhaustiveRandom(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -75,63 +74,51 @@ func TestParallelMatchesExhaustiveRandom(t *testing.T) {
 				exhCost[ev.Set.Key()] = ev.Weighted
 			}
 
-			var ref string
-			for _, j := range []int{1, 2, 4, 8} {
-				for _, seed := range []int64{0, 1, 42} {
-					opt.Parallelism, opt.Seed = j, seed
-					par, err := opt.Parallel()
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("j=%d seed=%d", j, seed)
-					if par.Truncated {
-						t.Fatalf("%s: unexpected truncation", label)
-					}
-					if got := canonical(par); ref == "" {
-						ref = got
-					} else if got != ref {
-						t.Fatalf("%s: result differs from j=1 seed=0:\n%s\nvs\n%s", label, got, ref)
-					}
-					if par.Best.Set.Key() != exh.Best.Set.Key() || par.Best.Weighted != exh.Best.Weighted {
-						t.Fatalf("%s: best %s=%g, exhaustive %s=%g (view %s)",
-							label, par.Best.Set.Key(), par.Best.Weighted,
-							exh.Best.Set.Key(), exh.Best.Weighted, view.Label())
-					}
-					if par.Explored+par.Pruned != exh.Explored {
-						t.Fatalf("%s: explored %d + pruned %d != lattice %d",
-							label, par.Explored, par.Pruned, exh.Explored)
-					}
-					// Every kept set is priced exactly as the oracle priced it,
-					// and every optimum survives the pruning.
-					for _, ev := range par.All {
-						w, ok := exhCost[ev.Set.Key()]
-						if !ok || w != ev.Weighted {
-							t.Fatalf("%s: kept set %s=%g not in exhaustive log (want %g)",
-								label, ev.Set.Key(), ev.Weighted, w)
-						}
-					}
-					kept := map[string]bool{}
-					for _, ev := range par.All {
-						kept[ev.Set.Key()] = true
-					}
-					for _, ev := range exh.All {
-						if ev.Weighted == exh.Best.Weighted && !kept[ev.Set.Key()] {
-							t.Fatalf("%s: optimum-cost set %s pruned", label, ev.Set.Key())
-						}
-					}
-					// Both All slices share the same total order, so the
-					// parallel log must be an order-preserving subsequence.
-					i := 0
-					for _, ev := range par.All {
-						for i < len(exh.All) && exh.All[i].Set.Key() != ev.Set.Key() {
-							i++
-						}
-						if i == len(exh.All) {
-							t.Fatalf("%s: All is not a subsequence of the exhaustive All", label)
-						}
-						i++
-					}
+			par, err := opt.BranchAndBound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par.Truncated {
+				t.Fatal("unexpected truncation")
+			}
+			if par.Best.Set.Key() != exh.Best.Set.Key() || par.Best.Weighted != exh.Best.Weighted {
+				t.Fatalf("best %s=%g, exhaustive %s=%g (view %s)",
+					par.Best.Set.Key(), par.Best.Weighted,
+					exh.Best.Set.Key(), exh.Best.Weighted, view.Label())
+			}
+			if par.Explored+par.Pruned != exh.Explored {
+				t.Fatalf("explored %d + pruned %d != lattice %d",
+					par.Explored, par.Pruned, exh.Explored)
+			}
+			// Every costed set is priced exactly as the oracle priced it,
+			// and every optimum survives the pruning.
+			for _, ev := range par.All {
+				w, ok := exhCost[ev.Set.Key()]
+				if !ok || w != ev.Weighted {
+					t.Fatalf("costed set %s=%g not in exhaustive log (want %g)",
+						ev.Set.Key(), ev.Weighted, w)
 				}
+			}
+			kept := map[string]bool{}
+			for _, ev := range par.All {
+				kept[ev.Set.Key()] = true
+			}
+			for _, ev := range exh.All {
+				if ev.Weighted == exh.Best.Weighted && !kept[ev.Set.Key()] {
+					t.Fatalf("optimum-cost set %s pruned", ev.Set.Key())
+				}
+			}
+			// Both All slices share the same total order, so the
+			// branch-and-bound log must be an order-preserving subsequence.
+			i := 0
+			for _, ev := range par.All {
+				for i < len(exh.All) && exh.All[i].Set.Key() != ev.Set.Key() {
+					i++
+				}
+				if i == len(exh.All) {
+					t.Fatal("All is not a subsequence of the exhaustive All")
+				}
+				i++
 			}
 		})
 	}
@@ -150,20 +137,20 @@ func TestParallelPaperScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := core.New(f.D, cost.PageIO{}, f.Types)
-	par, err := opt.Parallel()
+	par, err := opt.BranchAndBound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Best.Set.Key() != exh.Best.Set.Key() || par.Best.Weighted != exh.Best.Weighted {
-		t.Fatalf("ProblemDept: parallel %s=%g, exhaustive %s=%g",
+		t.Fatalf("ProblemDept: branch-and-bound %s=%g, exhaustive %s=%g",
 			par.Best.Set.Key(), par.Best.Weighted, exh.Best.Set.Key(), exh.Best.Weighted)
 	}
 	// The paper's per-transaction costs (Table 4's winning row) must come
-	// out identically on the parallel path.
+	// out identically on the branch-and-bound path.
 	for name, tc := range exh.Best.PerTxn {
 		pc, ok := par.Best.PerTxn[name]
 		if !ok || pc.Total() != tc.Total() {
-			t.Fatalf("ProblemDept %s: parallel total %g, exhaustive %g", name, pc.Total(), tc.Total())
+			t.Fatalf("ProblemDept %s: branch-and-bound total %g, exhaustive %g", name, pc.Total(), tc.Total())
 		}
 	}
 
@@ -175,13 +162,12 @@ func TestParallelPaperScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5.Parallelism = 4
-	par5, err := fig5.Parallel()
+	par5, err := fig5.BranchAndBound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par5.Best.Set.Key() != exh5.Best.Set.Key() || par5.Best.Weighted != exh5.Best.Weighted {
-		t.Fatalf("Figure5: parallel %s=%g, exhaustive %s=%g",
+		t.Fatalf("Figure5: branch-and-bound %s=%g, exhaustive %s=%g",
 			par5.Best.Set.Key(), par5.Best.Weighted, exh5.Best.Set.Key(), exh5.Best.Weighted)
 	}
 	if par5.Pruned == 0 {

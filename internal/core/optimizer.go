@@ -7,6 +7,8 @@
 //     root), prices each under every transaction type via update-track
 //     enumeration, and returns the one with minimum weighted cost. It is
 //     exact under any monotonic cost model (Theorem 3.1).
+//   - BranchAndBound finds the same optimum by one depth-first search
+//     that skips every subtree an additive lower bound excludes.
 //   - Shielded exploits the Shielding Principle (Theorem 4.1): at
 //     equivalence nodes that are articulation nodes of the DAG, local
 //     optima can be combined, restricting the search-space explosion.
@@ -37,14 +39,6 @@ type Optimizer struct {
 	// view sets and returns the best incumbent with Result.Truncated set
 	// instead of erroring.
 	MaxSets int
-	// Parallelism is the worker count for Parallel (0 = GOMAXPROCS,
-	// 1 = sequential). The result is byte-identical at every setting.
-	Parallelism int
-	// Seed deterministically shuffles the order parallel workers claim
-	// search-space chunks. It perturbs timing only — the result is
-	// byte-identical for every seed — so the equivalence tests use it to
-	// shake out order dependence.
-	Seed int64
 }
 
 // New builds an optimizer over the DAG for the workload under the model.
@@ -67,9 +61,8 @@ type Result struct {
 	// (ascending). Heuristics list only what they explored.
 	All []Evaluated
 	// Explored counts view sets costed — the search-effort metric the
-	// paper's Sections 4–5 are about reducing. For Parallel it counts
-	// the deterministic core (sets no bound can exclude), so it is
-	// identical at every parallelism level.
+	// paper's Sections 4–5 are about reducing. For BranchAndBound it
+	// counts the sets the DFS costed.
 	Explored int
 	// Pruned counts view sets excluded without full evaluation (the
 	// lattice size minus Explored; zero for methods that do not prune).
@@ -109,6 +102,17 @@ func (o *Optimizer) candidates() []*dag.EqNode {
 	return out
 }
 
+// setOf returns the roots plus the candidates whose bits are set in mask.
+func (o *Optimizer) setOf(cands []*dag.EqNode, mask uint64) tracks.ViewSet {
+	vs := tracks.RootSet(o.D)
+	for i, e := range cands {
+		if mask&(1<<i) != 0 {
+			vs[e.ID] = true
+		}
+	}
+	return vs
+}
+
 // Exhaustive runs Algorithm OptimalViewSet: every subset of E_V
 // containing the root is costed and the minimum chosen. When the lattice
 // exceeds the MaxSets budget, the first MaxSets sets (in bitmask order)
@@ -133,14 +137,7 @@ func (o *Optimizer) Exhaustive() (*Result, error) {
 		res.Truncated = true
 	}
 	for mask := uint64(0); mask < n; mask++ {
-		vs := tracks.RootSet(o.D)
-		for i, e := range cands {
-			if mask&(1<<i) != 0 {
-				vs[e.ID] = true
-			}
-		}
-		ev := o.evaluate(vs)
-		res.All = append(res.All, ev)
+		res.All = append(res.All, o.evaluate(o.setOf(cands, mask)))
 	}
 	res.Explored = len(res.All)
 	res.Pruned = (1 << len(cands)) - res.Explored
@@ -158,8 +155,9 @@ func sortEvaluated(evs []Evaluated) {
 // lessEvaluated is the total order on costed view sets: weighted cost,
 // then set size (less space first), then the numerically smallest member
 // sequence — equivalently the lowest candidate bitmask among equal-size
-// ties. Being total, it makes Best and the All ordering deterministic
-// regardless of evaluation order, which the parallel search relies on.
+// ties. Being total, it makes Best and the All ordering independent of
+// evaluation order, so BranchAndBound's All is a subsequence of
+// Exhaustive's.
 func lessEvaluated(a, b Evaluated) bool {
 	if a.Weighted != b.Weighted {
 		return a.Weighted < b.Weighted
@@ -242,13 +240,7 @@ func (o *Optimizer) SingleTree() (*Result, error) {
 	}
 	n := 1 << len(cands)
 	for mask := 0; mask < n; mask++ {
-		vs := tracks.RootSet(o.D)
-		for i, e := range cands {
-			if mask&(1<<i) != 0 {
-				vs[e.ID] = true
-			}
-		}
-		res.All = append(res.All, o.evaluate(vs))
+		res.All = append(res.All, o.evaluate(o.setOf(cands, uint64(mask))))
 	}
 	res.Explored = len(res.All)
 	sortEvaluated(res.All)

@@ -269,32 +269,38 @@ func TestExhaustiveLimit(t *testing.T) {
 	if res.Best.Weighted < full.Best.Weighted {
 		t.Errorf("truncated best %g beats full best %g", res.Best.Weighted, full.Best.Weighted)
 	}
-	// The parallel search prunes, so a budget of 8 can be enough to
-	// finish the proof — in that case the result must be the optimum.
-	opt.Parallelism = 4
-	pres, err := opt.Parallel()
+	// Branch-and-bound prunes, so a budget of 8 can be enough to finish
+	// the proof — in that case the result must be the optimum.
+	pres, err := opt.BranchAndBound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pres.Truncated && pres.Best.Weighted != full.Best.Weighted {
-		t.Errorf("untruncated parallel best %g != exhaustive best %g",
+		t.Errorf("untruncated branch-and-bound best %g != exhaustive best %g",
 			pres.Best.Weighted, full.Best.Weighted)
 	}
-	// A budget of 2 cannot cover the deterministic core: the search must
-	// degrade to an incumbent and say so.
+	// A budget of 2 cannot finish the proof: the search must degrade to
+	// an incumbent, say so, and cost exactly the first two sets of its
+	// fixed order — the same two on every run.
 	opt.MaxSets = 2
-	pres, err = opt.Parallel()
+	pres, err = opt.BranchAndBound()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pres.Truncated {
-		t.Error("over-budget parallel search should report Truncated")
+		t.Error("over-budget branch-and-bound should report Truncated")
 	}
-	if pres.Explored > 2 {
-		t.Errorf("parallel explored %d sets, budget was 2", pres.Explored)
+	if pres.Explored != 2 {
+		t.Errorf("branch-and-bound explored %d sets, budget was 2", pres.Explored)
+	}
+	again, err := opt.BranchAndBound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := canonical(again), canonical(pres); got != want {
+		t.Errorf("truncated search differs between runs:\n%s\nvs\n%s", got, want)
 	}
 	opt.MaxSets = 0
-	opt.Parallelism = 0
 }
 
 // TestWeightSensitivity: with >Dept overwhelmingly frequent, {N3} remains

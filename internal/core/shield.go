@@ -149,13 +149,7 @@ func (o *Optimizer) localOptimum(a *dag.EqNode) (*Result, error) {
 	}
 	n := 1 << len(cands)
 	for mask := 0; mask < n; mask++ {
-		vs := tracks.RootSet(subOpt.D)
-		for i, e := range cands {
-			if mask&(1<<i) != 0 {
-				vs[e.ID] = true
-			}
-		}
-		res.All = append(res.All, subOpt.evaluate(vs))
+		res.All = append(res.All, subOpt.evaluate(subOpt.setOf(cands, uint64(mask))))
 	}
 	res.Explored = len(res.All)
 	sortEvaluated(res.All)

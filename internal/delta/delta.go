@@ -18,6 +18,7 @@ package delta
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -84,13 +85,29 @@ func (d *Delta) Delete(t value.Tuple, count int64) {
 	d.Changes = append(d.Changes, Change{Old: t, Count: count})
 }
 
-// Modify appends a modification, dropping no-ops.
+// Modify appends a modification, dropping no-ops: old and new Equal,
+// and no column a NaN on one side only. Equal calls a NaN equal to every
+// number, but writing a NaN over a number, or a number over a NaN,
+// changes the row.
 func (d *Delta) Modify(old, new value.Tuple, count int64) {
-	if old.Equal(new) {
+	if old.Equal(new) && !nanMoved(old, new) {
 		return
 	}
 	d.Changes = append(d.Changes, Change{Old: old, New: new, Count: count})
 }
+
+// nanMoved reports whether some column of two equal-length tuples is a
+// NaN in exactly one of them.
+func nanMoved(old, new value.Tuple) bool {
+	for i := range old {
+		if isNaN(old[i]) != isNaN(new[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+func isNaN(v value.Value) bool { return v.Kind == value.Float && math.IsNaN(v.F()) }
 
 // Coerce stores each number in d's changes as its column's declared
 // kind (value.Coerce): an Int in a FLOAT column becomes a Float, an

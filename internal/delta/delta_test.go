@@ -100,6 +100,31 @@ func aggPlan(t testing.TB, a *algebra.Aggregate) *delta.AggregatePlan {
 	return p
 }
 
+// TestModifyKeepsNaNMoves: Modify drops a change whose tuples are Equal,
+// except where a column is NaN on one side only (Equal calls a NaN equal
+// to every number). Int/Float twins, ±0.0 and NaN to NaN stay no-ops.
+func TestModifyKeepsNaNMoves(t *testing.T) {
+	nan := value.NewFloat(math.NaN())
+	for _, c := range []struct {
+		name     string
+		old, new value.Value
+		kept     bool
+	}{
+		{"number to NaN", value.NewFloat(1), nan, true},
+		{"NaN to number", nan, value.NewInt(0), true},
+		{"NaN to NaN", nan, value.NewFloat(math.NaN()), false},
+		{"Int/Float twins", value.NewInt(2), value.NewFloat(2), false},
+		{"signed zeros", value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)), false},
+		{"equal numbers", value.NewFloat(1.5), value.NewFloat(1.5), false},
+	} {
+		d := delta.New(nil)
+		d.Modify(value.Tuple{value.NewString("k"), c.old}, value.Tuple{value.NewString("k"), c.new}, 1)
+		if kept := len(d.Changes) == 1; kept != c.kept {
+			t.Errorf("%s: kept %v, want %v", c.name, kept, c.kept)
+		}
+	}
+}
+
 func TestSelectPropagation(t *testing.T) {
 	db := smallDB()
 	emp := algebra.Scan(db.Catalog.MustGet("Emp"))

@@ -59,8 +59,7 @@ func TestFactorizedPushDifferential(t *testing.T) {
 			t.Logf("view %s", g.view(defs).Label())
 			pick := g.system(t, rules.Default(), func(d *dag.DAG) tracks.ViewSet {
 				opt := core.New(d, cost.PageIO{}, g.types())
-				opt.Parallelism = 1
-				res, err := opt.Parallel()
+				res, err := opt.BranchAndBound()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -97,8 +97,7 @@ func newThroughput(cfg corpus.Figure5Config, chosen bool) (*Throughput, error) {
 	vs := tracks.RootSet(d)
 	if chosen {
 		opt := core.New(d, cost.PageIO{}, []*txn.Type{modT, insS})
-		opt.Parallelism = 1
-		res, err := opt.Parallel()
+		res, err := opt.BranchAndBound()
 		if err != nil {
 			return nil, err
 		}

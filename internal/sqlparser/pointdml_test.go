@@ -327,9 +327,8 @@ func (p *pointRun) sameContents(after string) {
 // step runs one drawn step: mostly a statement; sometimes churn that
 // drives a compaction, a Restore from a snapshot, a Load that repeats a
 // live row's key, or a Load of a row with a NaN in a numeric column,
-// the key's first where it has one. SQL cannot store a NaN: no literal
-// spells one, and an UPDATE to one is dropped by delta.Modify, to which
-// a NaN equals every number. The storage API can.
+// the key's first where it has one. No SQL literal spells a NaN; the
+// storage API loads one directly.
 func (p *pointRun) step() {
 	switch p.draw(128) {
 	case 0: // churn: enough fresh-valued point updates to compact

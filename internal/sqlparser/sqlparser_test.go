@@ -1,10 +1,12 @@
 package sqlparser_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/catalog"
 	"repro/internal/corpus"
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
@@ -263,6 +265,50 @@ func TestInsertDeleteUpdateDeltas(t *testing.T) {
 	}
 	if cols := sqlparser.ModifiedColumns(upd); len(cols) != 1 || cols[0] != "Salary" {
 		t.Errorf("modified columns = %v", cols)
+	}
+}
+
+// TestUpdateToNaNIsAChange: a NaN compares equal to every number, but an
+// UPDATE that writes one over a number, or a number over one, changes
+// the row and must yield its modification.
+func TestUpdateToNaNIsAChange(t *testing.T) {
+	stmt, err := sqlparser.ParseOne(`CREATE TABLE T (k INT PRIMARY KEY, f FLOAT)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := storage.NewStore().Create(sqlparser.TableDefFrom(stmt.(*sqlparser.CreateTable)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.LoadTuples([]value.Tuple{{value.NewInt(1), value.NewFloat(1e300)}})
+	tr := sqlparser.NewTranslator(catalog.New())
+	update := func(sql string) float64 {
+		t.Helper()
+		stmt, err := sqlparser.ParseOne(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := sqlparser.UpdateDelta(tr, rel, stmt.(*sqlparser.Update))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Changes) != 1 || !d.Changes[0].IsModify() {
+			t.Fatalf("%s: delta %v, want one modification", sql, d.Changes)
+		}
+		d.Coerce()
+		rel.ApplyBatch(d.ToMutations())
+		rows := rel.ScanFree()
+		if len(rows) != 1 || rows[0].Count != 1 {
+			t.Fatalf("%s: relation holds %v", sql, rows)
+		}
+		return rows[0].Tuple[1].AsFloat()
+	}
+	// f·f overflows to +Inf, and Inf − Inf is NaN.
+	if f := update(`UPDATE T SET f = f * f - f * f WHERE k = 1`); !math.IsNaN(f) {
+		t.Errorf("after the update to NaN, f = %g", f)
+	}
+	if f := update(`UPDATE T SET f = 3.5 WHERE k = 1`); f != 3.5 {
+		t.Errorf("after the update back from NaN, f = %g", f)
 	}
 }
 

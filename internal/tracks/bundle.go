@@ -18,7 +18,7 @@ import (
 // The branch-and-bound bound path then reduces to summing cached charges,
 // and full pricing only recomputes the query side per view set.
 //
-// A bundle is immutable once published; callers must not mutate the flow
+// A bundle is immutable once stored; callers must not mutate the flow
 // maps it hands out (TrackCost.Flows aliases them).
 type trackBundle struct {
 	tracks    []*Track
@@ -35,9 +35,9 @@ type trackBundle struct {
 }
 
 // bundleFor returns the bundle for the view set's affected marked roots,
-// building and publishing it on first use. Lookups count toward the
-// shared cache statistics: the bundle cache is where the track-costing
-// work actually amortizes across the search.
+// building and storing it on first use. Lookups count toward the cache
+// statistics: the bundle cache is where the track-costing work actually
+// amortizes across the search.
 func (c *Costing) bundleFor(vs ViewSet, t *txn.Type) *trackBundle {
 	aff := c.affectedOf(t)
 	var roots []*dag.EqNode
@@ -53,12 +53,12 @@ func (c *Costing) bundleFor(vs ViewSet, t *txn.Type) *trackBundle {
 	}
 	key = append(key, '|')
 	key = append(key, t.Name...)
-	if v, ok := c.bundles.Load(string(key)); ok {
-		c.cache.hits.Add(1)
+	if b, ok := c.bundles[string(key)]; ok {
+		c.hits++
 		obsBundleHits.Inc()
-		return v.(*trackBundle)
+		return b
 	}
-	c.cache.misses.Add(1)
+	c.misses++
 	obsBundleMisses.Inc()
 	trs, trunc := enumerateFromRoots(c.D, roots, aff)
 	b := &trackBundle{tracks: trs, truncated: trunc}
@@ -79,30 +79,28 @@ func (c *Costing) bundleFor(vs ViewSet, t *txn.Type) *trackBundle {
 		b.posed = append(b.posed, posed)
 		b.charges = append(b.charges, ch)
 	}
-	// A racing builder computes an identical bundle (all inputs are
-	// deterministic); keep whichever published first.
-	actual, _ := c.bundles.LoadOrStore(string(key), b)
-	return actual.(*trackBundle)
+	c.bundles[string(key)] = b
+	return b
 }
 
 // affectedOf memoizes affectedMap per transaction type, keyed by name
 // (type definitions are immutable for a Costing's lifetime). The map is
-// read-only once published, so concurrent searches share it safely.
+// read-only once stored.
 func (c *Costing) affectedOf(t *txn.Type) map[int]bool {
-	if v, ok := c.affected.Load(t.Name); ok {
-		return v.(map[int]bool)
+	if m, ok := c.affected[t.Name]; ok {
+		return m
 	}
 	m := affectedMap(c.D, t.UpdatedRels())
-	actual, _ := c.affected.LoadOrStore(t.Name, m)
-	return actual.(map[int]bool)
+	c.affected[t.Name] = m
+	return m
 }
 
 // seedsOf memoizes the transaction type's leaf delta flows — the seeds of
 // every flow propagation — keyed by name like affectedOf. Read-only once
-// published (trackDeltaFlows copies before extending).
+// stored (trackDeltaFlows copies before extending).
 func (c *Costing) seedsOf(t *txn.Type) map[int]Flow {
-	if v, ok := c.seeds.Load(t.Name); ok {
-		return v.(map[int]Flow)
+	if m, ok := c.seeds[t.Name]; ok {
+		return m
 	}
 	m := map[int]Flow{}
 	for _, e := range c.D.Eqs() {
@@ -113,8 +111,8 @@ func (c *Costing) seedsOf(t *txn.Type) map[int]Flow {
 			m[e.ID] = leafFlow(u)
 		}
 	}
-	actual, _ := c.seeds.LoadOrStore(t.Name, m)
-	return actual.(map[int]Flow)
+	c.seeds[t.Name] = m
+	return m
 }
 
 // trackDeltaFlows propagates the transaction's delta along one track,

@@ -1,37 +1,21 @@
 package tracks
 
 import (
-	"fmt"
-	"hash/maphash"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/txn"
 )
 
-// Registry mirrors of the cost-cache traffic. The aggregate counters
-// split the two cache layers (SetCost entries vs track bundles), which
-// CacheStats folds together; the per-shard counters expose the SetCost
-// cache's shard balance, the knob that decides whether the parallel
-// search serializes on shard mutexes.
+// Registry mirrors of the cost-cache traffic. The counters split the two
+// cache layers (SetCost entries vs track bundles), which CacheStats
+// folds together.
 var (
 	obsSetCostHits   = obs.C("tracks.setcost.hits")
 	obsSetCostMisses = obs.C("tracks.setcost.misses")
 	obsBundleHits    = obs.C("tracks.bundle.hits")
 	obsBundleMisses  = obs.C("tracks.bundle.misses")
-
-	obsShardHits   [cacheShards]*obs.Counter
-	obsShardMisses [cacheShards]*obs.Counter
 )
-
-func init() {
-	for i := range obsShardHits {
-		obsShardHits[i] = obs.C(fmt.Sprintf("tracks.setcost.shard%02d.hits", i))
-		obsShardMisses[i] = obs.C(fmt.Sprintf("tracks.setcost.shard%02d.misses", i))
-	}
-}
 
 // SetCost is the cached pricing of one (view set, transaction type) pair:
 // the best update track by total cost, plus the cheapest update-only cost
@@ -53,63 +37,6 @@ type SetCost struct {
 	Tracks int
 }
 
-// cacheShards is the fixed shard count of the cost cache. Power of two so
-// the shard index is a mask.
-const cacheShards = 64
-
-type costShard struct {
-	mu sync.Mutex
-	m  map[string]SetCost
-}
-
-// costCache is a sharded, append-only memo of SetCost entries keyed by
-// (canonical view-set key, transaction-type name). It is safe for
-// concurrent use: entries are immutable once stored, and a racing
-// recompute stores an identical value (all inputs are deterministic).
-type costCache struct {
-	seed   maphash.Seed
-	shards [cacheShards]costShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newCostCache() *costCache {
-	c := &costCache{seed: maphash.MakeSeed()}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]SetCost)
-	}
-	return c
-}
-
-func (c *costCache) shardIndex(key string) int {
-	return int(maphash.String(c.seed, key) & (cacheShards - 1))
-}
-
-func (c *costCache) get(key string) (SetCost, bool) {
-	i := c.shardIndex(key)
-	s := &c.shards[i]
-	s.mu.Lock()
-	sc, ok := s.m[key]
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-		obsSetCostHits.Inc()
-		obsShardHits[i].Inc()
-	} else {
-		c.misses.Add(1)
-		obsSetCostMisses.Inc()
-		obsShardMisses[i].Inc()
-	}
-	return sc, ok
-}
-
-func (c *costCache) put(key string, sc SetCost) {
-	s := &c.shards[c.shardIndex(key)]
-	s.mu.Lock()
-	s.m[key] = sc
-	s.mu.Unlock()
-}
-
 // cacheKey builds the canonical (view set, transaction type) cache key
 // without fmt overhead: sorted member IDs, then the type name.
 func cacheKey(vs ViewSet, t *txn.Type) string {
@@ -124,28 +51,32 @@ func cacheKey(vs ViewSet, t *txn.Type) string {
 	return string(b)
 }
 
-// CacheStats reports the shared cost cache's hit/miss counters since the
+// CacheStats reports the cost cache's hit/miss counters since the
 // Costing was built.
 func (c *Costing) CacheStats() (hits, misses uint64) {
-	return c.cache.hits.Load(), c.cache.misses.Load()
+	return c.hits, c.misses
 }
 
-// BestCost prices a view set for one transaction type through the shared
+// BestCost prices a view set for one transaction type through the
 // cache: the cheapest track (the paper's C(V, T_i)) plus the update-only
-// lower bound used by the parallel branch-and-bound search. Identical
-// (set, type) pairs are priced once across the whole search.
+// lower bound. Identical (set, type) pairs are priced once across the
+// whole search.
 func (c *Costing) BestCost(vs ViewSet, t *txn.Type) SetCost {
 	return c.bestCost(newCostCtx(vs), t)
 }
 
 func (c *Costing) bestCost(ctx *costCtx, t *txn.Type) SetCost {
 	key := cacheKey(ctx.vs, t)
-	if sc, ok := c.cache.get(key); ok {
+	if sc, ok := c.costs[key]; ok {
+		c.hits++
+		obsSetCostHits.Inc()
 		return sc
 	}
+	c.misses++
+	obsSetCostMisses.Inc()
 	best, _, minUpd, trunc, n := c.costViewSet(ctx, t, false)
 	sc := SetCost{Best: best, MinUpdate: minUpd, Truncated: trunc, Tracks: n}
-	c.cache.put(key, sc)
+	c.costs[key] = sc
 	return sc
 }
 

@@ -1,9 +1,6 @@
 package tracks_test
 
 import (
-	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -36,18 +33,24 @@ func allViewSets(f *fixture) []tracks.ViewSet {
 // TestCacheNoStaleEntries interleaves cost queries across every view set
 // in the lattice, twice, and checks each answer against a fresh
 // uncached Costing: a stale or cross-set entry would surface as a
-// mismatch on the second pass.
+// mismatch on the second pass. The weighted cost and the weighted
+// update-only bound, which read the bundle cache directly, are checked
+// the same way through a second shared Costing.
 func TestCacheNoStaleEntries(t *testing.T) {
 	f := newFixture(t)
 	sets := allViewSets(f)
 	types := txn.PaperTypes()
 
 	golden := map[string]tracks.SetCost{}
+	goldenW := map[string]float64{}
+	goldenLB := map[string]float64{}
 	for _, vs := range sets {
 		for _, ty := range types {
 			fresh := tracks.NewCosting(f.d, cost.PageIO{})
 			golden[vs.Key()+"|"+ty.Name] = fresh.BestCost(vs, ty)
 		}
+		goldenW[vs.Key()], _ = tracks.NewCosting(f.d, cost.PageIO{}).WeightedCost(vs, types)
+		goldenLB[vs.Key()] = tracks.NewCosting(f.d, cost.PageIO{}).WeightedUpdateLB(vs, types)
 	}
 
 	shared := tracks.NewCosting(f.d, cost.PageIO{})
@@ -82,73 +85,16 @@ func TestCacheNoStaleEntries(t *testing.T) {
 		t.Fatalf("pass 2 cache stats hits=%d misses=%d, want hits=%d misses=%d (one hit per key, no new misses)",
 			passHits[1], passMisses[1], passHits[0]+n, passMisses[0])
 	}
-}
 
-// TestCacheConcurrentStress hammers one shared Costing from many
-// goroutines over random interleavings of view sets and transaction
-// types; run under -race it proves the costing layer is safe for the
-// parallel search's concurrent use, and every concurrent answer must
-// equal the sequential golden value.
-func TestCacheConcurrentStress(t *testing.T) {
-	f := newFixture(t)
-	sets := allViewSets(f)
-	types := txn.PaperTypes()
-
-	golden := map[string]tracks.SetCost{}
-	goldenW := map[string]float64{}
-	goldenLB := map[string]float64{}
-	pre := tracks.NewCosting(f.d, cost.PageIO{})
-	for _, vs := range sets {
-		for _, ty := range types {
-			golden[vs.Key()+"|"+ty.Name] = pre.BestCost(vs, ty)
-		}
-		w, _ := pre.WeightedCost(vs, types)
-		goldenW[vs.Key()] = w
-		goldenLB[vs.Key()] = pre.WeightedUpdateLB(vs, types)
-	}
-
-	shared := tracks.NewCosting(f.d, cost.PageIO{})
-	const workers = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 200; i++ {
-				vs := sets[rng.Intn(len(sets))]
-				switch rng.Intn(3) {
-				case 0:
-					ty := types[rng.Intn(len(types))]
-					got := shared.BestCost(vs, ty)
-					want := golden[vs.Key()+"|"+ty.Name]
-					if got.Best.Total() != want.Best.Total() || got.MinUpdate != want.MinUpdate {
-						errs <- fmt.Errorf("worker %d: BestCost(%s, %s) = %+v, want %+v",
-							w, vs.Key(), ty.Name, got, want)
-						return
-					}
-				case 1:
-					got, _ := shared.WeightedCost(vs, types)
-					if got != goldenW[vs.Key()] {
-						errs <- fmt.Errorf("worker %d: WeightedCost(%s) = %g, want %g",
-							w, vs.Key(), got, goldenW[vs.Key()])
-						return
-					}
-				default:
-					got := shared.WeightedUpdateLB(vs, types)
-					if got != goldenLB[vs.Key()] {
-						errs <- fmt.Errorf("worker %d: WeightedUpdateLB(%s) = %g, want %g",
-							w, vs.Key(), got, goldenLB[vs.Key()])
-						return
-					}
-				}
+	weighted := tracks.NewCosting(f.d, cost.PageIO{})
+	for pass := 0; pass < 2; pass++ {
+		for _, vs := range sets {
+			if got, _ := weighted.WeightedCost(vs, types); got != goldenW[vs.Key()] {
+				t.Fatalf("pass %d: WeightedCost(%s) = %g, fresh %g", pass, vs.Key(), got, goldenW[vs.Key()])
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			if got := weighted.WeightedUpdateLB(vs, types); got != goldenLB[vs.Key()] {
+				t.Fatalf("pass %d: WeightedUpdateLB(%s) = %g, fresh %g", pass, vs.Key(), got, goldenLB[vs.Key()])
+			}
+		}
 	}
 }

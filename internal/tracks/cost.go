@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -19,11 +18,11 @@ import (
 // Costing estimates query and update costs for view sets under a cost
 // model (the inner loops of Algorithm OptimalViewSet, Figure 4).
 //
-// A Costing is safe for concurrent use: all per-track and per-view-set
-// state lives in a costCtx threaded through the internal recursion, every
-// lazy structure it reads (DAG base-relation sets, estimator statistics,
-// algebra schemas) is pre-warmed at construction, and cross-call results
-// are shared through the sharded cost cache (cache.go).
+// A Costing is owned by one goroutine: its caches are plain maps, so a
+// search that wants another goroutine builds that goroutine its own
+// Costing. Per-track and per-view-set state lives in a costCtx threaded
+// through the internal recursion, and cross-call results are kept in the
+// cost cache (cache.go) and the bundle cache (bundle.go).
 type Costing struct {
 	D     *dag.DAG
 	Est   *Estimator
@@ -34,26 +33,29 @@ type Costing struct {
 	// top-level view"), so the default is false.
 	CountRootUpdate bool
 
-	cache *costCache
+	// costs memoizes SetCost per (canonical view-set key, transaction
+	// type) (cache.go). hits and misses count lookups in it and in
+	// bundles; CacheStats reports them.
+	costs        map[string]SetCost
+	hits, misses uint64
 	// origins renders each operation node once (OpNode.String), by ID:
 	// every query a track poses names the operation that posed it.
 	origins map[int]string
 	// bundles caches the view-set-independent half of pricing (tracks,
 	// flows, update charges) per (affected-root set, transaction type);
 	// see bundle.go. Entries are immutable once stored.
-	bundles sync.Map
+	bundles map[string]*trackBundle
 	// affected memoizes the affected-node set per transaction type name.
-	affected sync.Map
+	affected map[string]map[int]bool
 	// seeds memoizes each transaction type's leaf delta flows.
-	seeds sync.Map
+	seeds map[string]map[int]Flow
 }
 
 // costCtx carries the per-call state of one costing pass: the view set
 // being priced, the transient track context consulted by coversGroups,
 // and the query/evaluation memos (the same point query is priced across
 // many tracks, and the recursion over operation alternatives is
-// exponential without them). Each top-level call builds its own ctx, so
-// concurrent searches never share mutable state.
+// exponential without them). Each top-level call builds its own ctx.
 type costCtx struct {
 	vs          ViewSet
 	trackChoice map[int]*dag.OpNode
@@ -75,10 +77,11 @@ func newCostCtx(vs ViewSet) *costCtx {
 
 // NewCosting returns a coster over the DAG with the given model. It
 // pre-warms every lazily cached structure the costing recursion reads
-// (node schemas, base-relation sets, estimator statistics) so that a
-// built Costing performs no shared writes outside its cache.
+// (node schemas, base-relation sets, estimator statistics), so pricing
+// writes nothing to the DAG, which other Costings may share.
 func NewCosting(d *dag.DAG, m cost.Model) *Costing {
-	c := &Costing{D: d, Est: NewEstimator(d), Model: m, cache: newCostCache(), origins: map[int]string{}}
+	c := &Costing{D: d, Est: NewEstimator(d), Model: m, origins: map[int]string{}, costs: map[string]SetCost{},
+		bundles: map[string]*trackBundle{}, affected: map[string]map[int]bool{}, seeds: map[string]map[int]Flow{}}
 	for _, e := range d.Eqs() {
 		e.Schema()
 		d.BaseRelsOf(e)

@@ -25,7 +25,7 @@ type Method int
 // Optimization methods.
 const (
 	// Exhaustive is Algorithm OptimalViewSet (Figure 4), searched exactly
-	// by branch-and-bound on one worker: the optimum of the full
+	// by branch-and-bound: the optimum of the full
 	// enumeration, from only the view sets a lower bound cannot exclude.
 	Exhaustive Method = iota
 	// Shielded applies the Shielding Principle at articulation nodes
@@ -42,10 +42,6 @@ const (
 	HeuristicMarking
 	// NoAdditional materializes only the top-level views (the baseline).
 	NoAdditional
-	// Parallel is Algorithm OptimalViewSet run as a parallel
-	// branch-and-bound search — the same optimum as Exhaustive, found by
-	// Config.Parallelism workers with lower-bound pruning.
-	Parallel
 )
 
 // String returns the method name used in reports and CLI flags.
@@ -63,8 +59,6 @@ func (m Method) String() string {
 		return "heuristic-marking"
 	case NoAdditional:
 		return "no-additional"
-	case Parallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -80,16 +74,10 @@ type Config struct {
 	Workload []*txn.Type
 	// Method picks the optimizer (default Exhaustive).
 	Method Method
-	// Parallelism is the worker count for the Parallel method
-	// (0 = GOMAXPROCS). The chosen view set is identical at any setting.
-	Parallelism int
 }
 
 // maxOps caps DAG expansion at every build.
 const maxOps = 512
-
-// exhaustiveBnB is the Decision.Method of a Method: Exhaustive build.
-const exhaustiveBnB = "exhaustive branch-and-bound"
 
 // System is a maintained configuration: an expression DAG over the chosen
 // views/assertions, the optimizer's decision, a live maintenance engine
@@ -172,22 +160,13 @@ func optimize(d *dag.DAG, cfg Config) (*core.Result, error) {
 		return nil, fmt.Errorf("mvmaint: a workload is required")
 	}
 	opt := core.New(d, cost.PageIO{}, cfg.Workload)
-	opt.Parallelism = cfg.Parallelism
 	switch cfg.Method {
 	case Exhaustive:
-		// The exact search as one-worker branch-and-bound: the same
-		// optimum as enumerating the lattice (core.Exhaustive, which the
-		// paper's tables and the equivalence tests keep), costing only
-		// the sets no lower bound excludes.
-		opt.Parallelism = 1
-		res, err := opt.Parallel()
-		if err != nil {
-			return nil, err
-		}
-		res.Method = exhaustiveBnB
-		return res, nil
-	case Parallel:
-		return opt.Parallel()
+		// The exact search as branch-and-bound: the same optimum as
+		// enumerating the lattice (core.Exhaustive, which the paper's
+		// tables and the equivalence tests keep), costing only the sets
+		// no lower bound excludes.
+		return opt.BranchAndBound()
 	case Shielded:
 		return opt.Shielded()
 	case Greedy:
