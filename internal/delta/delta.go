@@ -237,6 +237,15 @@ func (nz *Normalizer) NormalizeInto(d, out *Delta) *Delta {
 	return nz.normalize(d, out, false)
 }
 
+// NormalizePairedInto is NormalizeInto that keeps a modification paired
+// when both of its halves survive netting in full, as Coalesce does for
+// a window of one transaction: the net change of a sequence of deltas
+// then reads as the modifications it still makes, not as a delete and
+// an insert each.
+func (nz *Normalizer) NormalizePairedInto(d, out *Delta) *Delta {
+	return nz.normalize(d, out, true)
+}
+
 // normalize nets d into out. With pair set, a modification of d whose
 // two halves both survive netting in full is emitted as a modification
 // (ahead of the remaining net insertions and deletions) instead of

@@ -96,6 +96,11 @@ func (r *BatchReport) PaperTotal() int64 { return r.QueryIO.Total() + r.ViewIO.T
 // declared type was costed for, so the window reproduces §3.6's
 // per-transaction page I/O exactly. Larger windows net to insertions
 // and deletions under a synthesized type (txn.Window.MergedType).
+//
+// Inside a Group, steps 1–5 run unchanged, but an accepted window is
+// held by the group — its base deltas at step 3, its node deltas after
+// step 5 — instead of reaching the Committer and the window hook; the
+// report's LSN is 0, and the group's end logs and publishes it.
 func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err error) {
 	t0 := time.Now()
 	wt := obs.StartWindow("maintain.batch", m.spanParent)
@@ -146,7 +151,7 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 			wait()
 		}
 	}()
-	if m.Committer != nil && len(merged) > 0 && len(m.Guards) == 0 {
+	if m.Committer != nil && len(merged) > 0 && len(m.Guards) == 0 && !m.grouping {
 		wait = m.Committer.BeginWindow(merged, len(txns))
 		// On one processor, yield so the committer reaches its fsync
 		// before propagation starts; a CPU-bound window never otherwise
@@ -204,6 +209,12 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		for _, v := range m.views {
 			v.pending = nil
 		}
+		if m.grouping {
+			if !rep.Rejected {
+				m.grp.holdDeltas(rep.Deltas, rep.Size)
+			}
+			return rep, nil
+		}
 		if m.Committer != nil {
 			lsn, err := m.Committer.Commit(len(txns))
 			if err := fenced(&rep.LSN, wt.Seq(), lsn, err); err != nil {
@@ -215,7 +226,10 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 		}
 		return rep, nil
 	}
-	if m.Committer != nil && len(m.Guards) > 0 {
+	switch {
+	case m.grouping:
+		m.grp.holdWindow(merged, wt.Seq()) // the group's end logs it
+	case m.Committer != nil && len(m.Guards) > 0:
 		wait = m.Committer.BeginWindow(merged, len(txns)) // accepted: the log hears of it only now
 	}
 
@@ -253,6 +267,10 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 	}
 	if verr != nil {
 		return nil, verr
+	}
+	if m.grouping {
+		m.grp.holdDeltas(rep.Deltas, rep.Size)
+		return rep, nil
 	}
 	m.fireWindowHook(rep.LSN, rep.Size, rep.Deltas)
 	return rep, nil

@@ -227,6 +227,11 @@ type Maintainer struct {
 	onWindow WindowHook
 	winSeq   uint64
 
+	// grouping is set while a Group's fn runs: ApplyBatch then hands
+	// its accepted windows to grp instead of the Committer and the hook.
+	grouping bool
+	grp      group
+
 	pubArenaReused, pubArenaGrown uint64
 }
 

@@ -219,8 +219,12 @@ type Snapshot struct {
 }
 
 // Snapshot returns the maintainer's checkpoint state: the view-set key,
-// the rows of the named base relations and ViewStates.
+// the rows of the named base relations and ViewStates. Inside an open
+// Group it returns ErrGroupOpen.
 func (m *Maintainer) Snapshot(rels []string) (*Snapshot, error) {
+	if m.grouping {
+		return nil, ErrGroupOpen
+	}
 	snap := &Snapshot{ViewSetKey: m.VS.Key(), Views: m.ViewStates()}
 	for _, name := range rels {
 		r, ok := m.Store.Get(name)

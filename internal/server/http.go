@@ -30,12 +30,29 @@ type ExecResult struct {
 	Violations []string
 }
 
-// Config wires a Server. The Exec hook runs one DML statement through
-// the owning system's maintained path; the server serializes calls to
-// it (the maintenance pipeline is single-writer). Obs, when set, is
-// mounted for /metrics, /spans and /debug/ (obs.Handler supplies it).
+// TxnResult is the outcome of one POST /txn request, as reported by the
+// Txn hook: how many statements ran, how many of those were rolled
+// back, the LSN as of which the request is durable, and the rows each
+// violated assertion held.
+type TxnResult struct {
+	Applied    int
+	RolledBack int
+	LSN        uint64
+	Violations []string
+}
+
+// Config wires a Server. The Txn hook runs one request's DML statements,
+// in order, through the owning system's maintained path; each statement
+// keeps its own verdict. On a statement's error it returns the result of
+// the statements before it with the error. A Config that sets only
+// Exec, a per-statement hook, gets a Txn that calls Exec once per
+// statement. The server does not serialize calls to either hook: the
+// maintenance pipeline is single-writer, so the hook must. Obs, when
+// set, is mounted for /metrics, /spans and /debug/ (obs.Handler
+// supplies it).
 type Config struct {
 	Hub  *Hub
+	Txn  func(stmts []string) (TxnResult, error)
 	Exec func(stmt string) (ExecResult, error)
 	Obs  http.Handler
 }
@@ -51,14 +68,17 @@ type Config struct {
 //	GET  /status                      hub stats
 //	     /metrics /spans /debug/...   the obs handler
 type Server struct {
-	hub  *Hub
-	exec func(stmt string) (ExecResult, error)
-	mux  *http.ServeMux
+	hub *Hub
+	txn func(stmts []string) (TxnResult, error)
+	mux *http.ServeMux
 }
 
 // New builds the server and its routing table.
 func New(cfg Config) *Server {
-	s := &Server{hub: cfg.Hub, exec: cfg.Exec, mux: http.NewServeMux()}
+	s := &Server{hub: cfg.Hub, txn: cfg.Txn, mux: http.NewServeMux()}
+	if s.txn == nil && cfg.Exec != nil {
+		s.txn = perStatement(cfg.Exec)
+	}
 	s.mux.HandleFunc("GET /views", s.handleViews)
 	s.mux.HandleFunc("GET /view/{name}", s.handleView)
 	s.mux.HandleFunc("GET /feed/{name}", s.handleFeed)
@@ -214,12 +234,33 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	return n, nil
 }
 
+// perStatement is the Txn hook over a per-statement Exec: each
+// statement is its own call, its own window.
+func perStatement(exec func(stmt string) (ExecResult, error)) func([]string) (TxnResult, error) {
+	return func(stmts []string) (TxnResult, error) {
+		var out TxnResult
+		for _, stmt := range stmts {
+			res, err := exec(stmt)
+			if err != nil {
+				return out, err
+			}
+			out.Applied++
+			if res.RolledBack {
+				out.RolledBack++
+			}
+			out.LSN = max(out.LSN, res.LSN)
+			out.Violations = append(out.Violations, res.Violations...)
+		}
+		return out, nil
+	}
+}
+
 // maxTxnBody bounds a POST /txn body; a larger one gets 413.
 const maxTxnBody = 1 << 20
 
 func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
-	if s.exec == nil {
-		httpErr(w, http.StatusNotImplemented, "server is read-only (no exec hook)")
+	if s.txn == nil {
+		httpErr(w, http.StatusNotImplemented, "server is read-only (no txn hook)")
 		return
 	}
 	t0 := time.Now()
@@ -240,35 +281,21 @@ func (s *Server) handleTxn(w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusBadRequest, "no statements")
 		return
 	}
-	type resp struct {
+	res, err := s.txn(req.Statements)
+	obsTxnStmts.Add(int64(res.Applied))
+	obsTxnReject.Add(int64(res.RolledBack))
+	out := struct {
 		Applied    int      `json:"applied"`
 		RolledBack int      `json:"rolled_back"`
 		LSN        uint64   `json:"lsn"`
 		Violations []string `json:"violations,omitempty"`
 		Error      string   `json:"error,omitempty"`
-	}
-	var out resp
-	for _, stmt := range req.Statements {
-		res, err := s.exec(stmt)
-		if err != nil {
-			out.Error = err.Error()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(out)
-			return
-		}
-		obsTxnStmts.Inc()
-		out.Applied++
-		if res.RolledBack {
-			out.RolledBack++
-			obsTxnReject.Inc()
-		}
-		if res.LSN > out.LSN {
-			out.LSN = res.LSN
-		}
-		out.Violations = append(out.Violations, res.Violations...)
-	}
+	}{Applied: res.Applied, RolledBack: res.RolledBack, LSN: res.LSN, Violations: res.Violations}
 	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
+		out.Error = err.Error()
+		w.WriteHeader(http.StatusBadRequest)
+	}
 	json.NewEncoder(w).Encode(out)
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -443,12 +444,20 @@ func (s *Subscription) Close() {
 	s.sub.closeLocked()
 }
 
+// ErrResumeGap is Subscribe's answer to a resume cursor that a hub with
+// no feed log cannot serve: the view has published past it, and nothing
+// holds the events in between. The HTTP layer turns it into 410 Gone;
+// the client re-reads the view and subscribes live.
+var ErrResumeGap = errors.New("server: resume cursor behind the view, and no feed log holds the gap")
+
 // Subscribe attaches a changefeed subscriber to a view. after is the
 // resume cursor: 0 for "live from now", otherwise the last event id the
 // client saw. The subscriber is registered BEFORE the feed log is read,
 // so every event lands in the replay, the live ring, or both — never
 // neither; the consumer drops live events with Seq <= the last replayed
-// Seq.
+// Seq. Without a feed log, a cursor the view's current epoch has passed
+// gets ErrResumeGap: the check shares the registration's critical
+// section with the epoch's publication, so it is exact.
 func (h *Hub) Subscribe(view string, after uint64) (*Subscription, error) {
 	vs, ok := h.views[view]
 	if !ok {
@@ -459,6 +468,10 @@ func (h *Hub) Subscribe(view string, after uint64) (*Subscription, error) {
 	if h.closed {
 		h.mu.Unlock()
 		return nil, errf("hub closed")
+	}
+	if h.feed == nil && after > 0 && vs.cur.Load().Seq > after {
+		h.mu.Unlock()
+		return nil, ErrResumeGap
 	}
 	vs.subs = append(vs.subs, sub)
 	subGauge(1)

@@ -163,3 +163,66 @@ func TestResumeAcrossRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeWithoutFeedIsGone is TestChangefeedResume's case on a
+// Serving with no feed directory: the victim resumes after windows it
+// missed, and nothing holds them. The resume gets 410 Gone at once,
+// not a stream that silently skips them. A cursor the view has not
+// published past still resumes live.
+func TestResumeWithoutFeedIsGone(t *testing.T) {
+	_, sys := buildSystem(t, 12, 4)
+	_, client := startServingDir(t, sys, "")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	subscribe := func(lastID uint64) *http.Response {
+		req, err := http.NewRequestWithContext(ctx, "GET", "http://mv/feed/ProblemDept", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID > 0 {
+			req.Header.Set("Last-Event-ID", fmt.Sprint(lastID))
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	write := func(i int) {
+		sal := 9000
+		if i%2 == 1 {
+			sal = 100
+		}
+		if _, err := sys.Execute(fmt.Sprintf(`UPDATE Emp SET Salary = %d WHERE EName = 'e000_00'`, sal)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := subscribe(0)
+	for i := range 4 {
+		write(i)
+	}
+	seen := readSSE(t, victim.Body, 4)
+	victim.Body.Close()
+	last := seen[len(seen)-1].id
+
+	// Nothing published since: the cursor is current, and the resumed
+	// stream carries the next window.
+	resumed := subscribe(last)
+	if resumed.StatusCode != http.StatusOK {
+		t.Fatalf("resume at the current epoch = %d, want 200", resumed.StatusCode)
+	}
+	write(4)
+	if ev := readSSE(t, resumed.Body, 1); ev[0].id != last+1 {
+		t.Fatalf("resumed stream's first event has id %d, want %d", ev[0].id, last+1)
+	}
+	resumed.Body.Close()
+
+	for i := 5; i < 12; i++ {
+		write(i)
+	}
+	gone := subscribe(last + 1)
+	defer gone.Body.Close()
+	if gone.StatusCode != http.StatusGone {
+		t.Fatalf("resume across 7 missed windows without a feed = %d, want 410", gone.StatusCode)
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -14,6 +15,8 @@ const sseKeepalive = 15 * time.Second
 // resume cursor comes from the Last-Event-ID header (standard EventSource
 // reconnect) or an after= query parameter; events with feed sequence >
 // cursor replay from the feed log before the live stream splices in.
+// Without a feed log, a cursor the view has published past gets 410
+// Gone (Hub.Subscribe's ErrResumeGap), never a silent gap.
 // Event ids are feed sequence numbers, so a client detects its position
 // solely from the protocol.
 //
@@ -37,6 +40,10 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sub, err := s.hub.Subscribe(name, after)
+	if errors.Is(err, ErrResumeGap) {
+		httpErr(w, http.StatusGone, "%v", err)
+		return
+	}
 	if err != nil {
 		httpErr(w, http.StatusNotFound, "%v", err)
 		return

@@ -22,6 +22,7 @@ func FuzzParseSQL(f *testing.F) {
 		"DELETE FROM Emp WHERE Salary < 0",
 		"UPDATE Emp SET Salary = Salary * 2, DName = 'x' WHERE EName = 'e'; SELECT * FROM Emp",
 		"SELECT a FROM t GROUPBY a",
+		"UPDATE T SET f = 1e308 * 10.0 - 2.5E-3 + 1e+5 WHERE k = 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

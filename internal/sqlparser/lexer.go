@@ -87,6 +87,20 @@ func lex(input string) ([]token, error) {
 			for j < n && (input[j] >= '0' && input[j] <= '9' || input[j] == '.') {
 				j++
 			}
+			// An exponent (1e308, 2.5E-3, 1e+5) belongs to the literal
+			// when at least one digit follows its optional sign.
+			if j < n && (input[j] == 'e' || input[j] == 'E') {
+				k := j + 1
+				if k < n && (input[k] == '+' || input[k] == '-') {
+					k++
+				}
+				if k < n && input[k] >= '0' && input[k] <= '9' {
+					for k < n && input[k] >= '0' && input[k] <= '9' {
+						k++
+					}
+					j = k
+				}
+			}
 			out = append(out, token{tkNumber, input[i:j], i})
 			i = j
 		case isIdentStart(rune(c)):

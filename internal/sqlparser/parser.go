@@ -454,7 +454,7 @@ func (p *parser) literal() (value.Value, error) {
 	switch {
 	case t.kind == tkNumber:
 		p.next()
-		if strings.ContainsRune(t.text, '.') {
+		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return value.Value{}, fmt.Errorf("sql: at %d: %v", t.pos, err)

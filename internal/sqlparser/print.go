@@ -155,9 +155,10 @@ func formatScalar(e Scalar) string {
 	}
 }
 
-// litString renders a literal in lexer-compatible form: floats avoid the
-// exponent notation the lexer does not read, strings double embedded
-// quotes.
+// litString renders a literal in lexer-compatible form: floats in
+// strconv's shortest %g form (3.5, 1e+308, 2.5e-05), a whole one with
+// ".0" so that it reparses as a Float; strings with embedded quotes
+// doubled.
 func litString(v value.Value) string {
 	switch v.Kind {
 	case value.Null:
@@ -165,7 +166,11 @@ func litString(v value.Value) string {
 	case value.Int:
 		return strconv.FormatInt(v.I, 10)
 	case value.Float:
-		return strconv.FormatFloat(v.F(), 'f', -1, 64)
+		s := strconv.FormatFloat(v.F(), 'g', -1, 64)
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0"
+		}
+		return s
 	case value.String:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	case value.Bool:

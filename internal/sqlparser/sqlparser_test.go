@@ -310,6 +310,10 @@ func TestUpdateToNaNIsAChange(t *testing.T) {
 	if f := update(`UPDATE T SET f = 3.5 WHERE k = 1`); f != 3.5 {
 		t.Errorf("after the update back from NaN, f = %g", f)
 	}
+	// The same NaN from exponent literals: 1e308 · 10 overflows to +Inf.
+	if f := update(`UPDATE T SET f = (1e308 * 10.0 - 1e308 * 10.0) WHERE k = 1`); !math.IsNaN(f) {
+		t.Errorf("after the update to NaN from literals, f = %g", f)
+	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -433,5 +437,33 @@ SELECT DName FROM ADepts`)
 	}
 	if _, err := tr.TranslateSelect(stmt.(*sqlparser.SelectStmt)); err == nil {
 		t.Error("arity mismatch should be rejected")
+	}
+}
+
+// TestExponentLiterals: a number with an exponent is one Float literal,
+// and it prints back in a form that reparses to the same value.
+func TestExponentLiterals(t *testing.T) {
+	stmt, err := sqlparser.ParseOne(`INSERT INTO T VALUES (1e308, 2.5E-3, 1e+5, 7E2)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{1e308, 2.5e-3, 1e5, 700}
+	row := stmt.(*sqlparser.Insert).Rows[0]
+	if len(row) != len(want) {
+		t.Fatalf("row %v, want %d literals", row, len(want))
+	}
+	for i, v := range row {
+		if v.Kind != value.Float || v.F() != want[i] {
+			t.Errorf("literal %d = %v, want Float %g", i, v, want[i])
+		}
+	}
+	again, err := sqlparser.ParseOne(sqlparser.Format([]sqlparser.Statement{stmt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range again.(*sqlparser.Insert).Rows[0] {
+		if v.Kind != value.Float || v.F() != want[i] {
+			t.Errorf("reprinted literal %d = %v, want Float %g", i, v, want[i])
+		}
 	}
 }

@@ -100,30 +100,41 @@ func (s *System) NewServing(opts ServeOptions) (*Serving, error) {
 	sv := &Serving{Hub: hub, sys: s}
 	s.M.SetWindowHook(hub.OnWindow)
 	sv.Server = server.New(server.Config{
-		Hub:  hub,
-		Exec: sv.execStatement,
-		Obs:  obs.Handler(nil, nil),
+		Hub: hub,
+		Txn: sv.execRequest,
+		Obs: obs.Handler(nil, nil),
 	})
 	return sv, nil
 }
 
-// execStatement runs one DML statement through the maintained path,
-// serialized: the pipeline is single-writer, and HTTP handlers are not.
-func (sv *Serving) execStatement(stmt string) (server.ExecResult, error) {
+// execRequest runs one POST /txn request through the maintained path
+// as one commit (maintain.Maintainer.Group), serialized: the pipeline is
+// single-writer, and HTTP handlers are not. Each statement is its own
+// window with its own verdict; the request is logged with one fsync and
+// published as one epoch. A statement's error ends the request, and the
+// statements before it are committed and published all the same.
+func (sv *Serving) execRequest(stmts []string) (server.TxnResult, error) {
 	sv.execMu.Lock()
 	defer sv.execMu.Unlock()
-	out, err := sv.sys.Execute(stmt)
-	if err != nil {
-		return server.ExecResult{}, err
-	}
-	res := server.ExecResult{RolledBack: out.RolledBack}
-	if out.Report != nil {
-		res.LSN = out.Report.LSN
-	}
-	for _, v := range out.Violations {
-		res.Violations = append(res.Violations, v.String())
-	}
-	return res, nil
+	var res server.TxnResult
+	lsn, err := sv.sys.M.Group(func() error {
+		for _, stmt := range stmts {
+			out, err := sv.sys.Execute(stmt)
+			if err != nil {
+				return err
+			}
+			res.Applied++
+			if out.RolledBack {
+				res.RolledBack++
+			}
+			for _, v := range out.Violations {
+				res.Violations = append(res.Violations, v.String())
+			}
+		}
+		return nil
+	})
+	res.LSN = lsn
+	return res, err
 }
 
 // ExecuteTxn runs a pre-built transaction through the maintained path
