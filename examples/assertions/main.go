@@ -83,12 +83,12 @@ CREATE ASSERTION DeptConstraint CHECK
 	}
 
 	fmt.Println("\n=== transactions under the constraint ===")
-	run(`UPDATE Emp SET Salary = 150 WHERE EName = 'e07_2'`)   // fine
-	run(`INSERT INTO Emp VALUES ('intern', 'd03', 80)`)        // fine
-	run(`UPDATE Emp SET Salary = 900 WHERE EName = 'e07_2'`)   // would overspend d07
-	run(`UPDATE Dept SET Budget = 400 WHERE DName = 'd11'`)    // budget cut below payroll
-	run(`UPDATE Dept SET Budget = 5000 WHERE DName = 'd11'`)   // generous raise: fine
-	run(`DELETE FROM Emp WHERE EName = 'e07_2'`)               // fine
+	run(`UPDATE Emp SET Salary = 150 WHERE EName = 'e07_2'`) // fine
+	run(`INSERT INTO Emp VALUES ('intern', 'd03', 80)`)      // fine
+	run(`UPDATE Emp SET Salary = 900 WHERE EName = 'e07_2'`) // would overspend d07
+	run(`UPDATE Dept SET Budget = 400 WHERE DName = 'd11'`)  // budget cut below payroll
+	run(`UPDATE Dept SET Budget = 5000 WHERE DName = 'd11'`) // generous raise: fine
+	run(`DELETE FROM Emp WHERE EName = 'e07_2'`)             // fine
 
 	// Because violators are rejected the database still satisfies the constraint.
 	res, err := db.Query(`SELECT Dept.DName FROM Emp, Dept

@@ -84,8 +84,8 @@ CREATE ASSERTION DeptConstraint CHECK
 
 	fmt.Println("\n=== transactions maintaining all three top-level views at once ===")
 	for _, sql := range []string{
-		`UPDATE Emp SET Salary = 400 WHERE EName = 'e05_0'`, // d05 reaches 75% of budget
-		`UPDATE Emp SET Salary = 200 WHERE EName = 'e05_1'`, // ... now 83%: a BigSpender
+		`UPDATE Emp SET Salary = 400 WHERE EName = 'e05_0'`,  // d05 reaches 75% of budget
+		`UPDATE Emp SET Salary = 200 WHERE EName = 'e05_1'`,  // ... now 83%: a BigSpender
 		`UPDATE Emp SET Salary = 2000 WHERE EName = 'e09_0'`, // would violate: rejected
 	} {
 		out, err := sys.Execute(sql)

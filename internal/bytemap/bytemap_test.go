@@ -56,11 +56,11 @@ func TestDifferentialRandomWorkload(t *testing.T) {
 		ops     int
 		maxKLen int
 	}{
-		{"small-universe", 13, 4000, 6},      // constant churn, heavy delete reuse
-		{"growth", 5000, 20000, 12},          // crosses many growth boundaries
-		{"long-keys", 300, 6000, 200},        // multi-block-sized keys
-		{"singleton", 1, 500, 3},             // degenerate single-key
-		{"empty-keys", 50, 3000, 0},          // zero-length keys allowed
+		{"small-universe", 13, 4000, 6}, // constant churn, heavy delete reuse
+		{"growth", 5000, 20000, 12},     // crosses many growth boundaries
+		{"long-keys", 300, 6000, 200},   // multi-block-sized keys
+		{"singleton", 1, 500, 3},        // degenerate single-key
+		{"empty-keys", 50, 3000, 0},     // zero-length keys allowed
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xB17E))

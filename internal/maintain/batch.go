@@ -2,7 +2,6 @@ package maintain
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/delta"
@@ -153,15 +152,6 @@ func (m *Maintainer) ApplyBatch(txns []txn.Transaction) (rep *BatchReport, err e
 	}()
 	if m.Committer != nil && len(merged) > 0 && len(m.Guards) == 0 && !m.grouping {
 		wait = m.Committer.BeginWindow(merged, len(txns))
-		// On one processor, yield so the committer reaches its fsync
-		// before propagation starts; a CPU-bound window never otherwise
-		// cedes the CPU and the commit would run inside the fence wait.
-		// With a second P the yield only hurts: an idle P steals the
-		// committer anyway, while the yielding window resumes on
-		// whichever P the host wakes first, cache-cold, every window.
-		if runtime.GOMAXPROCS(0) == 1 {
-			runtime.Gosched()
-		}
 	}
 
 	if plan == nil {

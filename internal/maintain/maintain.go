@@ -82,14 +82,17 @@ type View struct {
 // commit implements it, for a Maintainer and a Sharded alike. ApplyBatch
 // knows a window's net base deltas as soon as it has coalesced them —
 // before any propagation work — so it hands them to BeginWindow, which
-// starts encoding, writing and fsyncing the window record on a
-// background goroutine while propagation, base apply and view apply
-// proceed (a guarded window's once it is accepted). The log learns a
-// window's deltas this way and no other. The returned wait is the
+// posts them to the log's writer goroutine: the record is encoded,
+// written and fsynced there while propagation, base apply and view
+// apply proceed (a guarded window's once it is accepted). The log learns
+// a window's deltas this way and no other. The returned wait is the
 // commit fence: ApplyBatch blocks on it before acknowledging, so ack
-// still implies durable. A crash after the early fsync but before the
-// ack recovers to one window past the last acknowledged state
-// (lastAcked+1), which the recovery contract allows.
+// still implies durable; a fence that finds its record not yet taken
+// writes it itself. Posting the window happens-before the writer reads
+// it, and the writer's fsync happens-before the fence returns. A crash
+// after the early fsync but before the ack recovers to one window past
+// the last acknowledged state (lastAcked+1), which the recovery
+// contract allows.
 type WindowCommitter interface {
 	// Commit covers a window that logs nothing — it coalesced to
 	// nothing, or a guard rejected it — and returns the LSN as of which
@@ -384,8 +387,8 @@ func (m *Maintainer) fireWindowHook(lsn uint64, txns int, deltas map[int]*delta.
 // WindowSpanID returns the current window's root span ID. Committers
 // call this from BeginWindow/Commit — both happen-after the window
 // opened and happen-before the next one does — to parent their commit
-// spans (including the committer goroutine's fsync) to the window that
-// staged the deltas.
+// spans (whichever goroutine runs the fsync) to the window that staged
+// the deltas.
 func (m *Maintainer) WindowSpanID() uint64 { return m.windowSpan }
 
 // CommitterSlot returns the address of m.Committer: the slot a WAL

@@ -19,9 +19,9 @@ import (
 
 // SweepFanoutRow is one point of the employees-per-department ablation.
 type SweepFanoutRow struct {
-	EmpsPerDept          int
-	CostEmpty, CostN3    float64
-	Ratio                float64
+	EmpsPerDept              int
+	CostEmpty, CostN3        float64
+	Ratio                    float64
 	OptimalIncludesSumOfSals bool
 }
 

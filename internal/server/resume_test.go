@@ -18,8 +18,8 @@ func TestChangefeedResume(t *testing.T) {
 	_, client := startServing(t, sys)
 
 	const (
-		firstLeg  = 4  // windows before the kill
-		secondLeg = 8  // windows after the kill
+		firstLeg  = 4 // windows before the kill
+		secondLeg = 8 // windows after the kill
 		total     = firstLeg + secondLeg
 	)
 

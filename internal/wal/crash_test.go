@@ -158,11 +158,13 @@ func runDurable(db *corpus.Database, m *maintain.Maintainer, fsys wal.FS, dir st
 	for i, w := range windows {
 		rep, err := m.ApplyBatch(w)
 		if err != nil {
+			mgr.Close() // stop the log writer; the crash is the error to report
 			return acked, err
 		}
 		acked = append(acked, rep.LSN)
 		if ckptEvery > 0 && (i+1)%ckptEvery == 0 {
 			if err := mgr.Checkpoint(nil); err != nil {
+				mgr.Close()
 				return acked, err
 			}
 		}

@@ -75,8 +75,8 @@ type segInfo struct {
 
 // Log is an open segmented record log: the WAL and the changefeed
 // (FeedLog) are both one. Not safe for concurrent use; the Manager
-// serializes commits behind the maintenance pipeline's window barrier,
-// FeedLog behind its mutex.
+// hands the log to one holder at a time (the log writer or a window's
+// fence, one window in flight), FeedLog serializes behind its mutex.
 type Log struct {
 	fsys     FS
 	dir      string

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
@@ -108,11 +107,13 @@ func runDurableSharded(s *maintain.Sharded, cat *catalog.Catalog, fsys wal.FS, d
 	for i, w := range windows {
 		rep, err := s.ApplyBatch(w)
 		if err != nil {
+			mgr.Close() // stop the log writer; the crash is the error to report
 			return acked, err
 		}
 		acked = append(acked, rep.LSN)
 		if ckptEvery > 0 && (i+1)%ckptEvery == 0 {
 			if err := mgr.Checkpoint(nil); err != nil {
+				mgr.Close()
 				return acked, err
 			}
 		}
@@ -327,58 +328,59 @@ func TestShardedRecoveryAfterCleanClose(t *testing.T) {
 	}
 }
 
-// syncCountingFS counts the fsyncs of every file but checkpoint temp
-// files: the log's.
-type syncCountingFS struct {
-	wal.FS
-	syncs atomic.Int64
-}
-
-func (c *syncCountingFS) OpenAppend(path string) (wal.File, error) {
-	f, err := c.FS.OpenAppend(path)
-	if err != nil || strings.HasSuffix(path, ".tmp") {
-		return f, err
-	}
-	return countedFile{File: f, syncs: &c.syncs}, nil
-}
-
-type countedFile struct {
-	wal.File
-	syncs *atomic.Int64
-}
-
-func (f countedFile) Sync() error {
-	f.syncs.Add(1)
-	return f.File.Sync()
-}
-
 // TestShardedWindowIsOneRecord holds the journal to one record per
-// window at every shard count, as for an unsharded maintainer: a window
-// fsyncs once and takes the next LSN, and a window that coalesces to
-// nothing fsyncs never and reports the LSN that already covers it.
+// window at every shard count, shards1 being the unsharded case, a
+// *maintain.Maintainer: a window fsyncs once and takes the next LSN,
+// and a window that coalesces to nothing fsyncs never and reports the
+// LSN that already covers it.
 func TestShardedWindowIsOneRecord(t *testing.T) {
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
 	const nWindows, batch = 6, 8
 	vs := fig5ShardedVS(t, cfg)
 	for _, n := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards%d", n), func(t *testing.T) {
-			s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
-			db := corpus.Figure5Database(cfg)
-			fsys := &syncCountingFS{FS: wal.NewFaultFS(1)}
-			mgr, err := wal.Attach(s, db.Catalog, fsys, "wal", wal.Options{})
+			var (
+				db     *corpus.Database
+				p      wal.Pipeline
+				window func([]txn.Transaction) (uint64, error)
+			)
+			if n == 1 {
+				var m *maintain.Maintainer
+				db, _, m = buildFig5(t, cfg, nil)
+				p = m
+				window = func(w []txn.Transaction) (uint64, error) {
+					rep, err := m.ApplyBatch(w)
+					if err != nil {
+						return 0, err
+					}
+					return rep.LSN, nil
+				}
+			} else {
+				s := buildShardedFig5(t, fig5Factory(cfg), vs, n, maintain.RestoreOptions{})
+				db, p = corpus.Figure5Database(cfg), s
+				window = func(w []txn.Transaction) (uint64, error) {
+					rep, err := s.ApplyBatch(w)
+					if err != nil {
+						return 0, err
+					}
+					return rep.LSN, nil
+				}
+			}
+			fsys := &syncTrackingFS{FS: wal.NewFaultFS(1), unsynced: map[string]int{}}
+			mgr, err := wal.Attach(p, db.Catalog, fsys, "wal", wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer mgr.Close()
-			apply := func(label string, w []txn.Transaction, wantSyncs int64, wantLSN uint64) {
+			apply := func(label string, w []txn.Transaction, wantSyncs int, wantLSN uint64) {
 				t.Helper()
-				before := fsys.syncs.Load()
-				rep, err := s.ApplyBatch(w)
+				_, before := fsys.pending()
+				lsn, err := window(w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := fsys.syncs.Load() - before; got != wantSyncs || rep.LSN != wantLSN {
-					t.Fatalf("%s: %d fsyncs, LSN %d; want %d at LSN %d", label, got, rep.LSN, wantSyncs, wantLSN)
+				if _, after := fsys.pending(); after-before != wantSyncs || lsn != wantLSN {
+					t.Fatalf("%s: %d fsyncs, LSN %d; want %d at LSN %d", label, after-before, lsn, wantSyncs, wantLSN)
 				}
 			}
 			for i, w := range genWindows(db, cfg, nWindows, batch) {
