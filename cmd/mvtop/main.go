@@ -2,7 +2,7 @@
 // -http process: it polls /metrics (JSON form), diffs consecutive
 // snapshots, and renders per-interval rates — txns/sec, page IO per
 // txn, heap bytes per txn, GC cycles/sec, fsync and GC pause p99,
-// slab slot recycling, shard balance, arena reuse. Stdlib only; point
+// slab slot recycling, arena reuse. Stdlib only; point
 // it at any process serving the obs handler.
 //
 // Usage:
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -124,9 +123,6 @@ func renderFrame(prev, cur obs.Snapshot, dt time.Duration) string {
 	if g, ok := cur.Gauges["runtime.heap.bytes"]; ok {
 		fmt.Fprintf(&b, "%-22s %12s\n", "heap", byteStr(uint64(g)))
 	}
-	if bal := shardBalance(prev, cur); bal != "" {
-		fmt.Fprintf(&b, "\nshard balance (routed units this interval)\n%s", bal)
-	}
 	return b.String()
 }
 
@@ -166,43 +162,4 @@ func arenaReuse(prev, cur obs.Snapshot) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(reused)/float64(reused+grown))
-}
-
-// shardBalance renders one bar per maintain.shardNN.routed_units
-// counter, scaled to the busiest shard, with the max/mean skew ratio.
-func shardBalance(prev, cur obs.Snapshot) string {
-	type row struct {
-		name  string
-		units int64
-	}
-	var rows []row
-	var max, sum int64
-	for name, v := range cur.Counters {
-		if !strings.HasPrefix(name, "maintain.shard") || !strings.HasSuffix(name, ".routed_units") {
-			continue
-		}
-		d := v - prev.Counters[name]
-		rows = append(rows, row{name, d})
-		sum += d
-		if d > max {
-			max = d
-		}
-	}
-	if len(rows) == 0 {
-		return ""
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	var b strings.Builder
-	for _, r := range rows {
-		width := 0
-		if max > 0 {
-			width = int(r.units * 40 / max)
-		}
-		fmt.Fprintf(&b, "  %-28s %10d %s\n", r.name, r.units, strings.Repeat("#", width))
-	}
-	if len(rows) > 1 && sum > 0 {
-		mean := float64(sum) / float64(len(rows))
-		fmt.Fprintf(&b, "  skew (max/mean) %.2f\n", float64(max)/mean)
-	}
-	return b.String()
 }

@@ -15,8 +15,6 @@ func snapPair() (obs.Snapshot, obs.Snapshot) {
 	reg.Counter("storage.io.page_writes").Add(30)
 	reg.Counter("maintain.arena.reused_bytes").Add(900)
 	reg.Counter("maintain.arena.grown_bytes").Add(100)
-	reg.Counter("maintain.shard00.routed_units").Add(10)
-	reg.Counter("maintain.shard01.routed_units").Add(40)
 	h := reg.Histogram("wal.fsync.ns")
 	h.Observe(1000)
 	prev := reg.Snapshot()
@@ -26,8 +24,6 @@ func snapPair() (obs.Snapshot, obs.Snapshot) {
 	reg.Counter("storage.io.page_writes").Add(60)
 	reg.Counter("maintain.arena.reused_bytes").Add(300)
 	reg.Counter("maintain.arena.grown_bytes").Add(100)
-	reg.Counter("maintain.shard00.routed_units").Add(20)
-	reg.Counter("maintain.shard01.routed_units").Add(60)
 	reg.Counter("storage.slab.slots_recycled").Add(300)
 	reg.Counter("storage.slab.bytes_allocated").Add(2048)
 	for i := 0; i < 98; i++ {
@@ -56,10 +52,6 @@ func TestRenderFrame(t *testing.T) {
 		"slab grew 2.0 KiB",
 		"arena reuse", "75.0%", // 300 reused vs 100 grown
 		"goroutines", "12",
-		"shard balance",
-		"maintain.shard00.routed_units", "20",
-		"maintain.shard01.routed_units", "60",
-		"skew (max/mean) 1.50",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Fatalf("frame missing %q:\n%s", want, frame)
@@ -79,8 +71,5 @@ func TestRenderFrameEmptyDelta(t *testing.T) {
 		if !strings.Contains(frame, want) {
 			t.Fatalf("idle frame missing %q:\n%s", want, frame)
 		}
-	}
-	if strings.Contains(frame, "skew") {
-		t.Fatalf("idle frame reports skew:\n%s", frame)
 	}
 }

@@ -210,9 +210,9 @@ type Maintainer struct {
 	queryEv exec.Evaluator
 
 	// Window-causal tracing state. Both fields follow the single-writer
-	// rule: spanParent is set by the dispatching goroutine (a Sharded
-	// window, or a replay) before ApplyBatch runs, windowSpan at the top
-	// of each window. Committers read windowSpan synchronously from
+	// rule: spanParent is set by the caller (a Sharded window, which runs
+	// its shards on its own goroutine, or a replay) before ApplyBatch
+	// runs, windowSpan at the top of each window. Committers read windowSpan synchronously from
 	// inside the window (BeginWindow/Commit are called on or joined by
 	// the window's goroutine), so cross-goroutine commit spans can parent
 	// to the window root without widening the WindowCommitter interface.

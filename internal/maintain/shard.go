@@ -3,8 +3,6 @@ package maintain
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -17,11 +15,6 @@ import (
 	"repro/internal/txn"
 	"repro/internal/value"
 )
-
-// obsShardSkew is max/mean of the signed-change units routed per shard
-// in the last window — 1.0 is a perfectly balanced window, Effective×
-// means one shard got everything.
-var obsShardSkew = obs.G("maintain.shard.skew")
 
 // ShardSetup is one shard's fully built engine substrate: an expanded
 // DAG, the catalog of base relations and the store holding them. A
@@ -36,11 +29,10 @@ type ShardSetup struct {
 
 // ShardedConfig configures NewSharded.
 type ShardedConfig struct {
-	// Shards is the requested shard count (>= 1). Analysis may fall
-	// back to an effective count of 1 (see Partitioning.Reason).
+	// Shards is the shard count (>= 1).
 	Shards int
-	// PartitionBy is the bare partition column name; "" auto-chooses
-	// via ChoosePartitionColumn.
+	// PartitionBy is the bare name of the column every base relation is
+	// hash-partitioned on. Required; NewSharded states its precondition.
 	PartitionBy string
 	// VS is the materialized view set, identical on every shard.
 	// Required: the optimizer runs once globally, not per shard, so
@@ -48,29 +40,24 @@ type ShardedConfig struct {
 	VS tracks.ViewSet
 }
 
-// shard is one shard-local pipeline with its observability handles.
+// shard is one shard-local pipeline.
 type shard struct {
-	setup   *ShardSetup
-	m       *Maintainer
-	applyNs *obs.Histogram
-	routed  *obs.Counter
+	setup *ShardSetup
+	m     *Maintainer
 }
 
 // Sharded is N shard-local maintenance pipelines behind one ApplyBatch:
-// each window is split by the tuple router and the shard pipelines run
-// in parallel, each owning its storage segment and plan cache. Every
-// materialized view is shard-local (a view set that is not falls back to
-// one shard), so a view's global contents are the bag union of its
-// shard parts. Like Maintainer, Sharded is single-writer: one ApplyBatch
-// at a time.
+// each window is split by routing every tuple on the partition column,
+// and the shard pipelines run one after another, each owning its
+// storage segment and plan cache. A view's global contents are the bag
+// union of its shard parts. Like Maintainer, Sharded is single-writer:
+// one ApplyBatch at a time.
 type Sharded struct {
 	// D is the template DAG (shard 0's); all eq-node arguments to
 	// Contents/Drift resolve by ID against every shard.
 	D *dag.DAG
 	// VS is the shared materialized view set.
 	VS tracks.ViewSet
-	// Part records the partition analysis, including any fallback.
-	Part *Partitioning
 	// Committer, when set, makes every window durable as Maintainer's
 	// does: ApplyBatch hands it the whole window's coalesced base deltas
 	// before the shards run and joins its fence after they finish. The
@@ -78,7 +65,11 @@ type Sharded struct {
 	Committer WindowCommitter
 
 	shards []*shard
-	router *Router
+	column string
+	// pos is the partition column's position in each base relation.
+	pos map[string]int
+	enc value.KeyEncoder
+	one [1]int
 
 	// Window-causal tracing state, single-writer as on Maintainer:
 	// spanParent is set by a replay, windowSpan at the top of ApplyBatch.
@@ -86,12 +77,11 @@ type Sharded struct {
 	windowSpan uint64
 
 	// Cross-window recycled window scratch (DESIGN.md §14). Sharded is
-	// single-writer, so the one report and the per-shard routing slices
-	// are reset in place each window; the returned ShardedReport is valid
+	// single-writer, so the one report and the per-shard sub-windows are
+	// reset in place each window; the returned ShardedReport is valid
 	// only until the next ApplyBatch.
 	rep       ShardedReport
 	per       [][]txn.Transaction
-	errs      []error
 	coalescer delta.Coalescer
 	winBuf    []map[string]*delta.Delta
 }
@@ -110,21 +100,17 @@ type ShardedReport struct {
 	Size int
 	// LSN is the window's commit LSN (0 without a Committer).
 	LSN uint64
-	// Shards holds each shard's BatchReport (nil for shards the window
-	// did not touch).
-	Shards []*BatchReport
-	// Routed is the signed-change units routed to each shard.
-	Routed []int64
-	// Skew is max/mean of Routed over shards that exist (0 for empty
-	// windows).
-	Skew float64
 }
 
 // NewSharded builds a sharded maintainer: it calls factory once per
-// effective shard, restricts each setup's base relations to the shard's
-// partition, and materializes the shared view set on each shard. The
-// partition analysis (and its possible fallback to one shard) is
-// exposed as .Part.
+// shard, keeps in each setup's base relations the rows that route to
+// the shard, and materializes the shared view set on each shard.
+//
+// Every base relation must have the column cfg.PartitionBy; NewSharded
+// returns an error otherwise. It proves nothing more, so the caller
+// owes the precondition that makes each view the bag union of its
+// shard parts: every join of the view set equates the column on both
+// sides, and every aggregate groups on it.
 func NewSharded(factory func() (*ShardSetup, error), cfg ShardedConfig) (*Sharded, error) {
 	return NewShardedRestored(factory, cfg, RestoreOptions{})
 }
@@ -141,67 +127,83 @@ func NewShardedRestored(factory func() (*ShardSetup, error), cfg ShardedConfig, 
 	if cfg.VS == nil {
 		return nil, fmt.Errorf("maintain: NewSharded requires a view set")
 	}
+	if cfg.PartitionBy == "" {
+		return nil, fmt.Errorf("maintain: NewSharded requires a partition column")
+	}
 	template, err := factory()
 	if err != nil {
 		return nil, fmt.Errorf("maintain: shard factory: %w", err)
 	}
-	col := cfg.PartitionBy
-	if col == "" {
-		col = ChoosePartitionColumn(template.D, cfg.VS)
-	}
-	part := AnalyzePartitioning(template.D, cfg.VS, col, cfg.Shards)
-	eff := part.Effective
-
-	setups := make([]*ShardSetup, eff)
-	setups[0] = template
-	for i := 1; i < eff; i++ {
-		s, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("maintain: shard %d factory: %w", i, err)
-		}
-		if err := sameDAG(template.D, s.D, cfg.VS); err != nil {
-			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
-		}
-		setups[i] = s
-	}
-
-	router := part.NewRouter()
-	if eff > 1 {
-		for i, s := range setups {
-			for _, name := range s.Cat.Names() {
-				rel, ok := s.Store.Get(name)
-				if !ok {
-					return nil, fmt.Errorf("maintain: shard %d: relation %q not in store", i, name)
-				}
-				keep := i
-				rel.RetainWhere(func(t value.Tuple, _ int64) bool {
-					return router.Route(name, t) == keep
-				})
-				rel.RefreshStats()
-			}
-		}
-	}
-
 	s := &Sharded{
 		D:      template.D,
 		VS:     cfg.VS,
-		Part:   part,
-		router: router,
+		shards: make([]*shard, cfg.Shards),
+		column: cfg.PartitionBy,
+		pos:    map[string]int{},
+		per:    make([][]txn.Transaction, cfg.Shards),
 	}
-	for i, su := range setups {
-		ro := opts.renamed(func(name string) string { return part.shardViewName(name, i) })
-		m, err := NewRestored(su.D, su.Store, cost.PageIO{}, cfg.VS.Clone(), ro)
-		if err != nil {
+	names := template.Cat.Names()
+	for _, name := range names {
+		def, _ := template.Cat.Get(name)
+		if s.pos[name], err = def.Schema.Resolve(cfg.PartitionBy); err != nil {
+			return nil, fmt.Errorf("maintain: NewSharded: relation %q: %w", name, err)
+		}
+	}
+
+	for i := range s.shards {
+		su := template
+		if i > 0 {
+			if su, err = factory(); err != nil {
+				return nil, fmt.Errorf("maintain: shard %d factory: %w", i, err)
+			}
+			if err := sameDAG(template.D, su.D, cfg.VS); err != nil {
+				return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
+			}
+		}
+		s.shards[i] = &shard{setup: su}
+	}
+	for i, sh := range s.shards {
+		for _, name := range names {
+			rel, ok := sh.setup.Store.Get(name)
+			if !ok {
+				return nil, fmt.Errorf("maintain: shard %d: relation %q not in store", i, name)
+			}
+			rel.RetainWhere(func(t value.Tuple, _ int64) bool { return s.route(name, t) == i })
+			rel.RefreshStats()
+		}
+		ro := opts.renamed(func(name string) string { return s.viewName(name, i) })
+		if sh.m, err = NewRestored(sh.setup.D, sh.setup.Store, cost.PageIO{}, cfg.VS.Clone(), ro); err != nil {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, &shard{
-			setup:   su,
-			m:       m,
-			applyNs: obs.H(fmt.Sprintf("maintain.shard%02d.apply.ns", i)),
-			routed:  obs.C(fmt.Sprintf("maintain.shard%02d.routed_units", i)),
-		})
 	}
 	return s, nil
+}
+
+// route maps one tuple of rel to its shard: FNV-1a over the
+// value.KeyEncoder bytes of its partition-column value, a pure function
+// of the tuple, so a row lands on the same shard in every window, every
+// process and at recovery.
+func (s *Sharded) route(rel string, t value.Tuple) int {
+	var key []byte
+	if s.one[0] = s.pos[rel]; s.one[0] < len(t) {
+		key = s.enc.ProjectedKey(t, s.one[:])
+	} else {
+		key = s.enc.Key(t) // shorter than rel's rows: route the whole tuple
+	}
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return int(h % uint64(len(s.shards)))
+}
+
+// viewName is the checkpoint name of shard i's part of a view. It names
+// the partitioning, so a checkpoint taken on another column or shard
+// count holds no state for this shard and its views are recomputed
+// rather than seeded with another partition's rows.
+func (s *Sharded) viewName(view string, i int) string {
+	return fmt.Sprintf("%s@%s:%d/%d", view, s.column, i, len(s.shards))
 }
 
 // sameDAG verifies two independently built DAGs agree on every
@@ -229,21 +231,15 @@ func sameDAG(a, b *dag.DAG, vs tracks.ViewSet) error {
 	return nil
 }
 
-// NumShards returns the effective shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Route exposes the tuple router (tests).
-func (s *Sharded) Route(rel string, t value.Tuple) int {
-	return s.router.Route(rel, t)
-}
-
 // ApplyBatch maintains one window: it hands the Committer the window's
-// coalesced base deltas, splits every transaction's deltas by the tuple
-// router, runs the shard pipelines in parallel (each coalesces, plans
-// and applies its own sub-window), and finally joins the commit fence.
+// coalesced base deltas, splits every transaction's deltas by routing
+// each tuple (delta.SplitDelta), runs the shard pipelines one after
+// another on the caller's goroutine (each coalesces, plans and applies
+// its own sub-window), and finally joins the commit fence. A shard's
+// Coalesce nets exactly the rows the window's would have given it:
+// netting is per tuple, and every occurrence of a tuple routes alike.
 // The window is one log record, so it is durable whole or not at all.
 func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
-	n := len(s.shards)
 	wt := obs.StartWindow("maintain.window", s.spanParent)
 	s.windowSpan = wt.RootID()
 	obs.Flight().Record(obs.EvWindowOpen, 0, wt.Seq(), uint64(len(txns)), wt.RootID())
@@ -265,72 +261,40 @@ func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 			wait = s.Committer.BeginWindow(merged, len(txns))
 		}
 	}
-	// Recycled window scratch: same report object every window, reset in
-	// place (callers use it only until the next ApplyBatch).
-	rep := &s.rep
-	if rep.Shards == nil {
-		rep.Shards = make([]*BatchReport, n)
-		rep.Routed = make([]int64, n)
-		s.per = make([][]txn.Transaction, n)
-		s.errs = make([]error, n)
-	}
-	*rep = ShardedReport{Size: len(txns), Shards: rep.Shards, Routed: rep.Routed}
-	for i := 0; i < n; i++ {
-		rep.Shards[i] = nil
-		rep.Routed[i] = 0
+	s.rep = ShardedReport{Size: len(txns)}
+	for i := range s.per {
 		s.per[i] = s.per[i][:0]
-		s.errs[i] = nil
 	}
-	per := s.per
-	if n == 1 {
-		per[0] = append(per[0], txns...)
-		for _, t := range txns {
-			for _, d := range t.Updates {
-				rep.Routed[0] += int64(d.Size())
-			}
-		}
-	} else {
-		for _, t := range txns {
-			parts := delta.SplitUpdates(t.Updates, n, s.router.Route)
-			for i, u := range parts {
-				if len(u) == 0 {
+	parts := make([]map[string]*delta.Delta, len(s.shards))
+	for _, t := range txns {
+		for rel, d := range t.Updates {
+			split := delta.SplitDelta(d, len(s.shards), func(tu value.Tuple) int { return s.route(rel, tu) })
+			for i, p := range split {
+				if p.Empty() {
 					continue
 				}
-				per[i] = append(per[i], txn.Transaction{Type: t.Type, Updates: u})
-				for _, d := range u {
-					rep.Routed[i] += int64(d.Size())
+				if parts[i] == nil {
+					parts[i] = map[string]*delta.Delta{}
 				}
+				parts[i][rel] = p
+			}
+		}
+		for i, u := range parts {
+			if u != nil {
+				s.per[i] = append(s.per[i], txn.Transaction{Type: t.Type, Updates: u})
+				parts[i] = nil
 			}
 		}
 	}
 	for i, sh := range s.shards {
-		sh.routed.Add(rep.Routed[i])
-		obs.Flight().Record(obs.EvShardRoute, uint16(i), wt.Seq(), uint64(rep.Routed[i]), 0)
-	}
-	rep.Skew = skew(rep.Routed)
-	obsShardSkew.Set(rep.Skew)
-
-	errs := s.errs
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		if len(per[i]) == 0 {
+		if len(s.per[i]) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			// Parent the shard pipeline's window (and everything under
-			// it) to this window's root: the shard maintainer is owned
-			// by this goroutine for the duration, so the set is race-free.
-			s.shards[i].m.spanParent = wt.RootID()
-			rep.Shards[i], errs[i] = s.shards[i].m.ApplyBatch(per[i])
-			s.shards[i].m.spanParent = 0
-			s.shards[i].applyNs.Observe(time.Since(start).Nanoseconds())
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		// Parent the shard pipeline's window (and everything under it)
+		// to this window's root.
+		sh.m.spanParent = wt.RootID()
+		_, err := sh.m.ApplyBatch(s.per[i])
+		sh.m.spanParent = 0
 		if err != nil {
 			return nil, fmt.Errorf("maintain: shard %d: %w", i, err)
 		}
@@ -344,11 +308,11 @@ func (s *Sharded) ApplyBatch(txns []txn.Transaction) (*ShardedReport, error) {
 		} else {
 			lsn, err = s.Committer.Commit(len(txns))
 		}
-		if err := fenced(&rep.LSN, wt.Seq(), lsn, err); err != nil {
+		if err := fenced(&s.rep.LSN, wt.Seq(), lsn, err); err != nil {
 			return nil, err
 		}
 	}
-	return rep, nil
+	return &s.rep, nil
 }
 
 // ReplayWindow applies one logged window as a window of one transaction
@@ -374,26 +338,10 @@ func (s *Sharded) Snapshot(rels []string) (*Snapshot, error) {
 			snap.Base[j] = append(snap.Base[j], rows...)
 		}
 		for name, v := range part.Views {
-			snap.Views[s.Part.shardViewName(name, i)] = v
+			snap.Views[s.viewName(name, i)] = v
 		}
 	}
 	return snap, nil
-}
-
-// skew is max/mean of the routed units (0 when nothing routed).
-func skew(routed []int64) float64 {
-	var max, sum int64
-	for _, v := range routed {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(routed))
-	return float64(max) / mean
 }
 
 // Contents returns the maintained global contents of a materialized
@@ -418,17 +366,6 @@ func (s *Sharded) Contents(e *dag.EqNode) []storage.Row {
 		return rows[i].Tuple.Compare(rows[j].Tuple) < 0
 	})
 	return rows
-}
-
-// Violations returns the total multiplicity of a view's rows — the
-// sharded form of the assertion-emptiness verdict (the paper's
-// integrity constraints hold iff the assertion view is empty).
-func (s *Sharded) Violations(e *dag.EqNode) int64 {
-	var n int64
-	for _, r := range s.Contents(e) {
-		n += r.Count
-	}
-	return n
 }
 
 // Drift compares a materialized node's sharded contents against full

@@ -12,7 +12,7 @@ import (
 
 // FlightRecorder is the engine's black box: a lock-free fixed-slot
 // binary event ring that is always on. Producers (window open/fence,
-// per-shard route cardinalities, fsync start/done, GC pauses) record
+// fsync start/done, GC pauses, checkpoints, recoveries) record
 // with a handful of atomic stores — no locks, no allocations — so the
 // recorder can sit on the hottest paths without moving the allocs/txn
 // ceiling. When a crash test fails or a process is killed mid-run, the
@@ -63,7 +63,6 @@ const (
 //
 //	EvWindowOpen   A=window seq  B=txns in window    C=root span ID
 //	EvWindowFence  A=window seq  B=commit LSN        C=1 on error
-//	EvShardRoute   A=window seq  B=routed units      Shard=shard index
 //	EvFsyncStart   A=LSN         B=bytes in segment
 //	EvFsyncDone    A=LSN         B=bytes in segment
 //	EvGCPause      A=pause ns    B=GC cycle number
@@ -72,7 +71,7 @@ const (
 const (
 	EvWindowOpen uint16 = 1 + iota
 	EvWindowFence
-	EvShardRoute
+	_ // 3 was the shard-route event; the kinds after it keep their numbers
 	EvFsyncStart
 	EvFsyncDone
 	EvGCPause
@@ -83,7 +82,6 @@ const (
 var flightEvNames = [...]string{
 	EvWindowOpen:  "window_open",
 	EvWindowFence: "window_fence",
-	EvShardRoute:  "shard_route",
 	EvFsyncStart:  "fsync_start",
 	EvFsyncDone:   "fsync_done",
 	EvGCPause:     "gc_pause",

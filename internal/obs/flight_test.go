@@ -10,7 +10,7 @@ import (
 func TestFlightRecordAndDecode(t *testing.T) {
 	f := NewFlight(64)
 	f.Record(EvWindowOpen, 0, 1, 64, 99)
-	f.Record(EvShardRoute, 3, 1, 40, 0)
+	f.Record(EvCheckpoint, 3, 1, 40, 0)
 	f.Record(EvFsyncStart, 0, 7, 128, 0)
 	f.Record(EvFsyncDone, 0, 7, 128, 0)
 
@@ -79,7 +79,7 @@ func TestFlightConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				f.Record(EvShardRoute, uint16(g), uint64(i), 0, 0)
+				f.Record(EvGCPause, uint16(g), uint64(i), 0, 0)
 				if i%16 == 0 {
 					f.Events() // readers race writers by design
 				}

@@ -133,7 +133,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("maintain.txn_type.>T.count").Add(7)
 	r.Counter("wal.fsync.count").Add(3)
-	r.Gauge("maintain.shard.skew").Set(1.25)
+	r.Gauge("wal.commit.overlap").Set(1.25)
 	r.GaugeFunc("runtime.test.pull", func() float64 { return 42 })
 	h := r.Histogram("wal.fsync.ns")
 	for _, v := range []int64{0, 1, 3, 900, 70000} {
@@ -144,7 +144,7 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE maintain_txn_type__T_count counter",
 		"maintain_txn_type__T_count 7",
-		"maintain_shard_skew 1.25",
+		"wal_commit_overlap 1.25",
 		"runtime_test_pull 42",
 		"# TYPE wal_fsync_ns histogram",
 		`wal_fsync_ns_bucket{le="+Inf"} 5`,

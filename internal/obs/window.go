@@ -7,12 +7,12 @@ import "sync/atomic"
 // once per ApplyBatch window and threaded through every stage that does
 // work on the window's behalf — coalesce, track propagation, view
 // apply, per-shard apply and the cross-goroutine WAL commit — so spans
-// finished on shard or committer goroutines still link back to the
-// window that caused them.
+// finished on the committer's goroutine still link back to the window
+// that caused them.
 //
 // The sequence number keys flight-recorder events (EvWindowOpen /
-// EvWindowFence / EvShardRoute) so a binary dump can be correlated with
-// the span ring without string names.
+// EvWindowFence) so a binary dump can be correlated with the span ring
+// without string names.
 //
 // All methods are safe on a nil *WindowTrace, and a WindowTrace whose
 // tracer is disabled still carries a valid Seq so flight events keep
@@ -61,9 +61,9 @@ func (w *WindowTrace) Child(name string) *Active {
 	return Trace.Start(name, w.root.ID())
 }
 
-// Finish closes the root span. Cross-goroutine stages (shard pipelines,
-// the WAL committer) hold the root's ID, not the *Active, so finishing
-// here never races them.
+// Finish closes the root span. Cross-goroutine stages (the WAL
+// committer) hold the root's ID, not the *Active, so finishing here
+// never races them.
 func (w *WindowTrace) Finish() {
 	if w != nil {
 		w.root.Finish()

@@ -133,9 +133,12 @@ func (e *KeyEncoder) ProjectedKey(t Tuple, pos []int) []byte {
 
 // EqualKey returns a hash key for t restricted to pos under Equal, in
 // the reused buffer: an Int or Float is encoded as the float64 it
-// compares as, −0 as +0, so values Equal calls equal always share a key.
-// Unequal values can share one too (Ints beyond 2^53), so a hash join on
-// it checks Equal on every match.
+// compares as, −0 as +0, so values Equal calls equal share a key — with
+// one exception: Equal calls a NaN equal to every number, but a NaN's
+// key is its own bits, so a hash join on this key misses the NaN
+// matches a nested loop under Equal finds (ROADMAP item 15). Unequal
+// values can share a key too (Ints beyond 2^53), so a hash join on it
+// checks Equal on every match.
 func (e *KeyEncoder) EqualKey(t Tuple, pos []int) []byte {
 	e.buf = e.buf[:0]
 	for _, j := range pos {

@@ -35,6 +35,9 @@ import (
 const (
 	crashDir      = "wal"
 	crashSegBytes = 4096 // tiny segments so every run crosses a rotation
+	// denseSegBytes gives nearly every record a segment of its own, so a
+	// matrix crashes inside rotations and checkpoint prunes too.
+	denseSegBytes = 256
 )
 
 // buildFig5 assembles a maintained Figure 5 system with every non-leaf
@@ -145,12 +148,13 @@ func (g *fig5Gen) next() txn.Transaction {
 	return txn.Transaction{Type: g.modT, Updates: map[string]*delta.Delta{"T": d}}
 }
 
-// runDurable attaches durability and pushes the windows through the
-// batched pipeline, checkpointing every ckptEvery windows. It returns
-// the LSNs of the windows whose commit was acknowledged before the first
-// error — the lower bound on what recovery must reproduce.
-func runDurable(db *corpus.Database, m *maintain.Maintainer, fsys wal.FS, dir string, windows [][]txn.Transaction, ckptEvery int) ([]uint64, error) {
-	mgr, err := wal.Attach(m, db.Catalog, fsys, dir, wal.Options{SegmentBytes: crashSegBytes})
+// runDurable attaches durability with segBytes-byte segments and pushes
+// the windows through the batched pipeline, checkpointing every
+// ckptEvery windows. It returns the LSNs of the windows whose commit was
+// acknowledged before the first error — the lower bound on what
+// recovery must reproduce.
+func runDurable(db *corpus.Database, m *maintain.Maintainer, fsys wal.FS, dir string, windows [][]txn.Transaction, ckptEvery, segBytes int) ([]uint64, error) {
+	mgr, err := wal.Attach(m, db.Catalog, fsys, dir, wal.Options{SegmentBytes: segBytes})
 	if err != nil {
 		return nil, err
 	}
@@ -275,7 +279,7 @@ func dumpFlight(t *testing.T, sub string) {
 //     converges);
 //   - the recovered system keeps maintaining correctly: the rest of the
 //     workload lands on identical state and zero drift.
-func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, nWindows, batch int, acked []uint64, forceRecompute bool) {
+func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figure5Config, nWindows, batch, segBytes int, acked []uint64, forceRecompute bool) {
 	t.Helper()
 	db2 := corpus.Figure5Database(cfg)
 	rec, err := wal.BeginRecovery(db2.Catalog, db2.Store, fsys, dir)
@@ -292,7 +296,7 @@ func verifyRecovery(t *testing.T, fsys *wal.FaultFS, dir string, cfg corpus.Figu
 		ro.Source = func(string) (*maintain.ViewState, bool) { return nil, false }
 	}
 	d2, m2 := buildOn(t, db2, &ro)
-	mgr, err := rec.Resume(m2, wal.Options{SegmentBytes: crashSegBytes})
+	mgr, err := rec.Resume(m2, wal.Options{SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -378,14 +382,30 @@ func dumpOnFailureNow(t *testing.T, fsys *wal.FaultFS) {
 // operation of a checkpointed durable run and crashes at each one, with
 // torn tails and bit flips.
 func TestCrashRecoveryEveryPoint(t *testing.T) {
+	crashEveryPoint(t, 8, 3, crashSegBytes, 5)
+}
+
+// TestCrashRecoveryEveryPointDense is the same matrix on the dense
+// schedule: 24 windows, a checkpoint after every one and 256-byte
+// segments, so crash points fall inside record appends, rotations,
+// checkpoint writes and prunes all through the run.
+func TestCrashRecoveryEveryPointDense(t *testing.T) {
+	crashEveryPoint(t, 24, 1, denseSegBytes, 7)
+}
+
+// crashEveryPoint runs nWindows windows of 4, checkpointing every
+// ckptEvery windows on segBytes-byte segments, once without a crash to
+// count the fault points and then crashed at each of them (every
+// shortStride-th under -short), and verifies each recovery.
+func crashEveryPoint(t *testing.T, nWindows, ckptEvery, segBytes, shortStride int) {
 	cfg := corpus.Figure5Config{Items: 12, RPerItem: 2, SPerItem: 2}
-	const nWindows, batch, ckptEvery = 8, 4, 3
+	const batch = 4
 
 	// Reference run without a crash: counts the fault points and pins the
 	// window↔LSN mapping the prefix oracle depends on.
 	ref := wal.NewFaultFS(1)
 	db, _, m := buildFig5(t, cfg, nil)
-	acked, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
+	acked, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery, segBytes)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -402,7 +422,7 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 
 	stride := 1
 	if testing.Short() {
-		stride = 5
+		stride = shortStride
 	}
 	for crashAt := 1; crashAt <= total; crashAt += stride {
 		crashAt := crashAt
@@ -413,7 +433,7 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 			fsys.SetCrashAfter(crashAt)
 			t.Cleanup(func() { dumpOnFailure(t, fsys) })
 			db, _, m := buildFig5(t, cfg, nil)
-			acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
+			acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery, segBytes)
 			if err == nil {
 				t.Fatalf("crash scheduled at op %d never fired", crashAt)
 			}
@@ -424,7 +444,7 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 				t.Fatal("filesystem not down after injected crash")
 			}
 			fsys.Reboot()
-			verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
+			verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, segBytes, acked, false)
 		})
 	}
 }
@@ -444,7 +464,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ref := wal.NewFaultFS(seed)
 			db, _, m := buildFig5(t, cfg, nil)
-			if _, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery); err != nil {
+			if _, err := runDurable(db, m, ref, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery, crashSegBytes); err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
 			total := ref.Ops()
@@ -479,7 +499,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					fsys.SetCrashAfter(crashAt)
 					t.Cleanup(func() { dumpOnFailure(t, fsys) })
 					db, _, m := buildFig5(t, cfg, nil)
-					acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery)
+					acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), ckptEvery, crashSegBytes)
 					if err == nil {
 						t.Fatalf("crash scheduled at op %d never fired", crashAt)
 					}
@@ -487,7 +507,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 						t.Fatalf("crash surfaced as %v, want wal.ErrCrashed", err)
 					}
 					fsys.Reboot()
-					verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
+					verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, crashSegBytes, acked, false)
 				})
 			}
 		})
@@ -502,14 +522,14 @@ func TestRecoveryAfterCleanClose(t *testing.T) {
 	fsys := wal.NewFaultFS(5)
 	t.Cleanup(func() { dumpOnFailure(t, fsys) })
 	db, _, m := buildFig5(t, cfg, nil)
-	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0)
+	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0, crashSegBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(acked) != nWindows {
 		t.Fatalf("acked %d of %d windows", len(acked), nWindows)
 	}
-	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, false)
+	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, crashSegBytes, acked, false)
 }
 
 // TestRecoveryRecomputeFallback simulates a checkpoint that predates the
@@ -521,9 +541,9 @@ func TestRecoveryRecomputeFallback(t *testing.T) {
 	fsys := wal.NewFaultFS(99)
 	t.Cleanup(func() { dumpOnFailure(t, fsys) })
 	db, _, m := buildFig5(t, cfg, nil)
-	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0)
+	acked, err := runDurable(db, m, fsys, crashDir, genWindows(db, cfg, nWindows, batch), 0, crashSegBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, acked, true)
+	verifyRecovery(t, fsys, crashDir, cfg, nWindows, batch, crashSegBytes, acked, true)
 }

@@ -40,7 +40,7 @@ func TestWALGolden(t *testing.T) {
 	dir := t.TempDir()
 	db, _, m := buildFig5(t, walGoldenCfg, nil)
 	windows := genWindows(db, walGoldenCfg, walGoldenWindows, walGoldenBatch)
-	if _, err := runDurable(db, m, wal.OSFS{}, dir, windows, walGoldenCkpt); err != nil {
+	if _, err := runDurable(db, m, wal.OSFS{}, dir, windows, walGoldenCkpt, crashSegBytes); err != nil {
 		t.Fatal(err)
 	}
 	got := readImage(t, dir)

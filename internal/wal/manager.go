@@ -400,7 +400,8 @@ func BeginRecovery(cat *catalog.Catalog, store *storage.Store, fsys FS, dir stri
 
 // RestoreBase restores every checkpointed base relation into store, as
 // BeginRecovery does into its own. A sharded pipeline's factory calls it
-// on each shard's store; maintain.NewShardedRestored then partitions it.
+// on each shard's store; maintain.NewShardedRestored then keeps in each
+// shard the rows that hash to it on the caller's partition column.
 func (r *Recovery) RestoreBase(store *storage.Store) error {
 	for _, rs := range r.ckpt.Rels {
 		rel, ok := store.Get(rs.Name)

@@ -1,8 +1,8 @@
 // Window-causal trace connectivity: a durable batch-64 run must produce
-// spans that all link back to their window's root — shard pipelines run
-// on their own goroutines, and a window's commit fsync runs on the log
-// writer's or on the fence's, so any break in parent threading shows up
-// here as an orphan.
+// spans that all link back to their window's root — a sharded window
+// parents each shard pipeline's window to its own, and a window's commit
+// fsync runs on the log writer's goroutine or on the fence's, so any
+// break in parent threading shows up here as an orphan.
 package wal_test
 
 import (
