@@ -2,10 +2,9 @@ package mvmaint_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	mvmaint "repro"
@@ -194,24 +193,33 @@ func TestDurableSystemRecover(t *testing.T) {
 	}
 }
 
-// dirBytes sums the lengths of the files in a WAL directory. Segment
-// preallocation reserves extents without changing a file's length, so
-// between checkpoints this moves exactly when a record is appended.
-func dirBytes(t *testing.T, dir string) int64 {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
+// writeCountFS is the real filesystem with the bytes written through
+// every handle it opens counted. A WAL segment is zero-filled ahead of
+// its records, so its length does not move with each record; the bytes
+// the log writes do. The log writer writes from its own goroutine,
+// hence the atomic.
+type writeCountFS struct {
+	wal.OSFS
+	n atomic.Int64
+}
+
+func (c *writeCountFS) OpenAppend(path string) (wal.File, error) {
+	f, err := c.OSFS.OpenAppend(path)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var n int64
-	for _, e := range ents {
-		fi, err := os.Stat(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n += fi.Size()
-	}
-	return n
+	return &writeCountFile{File: f, fs: c}, nil
+}
+
+type writeCountFile struct {
+	wal.File
+	fs *writeCountFS
+}
+
+func (f *writeCountFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.n.Add(int64(n))
+	return n, err
 }
 
 // viewBags renders every materialized view (declared and additional) as
@@ -250,14 +258,15 @@ func rejectedTransactionNeverLogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mgr, err := sys.AttachDurability(wal.OSFS{}, dir, wal.Options{})
+	fsys := &writeCountFS{}
+	mgr, err := sys.AttachDurability(fsys, dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// settle reads the log tip and the directory size after each step.
+	// settle reads the log tip and the bytes written after each step.
 	settle := func() (uint64, int64) {
 		t.Helper()
-		return mgr.LastLSN(), dirBytes(t, dir)
+		return mgr.LastLSN(), fsys.n.Load()
 	}
 
 	if out, err := sys.Execute(`UPDATE Emp SET Salary = 150 WHERE EName = 'e002_01'`); err != nil || !out.OK() {

@@ -139,6 +139,11 @@ func TestPrometheusExposition(t *testing.T) {
 	for _, v := range []int64{0, 1, 3, 900, 70000} {
 		h.Observe(v)
 	}
+	// The durable write's other device trip, the record's write.
+	w := r.Histogram("wal.write.ns")
+	for _, v := range []int64{40000, 41000} {
+		w.Observe(v)
+	}
 	text := string(PrometheusText(r))
 
 	for _, want := range []string{
@@ -149,6 +154,10 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE wal_fsync_ns histogram",
 		`wal_fsync_ns_bucket{le="+Inf"} 5`,
 		"wal_fsync_ns_count 5",
+		"# TYPE wal_write_ns histogram",
+		`wal_write_ns_bucket{le="+Inf"} 2`,
+		"wal_write_ns_sum 81000",
+		"wal_write_ns_count 2",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
@@ -158,7 +167,7 @@ func TestPrometheusExposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lint: %v\n%s", err, text)
 	}
-	if n < 8 {
+	if n < 12 {
 		t.Fatalf("lint saw only %d samples:\n%s", n, text)
 	}
 

@@ -45,6 +45,17 @@ type FaultFS struct {
 type faultFile struct {
 	data   []byte
 	synced int // all of data[:synced] is durable
+	// reserved is how far Reserve made the file: past data it holds
+	// durable zeros, so an in-place write there is torn like an append
+	// (between the last Sync and the write position) and zeros stay.
+	reserved int
+}
+
+// image is the file as a reader sees it: data, then reserved zeros.
+func (ff *faultFile) image() []byte {
+	out := make([]byte, max(len(ff.data), ff.reserved))
+	copy(out, ff.data)
+	return out
 }
 
 // NewFaultFS returns an empty fault-injecting filesystem whose crash
@@ -178,9 +189,7 @@ func (f *FaultFS) ReadFile(path string) ([]byte, error) {
 	if !ok {
 		return nil, &os.PathError{Op: "open", Path: path, Err: os.ErrNotExist}
 	}
-	out := make([]byte, len(ff.data))
-	copy(out, ff.data)
-	return out, nil
+	return ff.image(), nil
 }
 
 func (f *FaultFS) OpenAppend(path string) (File, error) {
@@ -190,28 +199,37 @@ func (f *FaultFS) OpenAppend(path string) (File, error) {
 		return nil, ErrCrashed
 	}
 	path = filepath.Clean(path)
-	if _, ok := f.files[path]; !ok {
-		f.files[path] = &faultFile{}
+	ff, ok := f.files[path]
+	if !ok {
+		ff = &faultFile{}
+		f.files[path] = ff
 	}
-	return &faultHandle{fs: f, path: path}, nil
+	return &faultHandle{fs: f, ff: ff}, nil
 }
 
+// Truncate is a fault point unless it cuts reserved zeros alone (a
+// closed segment's tail): a crash there leaves zeros the log reads as a
+// clean tail, like a crash inside Reserve.
 func (f *FaultFS) Truncate(path string, size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.step(); err != nil {
-		return err
+	if f.crashed {
+		return ErrCrashed
 	}
 	ff, ok := f.files[filepath.Clean(path)]
 	if !ok {
 		return &os.PathError{Op: "truncate", Path: path, Err: os.ErrNotExist}
 	}
 	if int(size) < len(ff.data) {
+		if err := f.step(); err != nil {
+			return err
+		}
 		ff.data = ff.data[:size]
 		if ff.synced > int(size) {
 			ff.synced = int(size)
 		}
 	}
+	ff.reserved = min(ff.reserved, int(size))
 	return nil
 }
 
@@ -258,29 +276,29 @@ func (f *FaultFS) DumpTo(dir string) error {
 	}
 	for p, ff := range f.files {
 		out := filepath.Join(dir, filepath.Base(p))
-		if err := os.WriteFile(out, ff.data, 0o644); err != nil {
+		if err := os.WriteFile(out, ff.image(), 0o644); err != nil {
 			return fmt.Errorf("wal: dump %s: %w", p, err)
 		}
 	}
 	return nil
 }
 
+// faultHandle writes the file it was opened on, under whatever name
+// that file has since been renamed to.
 type faultHandle struct {
-	fs   *FaultFS
-	path string
+	fs *FaultFS
+	ff *faultFile
 }
 
+// Write appends to data: a handle writes at the end of data, which is
+// its write position, whether or not zeros are reserved past it.
 func (h *faultHandle) Write(p []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
 	if err := h.fs.step(); err != nil {
 		return 0, err
 	}
-	ff, ok := h.fs.files[h.path]
-	if !ok {
-		return 0, &os.PathError{Op: "write", Path: h.path, Err: os.ErrNotExist}
-	}
-	ff.data = append(ff.data, p...)
+	h.ff.data = append(h.ff.data, p...)
 	return len(p), nil
 }
 
@@ -290,11 +308,20 @@ func (h *faultHandle) Sync() error {
 	if err := h.fs.step(); err != nil {
 		return err
 	}
-	ff, ok := h.fs.files[h.path]
-	if !ok {
-		return &os.PathError{Op: "sync", Path: h.path, Err: os.ErrNotExist}
+	h.ff.synced = len(h.ff.data)
+	return nil
+}
+
+// Reserve is not a fault point, as creating a file is not: a crash
+// inside it would leave part of the zeros, and the log reads any run of
+// zeros after its records as a clean tail, so it adds no state to test.
+func (h *faultHandle) Reserve(n int64) error {
+	h.fs.mu.Lock()
+	defer h.fs.mu.Unlock()
+	if h.fs.crashed {
+		return ErrCrashed
 	}
-	ff.synced = len(ff.data)
+	h.ff.reserved = max(h.ff.reserved, int(n))
 	return nil
 }
 

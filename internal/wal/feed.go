@@ -67,6 +67,9 @@ func OpenFeedLog(fsys FS, dir string, opts Options) (*FeedLog, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The feed is never synced per record, so in-place writes would buy
+	// it nothing: it appends.
+	l.reserve = false
 	return &FeedLog{log: l}, nil
 }
 

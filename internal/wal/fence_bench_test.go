@@ -57,8 +57,10 @@ func fig5Window64(db *corpus.Database) delta.Coalesced {
 // real filesystem, as ApplyBatch drives it: BeginWindow, a fixed CPU
 // loop in place of the window's propagation and apply, then the fence.
 // One op is one window. It reports ns/window, fence-wait-ns (what the
-// window could not hide of its commit), B/window of log record, and
-// by-fence (the share of records the fence took back and wrote).
+// window could not hide of its commit), B/window of log record,
+// by-fence (the share of records the fence took back and wrote), and
+// the mean of each device trip of the durable write: write-ns (the
+// record's write) and fsync-ns (the flush after it).
 func BenchmarkCommitFence(b *testing.B) {
 	cfg := corpus.Figure5Config{Items: 64, RPerItem: 2, SPerItem: 2}
 	db, _, m := buildFig5(b, cfg, nil)
@@ -70,6 +72,8 @@ func BenchmarkCommitFence(b *testing.B) {
 	defer mgr.Close()
 	bytes := obs.C("wal.bytes")
 	bytes0, fenced0 := bytes.Value(), byFence.Value()
+	writes, fsyncs := obs.H("wal.write.ns"), obs.H("wal.fsync.ns")
+	writes0, fsyncs0 := writes.Snapshot(), fsyncs.Snapshot()
 	var waited time.Duration
 	b.ResetTimer()
 	t0 := time.Now()
@@ -89,4 +93,13 @@ func BenchmarkCommitFence(b *testing.B) {
 	b.ReportMetric(float64(waited.Nanoseconds())/n, "fence-wait-ns")
 	b.ReportMetric(float64(bytes.Value()-bytes0)/n, "B/window")
 	b.ReportMetric(float64(byFence.Value()-fenced0)/n, "by-fence")
+	b.ReportMetric(meanNs(writes.Snapshot().Sub(writes0)), "write-ns")
+	b.ReportMetric(meanNs(fsyncs.Snapshot().Sub(fsyncs0)), "fsync-ns")
+}
+
+func meanNs(h obs.HistogramSnapshot) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return float64(h.Sum) / float64(h.Count)
 }

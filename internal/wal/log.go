@@ -20,6 +20,12 @@ import (
 //
 // The body is an encoded window in the WAL and a feed entry in FeedLog.
 //
+// A WAL segment open for records is longer than its records: it is
+// zero-filled ahead (File.Reserve), so a record lands in place, and it
+// is truncated to its records when the log closes it. After a crash the
+// zeros are still there; the scan reads a tail of nothing but zeros as
+// clean and goes on to the next segment.
+//
 // LSNs are assigned per committed window (group commit: one record, one
 // fsync per ApplyBatch window) and increase by exactly one from the
 // segment's firstLSN, so the scanner can reject any record that is not
@@ -38,7 +44,14 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// spareName is the next WAL segment while it is zero-filled, before a
+// rotation renames it. The scan ignores it and OpenLog removes it.
+const spareName = "wal-next.spare"
+
+// The two device trips of a durable write: the record's write (in place,
+// O_DIRECT where the filesystem accepts it) and the flush that follows.
 var (
+	writeNs  = obs.H("wal.write.ns")
 	fsyncNs  = obs.H("wal.fsync.ns")
 	walBytes = obs.C("wal.bytes")
 	walRecs  = obs.C("wal.records")
@@ -91,6 +104,15 @@ type Log struct {
 	buf     []byte // payload scratch (uvarint header + body)
 	fbuf    []byte // frame scratch (length | crc | payload)
 
+	// reserve is set on the WAL and not on FeedLog: a segment the WAL
+	// opens for a record is reserved first, and truncated to its records
+	// when it is closed.
+	reserve bool
+	// spare delivers the next segment, created and zero-filled on its
+	// own goroutine once the current one is half full, so a rotation
+	// waits for no zero-fill; nil when none is under way.
+	spare chan spareSeg
+
 	// broken latches the first write error: a log that failed mid-frame
 	// must not accept further commits, because the tail is now of
 	// unknown shape.
@@ -108,11 +130,17 @@ func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: readdir: %w", err)
 	}
-	l := &Log{fsys: fsys, dir: dir, segBytes: opts.segBytes()}
+	l := &Log{fsys: fsys, dir: dir, segBytes: opts.segBytes(), reserve: true}
 	var segNames []string
 	for _, n := range names {
 		if _, ok := parseSegName(n); ok {
 			segNames = append(segNames, n)
+		}
+		if n == spareName {
+			// A spare is durable only once a rotation renames it.
+			if err := fsys.Remove(join(dir, n)); err != nil {
+				return nil, fmt.Errorf("wal: remove %s: %w", n, err)
+			}
 		}
 	}
 	// Fixed-width hex names sort in LSN order.
@@ -147,8 +175,10 @@ func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
 			if err := fsys.Truncate(join(dir, name), int64(validLen)); err != nil {
 				return nil, fmt.Errorf("wal: truncate %s: %w", name, err)
 			}
-			// The torn record is gone; nothing after it can be valid.
-			valid = false
+			// Zeros alone are the reserved tail of a segment that was open;
+			// anything else is a torn record, and nothing after it can be
+			// valid.
+			valid = allZero(data[validLen:])
 		}
 		l.segs = append(l.segs, segInfo{name: name, firstLSN: hdrLSN})
 		l.lastLSN += uint64(len(recs))
@@ -161,7 +191,7 @@ func OpenLog(fsys FS, dir string, opts Options) (*Log, error) {
 		// entry, inode and initial extent allocation of a brand-new file.
 		// A crash leaving a header-only segment is already a valid state
 		// (OpenLog scans it to zero records and appends to it).
-		if err := l.newSegment(l.lastLSN + 1); err != nil {
+		if err := l.newSegment(l.lastLSN+1, false); err != nil {
 			return nil, err
 		}
 		if err := l.cur.Sync(); err != nil {
@@ -238,11 +268,18 @@ func (l *Log) writeRecord(payload []byte) error {
 		l.broken = err
 		return err
 	}
+	start := time.Now()
 	if _, err := l.cur.Write(frame); err != nil {
 		l.broken = fmt.Errorf("wal: write: %w", err)
 		return l.broken
 	}
+	if l.reserve {
+		writeNs.Observe(time.Since(start).Nanoseconds())
+	}
 	l.curSize += n
+	if l.reserve && l.spare == nil && 2*l.curSize >= l.segBytes {
+		l.startSpare()
+	}
 	return nil
 }
 
@@ -257,10 +294,17 @@ func (l *Log) ensureSegment(firstLSN uint64, frameLen int) error {
 	if l.cur == nil && l.curName != "" && !full() {
 		// Reopen the tail segment OpenLog scanned: append to it rather
 		// than starting a fresh one, so a reboot loop does not leak a
-		// segment per commit.
+		// segment per commit. The WAL zero-fills it here, on the first
+		// record after an open: once per open, and not by Attach.
 		f, err := l.fsys.OpenAppend(join(l.dir, l.curName))
 		if err != nil {
 			return fmt.Errorf("wal: reopen segment: %w", err)
+		}
+		if l.reserve {
+			if err := f.Reserve(int64(l.segBytes)); err != nil {
+				f.Close()
+				return fmt.Errorf("wal: reserve segment: %w", err)
+			}
 		}
 		l.cur = f
 		return nil
@@ -269,21 +313,43 @@ func (l *Log) ensureSegment(firstLSN uint64, frameLen int) error {
 		return nil
 	}
 	if l.cur != nil {
-		if err := l.cur.Close(); err != nil {
-			return fmt.Errorf("wal: close segment: %w", err)
+		if err := l.closeSegment(); err != nil {
+			return err
 		}
-		l.cur = nil
 	}
-	return l.newSegment(firstLSN)
+	return l.newSegment(firstLSN, l.reserve)
+}
+
+// closeSegment closes the current segment, truncating a WAL segment to
+// its records so that a log at rest holds no zeros.
+func (l *Log) closeSegment() error {
+	err := l.cur.Close()
+	l.cur = nil
+	if err != nil {
+		return fmt.Errorf("wal: close segment: %w", err)
+	}
+	if l.reserve {
+		if err := l.fsys.Truncate(join(l.dir, l.curName), int64(l.curSize)); err != nil {
+			return fmt.Errorf("wal: truncate segment: %w", err)
+		}
+	}
+	return nil
 }
 
 // newSegment creates the segment whose first record will be firstLSN,
-// writes its header, and makes it the current segment. The header is
-// not synced here; callers rely on the next record's fsync (or sync
+// writes its header, and makes it the current segment. With spare the
+// segment is the spare, renamed; else a new file. The header is not
+// synced here; callers rely on the next record's fsync (or sync
 // explicitly, as OpenLog's fresh-log pre-creation does).
-func (l *Log) newSegment(firstLSN uint64) error {
+func (l *Log) newSegment(firstLSN uint64, spare bool) error {
 	name := segName(firstLSN)
-	f, err := l.fsys.OpenAppend(join(l.dir, name))
+	var f File
+	var err error
+	if spare {
+		f, err = l.takeSpare(name)
+	} else {
+		f, err = l.fsys.OpenAppend(join(l.dir, name))
+	}
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -299,6 +365,48 @@ func (l *Log) newSegment(firstLSN uint64) error {
 	l.curSize = segHeaderLen
 	l.segs = append(l.segs, segInfo{name: name, firstLSN: firstLSN})
 	return nil
+}
+
+// spareSeg is a zero-filled spare segment, or why there is none.
+type spareSeg struct {
+	f   File
+	err error
+}
+
+// startSpare creates and reserves the next segment on its own goroutine.
+// Only the spare's file is touched there; takeSpare or Close waits for it.
+func (l *Log) startSpare() {
+	ch := make(chan spareSeg, 1)
+	l.spare = ch
+	fsys, path, n := l.fsys, join(l.dir, spareName), int64(l.segBytes)
+	go func() {
+		f, err := fsys.OpenAppend(path)
+		if err == nil {
+			if err = f.Reserve(n); err != nil {
+				f.Close()
+				f = nil
+			}
+		}
+		ch <- spareSeg{f: f, err: err}
+	}()
+}
+
+// takeSpare waits for the spare (starting it first if the segment
+// filled before it was started) and renames it to name.
+func (l *Log) takeSpare(name string) (File, error) {
+	if l.spare == nil {
+		l.startSpare()
+	}
+	s := <-l.spare
+	l.spare = nil
+	if s.err != nil {
+		return nil, s.err
+	}
+	if err := l.fsys.Rename(join(l.dir, spareName), join(l.dir, name)); err != nil {
+		s.f.Close()
+		return nil, err
+	}
+	return s.f, nil
 }
 
 // Replay streams every committed window with LSN > after to fn, in LSN
@@ -354,16 +462,25 @@ func (l *Log) Prune(upTo uint64) error {
 	return nil
 }
 
-// Close releases the current segment handle. The log stays readable.
+// Close releases the current segment handle, truncating a WAL segment
+// to its records, and removes an unused spare. The log stays readable.
 func (l *Log) Close() error {
+	var err error
 	if l.cur != nil {
-		err := l.cur.Close()
-		l.cur = nil
-		if err != nil {
-			return err
+		err = l.closeSegment()
+	}
+	if l.spare != nil {
+		s := <-l.spare
+		l.spare = nil
+		if s.f != nil {
+			s.f.Close()
+			s.err = l.fsys.Remove(join(l.dir, spareName))
+		}
+		if err == nil && s.err != nil {
+			err = fmt.Errorf("wal: drop spare: %w", s.err)
 		}
 	}
-	return nil
+	return err
 }
 
 type rawRec struct {
@@ -413,6 +530,15 @@ func scanSegment(data []byte) (hdrLSN uint64, recs []rawRec, valid int, hdrOK bo
 		valid += frameOverhead + int(n)
 		next = lsn + 1
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func segName(firstLSN uint64) string {

@@ -34,18 +34,20 @@ var (
 )
 
 // The hand-off's two bounds, from fig5-batch64-wal on a 2-CPU host
-// (~30k windows timed in an instrumented build):
+// (~370k windows over four 5 s and two 15 s runs of an instrumented
+// build, with the record written in place):
 const (
 	// writerPoll is how long the log writer keeps looking for the next
-	// window after writing one before it parks. The next window came 33
-	// µs (p50), 107 µs (p99) and 185 µs (p99.9) after the writer began
-	// to look, so back-to-back windows never wait for a wake-up; when
+	// window after writing one before it parks. The next window came 28–50
+	// µs (p50), 107–143 µs (p99) and 180–192 µs (p99.9) after the writer
+	// began to look, so back-to-back windows never wait for a wake-up; when
 	// commits are sparse the writer parks after one or two windows' time.
 	writerPoll = 200 * time.Microsecond
 	// fenceSpin is how long a fence whose record the writer holds yields
-	// before it parks: about one fsync (p50 ~75 µs), the most the writer
-	// can have left. Such fences waited 14 µs (p50) and 52 µs (p90); the
-	// p99, 231 µs, is an fsync stall, and parks.
+	// before it parks: about one write and flush (~50 µs) and room for
+	// their p99, the most the writer can have left. Such fences waited
+	// under 1 µs (p50), 10–13 µs (p90) and 77–143 µs (p99); a longer wait
+	// is a device stall, and parks.
 	fenceSpin = 100 * time.Microsecond
 )
 
